@@ -51,6 +51,7 @@ from .volterra import (
     eval_F1,
     eval_F1_field,
     eval_g,
+    eval_g_field,
     eval_g_row,
 )
 

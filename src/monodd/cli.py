@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -143,17 +143,7 @@ def _build_spec(cfg):
         u_tilde = old.u_tilde if cfg.u_tilde_const is None else (
             lambda t, x, v=float(cfg.u_tilde_const): v + 0.0 * x
         )
-        spec = type(spec)(
-            domain=spec.domain,
-            coeffs=spec.coeffs,
-            reaction=spec.reaction,
-            kernel=spec.kernel,
-            bc_left=spec.bc_left,
-            bc_right=spec.bc_right,
-            u0=spec.u0,
-            bracket=Bracket(u_hat=u_hat, u_tilde=u_tilde),
-            exact=spec.exact,
-        )
+        spec = replace(spec, bracket=Bracket(u_hat=u_hat, u_tilde=u_tilde))
     return spec
 
 

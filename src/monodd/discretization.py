@@ -180,15 +180,28 @@ def assemble_step(grid, coeffs, c_row, t_k, bc_rows, window):
 
 
 def thomas_solve(system):
-    """Solve a tridiagonal system (LAPACK dgtsv).  Raises on a zero pivot."""
-    n = system.diag.size
-    if n == 1:
-        if system.diag[0] == 0.0:
+    """Solve a tridiagonal system (LAPACK dgtsv).  Raises on a zero pivot.
+
+    A first row whose off-diagonal is zero (a Dirichlet row) is decoupled
+    before dgtsv runs: its value rhs/diag is folded into row 1's right-hand
+    side and row 1's coupling to it is set to zero, so dgtsv returns
+    rhs/diag there exactly.  Left coupled, dgtsv's partial pivoting would
+    swap it with row 1, whose sub-diagonal is of order a/dx^2, and return
+    the pinned value off by about eps/dx^2.  A last row with a zero
+    sub-diagonal is never swapped and comes back exact as it is.
+    """
+    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
+    n = diag.size
+    if n == 1 or sup[0] == 0.0:
+        if diag[0] == 0.0:
             raise ZeroPivotError("zero pivot at row 0")
-        return system.rhs / system.diag
-    *_, x, info = lapack.dgtsv(
-        system.sub[1:], system.diag, system.sup[:-1], system.rhs
-    )
+        if n == 1:
+            return rhs / diag
+        rhs = rhs.astype(float)
+        rhs[1] -= sub[1] * (rhs[0] / diag[0])
+        sub = sub.copy()
+        sub[1] = 0.0
+    *_, x, info = lapack.dgtsv(sub[1:], diag, sup[:-1], rhs)
     if info != 0:
         raise ZeroPivotError(f"zero pivot at row {info - 1}")
     return x

@@ -49,15 +49,47 @@ class Reaction:
 
 
 @dataclass(frozen=True)
+class ExponentialForm:
+    """Structure of the kernel g0 = kappa * exp(-lam (t - s)) * psi(eta2)."""
+
+    kappa: float
+    lam: float
+    psi: Callable  # eta2 -> real, nondecreasing, broadcasting over arrays
+
+
+@dataclass(frozen=True)
 class VolterraKernel:
     g0: Callable  # (t, x, s, eta1, eta2) -> real, nondecreasing in eta2
     dg0_deta1: Optional[Callable] = None
     lipschitz_K0: Optional[float] = None
     trivial: bool = False  # identically zero kernel; enables a fast path
+    # Declared exponential structure; enables the O(nt nx) recursive quadrature.
+    exp_form: Optional[ExponentialForm] = None
 
     @classmethod
     def zero(cls):
         return cls(g0=lambda t, x, s, e1, e2: 0.0 * e2, trivial=True)
+
+    @classmethod
+    def exponential(cls, kappa, lam, psi, lipschitz_psi=None):
+        """Kernel kappa * exp(-lam (t - s)) * psi(eta2), independent of eta1.
+
+        g0 and dg0_deta1 (identically zero) stay defined, so the generic
+        trapezoid path remains available as an oracle; the memory quadrature
+        and the stabilizer use the declared structure instead.  With a
+        Lipschitz constant L of psi and lam >= 0 the kernel is Lipschitz
+        with constant |kappa| L; otherwise lipschitz_K0 is left unknown.
+        """
+        kappa, lam = float(kappa), float(lam)
+        lipschitz = None
+        if lipschitz_psi is not None and lam >= 0.0:
+            lipschitz = abs(kappa) * float(lipschitz_psi)
+        return cls(
+            g0=lambda t, x, s, e1, e2: kappa * np.exp(-lam * (t - s)) * psi(e2),
+            dg0_deta1=lambda t, x, s, e1, e2: 0.0 * e1,
+            lipschitz_K0=lipschitz,
+            exp_form=ExponentialForm(kappa=kappa, lam=lam, psi=psi),
+        )
 
 
 @dataclass(frozen=True)
@@ -200,6 +232,10 @@ def validate_problem(spec, sampling=16):
     return report
 
 
+def _identity(u):
+    return u
+
+
 def _sin_pi(x):
     return np.sin(np.pi * x)
 
@@ -239,11 +275,7 @@ def _logistic_memory(params):
             f=lambda t, x, u: lam * u * (1.0 - u),
             f_u=lambda t, x, u: lam * (1.0 - 2.0 * u),
         ),
-        kernel=VolterraKernel(
-            g0=lambda t, x, s, e1, e2: kappa * np.exp(-(t - s)) * e2,
-            dg0_deta1=lambda t, x, s, e1, e2: 0.0 * e1,
-            lipschitz_K0=kappa,
-        ),
+        kernel=VolterraKernel.exponential(kappa, 1.0, _identity, lipschitz_psi=1.0),
         bc_left=_dirichlet_zero(),
         bc_right=_dirichlet_zero(),
         u0=lambda x: sigma * np.sin(np.pi * x),
@@ -266,11 +298,7 @@ def _manufactured_1(params):
             f=lambda t, x, u: -u * u + _mms_forcing(t, x),
             f_u=lambda t, x, u: -2.0 * u,
         ),
-        kernel=VolterraKernel(
-            g0=lambda t, x, s, e1, e2: np.exp(-(t - s)) * e2,
-            dg0_deta1=lambda t, x, s, e1, e2: 0.0 * e1,
-            lipschitz_K0=1.0,
-        ),
+        kernel=VolterraKernel.exponential(1.0, 1.0, _identity, lipschitz_psi=1.0),
         bc_left=_dirichlet_zero(),
         bc_right=_dirichlet_zero(),
         u0=_sin_pi,

@@ -1,7 +1,8 @@
 """Discrete verification utilities: bracket residuals, monotone-chain
 checking, M-matrix validation, and convergence-order studies.
 
-Bracket residuals deliberately reuse the solver's stencils and quadrature:
+Bracket residuals deliberately reuse the solver's stencils and quadrature
+(eval_g_field, the memory term the iteration itself evaluates):
 a candidate certified here starts a monotone discrete iteration to roundoff,
 which certification against exact calculus would not guarantee.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import sample_field
-from .volterra import eval_g_row
+from .volterra import eval_g_field
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class ResidualReport:
     slack: float
 
 
-def _eval_rows(fn, t, x):
-    return np.broadcast_to(np.asarray(fn(t, x), dtype=float), np.shape(x))
+def _as_field(values, shape):
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
 def check_bracket(spec, grid, candidate, kind, slack=1e-9):
@@ -42,24 +43,20 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
     nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
     xs, ts = grid.xs, grid.ts
 
-    worst_int = (math.inf, -1, -1)
-    for k in range(1, nt + 1):
-        t = ts[k]
-        a = _eval_rows(spec.coeffs.a, t, xs[1:-1])
-        b = _eval_rows(spec.coeffs.b, t, xs[1:-1])
-        ut = (U[k, 1:-1] - U[k - 1, 1:-1]) / dt
-        uxx = (U[k, 2:] - 2.0 * U[k, 1:-1] + U[k, :-2]) / (dx * dx)
-        fwd = (U[k, 2:] - U[k, 1:-1]) / dx
-        bwd = (U[k, 1:-1] - U[k, :-2]) / dx
-        ux = np.where(b > 0, fwd, bwd)
-        fval = np.broadcast_to(
-            np.asarray(spec.reaction.f(t, xs[1:-1], U[k, 1:-1]), dtype=float), (nx - 1,)
-        )
-        g = eval_g_row(spec.kernel, U, k, grid)[1:-1]
-        res = sign * (ut - a * uxx - b * ux - fval - g)
-        i = int(np.argmin(res))
-        if res[i] < worst_int[0]:
-            worst_int = (float(res[i]), k, i + 1)
+    # Interior residuals at every level k >= 1 and node 1..nx-1 at once.
+    t, x, Uk = ts[1:, None], xs[None, 1:-1], U[1:, 1:-1]
+    a = _as_field(spec.coeffs.a(t, x), Uk.shape)
+    b = _as_field(spec.coeffs.b(t, x), Uk.shape)
+    ut = (Uk - U[:-1, 1:-1]) / dt
+    uxx = (U[1:, 2:] - 2.0 * Uk + U[1:, :-2]) / (dx * dx)
+    fwd = (U[1:, 2:] - Uk) / dx
+    bwd = (Uk - U[1:, :-2]) / dx
+    ux = np.where(b > 0, fwd, bwd)
+    fval = _as_field(spec.reaction.f(t, x, Uk), Uk.shape)
+    g = eval_g_field(spec.kernel, U, grid)[1:, 1:-1]
+    res = sign * (ut - a * uxx - b * ux - fval - g)
+    k, i = np.unravel_index(int(np.argmin(res)), res.shape)
+    worst_int = (float(res[k, i]), int(k) + 1, int(i) + 1)
 
     worst_bnd = (math.inf, -1, "")
     for k in range(1, nt + 1):
@@ -74,7 +71,7 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
             if r < worst_bnd[0]:
                 worst_bnd = (float(r), k, end)
 
-    res0 = sign * (U[0] - np.broadcast_to(np.asarray(spec.u0(xs), dtype=float), (nx + 1,)))
+    res0 = sign * (U[0] - _as_field(spec.u0(xs), (nx + 1,)))
     i0 = int(np.argmin(res0))
     worst_ini = (float(res0[i0]), i0)
 

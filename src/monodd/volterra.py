@@ -6,6 +6,11 @@ approximated with the composite trapezoidal rule on the stored time levels.
 Trapezoid weights are nonnegative, which is what lets the discrete g inherit
 the monotone-in-history bound g(u) - g(v) >= -b_under (u - v).
 
+For a kernel declared with VolterraKernel.exponential, kappa e^{-lam(t-s)}
+psi(eta2), the same trapezoid sum obeys a two-term recursion with
+nonnegative coefficients and costs O(nt nx) per field instead of
+O(nt^2 nx); such a kernel does not depend on eta1, so b_under is zero.
+
 The stabilizer c_total >= max(c_under + b_under, 0) is added to both sides
 of the equation so that
 
@@ -17,11 +22,17 @@ sampling underestimate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Field, Grid1D
+
+
+# History levels per block in the generic-kernel stabilizer loop; bounds its
+# temporaries at O(n_samples^2 nx HISTORY_CHUNK) whatever nt is.
+HISTORY_CHUNK = 32
 
 
 class StabilizerError(RuntimeError):
@@ -64,6 +75,37 @@ def eval_g_row(kernel, u, k, grid):
 def eval_g(kernel, u, k, i, grid):
     """Memory integral at node (k, i); bitwise equal to eval_g_row(...)[i]."""
     return float(eval_g_row(kernel, u, k, grid)[i])
+
+
+def _exponential_trapezoid(form, u, dt):
+    """Trapezoid sums of kappa e^{-lam(t_k - s)} psi(u(s)) for every level k.
+
+    T_0 = 0 and T_k = r T_{k-1} + (dt/2)(r psi_{k-1} + psi_k), r = e^{-lam dt}:
+    every coefficient is nonnegative, so for kappa >= 0 the result is
+    nondecreasing in psi exactly, rounding included.
+    """
+    psi = np.broadcast_to(np.asarray(form.psi(u), dtype=float), u.shape)
+    r = math.exp(-form.lam * dt)
+    out = np.zeros(u.shape)
+    out[1:] = (0.5 * dt) * (r * psi[:-1] + psi[1:])
+    for k in range(1, u.shape[0]):
+        out[k] += r * out[k - 1]
+    out *= form.kappa
+    return out
+
+
+def eval_g_field(kernel, u, grid):
+    """Memory integral at every time level and node, shape (nt+1, nx+1).
+
+    Exponential kernels take the O(nt nx) recursion, trivial kernels give
+    zeros, and every other kernel the generic trapezoid sum of eval_g_row.
+    """
+    u = np.asarray(u, dtype=float)
+    if kernel.trivial:
+        return np.zeros((grid.nt + 1, grid.nx + 1))
+    if kernel.exp_form is not None:
+        return _exponential_trapezoid(kernel.exp_form, u, grid.dt)
+    return np.stack([eval_g_row(kernel, u, k, grid) for k in range(grid.nt + 1)])
 
 
 def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, margin=1e-6):
@@ -109,49 +151,50 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
         c_under = np.max(-np.broadcast_to(d, eta.shape), axis=0)
 
     b_under = np.zeros(shape)
-    if not kernel.trivial:
+    if not kernel.trivial and kernel.exp_form is None:
         if kernel.dg0_deta1 is None and degenerate:
             raise StabilizerError(
                 "bracket has zero width and no analytic dg0_deta1 was supplied"
             )
         eps = 1e-6 * float(np.max(width)) if not degenerate else 0.0
+        x = grid.xs[None, None, None, :]
+        b0 = np.empty(shape)  # sampled sup of -dg0/deta1 over the history of level k
         for k in range(1, grid.nt + 1):
-            # axes: (history level m, eta1 sample, eta2 sample, node)
-            e1 = (lo[k] + theta[:, None] * width[k])[None, :, None, :]
-            e2 = (lo[: k + 1, None, :] + theta[None, :, None] * width[: k + 1, None, :])[
-                :, None, :, :
-            ]
             t = grid.ts[k]
-            s = grid.ts[: k + 1, None, None, None]
-            x = grid.xs[None, None, None, :]
-            if kernel.dg0_deta1 is not None:
-                d = np.asarray(kernel.dg0_deta1(t, x, s, e1, e2), dtype=float)
-            else:
-                d = (
-                    np.asarray(kernel.g0(t, x, s, e1 + eps, e2), dtype=float)
-                    - np.asarray(kernel.g0(t, x, s, e1 - eps, e2), dtype=float)
-                ) / (2 * eps)
-            d = np.broadcast_to(d, (k + 1, n_samples, n_samples, grid.nx + 1))
-            b0 = np.max(-d, axis=(1, 2))  # (k+1, nx+1)
-            b_under[k] = quadrature_weights(k, grid.dt) @ b0
+            e1 = (lo[k] + theta[:, None] * width[k])[None, :, None, :]
+            # The history axis goes in chunks so temporaries stay
+            # O(n_samples^2 nx HISTORY_CHUNK); axes: (history level m,
+            # eta1 sample, eta2 sample, node).
+            for m0 in range(0, k + 1, HISTORY_CHUNK):
+                m1 = min(m0 + HISTORY_CHUNK, k + 1)
+                e2 = (lo[m0:m1, None, :] + theta[None, :, None] * width[m0:m1, None, :])[
+                    :, None, :, :
+                ]
+                s = grid.ts[m0:m1, None, None, None]
+                if kernel.dg0_deta1 is not None:
+                    d = np.asarray(kernel.dg0_deta1(t, x, s, e1, e2), dtype=float)
+                else:
+                    d = (
+                        np.asarray(kernel.g0(t, x, s, e1 + eps, e2), dtype=float)
+                        - np.asarray(kernel.g0(t, x, s, e1 - eps, e2), dtype=float)
+                    ) / (2 * eps)
+                d = np.broadcast_to(d, (m1 - m0, n_samples, n_samples, grid.nx + 1))
+                b0[m0:m1] = np.max(-d, axis=(1, 2))
+            b_under[k] = quadrature_weights(k, grid.dt) @ b0[: k + 1]
 
     c_total = np.maximum(c_under + b_under + margin, 0.0)
     return StabilizerField(c_total=c_total, b_under=b_under)
 
 
-def eval_F1(spec, stab, u, k, grid):
-    """Monotone right-hand side c_total u + f + g at time level k, all nodes."""
-    x = grid.xs
-    t = grid.ts[k]
-    fval = np.broadcast_to(
-        np.asarray(spec.reaction.f(t, x, u[k]), dtype=float), (grid.nx + 1,)
-    )
-    return stab.c_total[k] * u[k] + fval + eval_g_row(spec.kernel, u, k, grid)
-
-
 def eval_F1_field(spec, stab, u, grid):
-    """eval_F1 stacked over every time level (row 0 included for completeness)."""
-    out = np.empty((grid.nt + 1, grid.nx + 1))
-    for k in range(grid.nt + 1):
-        out[k] = eval_F1(spec, stab, u, k, grid)
+    """Monotone right-hand side c_total u + f + g at every time level and
+    node (row 0 included for completeness), with g from eval_g_field."""
+    out = stab.c_total * u
+    out += spec.reaction.f(grid.ts[:, None], grid.xs[None, :], u)
+    out += eval_g_field(spec.kernel, u, grid)
     return out
+
+
+def eval_F1(spec, stab, u, k, grid):
+    """Row k of eval_F1_field: the right-hand side the solver uses at level k."""
+    return eval_F1_field(spec, stab, u, grid)[k]

@@ -53,6 +53,15 @@ def test_run_single_domain(tmp_path):
     assert main(["run", str(cfg)]) == 0
 
 
+def test_single_domain_wide_grid_keeps_chain(tmp_path):
+    # At 512x128 the Dirichlet rows sit next to rows of order a/dx^2; when
+    # they were pivoted inside dgtsv the run aborted with exit 5.
+    cfg = write_config(
+        tmp_path / "cfg.json", grid={"nx": 512, "nt": 128}, decomposition="single_domain"
+    )
+    assert main(["run", str(cfg)]) == 0
+
+
 def test_invalid_decomposition(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", decomposition={"i1_hi": 12, "i2_lo": 20})
     assert main(["run", str(cfg)]) == 3

@@ -140,6 +140,54 @@ class TestThomasSolve:
         got = thomas_solve(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    def test_dirichlet_rows_return_pinned_values_exactly(self):
+        # Dirichlet ends next to rows of order a/dx^2: partial pivoting on
+        # the coupled system would swap row 0 with row 1.
+        n, k = 129, 1.0 / (1.0 / 128) ** 2
+        sub = np.full(n, -k)
+        sup = np.full(n, -k)
+        diag = np.full(n, 2.0 * k + 300.0)
+        sub[0] = sup[0] = sub[-1] = sup[-1] = 0.0
+        diag[0] = diag[-1] = 1.0
+        rhs = np.linspace(1.0, 2.0, n)
+        rhs[0], rhs[-1] = 0.1, 0.3
+        system = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs.copy())
+        x = thomas_solve(system)
+        assert x[0] == 0.1 and x[-1] == 0.3
+        np.testing.assert_array_equal(system.rhs, rhs)  # input left untouched
+        dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ends", [(False, False), (True, False), (False, True), (True, True)])
+    def test_small_systems_with_decoupled_ends(self, n, ends):
+        rng = np.random.default_rng(n)
+        sub = -rng.uniform(0.5, 1.0, n)
+        sup = -rng.uniform(0.5, 1.0, n)
+        sub[0] = sup[-1] = 0.0
+        if ends[0]:
+            sup[0] = 0.0
+        if ends[1]:
+            sub[-1] = 0.0
+        diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
+        rhs = rng.standard_normal(n)
+        dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+        got = thomas_solve(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+        np.testing.assert_allclose(got, np.linalg.solve(dense, rhs), atol=1e-14)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_pivot_names_dirichlet_row(self, row):
+        diag = np.array([2.0, 2.0, 2.0])
+        diag[row] = 0.0
+        sys = TridiagonalSystem(
+            sub=np.array([0.0, -1.0, 0.0]),
+            diag=diag,
+            sup=np.array([0.0, -1.0, 0.0]),
+            rhs=np.ones(3),
+        )
+        with pytest.raises(ZeroPivotError, match=f"row {row}"):
+            thomas_solve(sys)
+
     def test_zero_pivot_diagnostic(self):
         sys = TridiagonalSystem(
             sub=np.zeros(2), diag=np.zeros(2), sup=np.zeros(2), rhs=np.ones(2)

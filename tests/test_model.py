@@ -93,6 +93,29 @@ class TestCatalog:
         x = np.linspace(0, 1, 5)
         np.testing.assert_array_equal(np.asarray(spec.reaction.f(0.5, x, x), dtype=float), 0.0)
 
+    @pytest.mark.parametrize("name,params,kappa", [
+        ("logistic_memory", {"lam": 1.0, "kappa": 0.5, "sigma": 0.5}, 0.5),
+        ("manufactured_1", {}, 1.0),
+    ])
+    def test_memory_problems_use_exponential_kernel(self, name, params, kappa):
+        kernel = catalog_lookup(name, params).kernel
+        form = kernel.exp_form
+        assert form is not None and (form.kappa, form.lam) == (kappa, 1.0)
+        assert kernel.lipschitz_K0 == kappa
+        rng = np.random.default_rng(4)
+        t, s, e1, e2 = 0.9, rng.random(6), rng.random(6), rng.random(6)
+        np.testing.assert_array_equal(
+            kernel.g0(t, 0.3, s, e1, e2), kappa * np.exp(-(t - s)) * e2
+        )
+        np.testing.assert_array_equal(kernel.dg0_deta1(t, 0.3, s, e1, e2), 0.0)
+
+    def test_exponential_lipschitz_only_when_known(self):
+        exponential = VolterraKernel.exponential
+        assert exponential(-2.0, 0.5, np.tanh, lipschitz_psi=3.0).lipschitz_K0 == 6.0
+        assert exponential(2.0, 0.5, np.tanh).lipschitz_K0 is None
+        # e^{-lam (t-s)} grows with t - s when lam < 0: no bound without the horizon
+        assert exponential(2.0, -0.5, np.tanh, lipschitz_psi=1.0).lipschitz_K0 is None
+
     def test_manufactured_bracket_certifies(self):
         spec = catalog_lookup("manufactured_1")
         grid = build_grid(spec.domain, 16, 16)

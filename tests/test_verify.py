@@ -5,12 +5,15 @@ from monodd import (
     Decomposition,
     IterationState,
     TridiagonalSystem,
+    VolterraKernel,
     build_grid,
     catalog_lookup,
     check_bracket,
     check_monotone_chain,
+    eval_g_row,
     m_matrix_check,
     order_study,
+    sample_field,
 )
 
 from conftest import desk_logistic
@@ -52,6 +55,31 @@ class TestCheckBracket:
         report = check_bracket(spec, grid, lambda t, x: 1.0 + 0.0 * x, "super")
         assert not report.passed
         assert report.worst_interior[0] < 0
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_interior_matches_row_by_row_reference(self, generic):
+        spec = catalog_lookup("manufactured_1")
+        if generic:
+            kernel = VolterraKernel(g0=spec.kernel.g0, dg0_deta1=spec.kernel.dg0_deta1)
+            spec = type(spec)(**{**spec.__dict__, "kernel": kernel})
+        grid = build_grid(spec.domain, 16, 24)
+        rng = np.random.default_rng(8)
+        U = sample_field(spec.exact, grid) + 0.01 * rng.standard_normal((25, 17))
+        report = check_bracket(spec, grid, U, "super")
+        # The residual of each level from the generic trapezoid row, as a loop.
+        worst = (np.inf, -1, -1)
+        dx, dt, xs = grid.dx, grid.dt, grid.xs
+        for k in range(1, grid.nt + 1):
+            t = grid.ts[k]
+            ut = (U[k, 1:-1] - U[k - 1, 1:-1]) / dt
+            uxx = (U[k, 2:] - 2.0 * U[k, 1:-1] + U[k, :-2]) / (dx * dx)
+            f = spec.reaction.f(t, xs[1:-1], U[k, 1:-1])
+            res = ut - uxx - f - eval_g_row(spec.kernel, U, k, grid)[1:-1]
+            i = int(np.argmin(res))
+            if res[i] < worst[0]:
+                worst = (float(res[i]), k, i + 1)
+        assert report.worst_interior[1:] == worst[1:]
+        assert report.worst_interior[0] == pytest.approx(worst[0], rel=1e-12, abs=1e-12)
 
     def test_bad_kind(self):
         spec = desk_logistic()

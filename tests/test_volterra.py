@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from monodd import (
     catalog_lookup,
     compute_stabilizers,
     eval_F1,
+    eval_F1_field,
     eval_g,
+    eval_g_field,
     eval_g_row,
     sample_field,
 )
-from monodd.volterra import StabilizerError, quadrature_weights
+from monodd.volterra import HISTORY_CHUNK, StabilizerError, quadrature_weights
 
 from conftest import desk_logistic
 
@@ -73,6 +77,55 @@ class TestEvalGRow:
         row = eval_g_row(spec.kernel, u, 6, grid)
         for i in range(9):
             assert row[i] == eval_g(spec.kernel, u, 6, i, grid)
+
+
+def psi_nonlinear(e2):
+    # Nondecreasing, and nondecreasing in floating point too: a sum of
+    # products of nonnegative-sloped, correctly rounded operations.
+    return e2 + 0.5 * e2 * np.abs(e2)
+
+
+def generic_copy(kernel):
+    """The same g0 and dg0_deta1 without the declared exponential structure."""
+    return VolterraKernel(
+        g0=kernel.g0, dg0_deta1=kernel.dg0_deta1, lipschitz_K0=kernel.lipschitz_K0
+    )
+
+
+class TestEvalGField:
+    @pytest.mark.parametrize("nt", [1, 2, 7, 64, 512])
+    @pytest.mark.parametrize("lam", [1.7, -0.8])
+    def test_recursion_matches_trapezoid_rows(self, nt, lam):
+        grid = unit_grid(8, nt)
+        rng = np.random.default_rng(nt)
+        u = rng.uniform(-1.0, 2.0, (nt + 1, 9))
+        kernel = VolterraKernel.exponential(0.7, lam, psi_nonlinear)
+        field = eval_g_field(kernel, u, grid)
+        rows = np.stack([eval_g_row(kernel, u, k, grid) for k in range(nt + 1)])
+        assert field.shape == (nt + 1, 9)
+        np.testing.assert_array_equal(field[0], 0.0)
+        assert np.max(np.abs(field - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("kappa,lam", [(0.0, 1.0), (0.4, 2.5), (1.3, -1.5)])
+    def test_recursion_monotone_without_tolerance(self, kappa, lam):
+        grid = unit_grid(16, 64)
+        rng = np.random.default_rng(3)
+        kernel = VolterraKernel.exponential(kappa, lam, psi_nonlinear)
+        for _ in range(20):
+            v = rng.uniform(-2.0, 2.0, (65, 17))
+            u = v + rng.random(v.shape) * (rng.random(v.shape) < 0.5)
+            assert np.all(eval_g_field(kernel, u, grid) >= eval_g_field(kernel, v, grid))
+
+    def test_trivial_kernel_zeros(self):
+        grid = unit_grid(8, 5)
+        out = eval_g_field(VolterraKernel.zero(), np.ones((6, 9)), grid)
+        np.testing.assert_array_equal(out, np.zeros((6, 9)))
+
+    def test_generic_kernel_stacks_rows_bitwise(self):
+        grid = unit_grid(8, 12)
+        u = np.random.default_rng(5).random((13, 9))
+        rows = np.stack([eval_g_row(EXP_KERNEL, u, k, grid) for k in range(13)])
+        np.testing.assert_array_equal(eval_g_field(EXP_KERNEL, u, grid), rows)
 
 
 class TestComputeStabilizers:
@@ -143,6 +196,63 @@ class TestComputeStabilizers:
         big = compute_stabilizers(spec, grid, lo, np.full((7, 7), 1.5))
         assert np.all(big.c_total >= small.c_total)
 
+    def test_exponential_matches_generic_build_bitwise(self):
+        spec = catalog_lookup("manufactured_1")
+        generic = type(spec)(**{**spec.__dict__, "kernel": generic_copy(spec.kernel)})
+        grid = build_grid(spec.domain, 16, 40)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        fast = compute_stabilizers(spec, grid, lo, hi)
+        slow = compute_stabilizers(generic, grid, lo, hi)
+        np.testing.assert_array_equal(fast.c_total, slow.c_total)
+        np.testing.assert_array_equal(fast.b_under, 0.0)
+
+    def test_generic_history_chunks_bitwise_and_bounded(self):
+        # A kernel that depends on eta1, so b_under is not zero.
+        base = desk_logistic()
+        kernel = VolterraKernel(
+            g0=lambda t, x, s, e1, e2: e2 - 0.3 * (1.0 + s) * e1 * e1,
+            dg0_deta1=lambda t, x, s, e1, e2: -0.6 * (1.0 + s + 0.0 * x) * e1 + 0.0 * e2,
+        )
+        spec = type(base)(**{**base.__dict__, "kernel": kernel})
+        nx, nt, p, margin = 64, 4 * HISTORY_CHUNK, 8, 1e-6
+        grid = build_grid(spec.domain, nx, nt)
+        lo = np.zeros((nt + 1, nx + 1))
+        hi = 1.5 + 0.1 * np.sin(np.pi * grid.xs) + 0.0 * lo
+
+        tracemalloc.start()
+        try:
+            stab = compute_stabilizers(spec, grid, lo, hi, n_samples=p, margin=margin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        # Unchunked reference: the whole history of level k in one block.
+        theta = np.linspace(0.0, 1.0, p)
+        eta = lo[None] + theta[:, None, None] * (hi - lo)[None]
+        f_u = spec.reaction.f_u(grid.ts[None, :, None], grid.xs[None, None, :], eta)
+        c_under = np.max(-f_u, axis=0)
+        b_under = np.zeros_like(lo)
+        for k in range(1, nt + 1):
+            e1 = (lo[k] + theta[:, None] * (hi - lo)[k])[None, :, None, :]
+            e2 = (lo[: k + 1, None, :] + theta[None, :, None] * (hi - lo)[: k + 1, None, :])[
+                :, None, :, :
+            ]
+            d = kernel.dg0_deta1(
+                grid.ts[k], grid.xs[None, None, None, :], grid.ts[: k + 1, None, None, None], e1, e2
+            )
+            b0 = np.max(-np.broadcast_to(d, (k + 1, p, p, nx + 1)), axis=(1, 2))
+            b_under[k] = quadrature_weights(k, grid.dt) @ b0
+        np.testing.assert_array_equal(stab.b_under, b_under)
+        np.testing.assert_array_equal(stab.c_total, np.maximum(c_under + b_under + margin, 0.0))
+        assert np.max(stab.b_under) > 0.5
+
+        # Unchunked, the last level alone needs (nt+1) p^2 (nx+1) doubles
+        # (4.1 MB) per temporary and the call peaks at about 10.5 MB; in
+        # chunks a temporary holds HISTORY_CHUNK levels (1.1 MB) and the
+        # call peaks at about 3.3 MB.
+        assert peak < 6 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
     def test_finite_difference_fallback(self):
         from monodd import Reaction
 
@@ -195,6 +305,20 @@ class TestEvalF1:
             base = eval_F1(spec, stab, u, k, grid)
             shifted = eval_F1(spec, stab, np.minimum(u + 0.1, 1.5), k, grid)
             assert np.all(shifted >= base - 1e-12)
+
+    def test_field_is_c_u_plus_f_plus_g(self):
+        spec = catalog_lookup("manufactured_1")
+        grid = build_grid(spec.domain, 8, 8)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        u = 3.0 * np.random.default_rng(17).random(lo.shape)
+        field = eval_F1_field(spec, stab, u, grid)
+        g = eval_g_field(spec.kernel, u, grid)
+        for k in range(grid.nt + 1):
+            f = spec.reaction.f(grid.ts[k], grid.xs, u[k])
+            np.testing.assert_allclose(field[k], stab.c_total[k] * u[k] + f + g[k], rtol=1e-14)
+            np.testing.assert_array_equal(eval_F1(spec, stab, u, k, grid), field[k])
 
     @pytest.mark.parametrize("name,params", [
         ("linear_heat", {}),
