@@ -6,13 +6,18 @@ from .discretization import (
     Grid1D,
     Subrange,
     TridiagonalSystem,
+    WindowOperator,
     build_grid,
+    build_window_operator,
+    m_matrix_check,
+    march_window,
     sample_field,
     set_mmatrix_audit,
     solve_linear_parabolic,
     thomas_solve,
 )
 from .iteration import (
+    BracketError,
     ConvergenceHistory,
     Decomposition,
     IterationState,
@@ -42,7 +47,6 @@ from .verify import (
     check_bracket,
     check_monotone_chain,
     default_decomposition,
-    m_matrix_check,
     order_study,
 )
 from .volterra import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -15,7 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .discretization import build_grid, sample_field, set_mmatrix_audit
-from .iteration import Decomposition, MonotoneChainError, run_dd, run_single_domain
+from .iteration import (
+    BracketError,
+    Decomposition,
+    MonotoneChainError,
+    run_dd,
+    run_single_domain,
+)
 from .model import Bracket, CatalogError, catalog_lookup, validate_problem
 from .verify import check_bracket, default_decomposition, order_study
 
@@ -45,15 +52,40 @@ class RunConfig:
     max_sweeps: int
     c_margin: float
     n_samples: int
-    parallel_branches: bool
     solution_csv: Optional[str]
     history_csv: Optional[str]
 
 
 def _need(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in mapping:
         raise ConfigError(f"missing field {where}.{key}")
     return mapping[key]
+
+
+def _section(mapping, key, where):
+    value = mapping.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{key} must be an object")
+    return value
+
+
+def _int(value, name):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _float(value, name):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def load_config(path):
@@ -67,23 +99,39 @@ def load_config(path):
 
     prob = _need(raw, "problem", "config")
     name = _need(prob, "name", "problem")
-    params = dict(prob.get("params", {}))
-    u_hat_const = prob.get("u_hat_const")
-    u_tilde_const = prob.get("u_tilde_const")
+    if not isinstance(name, str):
+        raise ConfigError(f"problem.name must be a string, got {name!r}")
+    params = dict(_section(prob, "params", "problem"))
+    consts = {}
+    for key in ("u_hat_const", "u_tilde_const"):
+        if prob.get(key) is not None:
+            consts[key] = _float(prob[key], f"problem.{key}")
+    if len(consts) == 2 and consts["u_hat_const"] > consts["u_tilde_const"]:
+        raise ConfigError(
+            f"problem.u_hat_const={consts['u_hat_const']} must be <= "
+            f"u_tilde_const={consts['u_tilde_const']}"
+        )
 
     grids = None
     nx = nt = 0
     if "grids" in raw:
+        if not isinstance(raw["grids"], list):
+            raise ConfigError("grids must be a list")
         grids = []
         for entry in raw["grids"]:
-            grids.append((int(_need(entry, "nx", "grids[]")), int(_need(entry, "nt", "grids[]"))))
+            grids.append(
+                (
+                    _int(_need(entry, "nx", "grids[]"), "grids[].nx"),
+                    _int(_need(entry, "nt", "grids[]"), "grids[].nt"),
+                )
+            )
         if not grids:
             raise ConfigError("grids must not be empty")
         nx, nt = grids[0]
     else:
         g = _need(raw, "grid", "config")
-        nx = int(_need(g, "nx", "grid"))
-        nt = int(_need(g, "nt", "grid"))
+        nx = _int(_need(g, "nx", "grid"), "grid.nx")
+        nt = _int(_need(g, "nt", "grid"), "grid.nt")
     if nx < 4:
         raise ConfigError(f"grid.nx must be >= 4, got {nx}")
     if nt < 1:
@@ -93,8 +141,8 @@ def load_config(path):
     single = dec_raw == "single_domain"
     decomp = None
     if not single:
-        i1_hi = int(_need(dec_raw, "i1_hi", "decomposition"))
-        i2_lo = int(_need(dec_raw, "i2_lo", "decomposition"))
+        i1_hi = _int(_need(dec_raw, "i1_hi", "decomposition"), "decomposition.i1_hi")
+        i2_lo = _int(_need(dec_raw, "i2_lo", "decomposition"), "decomposition.i2_lo")
         if i2_lo >= i1_hi:
             raise ConfigError(f"decomposition.i2_lo={i2_lo} must be < i1_hi={i1_hi}")
         try:
@@ -104,20 +152,26 @@ def load_config(path):
         if i1_hi >= nx:
             raise ConfigError(f"decomposition.i1_hi={i1_hi} must be < grid.nx={nx}")
 
-    solver = raw.get("solver", {})
-    tol = float(_need(solver, "tol", "solver"))
+    solver = _section(raw, "solver", "config")
+    tol = _float(_need(solver, "tol", "solver"), "solver.tol")
     if tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {tol}")
-    max_sweeps = int(_need(solver, "max_sweeps", "solver"))
+    max_sweeps = _int(_need(solver, "max_sweeps", "solver"), "solver.max_sweeps")
     if max_sweeps < 1:
         raise ConfigError(f"solver.max_sweeps must be >= 1, got {max_sweeps}")
+    c_margin = _float(solver.get("c_margin", 1e-6), "solver.c_margin")
+    if c_margin < 0:
+        raise ConfigError(f"solver.c_margin must be >= 0, got {c_margin}")
+    n_samples = _int(solver.get("n_samples", 8), "solver.n_samples")
+    if n_samples < 2:
+        raise ConfigError(f"solver.n_samples must be >= 2, got {n_samples}")
 
-    out = raw.get("output", {})
+    out = _section(raw, "output", "config")
     return RunConfig(
         problem_name=name,
         problem_params=params,
-        u_hat_const=u_hat_const,
-        u_tilde_const=u_tilde_const,
+        u_hat_const=consts.get("u_hat_const"),
+        u_tilde_const=consts.get("u_tilde_const"),
         nx=nx,
         nt=nt,
         grids=grids,
@@ -125,9 +179,8 @@ def load_config(path):
         decomposition=decomp,
         tol=tol,
         max_sweeps=max_sweeps,
-        c_margin=float(solver.get("c_margin", 1e-6)),
-        n_samples=int(solver.get("n_samples", 8)),
-        parallel_branches=bool(solver.get("parallel_branches", False)),
+        c_margin=c_margin,
+        n_samples=n_samples,
         solution_csv=out.get("solution_csv"),
         history_csv=out.get("history_csv"),
     )
@@ -212,9 +265,11 @@ def cmd_run(config_path):
                 cfg.max_sweeps,
                 n_samples=cfg.n_samples,
                 c_margin=cfg.c_margin,
-                parallel=cfg.parallel_branches,
                 abort_on_chain_violation=True,
             )
+    except BracketError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except MonotoneChainError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_CHAIN_VIOLATION
@@ -272,6 +327,9 @@ def cmd_order(config_path):
             n_samples=cfg.n_samples,
             c_margin=cfg.c_margin,
         )
+    except BracketError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except RuntimeError as exc:
         print(f"order study failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

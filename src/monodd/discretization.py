@@ -5,6 +5,12 @@ differences for the diffusion term plus first-order upwinding for advection.
 That combination makes every per-step tridiagonal matrix an M-matrix as soon
 as the zero-order coefficient is nonnegative, which is what the whole
 monotone iteration machinery rests on.
+
+The solver's matrices depend on the frozen stabilizer and the boundary
+rows only, so a WindowOperator assembles and factors them once per window
+and march_window reuses the factors for every right-hand side.
+assemble_step and thomas_solve build and solve one step at a time; they
+are the reference the operator is tested against.
 """
 from __future__ import annotations
 
@@ -168,15 +174,56 @@ def assemble_step(grid, coeffs, c_row, t_k, bc_rows, window):
         sub[-1] = -right.alpha0 / dx
         rhs[-1] = right.h
 
-    system = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
     if _AUDIT["enabled"]:
-        from .verify import m_matrix_check
+        _audit(sub[None], diag[None], sup[None], "")
+    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
 
-        ok, diagnostic = m_matrix_check(system)
-        if not ok:
-            raise MMatrixViolation(f"assembled system fails M-matrix check: {diagnostic}")
-        _AUDIT["count"] += 1
-    return system
+
+def m_matrix_check(system):
+    """M-matrix pattern check: positive diagonal, nonpositive off-diagonals,
+    weak diagonal dominance in every row and strict dominance in at least one.
+
+    Returns (flag, worst-row diagnostic string).
+    """
+    return _m_matrix_diagnostic(system.sub, system.diag, system.sup)
+
+
+def _m_matrix_diagnostic(sub, diag, sup):
+    if np.any(diag <= 0):
+        i = int(np.argmin(diag))
+        return False, f"row {i}: diagonal {diag[i]:.6g} not positive"
+    if np.any(sub > 0) or np.any(sup > 0):
+        off = np.maximum(sub, sup)
+        i = int(np.argmax(off))
+        return False, f"row {i}: positive off-diagonal {off[i]:.6g}"
+    excess = diag - (np.abs(sub) + np.abs(sup))
+    if np.any(excess < 0):
+        i = int(np.argmin(excess))
+        return False, f"row {i}: diagonal dominance fails by {-excess[i]:.6g}"
+    if not np.any(excess > 0):
+        return False, "no row is strictly diagonally dominant"
+    return True, f"ok (min dominance excess {np.min(excess):.6g})"
+
+
+def _audit(sub, diag, sup, where):
+    """Audit a stack of matrices (axis 0) in one vectorized pass; the first
+    failing one raises MMatrixViolation with its diagnostic, placed by
+    where.format(its 1-based position in the stack)."""
+    excess = diag - (np.abs(sub) + np.abs(sup))
+    bad = (
+        np.any(diag <= 0, axis=1)
+        | np.any(sub > 0, axis=1)
+        | np.any(sup > 0, axis=1)
+        | np.any(excess < 0, axis=1)
+        | ~np.any(excess > 0, axis=1)
+    )
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        _, diagnostic = _m_matrix_diagnostic(sub[j], diag[j], sup[j])
+        raise MMatrixViolation(
+            f"assembled system fails M-matrix check{where.format(j + 1)}: {diagnostic}"
+        )
+    _AUDIT["count"] += len(bad)
 
 
 def thomas_solve(system):
@@ -228,6 +275,150 @@ def physical_closure(bc, grid):
     return row
 
 
+@dataclass(frozen=True)
+class WindowOperator:
+    """The backward-Euler matrices of every time step on one window, LU
+    factored once (LAPACK dgttrf); row k-1 of each array belongs to step k.
+
+    A window end is either a row the operator was built with (a Dirichlet
+    or Robin row whose right-hand side is in left_h/right_h) or pinned: a
+    Dirichlet row, its values given to each march (left_h/right_h None).
+    A first row with a zero super-diagonal is decoupled before factoring,
+    as thomas_solve does: pin_sub holds row 1's coupling to it (0 where
+    the row is coupled) and pin_diag its diagonal (1 there).
+    """
+
+    window: Subrange
+    dt: float
+    lu: tuple  # per step: (dl, d, du, du2, ipiv) from dgttrf
+    left_h: Union[np.ndarray, None]
+    right_h: Union[np.ndarray, None]
+    pin_sub: np.ndarray
+    pin_diag: np.ndarray
+
+
+def _end_rows(closure, nt):
+    """Per-step (is_dirichlet, alpha0, beta0, rhs) arrays of one window end
+    for steps 1..nt; a None closure pins the end (rhs None)."""
+    if closure is None:
+        return np.ones(nt, bool), np.zeros(nt), np.ones(nt), None
+    rows = [closure(k) for k in range(1, nt + 1)]
+    dirichlet = np.array([isinstance(r, DirichletRow) for r in rows])
+    alpha0 = np.array([0.0 if d else r.alpha0 for d, r in zip(dirichlet, rows)])
+    beta0 = np.array([1.0 if d else r.beta0 for d, r in zip(dirichlet, rows)])
+    rhs = np.array([r.value if d else r.h for d, r in zip(dirichlet, rows)])
+    return dirichlet, alpha0, beta0, rhs
+
+
+def build_window_operator(grid, window, coeffs, c_field, left_closure, right_closure):
+    """Assemble and factor the step matrices of a window for every step.
+
+    The matrices are those of assemble_step, built from one a and one b
+    call over the (nt, n-2) interior grid.  Each closure maps a step k to
+    a DirichletRow or RobinRow, or is None to pin that end (see
+    WindowOperator).  Raises ValueError where a <= 0, MMatrixViolation
+    when the audit is on and a matrix fails it, ZeroPivotError on a
+    singular matrix.
+    """
+    n, nt = window.size, grid.nt
+    lo, hi = window.lo, window.hi
+    t, x = grid.ts[1:, None], grid.xs[None, lo + 1 : hi]
+    a = np.broadcast_to(np.asarray(coeffs.a(t, x), dtype=float), (nt, n - 2))
+    if np.any(a <= 0.0):
+        k, i = np.unravel_index(int(np.argmax(a <= 0.0)), a.shape)
+        raise ValueError(
+            f"diffusion not positive at t={grid.ts[k + 1]}, x={x[0, i]} (a={a[k, i]})"
+        )
+    b = np.broadcast_to(np.asarray(coeffs.b(t, x), dtype=float), (nt, n - 2))
+    c = np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
+
+    dx, dt = grid.dx, grid.dt
+    inv_dx2 = 1.0 / (dx * dx)
+    sub = np.zeros((nt, n))
+    diag = np.zeros((nt, n))
+    sup = np.zeros((nt, n))
+    diag[:, 1:-1] = 1.0 / dt + 2.0 * a * inv_dx2 + np.abs(b) / dx + c
+    sub[:, 1:-1] = -(a * inv_dx2) - np.maximum(-b, 0.0) / dx
+    sup[:, 1:-1] = -(a * inv_dx2) - np.maximum(b, 0.0) / dx
+
+    ends = []
+    for closure, row, off, col in (
+        (left_closure, 0, sup, 0),
+        (right_closure, -1, sub, -1),
+    ):
+        dirichlet, alpha0, beta0, rhs = _end_rows(closure, nt)
+        diag[:, row] = np.where(dirichlet, 1.0, alpha0 / dx + beta0)
+        off[:, col] = np.where(dirichlet, 0.0, -alpha0 / dx)
+        ends.append(rhs)
+    if _AUDIT["enabled"]:
+        _audit(sub, diag, sup, " at time step {}")
+
+    pinned = sup[:, 0] == 0.0
+    if np.any(pinned & (diag[:, 0] == 0.0)):
+        k = int(np.argmax(pinned & (diag[:, 0] == 0.0))) + 1
+        raise ZeroPivotError(f"zero pivot at row 0 (time step {k})")
+    pin_sub = np.where(pinned, sub[:, 1], 0.0)
+    pin_diag = np.where(pinned, diag[:, 0], 1.0)
+    sub[pinned, 1] = 0.0
+
+    lu = []
+    for k in range(nt):
+        *factors, info = lapack.dgttrf(sub[k, 1:], diag[k], sup[k, :-1])
+        if info != 0:
+            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {k + 1})")
+        lu.append(tuple(factors))
+    return WindowOperator(
+        window=window,
+        dt=dt,
+        lu=tuple(lu),
+        left_h=ends[0],
+        right_h=ends[1],
+        pin_sub=pin_sub,
+        pin_diag=pin_diag,
+    )
+
+
+def march_window(op, q, initial, left=None, right=None):
+    """Time-march m right-hand sides at once through a window operator.
+
+    q is (m, nt+1, n-2): the lagged source on the window's interior (row
+    0 unused).  initial is (m, n), the rows at t=0, or one (n,) row for
+    every field.  left/right are
+    (m, nt+1) Dirichlet values for a pinned end (row 0 unused) and must be
+    None for an end built with its rows.  Each step is one dgttrs call
+    with one right-hand-side column per field, so the columns never mix.
+    Returns the (m, nt+1, n) window solution (a transposed view); raises
+    FloatingPointError at the first step whose solution is not finite.
+    """
+    q = np.asarray(q, dtype=float)
+    m, nt1, _ = q.shape
+    n, dt = op.window.size, op.dt
+    for name, given, built in (("left", left, op.left_h), ("right", right, op.right_h)):
+        if (given is None) == (built is None):
+            raise ValueError(f"{name} end: pass values exactly when the end is pinned")
+    # u[k] holds step k's right-hand side until dgttrs overwrites it with
+    # the solution: (m, n) C-contiguous, so u[k].T is the Fortran-ordered
+    # (n, m) block dgttrs solves in place.  u[0] is the initial rows.
+    u = np.empty((nt1, m, n))
+    u[0] = initial
+    u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
+    u[1:, :, 0] = op.left_h[:, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
+    u[1:, :, -1] = op.right_h[:, None] if right is None else np.asarray(right, dtype=float)[:, 1:].T
+    interior, row1 = u[:, :, 1:-1], u[:, :, 1]
+    fold = None
+    if np.any(op.pin_sub != 0.0):
+        fold = op.pin_sub[:, None] * (u[1:, :, 0] / op.pin_diag[:, None])
+    for k, factors in enumerate(op.lu, start=1):
+        interior[k] += interior[k - 1] / dt
+        if fold is not None:
+            row1[k] -= fold[k - 1]
+        lapack.dgttrs(*factors, u[k].T, overwrite_b=1)
+    finite = np.all(np.isfinite(u[1:]), axis=(1, 2))
+    if not np.all(finite):
+        raise FloatingPointError(f"non-finite solution at time step {int(np.argmin(finite)) + 1}")
+    return u.transpose(1, 0, 2)
+
+
 def solve_linear_parabolic(
     grid, window, coeffs, c_field, q_field, left_closure, right_closure, initial_row
 ):
@@ -235,25 +426,14 @@ def solve_linear_parabolic(
 
     q_field and c_field live on the whole grid; the right-hand side is lagged,
     so q needs no implicit treatment.  Returns the window solution for all
-    time levels, with row 0 equal to initial_row.
+    time levels, with row 0 equal to initial_row.  Builds the window's
+    operator and marches one column; values of pinned closures are part of
+    the built rows.
     """
-    out = np.empty((grid.nt + 1, window.size))
-    out[0] = np.asarray(initial_row, dtype=float)
-    lo, hi = window.lo, window.hi
-    for k in range(1, grid.nt + 1):
-        system = assemble_step(
-            grid,
-            coeffs,
-            c_field[k, lo : hi + 1],
-            grid.ts[k],
-            (left_closure(k), right_closure(k)),
-            window,
-        )
-        system.rhs[1:-1] += out[k - 1, 1:-1] / grid.dt + q_field[k, lo + 1 : hi]
-        out[k] = thomas_solve(system)
-        if not np.all(np.isfinite(out[k])):
-            raise FloatingPointError(f"non-finite solution at time step {k}")
-    return out
+    op = build_window_operator(grid, window, coeffs, c_field, left_closure, right_closure)
+    q = np.asarray(q_field, dtype=float)[None, :, window.lo + 1 : window.hi]
+    initial = np.asarray(initial_row, dtype=float)[None]
+    return march_window(op, q, initial)[0]
 
 
 def sample_field(fn, grid):

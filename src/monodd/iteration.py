@@ -7,13 +7,15 @@ subdomain-2 solve sees subdomain 1's freshly updated interface trace
 (multiplicative/alternating order).  Artificial interfaces carry Dirichlet
 trace copies; physical endpoints always carry the real boundary data.
 
-The undecomposed single-domain monotone iteration is provided as a
-correctness oracle for the decomposed limit.
+The two branches are one stacked array, and the stabilizer is frozen, so
+each window's step matrices are built and factored once per run; a sweep
+marches both branches through them as two right-hand-side columns.  The
+undecomposed single-domain monotone iteration, the correctness oracle for
+the decomposed limit, is the same sweep over one window.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,13 +24,17 @@ import numpy as np
 from .discretization import (
     Field,
     Subrange,
+    build_window_operator,
+    march_window,
     physical_closure,
-    pinned_closure,
     sample_field,
-    solve_linear_parabolic,
 )
 from .verify import chain_min_margin
 from .volterra import compute_stabilizers, eval_F1_field
+
+
+class BracketError(ValueError):
+    """The sampled bracket is out of order: u_hat > u_tilde at some node."""
 
 
 class MonotoneChainError(RuntimeError):
@@ -62,14 +68,30 @@ class Decomposition:
 
 @dataclass
 class IterationState:
-    """The four bracketing fields; subscript 1j / 2j = subdomain-1 / 2
-    composite, j = 1 lower branch, j = 2 upper branch."""
+    """The four bracketing fields, stacked by branch: u1 holds the
+    subdomain-1 composites (u11 lower, u12 upper), u2 the subdomain-2
+    composites (u21, u22); each is (2, nt+1, nx+1).  Sweeps make new
+    arrays and never modify a state's fields in place."""
 
-    u11: Field
-    u12: Field
-    u21: Field
-    u22: Field
+    u1: np.ndarray
+    u2: np.ndarray
     sweep_index: int = 0
+
+    @property
+    def u11(self):
+        return self.u1[0]
+
+    @property
+    def u12(self):
+        return self.u1[1]
+
+    @property
+    def u21(self):
+        return self.u2[0]
+
+    @property
+    def u22(self):
+        return self.u2[1]
 
 
 @dataclass
@@ -96,11 +118,12 @@ def init_state(spec, grid):
     hi = sample_field(spec.bracket.u_tilde, grid)
     if np.any(lo > hi):
         k, i = np.unravel_index(np.argmax(lo - hi), lo.shape)
-        raise ValueError(
+        raise BracketError(
             f"bracket ordering violated at node (k={k}, i={i}): "
             f"u_hat={lo[k, i]:.6g} > u_tilde={hi[k, i]:.6g}"
         )
-    return IterationState(u11=lo.copy(), u12=hi.copy(), u21=lo.copy(), u22=hi.copy())
+    both = np.stack((lo, hi))
+    return IterationState(u1=both, u2=both)
 
 
 def _u0_row(spec, grid):
@@ -109,68 +132,56 @@ def _u0_row(spec, grid):
     ).copy()
 
 
-def _advance_branch(u1, u2, spec, grid, decomp, stab, u0_row):
-    """One sweep of one branch: subdomain-1 solve, then subdomain-2 solve
-    against the fresh interface trace; returns the two new composites."""
-    i1_hi, i2_lo = decomp.i1_hi, decomp.i2_lo
-
-    q1 = eval_F1_field(spec, stab, u1, grid)
-    w1 = Subrange(0, i1_hi)
-    sol1 = solve_linear_parabolic(
-        grid,
-        w1,
-        spec.coeffs,
-        stab.c_total,
-        q1,
-        physical_closure(spec.bc_left, grid),
-        pinned_closure(u2[:, i1_hi]),
-        u0_row[: i1_hi + 1],
-    )
-    new1 = u2.copy()
-    new1[:, : i1_hi + 1] = sol1
-    new1[0] = u0_row
-
-    q2 = eval_F1_field(spec, stab, u2, grid)
-    w2 = Subrange(i2_lo, grid.nx)
-    sol2 = solve_linear_parabolic(
-        grid,
-        w2,
-        spec.coeffs,
-        stab.c_total,
-        q2,
-        pinned_closure(new1[:, i2_lo]),
-        physical_closure(spec.bc_right, grid),
-        u0_row[i2_lo:],
-    )
-    new2 = new1.copy()
-    new2[:, i2_lo:] = sol2
-    new2[0] = u0_row
-    return new1, new2
+def _window_operators(spec, grid, stab, windows):
+    """Operators of consecutive windows over [0, nx]: the outer ends carry
+    the physical rows, every inner end is a pinned interface."""
+    ops = []
+    for j, window in enumerate(windows):
+        left = physical_closure(spec.bc_left, grid) if j == 0 else None
+        right = physical_closure(spec.bc_right, grid) if j == len(windows) - 1 else None
+        ops.append(build_window_operator(grid, window, spec.coeffs, stab.c_total, left, right))
+    return ops
 
 
-def dd_sweep(state, spec, grid, decomp, stab, parallel=False):
-    """Advance both branches by one alternating-Schwarz sweep."""
+def _dd_windows(grid, decomp):
     decomp.check(grid.nx)
-    u0_row = _u0_row(spec, grid)
+    return (Subrange(0, decomp.i1_hi), Subrange(decomp.i2_lo, grid.nx))
 
-    def lower():
-        return _advance_branch(state.u11, state.u21, spec, grid, decomp, stab, u0_row)
 
-    def upper():
-        return _advance_branch(state.u12, state.u22, spec, grid, decomp, stab, u0_row)
+def _sweep(state, spec, grid, stab, ops, u0_row):
+    """One alternating sweep of both branches over the window operators.
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f_lo = pool.submit(lower)
-            f_hi = pool.submit(upper)
-            new11, new21 = f_lo.result()
-            new12, new22 = f_hi.result()
-    else:
-        new11, new21 = lower()
-        new12, new22 = upper()
-    return IterationState(
-        u11=new11, u12=new12, u21=new21, u22=new22, sweep_index=state.sweep_index + 1
-    )
+    Window j takes its source F1 from composite j of the old state and its
+    pinned interface values from the composite just before it (the old
+    last composite for window 1); the new composite j is that composite
+    with window j's columns replaced.  One window gives the single-domain
+    iteration, whose two composites coincide.
+    """
+    base = state.u2
+    new = []
+    for op, src in zip(ops, (state.u1, state.u2)):
+        lo, hi = op.window.lo, op.window.hi
+        interior = slice(lo + 1, hi)
+        q = np.stack([eval_F1_field(spec, stab, u, grid, interior) for u in src])
+        sol = march_window(
+            op,
+            q,
+            u0_row[lo : hi + 1],
+            left=base[:, :, lo] if op.left_h is None else None,
+            right=base[:, :, hi] if op.right_h is None else None,
+        )
+        base = base.copy()
+        base[:, :, lo : hi + 1] = sol
+        base[:, 0] = u0_row
+        new.append(base)
+    return IterationState(u1=new[0], u2=new[-1], sweep_index=state.sweep_index + 1)
+
+
+def dd_sweep(state, spec, grid, decomp, stab):
+    """Advance both branches by one alternating-Schwarz sweep.  Builds the
+    window operators for this one sweep; run_dd builds them once per run."""
+    ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
+    return _sweep(state, spec, grid, stab, ops, _u0_row(spec, grid))
 
 
 def _metrics(prev, nxt, lo, hi):
@@ -178,8 +189,7 @@ def _metrics(prev, nxt, lo, hi):
         float(np.max(nxt.u22 - nxt.u21)), float(np.max(nxt.u12 - nxt.u11))
     )
     upd = max(
-        float(np.max(np.abs(getattr(nxt, name) - getattr(prev, name))))
-        for name in ("u11", "u12", "u21", "u22")
+        float(np.max(np.abs(nxt.u1 - prev.u1))), float(np.max(np.abs(nxt.u2 - prev.u2)))
     )
     viol = chain_min_margin(prev, nxt, lo, hi)
     return gap, upd, viol
@@ -214,6 +224,21 @@ def _iterate(step, state, lo, hi, tol, max_sweeps, abort_on_chain_violation, cha
     return solution, history, state
 
 
+def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin, *loop_args):
+    """Set up (bracket, frozen stabilizer, window operators) and sweep."""
+    state = init_state(spec, grid)
+    lo, hi = state.u11, state.u12
+    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
+    ops = _window_operators(spec, grid, stab, windows)
+    u0_row = _u0_row(spec, grid)
+
+    def step(s):
+        return _sweep(s, spec, grid, stab, ops, u0_row)
+
+    solution, history, _ = _iterate(step, state, lo, hi, tol, max_sweeps, *loop_args)
+    return solution, history
+
+
 def run_dd(
     spec,
     grid,
@@ -222,7 +247,6 @@ def run_dd(
     max_sweeps,
     n_samples=8,
     c_margin=1e-6,
-    parallel=False,
     abort_on_chain_violation=False,
     chain_slack=1e-10,
     keep_states=False,
@@ -232,19 +256,13 @@ def run_dd(
 
     The stabilizer c is computed once from the initial bracket and frozen:
     the sup defining it ranges over the order interval, which never grows.
+    So are the window operators built from it.
     """
-    decomp.check(grid.nx)
-    state = init_state(spec, grid)
-    lo, hi = state.u11.copy(), state.u12.copy()
-    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
-
-    def step(s):
-        return dd_sweep(s, spec, grid, decomp, stab, parallel=parallel)
-
-    solution, history, _ = _iterate(
-        step, state, lo, hi, tol, max_sweeps, abort_on_chain_violation, chain_slack, keep_states
+    windows = _dd_windows(grid, decomp)
+    return _run(
+        spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
+        abort_on_chain_violation, chain_slack, keep_states,
     )
-    return solution, history
 
 
 def run_single_domain(
@@ -259,40 +277,8 @@ def run_single_domain(
     keep_states=False,
 ):
     """Undecomposed two-sequence monotone iteration (the DD oracle):
-    the same loop with a single window covering the whole grid."""
-    state = init_state(spec, grid)
-    lo, hi = state.u11.copy(), state.u12.copy()
-    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
-    u0_row = _u0_row(spec, grid)
-    window = Subrange(0, grid.nx)
-
-    def advance(u):
-        q = eval_F1_field(spec, stab, u, grid)
-        sol = solve_linear_parabolic(
-            grid,
-            window,
-            spec.coeffs,
-            stab.c_total,
-            q,
-            physical_closure(spec.bc_left, grid),
-            physical_closure(spec.bc_right, grid),
-            u0_row,
-        )
-        sol[0] = u0_row
-        return sol
-
-    def step(s):
-        new_lo = advance(s.u11)
-        new_hi = advance(s.u12)
-        return IterationState(
-            u11=new_lo,
-            u12=new_hi,
-            u21=new_lo.copy(),
-            u22=new_hi.copy(),
-            sweep_index=s.sweep_index + 1,
-        )
-
-    solution, history, _ = _iterate(
-        step, state, lo, hi, tol, max_sweeps, abort_on_chain_violation, chain_slack, keep_states
+    the same sweep with a single window covering the whole grid."""
+    return _run(
+        spec, grid, (Subrange(0, grid.nx),), tol, max_sweeps, n_samples, c_margin,
+        abort_on_chain_violation, chain_slack, keep_states,
     )
-    return solution, history

@@ -12,6 +12,7 @@ numpy arrays and be pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -244,8 +245,19 @@ def _dirichlet_zero():
     return BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0)
 
 
+def _param(params, key, problem, default=None):
+    """Pop a numeric parameter, naming it when it is missing or not a number."""
+    if key not in params and default is None:
+        raise CatalogError(f"{problem}: missing parameter {key!r}")
+    value = params.pop(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CatalogError(f"{problem}: parameter {key!r} must be a number, got {value!r}") from None
+
+
 def _linear_heat(params):
-    T = float(params.pop("T", 0.01))
+    T = _param(params, "T", "linear_heat", default=0.01)
     dom = SpaceTimeDomain(0.0, 1.0, T)
     return ProblemSpec(
         domain=dom,
@@ -261,12 +273,9 @@ def _linear_heat(params):
 
 
 def _logistic_memory(params):
-    try:
-        lam = float(params.pop("lam"))
-        kappa = float(params.pop("kappa"))
-        sigma = float(params.pop("sigma"))
-    except KeyError as missing:
-        raise CatalogError(f"logistic_memory: missing parameter {missing}") from None
+    lam, kappa, sigma = (_param(params, key, "logistic_memory") for key in ("lam", "kappa", "sigma"))
+    if not lam > 0.0:
+        raise CatalogError(f"logistic_memory: lam must be positive, got {lam}")
     rho = max(1.0 + kappa / lam, sigma)
     return ProblemSpec(
         domain=SpaceTimeDomain(0.0, 1.0, 1.0),
@@ -323,7 +332,15 @@ def catalog_lookup(name, params=None):
     if name not in _CATALOG:
         raise CatalogError(f"unknown problem {name!r}; known: {', '.join(catalog_names())}")
     params = dict(params or {})
-    spec = _CATALOG[name](params)
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CatalogError(f"{name}: parameter {key!r} must be finite, got {value}")
+    try:
+        spec = _CATALOG[name](params)
+    except CatalogError:
+        raise
+    except (TypeError, ValueError) as exc:  # a parameter of the wrong type or range
+        raise CatalogError(f"{name}: {exc}") from None
     if params:
         raise CatalogError(f"{name}: unexpected parameters {sorted(params)}")
     return spec

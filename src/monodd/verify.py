@@ -1,5 +1,6 @@
 """Discrete verification utilities: bracket residuals, monotone-chain
-checking, M-matrix validation, and convergence-order studies.
+checking, M-matrix validation (m_matrix_check, defined next to the
+assembly it audits), and convergence-order studies.
 
 Bracket residuals deliberately reuse the solver's stencils and quadrature
 (eval_g_field, the memory term the iteration itself evaluates):
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import sample_field
+from .discretization import m_matrix_check, sample_field  # noqa: F401 (re-exported)
 from .volterra import eval_g_field
 
 
@@ -125,29 +126,6 @@ def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):
         float(np.min(right - left))
         for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
     )
-
-
-def m_matrix_check(system):
-    """M-matrix pattern check: positive diagonal, nonpositive off-diagonals,
-    weak diagonal dominance in every row and strict dominance in at least one.
-
-    Returns (flag, worst-row diagnostic string).
-    """
-    sub, diag, sup = system.sub, system.diag, system.sup
-    if np.any(diag <= 0):
-        i = int(np.argmin(diag))
-        return False, f"row {i}: diagonal {diag[i]:.6g} not positive"
-    if np.any(sub > 0) or np.any(sup > 0):
-        off = np.maximum(sub, sup)
-        i = int(np.argmax(off))
-        return False, f"row {i}: positive off-diagonal {off[i]:.6g}"
-    excess = diag - (np.abs(sub) + np.abs(sup))
-    if np.any(excess < 0):
-        i = int(np.argmin(excess))
-        return False, f"row {i}: diagonal dominance fails by {-excess[i]:.6g}"
-    if not np.any(excess > 0):
-        return False, "no row is strictly diagonally dominant"
-    return True, f"ok (min dominance excess {np.min(excess):.6g})"
 
 
 def default_decomposition(nx):

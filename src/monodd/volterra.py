@@ -52,23 +52,25 @@ def quadrature_weights(k, dt):
     return w
 
 
-def eval_g_row(kernel, u, k, grid):
-    """Memory integral at time level k for every node, from the history of u."""
-    nx = grid.nx
+def eval_g_row(kernel, u, k, grid, cols=slice(None)):
+    """Memory integral at time level k for every node (or the nodes cols
+    selects), from the history of u."""
+    xs = grid.xs[cols]
     if k == 0 or kernel.trivial:
-        return np.zeros(nx + 1)
+        return np.zeros(xs.size)
+    u = u[:, cols]
     w = quadrature_weights(k, grid.dt)
     vals = np.asarray(
         kernel.g0(
             grid.ts[k],
-            grid.xs[None, :],
+            xs[None, :],
             grid.ts[: k + 1, None],
             u[k][None, :],
             u[: k + 1],
         ),
         dtype=float,
     )
-    vals = np.broadcast_to(vals, (k + 1, nx + 1))
+    vals = np.broadcast_to(vals, (k + 1, xs.size))
     return w @ vals
 
 
@@ -94,18 +96,19 @@ def _exponential_trapezoid(form, u, dt):
     return out
 
 
-def eval_g_field(kernel, u, grid):
-    """Memory integral at every time level and node, shape (nt+1, nx+1).
+def eval_g_field(kernel, u, grid, cols=slice(None)):
+    """Memory integral at every time level and node, shape (nt+1, nx+1), or
+    on the columns cols selects: node i's integral reads only column i.
 
     Exponential kernels take the O(nt nx) recursion, trivial kernels give
     zeros, and every other kernel the generic trapezoid sum of eval_g_row.
     """
     u = np.asarray(u, dtype=float)
     if kernel.trivial:
-        return np.zeros((grid.nt + 1, grid.nx + 1))
+        return np.zeros((grid.nt + 1, grid.xs[cols].size))
     if kernel.exp_form is not None:
-        return _exponential_trapezoid(kernel.exp_form, u, grid.dt)
-    return np.stack([eval_g_row(kernel, u, k, grid) for k in range(grid.nt + 1)])
+        return _exponential_trapezoid(kernel.exp_form, u[:, cols], grid.dt)
+    return np.stack([eval_g_row(kernel, u, k, grid, cols) for k in range(grid.nt + 1)])
 
 
 def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, margin=1e-6):
@@ -186,12 +189,15 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     return StabilizerField(c_total=c_total, b_under=b_under)
 
 
-def eval_F1_field(spec, stab, u, grid):
+def eval_F1_field(spec, stab, u, grid, cols=slice(None)):
     """Monotone right-hand side c_total u + f + g at every time level and
-    node (row 0 included for completeness), with g from eval_g_field."""
-    out = stab.c_total * u
-    out += spec.reaction.f(grid.ts[:, None], grid.xs[None, :], u)
-    out += eval_g_field(spec.kernel, u, grid)
+    node (row 0 included for completeness), with g from eval_g_field; with
+    cols, on those columns only, which is all a window's solve reads."""
+    u = np.asarray(u, dtype=float)
+    uc = u[:, cols]
+    out = stab.c_total[:, cols] * uc
+    out += spec.reaction.f(grid.ts[:, None], grid.xs[None, cols], uc)
+    out += eval_g_field(spec.kernel, u, grid, cols)
     return out
 
 

@@ -16,7 +16,7 @@ from monodd import (
 @pytest.fixture(autouse=True, scope="session")
 def audit_all_assemblies():
     # Every system assembled anywhere in the suite must pass the M-matrix
-    # check; a violation raises inside assemble_step.
+    # check; a violation raises in assemble_step or build_window_operator.
     set_mmatrix_audit(True)
     yield
     set_mmatrix_audit(False)

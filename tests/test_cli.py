@@ -62,6 +62,36 @@ def test_single_domain_wide_grid_keeps_chain(tmp_path):
     assert main(["run", str(cfg)]) == 0
 
 
+LOGISTIC = {"name": "logistic_memory", "params": {"lam": 1.0, "kappa": 0.5, "sigma": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "overrides,mentions",
+    [
+        ({"grid": {"nx": "abc"}}, "grid.nx"),
+        ({"grid": {"nt": None}}, "grid.nt"),
+        ({"problem": {**LOGISTIC, "params": {"lam": 0, "kappa": 0.5, "sigma": 0.5}}}, "lam"),
+        ({"problem": {**LOGISTIC, "params": {"lam": "x", "kappa": 0.5, "sigma": 0.5}}}, "lam"),
+        ({"problem": {**LOGISTIC, "params": {"lam": 1, "kappa": float("inf"), "sigma": 0.5}}}, "kappa"),
+        ({"problem": {"name": "linear_heat", "params": {"T": -1.0}}}, "T must be positive"),
+        ({"problem": {**LOGISTIC, "u_hat_const": 2, "u_tilde_const": 1}}, "u_hat_const"),
+        ({"problem": {**LOGISTIC, "u_hat_const": 5}}, "bracket ordering"),
+        ({"problem": {**LOGISTIC, "u_tilde_const": "high"}}, "u_tilde_const"),
+        ({"solver": {"tol": float("nan")}}, "solver.tol"),
+        ({"solver": {"c_margin": float("inf")}}, "solver.c_margin"),
+        ({"solver": {"n_samples": 1}}, "solver.n_samples"),
+        ({"solver": {"max_sweeps": "many"}}, "solver.max_sweeps"),
+        ({"solver": [1e-8]}, "solver"),
+        ({"decomposition": {"i1_hi": 20.0, "i2_lo": [12]}}, "decomposition.i2_lo"),
+    ],
+)
+def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, mentions):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and mentions in err
+
+
 def test_invalid_decomposition(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", decomposition={"i1_hi": 12, "i2_lo": 20})
     assert main(["run", str(cfg)]) == 3

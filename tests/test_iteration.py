@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from monodd import (
+    BoundaryCondition,
     Bracket,
     Decomposition,
     IterationState,
@@ -14,6 +17,8 @@ from monodd import (
     run_single_domain,
     sample_field,
 )
+from monodd import iteration
+from monodd.discretization import MMatrixViolation, mmatrix_audit_count
 from monodd.iteration import _u0_row
 from monodd.volterra import compute_stabilizers
 
@@ -91,9 +96,7 @@ class TestDDSweep:
         lo = sample_field(spec.bracket.u_hat, grid)
         hi = sample_field(spec.bracket.u_tilde, grid)
         stab = compute_stabilizers(spec, grid, lo, hi, margin=0.0)
-        state = IterationState(
-            u11=sd.u.copy(), u12=sd.u.copy(), u21=sd.u.copy(), u22=sd.u.copy()
-        )
+        state = IterationState(u1=np.stack((sd.u, sd.u)), u2=np.stack((sd.u, sd.u)))
         nxt = dd_sweep(state, spec, grid, Decomposition(i1_hi=10, i2_lo=6), stab)
         for name in ("u11", "u12", "u21", "u22"):
             assert np.max(np.abs(getattr(nxt, name) - sd.u)) < 1e-12
@@ -108,16 +111,24 @@ class TestDDSweep:
         assert np.all(nxt.u11 >= lo - 1e-12)
         assert np.all(nxt.u12 <= hi + 1e-12)
 
-    def test_parallel_branches_bitwise_identical(self):
+    def test_stacked_branches_do_not_leak(self):
+        # Each branch's slot of a stacked sweep is bitwise what that branch
+        # gives when both slots carry it, so the two columns never mix.
         spec = desk_logistic()
         grid = build_grid(spec.domain, 16, 16)
         state = init_state(spec, grid)
         stab = compute_stabilizers(spec, grid, state.u11, state.u12)
         decomp = Decomposition(i1_hi=10, i2_lo=6)
-        seq = dd_sweep(state, spec, grid, decomp, stab, parallel=False)
-        par = dd_sweep(state, spec, grid, decomp, stab, parallel=True)
-        for name in ("u11", "u12", "u21", "u22"):
-            np.testing.assert_array_equal(getattr(seq, name), getattr(par, name))
+        first = dd_sweep(state, spec, grid, decomp, stab)
+        both = dd_sweep(first, spec, grid, decomp, stab)
+        for slot in (0, 1):
+            alone = IterationState(
+                u1=np.stack((first.u1[slot],) * 2), u2=np.stack((first.u2[slot],) * 2)
+            )
+            nxt = dd_sweep(alone, spec, grid, decomp, stab)
+            for name in ("u1", "u2"):
+                np.testing.assert_array_equal(getattr(both, name)[slot], getattr(nxt, name)[0])
+                np.testing.assert_array_equal(getattr(both, name)[slot], getattr(nxt, name)[1])
 
 
 class TestRunDD:
@@ -176,6 +187,33 @@ class TestRunDD:
         u0 = _u0_row(spec, grid)
         for name in ("u11", "u12", "u21", "u22"):
             np.testing.assert_array_equal(getattr(nxt, name)[0], u0)
+
+
+class TestOperatorsOncePerRun:
+    def test_audit_runs_once_per_window_not_per_sweep(self):
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 16, 8)
+        before = mmatrix_audit_count()
+        sol, _ = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
+        assert sol.sweeps_used > 2
+        assert mmatrix_audit_count() - before == 2 * grid.nt
+        before = mmatrix_audit_count()
+        run_single_domain(spec, grid, 1e-10, 50)
+        assert mmatrix_audit_count() - before == grid.nt
+
+    def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
+        # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
+        spec = desk_logistic()
+        bad = BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: -1.0, h=lambda t: 0.0)
+        spec = dataclasses.replace(spec, bc_left=bad)
+        grid = build_grid(spec.domain, 16, 8)
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(iteration, "_sweep", no_sweep)
+        with pytest.raises(MMatrixViolation, match="row 0: diagonal -1 not positive"):
+            run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-8, 50)
 
 
 class TestRunSingleDomain:

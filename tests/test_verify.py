@@ -88,10 +88,8 @@ class TestCheckBracket:
             check_bracket(spec, grid, lambda t, x: 0.0 * x, "upper")
 
 
-def state_of(*fields):
-    return IterationState(
-        u11=fields[0], u12=fields[1], u21=fields[2], u22=fields[3]
-    )
+def state_of(u11, u12, u21, u22):
+    return IterationState(u1=np.stack((u11, u12)), u2=np.stack((u21, u22)))
 
 
 class TestCheckMonotoneChain:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -338,3 +339,40 @@ class TestEvalF1:
             k = int(rng.integers(0, grid.nt + 1))
             diff = eval_F1(spec, stab, u, k, grid) - eval_F1(spec, stab, v, k, grid)
             assert np.min(diff) >= -1e-12
+
+
+class TestF1OnWindowColumns:
+    @pytest.mark.parametrize(
+        "name,params",
+        [("logistic_memory", {"lam": 1.0, "kappa": 0.5, "sigma": 0.5}), ("linear_heat", {})],
+    )
+    @pytest.mark.parametrize("cols", [slice(0, 21), slice(13, 33), slice(1, 20), slice(5, 6)])
+    def test_structured_kernels_bitwise(self, name, params, cols):
+        # The exponential recursion (logistic_memory) and the trivial kernel
+        # (linear_heat) give each column from its own history alone.
+        spec = catalog_lookup(name, params)
+        grid = build_grid(spec.domain, 32, 24)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        u = lo + np.random.default_rng(3).random(lo.shape) * (hi - lo)
+        full = eval_F1_field(spec, stab, u, grid)
+        np.testing.assert_array_equal(eval_F1_field(spec, stab, u, grid, cols), full[:, cols])
+
+    @pytest.mark.parametrize("cols", [slice(0, 21), slice(13, 33), slice(5, 6)])
+    def test_generic_kernel_close(self, cols):
+        spec = desk_logistic()
+        kernel = VolterraKernel(
+            g0=lambda t, x, s, e1, e2: 0.5 * np.exp(-(t - s)) * e2 * (1.0 + x),
+            dg0_deta1=lambda t, x, s, e1, e2: 0.0 * e1,
+        )
+        spec = dataclasses.replace(spec, kernel=kernel)
+        grid = build_grid(spec.domain, 32, 24)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        u = lo + np.random.default_rng(4).random(lo.shape) * (hi - lo)
+        full = eval_F1_field(spec, stab, u, grid)
+        np.testing.assert_allclose(
+            eval_F1_field(spec, stab, u, grid, cols), full[:, cols], rtol=1e-14, atol=0.0
+        )
