@@ -4,7 +4,9 @@ The solver maintains four fields: a lower and an upper branch on each of
 two overlapping subintervals.  Every sweep the lower fields rise, the
 upper fields fall, and the ordering between them never breaks.  This
 script runs the desk-scale configuration and prints the bracket gap per
-sweep, then verifies the full ordering chain between consecutive sweeps.
+sweep, with the largest stabilizer c that sweep used (refreshed on the
+shrinking envelope after sweeps 1, 2, 4, ...), then verifies the full
+ordering chain between consecutive sweeps.
 """
 import numpy as np
 
@@ -25,9 +27,10 @@ def main():
 
     sol, hist = run_dd(spec, grid, decomp, 1e-8, 200, keep_states=True)
 
-    print("sweep  gap(upper-lower)  max update")
-    for n, (gap, upd) in enumerate(zip(hist.gap_lower_upper, hist.max_update), 1):
-        print(f"{n:5d}  {gap:16.3e}  {upd:10.3e}")
+    print("sweep  gap(upper-lower)  max update   max c")
+    rows = zip(hist.gap_lower_upper, hist.max_update, hist.c_max)
+    for n, (gap, upd, c) in enumerate(rows, 1):
+        print(f"{n:5d}  {gap:16.3e}  {upd:10.3e}  {c:6.4f}")
     print(f"converged: {sol.converged} in {sol.sweeps_used} sweeps")
 
     lo = sample_field(spec.bracket.u_hat, grid)

@@ -11,6 +11,7 @@ from .discretization import (
     build_window_operator,
     m_matrix_check,
     march_window,
+    refactor_window_operator,
     sample_field,
     set_mmatrix_audit,
     solve_linear_parabolic,
@@ -57,6 +58,7 @@ from .volterra import (
     eval_g,
     eval_g_field,
     eval_g_row,
+    refresh_stabilizers,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -71,6 +71,18 @@ def _section(mapping, key, where):
     return value
 
 
+def _only(mapping, known, where):
+    """Reject a key of the object mapping that is not in known, so that a
+    misspelt optional key is an error rather than silently left out."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {where}.{unknown[0]} (known: {', '.join(sorted(known))})"
+        )
+
+
 def _int(value, name):
     try:
         return int(value)
@@ -97,7 +109,9 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
+    _only(raw, ("problem", "grid", "grids", "decomposition", "solver", "output"), "config")
     prob = _need(raw, "problem", "config")
+    _only(prob, ("name", "params", "u_hat_const", "u_tilde_const"), "problem")
     name = _need(prob, "name", "problem")
     if not isinstance(name, str):
         raise ConfigError(f"problem.name must be a string, got {name!r}")
@@ -119,6 +133,7 @@ def load_config(path):
             raise ConfigError("grids must be a list")
         grids = []
         for entry in raw["grids"]:
+            _only(entry, ("nx", "nt"), "grids[]")
             grids.append(
                 (
                     _int(_need(entry, "nx", "grids[]"), "grids[].nx"),
@@ -130,6 +145,7 @@ def load_config(path):
         nx, nt = grids[0]
     else:
         g = _need(raw, "grid", "config")
+        _only(g, ("nx", "nt"), "grid")
         nx = _int(_need(g, "nx", "grid"), "grid.nx")
         nt = _int(_need(g, "nt", "grid"), "grid.nt")
     if nx < 4:
@@ -141,6 +157,7 @@ def load_config(path):
     single = dec_raw == "single_domain"
     decomp = None
     if not single:
+        _only(dec_raw, ("i1_hi", "i2_lo"), "decomposition")
         i1_hi = _int(_need(dec_raw, "i1_hi", "decomposition"), "decomposition.i1_hi")
         i2_lo = _int(_need(dec_raw, "i2_lo", "decomposition"), "decomposition.i2_lo")
         if i2_lo >= i1_hi:
@@ -153,6 +170,9 @@ def load_config(path):
             raise ConfigError(f"decomposition.i1_hi={i1_hi} must be < grid.nx={nx}")
 
     solver = _section(raw, "solver", "config")
+    # parallel_branches selected a removed threaded mode; it is accepted
+    # and ignored so that old configs still run.
+    _only(solver, ("tol", "max_sweeps", "c_margin", "n_samples", "parallel_branches"), "solver")
     tol = _float(_need(solver, "tol", "solver"), "solver.tol")
     if tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {tol}")
@@ -167,6 +187,7 @@ def load_config(path):
         raise ConfigError(f"solver.n_samples must be >= 2, got {n_samples}")
 
     out = _section(raw, "output", "config")
+    _only(out, ("solution_csv", "history_csv"), "output")
     return RunConfig(
         problem_name=name,
         problem_params=params,
@@ -205,20 +226,25 @@ def _fmt(v):
 
 
 def _write_solution_csv(path, grid, solution):
+    """Rows t,x,u,u_lower,u_upper for every (k, i), k-major, each value at
+    17 significant digits and each line ended by \\r\\n, as csv.writer
+    wrote them.  One %-format per time level: a whole-table format would
+    hold every value as a Python float at once."""
+    nx1 = grid.nx + 1
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * nx1
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "u", "u_lower", "u_upper"])
-        for k in range(grid.nt + 1):
-            for i in range(grid.nx + 1):
-                writer.writerow(
-                    [
-                        _fmt(grid.ts[k]),
-                        _fmt(grid.xs[i]),
-                        _fmt(solution.u[k, i]),
-                        _fmt(solution.u_lower[k, i]),
-                        _fmt(solution.u_upper[k, i]),
-                    ]
+        fh.write("t,x,u,u_lower,u_upper\r\n")
+        for k, t in enumerate(grid.ts):
+            level = np.column_stack(
+                (
+                    np.full(nx1, t),
+                    grid.xs,
+                    solution.u[k],
+                    solution.u_lower[k],
+                    solution.u_upper[k],
                 )
+            )
+            fh.write(rows % tuple(level.ravel().tolist()))
 
 
 def _write_history_csv(path, history):

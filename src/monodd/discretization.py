@@ -6,9 +6,11 @@ That combination makes every per-step tridiagonal matrix an M-matrix as soon
 as the zero-order coefficient is nonnegative, which is what the whole
 monotone iteration machinery rests on.
 
-The solver's matrices depend on the frozen stabilizer and the boundary
-rows only, so a WindowOperator assembles and factors them once per window
-and march_window reuses the factors for every right-hand side.
+The solver's matrices depend on the stabilizer and the boundary rows only,
+so a WindowOperator assembles them once per window, keeps them without the
+stabilizer, and holds their LU factors for the current one: march_window
+reuses the factors for every right-hand side, and refactor_window_operator
+refactors them in place when the stabilizer is lowered.
 assemble_step and thomas_solve build and solve one step at a time; they
 are the reference the operator is tested against.
 """
@@ -277,8 +279,14 @@ def physical_closure(bc, grid):
 
 @dataclass(frozen=True)
 class WindowOperator:
-    """The backward-Euler matrices of every time step on one window, LU
-    factored once (LAPACK dgttrf); row k-1 of each array belongs to step k.
+    """The backward-Euler matrices of every time step on one window and
+    their LU factors (LAPACK dgttrf); row k-1 of each array belongs to
+    step k.
+
+    sub, diag and sup are the assembled matrices with the stabilizer left
+    out of diag; they never change.  dl, d, du, du2 and ipiv hold the
+    factors of the matrices with a stabilizer c added, and
+    refactor_window_operator overwrites them in place for a new c.
 
     A window end is either a row the operator was built with (a Dirichlet
     or Robin row whose right-hand side is in left_h/right_h) or pinned: a
@@ -290,7 +298,14 @@ class WindowOperator:
 
     window: Subrange
     dt: float
-    lu: tuple  # per step: (dl, d, du, du2, ipiv) from dgttrf
+    sub: np.ndarray  # (nt, n), sub[:, 0] = 0
+    diag: np.ndarray  # (nt, n), without c
+    sup: np.ndarray  # (nt, n), sup[:, -1] = 0
+    dl: np.ndarray  # (nt, n-1)
+    d: np.ndarray  # (nt, n)
+    du: np.ndarray  # (nt, n-1)
+    du2: np.ndarray  # (nt, n-2)
+    ipiv: np.ndarray  # (nt, n), int32
     left_h: Union[np.ndarray, None]
     right_h: Union[np.ndarray, None]
     pin_sub: np.ndarray
@@ -330,14 +345,13 @@ def build_window_operator(grid, window, coeffs, c_field, left_closure, right_clo
             f"diffusion not positive at t={grid.ts[k + 1]}, x={x[0, i]} (a={a[k, i]})"
         )
     b = np.broadcast_to(np.asarray(coeffs.b(t, x), dtype=float), (nt, n - 2))
-    c = np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
 
     dx, dt = grid.dx, grid.dt
     inv_dx2 = 1.0 / (dx * dx)
     sub = np.zeros((nt, n))
     diag = np.zeros((nt, n))
     sup = np.zeros((nt, n))
-    diag[:, 1:-1] = 1.0 / dt + 2.0 * a * inv_dx2 + np.abs(b) / dx + c
+    diag[:, 1:-1] = 1.0 / dt + 2.0 * a * inv_dx2 + np.abs(b) / dx
     sub[:, 1:-1] = -(a * inv_dx2) - np.maximum(-b, 0.0) / dx
     sup[:, 1:-1] = -(a * inv_dx2) - np.maximum(b, 0.0) / dx
 
@@ -350,32 +364,59 @@ def build_window_operator(grid, window, coeffs, c_field, left_closure, right_clo
         diag[:, row] = np.where(dirichlet, 1.0, alpha0 / dx + beta0)
         off[:, col] = np.where(dirichlet, 0.0, -alpha0 / dx)
         ends.append(rhs)
-    if _AUDIT["enabled"]:
-        _audit(sub, diag, sup, " at time step {}")
 
     pinned = sup[:, 0] == 0.0
-    if np.any(pinned & (diag[:, 0] == 0.0)):
-        k = int(np.argmax(pinned & (diag[:, 0] == 0.0))) + 1
-        raise ZeroPivotError(f"zero pivot at row 0 (time step {k})")
-    pin_sub = np.where(pinned, sub[:, 1], 0.0)
-    pin_diag = np.where(pinned, diag[:, 0], 1.0)
-    sub[pinned, 1] = 0.0
-
-    lu = []
-    for k in range(nt):
-        *factors, info = lapack.dgttrf(sub[k, 1:], diag[k], sup[k, :-1])
-        if info != 0:
-            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {k + 1})")
-        lu.append(tuple(factors))
-    return WindowOperator(
+    op = WindowOperator(
         window=window,
         dt=dt,
-        lu=tuple(lu),
+        sub=sub,
+        diag=diag,
+        sup=sup,
+        dl=np.empty((nt, n - 1)),
+        d=np.empty((nt, n)),
+        du=np.empty((nt, n - 1)),
+        du2=np.empty((nt, n - 2)),
+        ipiv=np.empty((nt, n), dtype=np.int32),
         left_h=ends[0],
         right_h=ends[1],
-        pin_sub=pin_sub,
-        pin_diag=pin_diag,
+        pin_sub=np.where(pinned, sub[:, 1], 0.0),
+        pin_diag=np.where(pinned, diag[:, 0], 1.0),
     )
+    refactor_window_operator(op, c_field)
+    return op
+
+
+def refactor_window_operator(op, c_field):
+    """Add the stabilizer c_field (a whole-grid field) to the operator's
+    matrices and LU-factor every step into its factor arrays in place.
+
+    Calls neither the coefficients nor the closures: the c-free matrices
+    were kept at build.  Runs the M-matrix audit, when on, on every
+    refactored matrix; raises MMatrixViolation or ZeroPivotError as
+    build_window_operator does, and then leaves the factors unusable.
+    """
+    lo, hi = op.window.lo, op.window.hi
+    np.copyto(op.d, op.diag)
+    op.d[:, 1:-1] += np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
+    if _AUDIT["enabled"]:
+        _audit(op.sub, op.d, op.sup, " at time step {}")
+
+    pinned = op.sup[:, 0] == 0.0
+    if np.any(pinned & (op.diag[:, 0] == 0.0)):
+        k = int(np.argmax(pinned & (op.diag[:, 0] == 0.0))) + 1
+        raise ZeroPivotError(f"zero pivot at row 0 (time step {k})")
+    np.copyto(op.dl, op.sub[:, 1:])
+    op.dl[pinned, 0] = 0.0
+    np.copyto(op.du, op.sup[:, :-1])
+
+    for k in range(op.d.shape[0]):
+        *_, du2, ipiv, info = lapack.dgttrf(
+            op.dl[k], op.d[k], op.du[k], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        )
+        if info != 0:
+            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {k + 1})")
+        op.du2[k] = du2
+        op.ipiv[k] = ipiv
 
 
 def march_window(op, q, initial, left=None, right=None):
@@ -408,11 +449,12 @@ def march_window(op, q, initial, left=None, right=None):
     fold = None
     if np.any(op.pin_sub != 0.0):
         fold = op.pin_sub[:, None] * (u[1:, :, 0] / op.pin_diag[:, None])
-    for k, factors in enumerate(op.lu, start=1):
+    factors = zip(op.dl, op.d, op.du, op.du2, op.ipiv)
+    for k, step in enumerate(factors, start=1):
         interior[k] += interior[k - 1] / dt
         if fold is not None:
             row1[k] -= fold[k - 1]
-        lapack.dgttrs(*factors, u[k].T, overwrite_b=1)
+        lapack.dgttrs(*step, u[k].T, overwrite_b=1)
     finite = np.all(np.isfinite(u[1:]), axis=(1, 2))
     if not np.all(finite):
         raise FloatingPointError(f"non-finite solution at time step {int(np.argmin(finite)) + 1}")

@@ -7,8 +7,17 @@ subdomain-2 solve sees subdomain 1's freshly updated interface trace
 (multiplicative/alternating order).  Artificial interfaces carry Dirichlet
 trace copies; physical endpoints always carry the real boundary data.
 
-The two branches are one stacked array, and the stabilizer is frozen, so
-each window's step matrices are built and factored once per run; a sweep
+The stabilizer c makes F1 = c u + f + g nondecreasing on the order
+interval the iterates occupy.  That interval shrinks every sweep, so c is
+refreshed on the current envelope [u11, u12] after sweeps 1, 2, 4, 8, ...
+(the accelerated monotone iteration of Pao), as
+c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + margin, 0)).  The
+min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
+down to (c_{n-1} - c_n)(u21(n) - u11(n)) plus an F1_{c_{n-1}} difference,
+both nonnegative only while c never rises.
+
+The two branches are one stacked array.  Each window's step matrices are
+built once per run and refactored in place at each refresh; a sweep
 marches both branches through them as two right-hand-side columns.  The
 undecomposed single-domain monotone iteration, the correctness oracle for
 the decomposed limit, is the same sweep over one window.
@@ -27,10 +36,11 @@ from .discretization import (
     build_window_operator,
     march_window,
     physical_closure,
+    refactor_window_operator,
     sample_field,
 )
-from .verify import chain_min_margin
-from .volterra import compute_stabilizers, eval_F1_field
+from .verify import sweep_metrics
+from .volterra import compute_stabilizers, eval_F1_field, refresh_stabilizers
 
 
 class BracketError(ValueError):
@@ -100,6 +110,7 @@ class ConvergenceHistory:
     max_update: List[float] = field(default_factory=list)
     chain_violation: List[float] = field(default_factory=list)
     wall_ms: List[float] = field(default_factory=list)
+    c_max: List[float] = field(default_factory=list)  # max of the c_total each sweep used
     states: Optional[list] = None  # per-sweep states when requested
 
 
@@ -178,33 +189,41 @@ def _sweep(state, spec, grid, stab, ops, u0_row):
 
 
 def dd_sweep(state, spec, grid, decomp, stab):
-    """Advance both branches by one alternating-Schwarz sweep.  Builds the
-    window operators for this one sweep; run_dd builds them once per run."""
+    """Advance both branches by one alternating-Schwarz sweep with the
+    stabilizer stab as given.  Builds the window operators for this one
+    sweep; run_dd builds them once per run and refreshes stab itself."""
     ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
     return _sweep(state, spec, grid, stab, ops, _u0_row(spec, grid))
 
 
-def _metrics(prev, nxt, lo, hi):
-    gap = max(
-        float(np.max(nxt.u22 - nxt.u21)), float(np.max(nxt.u12 - nxt.u11))
-    )
-    upd = max(
-        float(np.max(np.abs(nxt.u1 - prev.u1))), float(np.max(np.abs(nxt.u2 - prev.u2)))
-    )
-    viol = chain_min_margin(prev, nxt, lo, hi)
-    return gap, upd, viol
+def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
+         abort_on_chain_violation, chain_slack, keep_states):
+    """Set up (bracket, stabilizer, window operators) and sweep until the
+    gap and the update both drop below tol, lowering the stabilizer on the
+    current envelope after sweeps 1, 2, 4, 8, ..."""
+    state = init_state(spec, grid)
+    lo, hi = state.u11, state.u12
+    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
+    ops = _window_operators(spec, grid, stab, windows)
+    u0_row = _u0_row(spec, grid)
 
-
-def _iterate(step, state, lo, hi, tol, max_sweeps, abort_on_chain_violation, chain_slack, keep_states):
     history = ConvergenceHistory(states=[state] if keep_states else None)
     converged = False
     for _ in range(max_sweeps):
         t0 = time.perf_counter()
-        nxt = step(state)
-        gap, upd, viol = _metrics(state, nxt, lo, hi)
+        n = state.sweep_index
+        if n > 0 and n & (n - 1) == 0:
+            stab = refresh_stabilizers(
+                spec, grid, stab, state.u11, state.u12, n_samples=n_samples, margin=c_margin
+            )
+            for op in ops:
+                refactor_window_operator(op, stab.c_total)
+        nxt = _sweep(state, spec, grid, stab, ops, u0_row)
+        gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
         history.gap_lower_upper.append(gap)
         history.max_update.append(upd)
         history.chain_violation.append(viol)
+        history.c_max.append(float(np.max(stab.c_total)))
         history.wall_ms.append(1e3 * (time.perf_counter() - t0))
         if keep_states:
             history.states.append(nxt)
@@ -221,21 +240,6 @@ def _iterate(step, state, lo, hi, tol, max_sweeps, abort_on_chain_violation, cha
         converged=converged,
         sweeps_used=state.sweep_index,
     )
-    return solution, history, state
-
-
-def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin, *loop_args):
-    """Set up (bracket, frozen stabilizer, window operators) and sweep."""
-    state = init_state(spec, grid)
-    lo, hi = state.u11, state.u12
-    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
-    ops = _window_operators(spec, grid, stab, windows)
-    u0_row = _u0_row(spec, grid)
-
-    def step(s):
-        return _sweep(s, spec, grid, stab, ops, u0_row)
-
-    solution, history, _ = _iterate(step, state, lo, hi, tol, max_sweeps, *loop_args)
     return solution, history
 
 
@@ -254,9 +258,11 @@ def run_dd(
     """Sweep the two-subdomain scheme until the bracket gap and the update
     size both drop below tol, or max_sweeps is hit.
 
-    The stabilizer c is computed once from the initial bracket and frozen:
-    the sup defining it ranges over the order interval, which never grows.
-    So are the window operators built from it.
+    The stabilizer c is computed over the initial bracket, then lowered
+    on the current envelope after sweeps 1, 2, 4, 8, ... and never raised
+    (see the module docstring); the window operators are built once and
+    refactored in place at each refresh.  history.c_max records the
+    largest c each sweep used.
     """
     windows = _dd_windows(grid, decomp)
     return _run(

@@ -88,12 +88,15 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
 
 # The seven ordering links between consecutive sweeps:
 # u_hat <= u11(n) <= u21(n) <= u11(n+1) <= u12(n+1) <= u22(n) <= u12(n) <= u_tilde
+_GAP_LINK = "u11(n+1) <= u12(n+1)"
+
+
 def _chain_links(prev, nxt, u_hat_field, u_tilde_field):
     return (
         ("u_hat <= u11(n)", u_hat_field, prev.u11),
         ("u11(n) <= u21(n)", prev.u11, prev.u21),
         ("u21(n) <= u11(n+1)", prev.u21, nxt.u11),
-        ("u11(n+1) <= u12(n+1)", nxt.u11, nxt.u12),
+        (_GAP_LINK, nxt.u11, nxt.u12),
         ("u12(n+1) <= u22(n)", nxt.u12, prev.u22),
         ("u22(n) <= u12(n)", prev.u22, prev.u12),
         ("u12(n) <= u_tilde", prev.u12, u_tilde_field),
@@ -126,6 +129,32 @@ def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):
         float(np.min(right - left))
         for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
     )
+
+
+def sweep_metrics(prev, nxt, u_hat_field, u_tilde_field):
+    """(gap, update, margin) of the sweep prev -> nxt: the bracket gap
+    max(u22 - u21, u12 - u11) of nxt, the update max |nxt - prev| over the
+    four fields, and chain_min_margin(prev, nxt, ...), each bitwise as
+    those expressions give it.
+
+    Every difference is written into one scratch array instead of a
+    temporary of its own, and the u11(n+1) <= u12(n+1) link's difference
+    also gives the subdomain-1 gap.
+    """
+    scratch = np.empty(np.shape(nxt.u1))
+    one = scratch[0]
+    margins = []
+    for name, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field):
+        diff = np.subtract(right, left, out=one)
+        margins.append(float(np.min(diff)))
+        if name == _GAP_LINK:
+            gap_1 = float(np.max(diff))
+    gap_2 = float(np.max(np.subtract(nxt.u22, nxt.u21, out=one)))
+    updates = []
+    for new, old in ((nxt.u1, prev.u1), (nxt.u2, prev.u2)):
+        diff = np.subtract(new, old, out=scratch)
+        updates.append(float(np.max(np.abs(diff, out=diff))))
+    return max(gap_2, gap_1), max(updates), min(margins)
 
 
 def default_decomposition(nx):

@@ -18,7 +18,8 @@ of the equation so that
 
 is nondecreasing in u over the bracket.  c_under and b_under are sampled
 suprema of -df/du and -dg0/deta1; an additive margin compensates for the
-sampling underestimate.
+sampling underestimate.  refresh_stabilizers lowers c_total to the smaller
+interval the iterates occupy after some sweeps.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ class StabilizerError(RuntimeError):
 @dataclass(frozen=True)
 class StabilizerField:
     c_total: Field  # clamped c = max(c_under + b_under + margin, 0)
-    b_under: Field  # memory-term component, kept for diagnostics
+    b_under: Field  # memory-term component over the initial bracket
+    fd_step: float = 0.0  # centered-difference step of c_under, from the initial bracket
 
 
 def quadrature_weights(k, dt):
@@ -130,10 +132,8 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     shape = lo.shape
     reaction, kernel = spec.reaction, spec.kernel
     theta = np.linspace(0.0, 1.0, n_samples)
-    tg = grid.ts[None, :, None]
-    xg = grid.xs[None, None, :]
-
     degenerate = float(np.max(width)) == 0.0
+    fd_step = 0.0 if degenerate else 1e-6 * float(np.max(width))
 
     if reaction.c_bar_bound is not None:
         c_under = np.full(shape, float(reaction.c_bar_bound))
@@ -142,16 +142,7 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             raise StabilizerError(
                 "bracket has zero width and no analytic f_u or c_bar_bound was supplied"
             )
-        eta = lo[None] + theta[:, None, None] * width[None]  # (p, nt+1, nx+1)
-        if reaction.f_u is not None:
-            d = np.asarray(reaction.f_u(tg, xg, eta), dtype=float)
-        else:
-            eps = 1e-6 * float(np.max(width))
-            d = (
-                np.asarray(reaction.f(tg, xg, eta + eps), dtype=float)
-                - np.asarray(reaction.f(tg, xg, eta - eps), dtype=float)
-            ) / (2 * eps)
-        c_under = np.max(-np.broadcast_to(d, eta.shape), axis=0)
+        c_under = _sampled_c_under(reaction, grid, lo, width, n_samples, fd_step)
 
     b_under = np.zeros(shape)
     if not kernel.trivial and kernel.exp_form is None:
@@ -159,7 +150,6 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             raise StabilizerError(
                 "bracket has zero width and no analytic dg0_deta1 was supplied"
             )
-        eps = 1e-6 * float(np.max(width)) if not degenerate else 0.0
         x = grid.xs[None, None, None, :]
         b0 = np.empty(shape)  # sampled sup of -dg0/deta1 over the history of level k
         for k in range(1, grid.nt + 1):
@@ -178,15 +168,63 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
                     d = np.asarray(kernel.dg0_deta1(t, x, s, e1, e2), dtype=float)
                 else:
                     d = (
-                        np.asarray(kernel.g0(t, x, s, e1 + eps, e2), dtype=float)
-                        - np.asarray(kernel.g0(t, x, s, e1 - eps, e2), dtype=float)
-                    ) / (2 * eps)
+                        np.asarray(kernel.g0(t, x, s, e1 + fd_step, e2), dtype=float)
+                        - np.asarray(kernel.g0(t, x, s, e1 - fd_step, e2), dtype=float)
+                    ) / (2 * fd_step)
                 d = np.broadcast_to(d, (m1 - m0, n_samples, n_samples, grid.nx + 1))
                 b0[m0:m1] = np.max(-d, axis=(1, 2))
             b_under[k] = quadrature_weights(k, grid.dt) @ b0[: k + 1]
 
     c_total = np.maximum(c_under + b_under + margin, 0.0)
-    return StabilizerField(c_total=c_total, b_under=b_under)
+    return StabilizerField(c_total=c_total, b_under=b_under, fd_step=fd_step)
+
+
+def _sampled_c_under(reaction, grid, lo, width, n_samples, eps):
+    """max over n_samples equispaced eta in [lo, lo + width] of -f_u(t, x, eta),
+    as a running maximum over the samples; f_u is a centered difference of
+    step eps when the reaction has no analytic one."""
+    t, x = grid.ts[:, None], grid.xs[None, :]
+    c_under = None
+    for theta in np.linspace(0.0, 1.0, n_samples):
+        eta = lo + theta * width
+        if reaction.f_u is not None:
+            d = np.asarray(reaction.f_u(t, x, eta), dtype=float)
+        else:
+            d = (
+                np.asarray(reaction.f(t, x, eta + eps), dtype=float)
+                - np.asarray(reaction.f(t, x, eta - eps), dtype=float)
+            ) / (2 * eps)
+        d = -np.broadcast_to(d, lo.shape)
+        c_under = d if c_under is None else np.maximum(c_under, d, out=c_under)
+    return c_under
+
+
+def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
+    """The stabilizer lowered to the envelope [lo, hi] that the iterates now
+    occupy (the accelerated monotone iteration of Pao):
+
+        c = min(stab.c_total, max(c_under([lo, hi]) + stab.b_under + margin, 0)).
+
+    c_under is resampled as compute_stabilizers samples it, with the
+    centered-difference step of the initial bracket (a step scaled to a
+    nearly closed envelope would be rounding noise).  b_under is kept: it
+    is still a bound, and resampling it costs O(nt^2 nx n_samples^2).
+    The min keeps c from ever rising, which the monotone chain needs, as
+    a sampled supremum over a smaller interval can come out larger.
+    Returns stab itself when the reaction gives a constant c_bar_bound or
+    the envelope has zero width.
+    """
+    reaction = spec.reaction
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(hi, dtype=float) - lo
+    if reaction.c_bar_bound is not None or float(np.max(width)) == 0.0:
+        return stab
+    c = _sampled_c_under(reaction, grid, lo, width, n_samples, stab.fd_step)
+    c += stab.b_under
+    c += margin
+    np.maximum(c, 0.0, out=c)
+    np.minimum(c, stab.c_total, out=c)
+    return StabilizerField(c_total=c, b_under=stab.b_under, fd_step=stab.fd_step)
 
 
 def eval_F1_field(spec, stab, u, grid, cols=slice(None)):

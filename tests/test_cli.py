@@ -1,10 +1,12 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from monodd.cli import main
+from monodd import SpaceTimeDomain, build_grid
+from monodd.cli import _write_solution_csv, main
 
 
 def write_config(path, **overrides):
@@ -83,6 +85,13 @@ LOGISTIC = {"name": "logistic_memory", "params": {"lam": 1.0, "kappa": 0.5, "sig
         ({"solver": {"max_sweeps": "many"}}, "solver.max_sweeps"),
         ({"solver": [1e-8]}, "solver"),
         ({"decomposition": {"i1_hi": 20.0, "i2_lo": [12]}}, "decomposition.i2_lo"),
+        ({"solver": {"c_margn": 1e-6}}, "unknown key solver.c_margn"),
+        ({"solvr": {"tol": 1e-8}}, "unknown key config.solvr"),
+        ({"grid": {"ny": 8}}, "unknown key grid.ny"),
+        ({"grids": [{"nx": 16, "nt": 16, "dt": 0.1}]}, "unknown key grids[].dt"),
+        ({"decomposition": {"overlap": 8}}, "unknown key decomposition.overlap"),
+        ({"problem": {**LOGISTIC, "u_hat": 0.0}}, "unknown key problem.u_hat"),
+        ({"output": {"solution": "u.csv"}}, "unknown key output.solution"),
     ],
 )
 def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, mentions):
@@ -90,6 +99,46 @@ def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, menti
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and mentions in err
+
+
+def test_parallel_branches_key_still_accepted(tmp_path):
+    # The removed threaded mode's key is ignored, so old configs still run.
+    cfg = write_config(tmp_path / "cfg.json", solver={"parallel_branches": True})
+    assert main(["run", str(cfg)]) == 0
+
+
+def write_solution_rows(path, grid, solution):
+    """The row-by-row csv.writer the solution writer must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "u", "u_lower", "u_upper"])
+        for k in range(grid.nt + 1):
+            for i in range(grid.nx + 1):
+                writer.writerow(
+                    [
+                        format(float(v), ".17g")
+                        for v in (
+                            grid.ts[k],
+                            grid.xs[i],
+                            solution.u[k, i],
+                            solution.u_lower[k, i],
+                            solution.u_upper[k, i],
+                        )
+                    ]
+                )
+
+
+def test_solution_csv_bytes_match_row_writer(tmp_path):
+    grid = build_grid(SpaceTimeDomain(-1.0, 2.0, 0.3), 6, 5)
+    rng = np.random.default_rng(4)
+    fields = rng.standard_normal((3, 6, 7)) * 10.0 ** rng.integers(-300, 300, (3, 6, 7))
+    fields[0, 0, :4] = (-0.0, 1e-300, np.nan, np.inf)
+    fields[1, 2, 1:5] = (-np.inf, 0.0, 5e-324, -1.7976931348623157e308)
+    fields[2, 5, 6] = 0.1
+    solution = SimpleNamespace(u=fields[0], u_lower=fields[1], u_upper=fields[2])
+    _write_solution_csv(tmp_path / "fast.csv", grid, solution)
+    write_solution_rows(tmp_path / "rows.csv", grid, solution)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_invalid_decomposition(tmp_path, capsys):

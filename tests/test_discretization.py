@@ -24,6 +24,7 @@ from monodd.discretization import (
     mmatrix_audit_count,
     physical_closure,
     pinned_closure,
+    refactor_window_operator,
 )
 
 CONST = EllipticCoefficients(a=lambda t, x: 1.0 + 0.0 * x, b=lambda t, x: 0.0 * x)
@@ -436,3 +437,64 @@ class TestWindowOperator:
         q[0, 3, 2] = np.inf
         with pytest.raises(FloatingPointError, match="time step 3"):
             march_window(op, q, np.zeros((1, 9)), np.zeros((1, 5)), np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("left", ("march", "dirichlet", "robin"))
+    @pytest.mark.parametrize("right", ("march", "dirichlet", "robin"))
+    def test_refactored_operator_marches_as_fresh_build(self, left, right):
+        # An operator built with one stabilizer and refactored for another
+        # marches as one built with the second; the refactor calls neither
+        # the coefficients nor the closures, and audits every step.  A
+        # "march" end is pinned with values given to each march.
+        nt = 7
+        kinds = ("march", "dirichlet", "robin")
+        rng = np.random.default_rng([11, kinds.index(left), kinds.index(right)])
+        grid = grid_of(0.0, 1.0, 0.5, 16, nt)
+        window = Subrange(3, 16)
+        calls = []
+
+        def counted(fn):
+            if fn is None:
+                return None
+
+            def wrapped(*args):
+                calls.append(fn)
+                return fn(*args)
+
+            return wrapped
+
+        coeffs = EllipticCoefficients(
+            a=counted(lambda t, x: 0.5 + 0.3 * np.sin(4 * x) + t),
+            b=counted(lambda t, x: 1.5 * np.cos(3 * x) + t),
+        )
+        ends = [None if kind == "march" else random_end(rng, nt, kind) for kind in (left, right)]
+        c_old = rng.uniform(2.0, 4.0, (nt + 1, 17))
+        c_new = c_old * rng.uniform(0.0, 1.0, c_old.shape)
+        q = rng.standard_normal((2, nt + 1, window.size - 2))
+        initial = rng.standard_normal((2, window.size))
+        pins = {
+            side: rng.standard_normal((2, nt + 1)) if end is None else None
+            for side, end in zip(("left", "right"), ends)
+        }
+
+        op = build_window_operator(grid, window, coeffs, c_old, *map(counted, ends))
+        before_calls, before_audits = len(calls), mmatrix_audit_count()
+        refactor_window_operator(op, c_new)
+        assert len(calls) == before_calls
+        assert mmatrix_audit_count() - before_audits == nt
+        fresh = build_window_operator(grid, window, coeffs, c_new, *ends)
+        np.testing.assert_allclose(
+            march_window(op, q, initial, **pins),
+            march_window(fresh, q, initial, **pins),
+            rtol=1e-13,
+            atol=1e-13,
+        )
+
+    def test_refactor_audits_the_new_matrices(self):
+        # A stabilizer below -1/dt breaks diagonal dominance; the refactor's
+        # audit names the step.
+        grid = grid_of(0.0, 1.0, 0.5, 8, 4)
+        op = build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), None, None)
+        c = np.zeros((5, 9))
+        c[2] = -100.0
+        with pytest.raises(MMatrixViolation, match="time step 2"):
+            refactor_window_operator(op, c)

@@ -2,14 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodd import (
     BoundaryCondition,
     Bracket,
     Decomposition,
+    EllipticCoefficients,
     IterationState,
+    ProblemSpec,
+    Reaction,
+    SpaceTimeDomain,
+    VolterraKernel,
     build_grid,
     catalog_lookup,
+    check_bracket,
     check_monotone_chain,
     dd_sweep,
     init_state,
@@ -20,6 +28,7 @@ from monodd import (
 from monodd import iteration
 from monodd.discretization import MMatrixViolation, mmatrix_audit_count
 from monodd.iteration import _u0_row
+from monodd.verify import sweep_metrics
 from monodd.volterra import compute_stabilizers
 
 from conftest import desk_logistic, make_zero_problem
@@ -191,15 +200,21 @@ class TestRunDD:
 
 class TestOperatorsOncePerRun:
     def test_audit_runs_once_per_window_not_per_sweep(self):
+        # nt matrices per window when it is built, and nt more each time the
+        # stabilizer is refreshed: after sweeps 1, 2, 4, ... that another
+        # sweep follows.
+        def refreshes(sweeps):
+            return sum(1 for n in (1, 2, 4, 8, 16, 32) if n < sweeps)
+
         spec = desk_logistic()
         grid = build_grid(spec.domain, 16, 8)
         before = mmatrix_audit_count()
         sol, _ = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
-        assert sol.sweeps_used > 2
-        assert mmatrix_audit_count() - before == 2 * grid.nt
+        assert refreshes(sol.sweeps_used) < sol.sweeps_used - 2
+        assert mmatrix_audit_count() - before == 2 * grid.nt * (1 + refreshes(sol.sweeps_used))
         before = mmatrix_audit_count()
-        run_single_domain(spec, grid, 1e-10, 50)
-        assert mmatrix_audit_count() - before == grid.nt
+        sol, _ = run_single_domain(spec, grid, 1e-10, 50)
+        assert mmatrix_audit_count() - before == grid.nt * (1 + refreshes(sol.sweeps_used))
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
@@ -253,3 +268,102 @@ class TestRunSingleDomain:
         dd, _ = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), tol, 300)
         assert sd.converged and dd.converged
         assert np.max(np.abs(dd.u - sd.u)) <= 10 * tol
+
+
+def kpp(lam, b, amp):
+    """Memory-free Fisher-KPP problem with advection, variable diffusion, a
+    Robin left end and a Dirichlet right end; [0, 1] brackets it."""
+    return ProblemSpec(
+        domain=SpaceTimeDomain(0.0, 1.0, 1.0),
+        coeffs=EllipticCoefficients(a=lambda t, x: 0.05 + 0.05 * x, b=lambda t, x: b + 0.0 * x),
+        reaction=Reaction(
+            f=lambda t, x, u: lam * u * (1.0 - u),
+            f_u=lambda t, x, u: lam * (1.0 - 2.0 * u),
+        ),
+        kernel=VolterraKernel.zero(),
+        bc_left=BoundaryCondition(alpha0=lambda t: 1.0, beta0=lambda t: 1.0, h=lambda t: 0.0),
+        bc_right=BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0),
+        u0=lambda x: amp * np.sin(np.pi * x),
+        bracket=Bracket(u_hat=lambda t, x: 0.0 * x, u_tilde=lambda t, x: 1.0 + 0.0 * x),
+    )
+
+
+@st.composite
+def small_problems(draw):
+    """A KPP or logistic-memory problem with a random lambda on a small grid,
+    with a random two-window decomposition.  dt (lam + kappa) <= 1/2: at
+    dt (lam + kappa) >= 1 backward Euler can have a second solution, the
+    two branches converge to different ones, and close to 1 the iteration
+    with the frozen stabilizer takes hundreds of sweeps."""
+    lam = draw(st.floats(0.5, 12.0))
+    if draw(st.booleans()):
+        kappa = 0.0
+        spec = kpp(lam, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    else:
+        kappa = draw(st.floats(0.0, 2.0))
+        params = {"lam": lam, "kappa": kappa, "sigma": draw(st.floats(0.0, 1.5))}
+        spec = catalog_lookup("logistic_memory", params)
+    nx = draw(st.integers(8, 24))
+    least = int(2.0 * (lam + kappa)) + 1
+    nt = draw(st.integers(least, least + 12))
+    i2_lo = draw(st.integers(1, nx - 3))
+    i1_hi = draw(st.integers(i2_lo + 2, nx - 1))
+    return spec, build_grid(spec.domain, nx, nt), Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
+
+
+class TestRefreshedStabilizer:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_problems())
+    def test_chain_holds_and_limit_is_the_frozen_one(self, case):
+        # The stabilizer refreshed on the shrinking envelope keeps every
+        # chain link on every sweep and converges to the limit of the
+        # iteration whose stabilizer stays frozen at the initial bracket.
+        spec, grid, decomp = case
+        tol = 1e-9
+        for kind, candidate in (("sub", spec.bracket.u_hat), ("super", spec.bracket.u_tilde)):
+            assert check_bracket(spec, grid, candidate, kind).passed
+        sol, hist = run_dd(spec, grid, decomp, tol, 500, keep_states=True)
+        assert sol.converged
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        for prev, nxt in zip(hist.states, hist.states[1:]):
+            assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
+
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        state = hist.states[0]
+        for _ in range(500):
+            nxt = dd_sweep(state, spec, grid, decomp, stab)
+            gap, upd, _ = sweep_metrics(state, nxt, lo, hi)
+            state = nxt
+            if gap <= tol and upd <= tol:
+                break
+        else:
+            pytest.fail("frozen-stabilizer iteration did not converge")
+        frozen = 0.5 * (state.u21 + state.u22)
+        assert np.max(np.abs(sol.u - frozen)) <= tol + 2e-10
+
+    def test_c_max_records_the_stabilizer_of_each_sweep(self):
+        # Refreshed after sweeps 1, 2, 4, ...: c_max can only fall, and only
+        # at the sweeps that follow a refresh.
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 32, 32)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200)
+        init = init_state(spec, grid)
+        stab = compute_stabilizers(spec, grid, init.u11, init.u12)
+        c_max = hist.c_max
+        assert len(c_max) == sol.sweeps_used
+        assert c_max[0] == np.max(stab.c_total)
+        assert c_max[-1] < c_max[0]
+        for n in range(1, len(c_max)):
+            if n & (n - 1):  # no refresh between sweeps n and n + 1
+                assert c_max[n] == c_max[n - 1]
+            else:
+                assert c_max[n] <= c_max[n - 1]
+
+    def test_constant_bound_is_not_resampled(self):
+        spec = desk_logistic()
+        bounded = Reaction(f=spec.reaction.f, f_u=spec.reaction.f_u, c_bar_bound=2.0)
+        spec = dataclasses.replace(spec, reaction=bounded)
+        grid = build_grid(spec.domain, 16, 8)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
+        assert sol.converged and sol.sweeps_used > 4
+        assert hist.c_max == [2.0 + 1e-6] * sol.sweeps_used

@@ -13,8 +13,11 @@ from monodd import (
     eval_g_row,
     m_matrix_check,
     order_study,
+    run_dd,
     sample_field,
 )
+
+from monodd.verify import chain_min_margin, sweep_metrics
 
 from conftest import desk_logistic
 
@@ -115,6 +118,39 @@ class TestCheckMonotoneChain:
         s = state_of(z, z, z, z)
         with pytest.raises(ValueError, match="grid mismatch"):
             check_monotone_chain(s, s, np.zeros((3, 6)), np.zeros((3, 6)))
+
+
+class TestSweepMetrics:
+    @staticmethod
+    def separate_passes(prev, nxt, lo, hi):
+        """Gap, update and margin with one temporary per difference."""
+        gap = max(float(np.max(nxt.u22 - nxt.u21)), float(np.max(nxt.u12 - nxt.u11)))
+        upd = max(
+            float(np.max(np.abs(nxt.u1 - prev.u1))), float(np.max(np.abs(nxt.u2 - prev.u2)))
+        )
+        return gap, upd, chain_min_margin(prev, nxt, lo, hi)
+
+    def test_bitwise_equal_to_separate_passes(self):
+        # Real sweeps, random fields with violated links, identical states
+        # (every difference +0.0, or -0.0 where -0.0 meets +0.0) and a NaN.
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 16, 8)
+        _, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-8, 50, keep_states=True)
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        cases = [(a, b, lo, hi) for a, b in zip(hist.states, hist.states[1:])]
+        rng = np.random.default_rng(9)
+        rand = [state_of(*rng.standard_normal((4, 9, 17))) for _ in range(3)]
+        cases += [(rand[0], rand[1], rand[2].u11, rand[2].u12)]
+        z, nz = np.zeros((9, 17)), np.full((9, 17), -0.0)
+        cases += [(state_of(z, z, z, z), state_of(z, z, z, z), z, z)]
+        cases += [(state_of(nz, z, nz, z), state_of(z, nz, z, nz), nz, z)]
+        with_nan = rand[1].u1.copy()
+        with_nan[1, 4, 5] = np.nan
+        cases += [(rand[0], IterationState(u1=with_nan, u2=rand[1].u2), lo, hi)]
+        for prev, nxt, u_hat, u_tilde in cases:
+            got = sweep_metrics(prev, nxt, u_hat, u_tilde)
+            want = self.separate_passes(prev, nxt, u_hat, u_tilde)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestMMatrixCheck:

@@ -17,7 +17,12 @@ from monodd import (
     eval_g_row,
     sample_field,
 )
-from monodd.volterra import HISTORY_CHUNK, StabilizerError, quadrature_weights
+from monodd.volterra import (
+    HISTORY_CHUNK,
+    StabilizerError,
+    quadrature_weights,
+    refresh_stabilizers,
+)
 
 from conftest import desk_logistic
 
@@ -273,6 +278,97 @@ class TestComputeStabilizers:
         hi = np.full((5, 7), 1.5)
         stab = compute_stabilizers(spec, grid, lo, hi, margin=0.0)
         np.testing.assert_allclose(stab.c_total, 2.0, atol=1e-5)
+
+
+def with_reaction(spec, f, f_u=None):
+    from monodd import Reaction
+
+    return dataclasses.replace(spec, reaction=Reaction(f=f, f_u=f_u))
+
+
+def stacked_c_under(spec, grid, lo, hi, p):
+    """The sampled supremum of -f_u as one (p, nt+1, nx+1) stack."""
+    eta = lo[None] + np.linspace(0.0, 1.0, p)[:, None, None] * (hi - lo)[None]
+    d = spec.reaction.f_u(grid.ts[None, :, None], grid.xs[None, None, :], eta)
+    return np.max(-np.broadcast_to(d, eta.shape), axis=0)
+
+
+class TestRefreshStabilizers:
+    def test_running_max_needs_no_sample_stack(self):
+        # c_under is a running maximum over the samples: its temporaries
+        # are a few fields, not the (p, nt+1, nx+1) stack of eta samples.
+        spec = catalog_lookup("linear_heat")
+        spec = with_reaction(spec, lambda t, x, u: u * (1.0 - u), lambda t, x, u: 1.0 - 2.0 * u)
+        grid = build_grid(spec.domain, 128, 128)
+        lo = np.zeros((129, 129))
+        hi = 1.0 + 0.5 * np.sin(np.pi * grid.xs) + 0.0 * lo
+        tracemalloc.start()
+        try:
+            stab = compute_stabilizers(spec, grid, lo, hi, n_samples=16, margin=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reference = np.maximum(stacked_c_under(spec, grid, lo, hi, 16), 0.0)
+        np.testing.assert_array_equal(stab.c_total, reference)
+        assert peak < 8 * lo.nbytes, f"tracemalloc peak {peak / lo.nbytes:.1f} fields"
+
+    def test_resamples_c_under_keeps_b_under_and_never_rises(self):
+        base = desk_logistic()
+        kernel = VolterraKernel(
+            g0=lambda t, x, s, e1, e2: e2 - 0.3 * e1 * e1,
+            dg0_deta1=lambda t, x, s, e1, e2: -0.6 * e1 + 0.0 * (x + s + e2),
+        )
+        spec = dataclasses.replace(base, kernel=kernel)
+        grid = build_grid(spec.domain, 12, 10)
+        rng = np.random.default_rng(3)
+        lo, hi = np.zeros((11, 13)), np.full((11, 13), 1.5)
+        stab = compute_stabilizers(spec, grid, lo, hi, n_samples=5, margin=1e-6)
+        env_lo = rng.uniform(0.0, 1.0, lo.shape)
+        env_hi = env_lo + rng.uniform(0.0, 0.5, lo.shape)
+        fresh = refresh_stabilizers(spec, grid, stab, env_lo, env_hi, n_samples=5, margin=1e-6)
+        c_under = stacked_c_under(spec, grid, env_lo, env_hi, 5)
+        expected = np.minimum(stab.c_total, np.maximum(c_under + stab.b_under + 1e-6, 0.0))
+        np.testing.assert_array_equal(fresh.c_total, expected)
+        assert fresh.b_under is stab.b_under and np.max(stab.b_under) > 0.0
+        assert np.all(fresh.c_total <= stab.c_total)
+        assert np.any(fresh.c_total < stab.c_total)
+
+    def test_clamp_holds_c_where_the_smaller_interval_samples_higher(self):
+        # -f_u = 1 - 4|u - 0.5| peaks at u = 0.5.  Two samples of [0, 1]
+        # miss the peak and the samples of [0.4, 0.6] do not: the refreshed
+        # c stays at the old one.
+        spec = with_reaction(
+            desk_logistic(),
+            lambda t, x, u: 2.0 * (u - 0.5) * np.abs(u - 0.5) - u,
+            lambda t, x, u: 4.0 * np.abs(u - 0.5) - 1.0,
+        )
+        grid = build_grid(spec.domain, 6, 4)
+        lo, hi = np.zeros((5, 7)), np.ones((5, 7))
+        stab = compute_stabilizers(spec, grid, lo, hi, n_samples=2, margin=0.0)
+        env = (np.full((5, 7), 0.4), np.full((5, 7), 0.6))
+        assert np.all(compute_stabilizers(spec, grid, *env, n_samples=2, margin=0.0).c_total > 0.0)
+        fresh = refresh_stabilizers(spec, grid, stab, *env, n_samples=2, margin=0.0)
+        np.testing.assert_array_equal(fresh.c_total, stab.c_total)
+
+    def test_difference_step_keeps_the_initial_scale(self):
+        # No analytic f_u: the centered difference keeps the step of the
+        # initial bracket, so a 1e-9 wide envelope gives -f_u to about 1e-10
+        # instead of rounding noise.
+        spec = with_reaction(desk_logistic(), lambda t, x, u: u * (1.0 - u))
+        grid = build_grid(spec.domain, 6, 4)
+        stab = compute_stabilizers(spec, grid, np.zeros((5, 7)), np.full((5, 7), 1.5), margin=0.0)
+        lo = np.full((5, 7), 0.9)
+        fresh = refresh_stabilizers(spec, grid, stab, lo, lo + 1e-9, margin=0.0)
+        np.testing.assert_allclose(fresh.c_total, 0.8, atol=1e-8)
+
+    def test_degenerate_envelope_keeps_c(self):
+        # No analytic f_u and a zero-width envelope: compute_stabilizers
+        # would raise, a refresh keeps the c it has.
+        spec = with_reaction(desk_logistic(), lambda t, x, u: u * u)
+        grid = build_grid(spec.domain, 6, 4)
+        stab = compute_stabilizers(spec, grid, np.zeros((5, 7)), np.ones((5, 7)))
+        z = np.full((5, 7), 0.5)
+        assert refresh_stabilizers(spec, grid, stab, z, z) is stab
 
 
 class TestEvalF1:
