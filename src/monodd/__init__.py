@@ -5,7 +5,6 @@ from .discretization import (
     Field,
     Grid1D,
     Subrange,
-    TridiagonalSystem,
     WindowOperator,
     build_grid,
     build_window_operator,
@@ -13,9 +12,6 @@ from .discretization import (
     march_window,
     refactor_window_operator,
     sample_field,
-    set_mmatrix_audit,
-    solve_linear_parabolic,
-    thomas_solve,
 )
 from .iteration import (
     BracketError,
@@ -23,9 +19,12 @@ from .iteration import (
     Decomposition,
     IterationState,
     MonotoneChainError,
+    OrderStudyResult,
     Solution,
     dd_sweep,
+    default_decomposition,
     init_state,
+    order_study,
     run_dd,
     run_single_domain,
 )
@@ -42,20 +41,11 @@ from .model import (
     catalog_names,
     validate_problem,
 )
-from .verify import (
-    OrderStudyResult,
-    ResidualReport,
-    check_bracket,
-    check_monotone_chain,
-    default_decomposition,
-    order_study,
-)
+from .verify import ResidualReport, check_bracket, check_monotone_chain
 from .volterra import (
     StabilizerField,
     compute_stabilizers,
-    eval_F1,
     eval_F1_field,
-    eval_g,
     eval_g_field,
     eval_g_row,
     refresh_stabilizers,

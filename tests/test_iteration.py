@@ -26,7 +26,7 @@ from monodd import (
     sample_field,
 )
 from monodd import iteration
-from monodd.discretization import MMatrixViolation, mmatrix_audit_count
+from monodd.discretization import MMatrixViolation
 from monodd.iteration import _u0_row
 from monodd.verify import sweep_metrics
 from monodd.volterra import compute_stabilizers
@@ -199,22 +199,35 @@ class TestRunDD:
 
 
 class TestOperatorsOncePerRun:
-    def test_audit_runs_once_per_window_not_per_sweep(self):
-        # nt matrices per window when it is built, and nt more each time the
-        # stabilizer is refreshed: after sweeps 1, 2, 4, ... that another
-        # sweep follows.
+    def test_audit_runs_once_per_window_not_per_sweep(self, monkeypatch):
+        # Step matrices are audited where they are factored: when a window's
+        # operator is built (one call to a per window) and each time the
+        # stabilizer is refreshed after sweeps 1, 2, 4, ... that another
+        # sweep follows (one refactor per window).  Each audits nt matrices.
         def refreshes(sweeps):
             return sum(1 for n in (1, 2, 4, 8, 16, 32) if n < sweeps)
 
+        builds, refactors = [], []
+        refactor = iteration.refactor_window_operator
+
+        def counted_refactor(op, c_field):
+            refactors.append(op.window)
+            return refactor(op, c_field)
+
+        monkeypatch.setattr(iteration, "refactor_window_operator", counted_refactor)
         spec = desk_logistic()
+        a = spec.coeffs.a
+        coeffs = dataclasses.replace(spec.coeffs, a=lambda t, x: builds.append(t) or a(t, x))
+        spec = dataclasses.replace(spec, coeffs=coeffs)
         grid = build_grid(spec.domain, 16, 8)
-        before = mmatrix_audit_count()
+
         sol, _ = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
         assert refreshes(sol.sweeps_used) < sol.sweeps_used - 2
-        assert mmatrix_audit_count() - before == 2 * grid.nt * (1 + refreshes(sol.sweeps_used))
-        before = mmatrix_audit_count()
+        assert len(builds) == 2 and len(refactors) == 2 * refreshes(sol.sweeps_used)
+        builds.clear()
+        refactors.clear()
         sol, _ = run_single_domain(spec, grid, 1e-10, 50)
-        assert mmatrix_audit_count() - before == grid.nt * (1 + refreshes(sol.sweeps_used))
+        assert len(builds) == 1 and len(refactors) == refreshes(sol.sweeps_used)
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.

@@ -4,7 +4,6 @@ import pytest
 from monodd import (
     Decomposition,
     IterationState,
-    TridiagonalSystem,
     VolterraKernel,
     build_grid,
     catalog_lookup,
@@ -17,9 +16,10 @@ from monodd import (
     sample_field,
 )
 
-from monodd.verify import chain_min_margin, sweep_metrics
+from monodd.verify import sweep_metrics
 
 from conftest import desk_logistic
+from reference import chain_min_margin
 
 
 class TestCheckBracket:
@@ -155,27 +155,22 @@ class TestSweepMetrics:
 
 class TestMMatrixCheck:
     def row(self, sub, diag, sup):
-        return TridiagonalSystem(
-            sub=np.array([float(sub)]),
-            diag=np.array([float(diag)]),
-            sup=np.array([float(sup)]),
-            rhs=np.zeros(1),
-        )
+        return np.array([float(sub)]), np.array([float(diag)]), np.array([float(sup)])
 
     def test_dominant_row(self):
-        ok, _ = m_matrix_check(self.row(-4, 9, -4))
+        ok, _ = m_matrix_check(*self.row(-4, 9, -4))
         assert ok
 
     def test_dominance_fails(self):
-        ok, diag = m_matrix_check(self.row(-4, 7, -4))
+        ok, diag = m_matrix_check(*self.row(-4, 7, -4))
         assert not ok and "dominance" in diag
 
     def test_sign_fails(self):
-        ok, diag = m_matrix_check(self.row(1, 9, -4))
+        ok, diag = m_matrix_check(*self.row(1, 9, -4))
         assert not ok and "off-diagonal" in diag
 
     def test_nonpositive_diagonal(self):
-        ok, diag = m_matrix_check(self.row(-1, 0, -1))
+        ok, diag = m_matrix_check(*self.row(-1, 0, -1))
         assert not ok and "diagonal" in diag
 
 

@@ -10,9 +10,7 @@ from monodd import (
     build_grid,
     catalog_lookup,
     compute_stabilizers,
-    eval_F1,
     eval_F1_field,
-    eval_g,
     eval_g_field,
     eval_g_row,
     sample_field,
@@ -37,19 +35,19 @@ class TestEvalG:
     def test_empty_integral_at_t0(self):
         grid = unit_grid(8, 8)
         u = np.ones((9, 9))
-        assert eval_g(EXP_KERNEL, u, 0, 3, grid) == 0.0
+        assert eval_g_row(EXP_KERNEL, u, 0, grid)[3] == 0.0
 
     def test_exact_on_constants(self):
         kernel = VolterraKernel(g0=lambda t, x, s, e1, e2: e2)
         for nt in (7, 16):
             grid = unit_grid(8, nt)
             u = np.ones((nt + 1, 9))
-            assert eval_g(kernel, u, nt, 4, grid) == pytest.approx(1.0, abs=1e-14)
+            assert eval_g_row(kernel, u, nt, grid)[4] == pytest.approx(1.0, abs=1e-14)
 
     def exp_error(self, nt):
         grid = unit_grid(4, nt)
         u = np.ones((nt + 1, 5))
-        return abs(eval_g(EXP_KERNEL, u, nt, 2, grid) - (1.0 - np.exp(-1.0)))
+        return abs(eval_g_row(EXP_KERNEL, u, nt, grid)[2] - (1.0 - np.exp(-1.0)))
 
     def test_exponential_closed_form(self):
         assert self.exp_error(64) < 1.3e-4
@@ -66,14 +64,17 @@ class TestEvalGRow:
         u = np.zeros((9, 9))
         np.testing.assert_array_equal(eval_g_row(EXP_KERNEL, u, 5, grid), 0.0)
 
-    def test_matches_per_node_bitwise(self):
+    def test_matches_single_node_columns(self):
+        # Node i's integral reads only column i; the one-column product may
+        # sum in another order than the whole row's.
         grid = unit_grid(8, 12)
         rng = np.random.default_rng(5)
         u = rng.random((13, 9))
         for k in (0, 1, 7, 12):
             row = eval_g_row(EXP_KERNEL, u, k, grid)
             for i in range(9):
-                assert row[i] == eval_g(EXP_KERNEL, u, k, i, grid)
+                node = eval_g_row(EXP_KERNEL, u, k, grid, slice(i, i + 1))[0]
+                assert node == pytest.approx(row[i], rel=1e-14, abs=0.0)
 
     def test_logistic_history_consistency(self):
         spec = desk_logistic()
@@ -82,7 +83,8 @@ class TestEvalGRow:
         u = 1.5 * rng.random((9, 9))
         row = eval_g_row(spec.kernel, u, 6, grid)
         for i in range(9):
-            assert row[i] == eval_g(spec.kernel, u, 6, i, grid)
+            node = eval_g_row(spec.kernel, u, 6, grid, slice(i, i + 1))[0]
+            assert node == pytest.approx(row[i], rel=1e-14, abs=0.0)
 
 
 def psi_nonlinear(e2):
@@ -379,7 +381,7 @@ class TestEvalF1:
         grid = build_grid(spec.domain, 8, 4)
         u = np.zeros((5, 9))
         stab = compute_stabilizers(spec, grid, u, u)
-        np.testing.assert_array_equal(eval_F1(spec, stab, u, 3, grid), 0.0)
+        np.testing.assert_array_equal(eval_F1_field(spec, stab, u, grid)[3], 0.0)
 
     def test_linear_heat_rhs_vanishes(self):
         spec = catalog_lookup("linear_heat")
@@ -388,7 +390,7 @@ class TestEvalF1:
         hi = sample_field(spec.bracket.u_tilde, grid)
         stab = compute_stabilizers(spec, grid, lo, hi, margin=0.0)
         u = sample_field(spec.exact, grid)
-        np.testing.assert_array_equal(eval_F1(spec, stab, u, 2, grid), 0.0)
+        np.testing.assert_array_equal(eval_F1_field(spec, stab, u, grid)[2], 0.0)
 
     def test_monotone_under_uniform_shift(self):
         spec = desk_logistic()
@@ -399,8 +401,8 @@ class TestEvalF1:
         hi = np.full((9, 9), 1.5)
         stab = compute_stabilizers(spec, grid, lo, hi)
         for k in (2, 5, 8):
-            base = eval_F1(spec, stab, u, k, grid)
-            shifted = eval_F1(spec, stab, np.minimum(u + 0.1, 1.5), k, grid)
+            base = eval_F1_field(spec, stab, u, grid)[k]
+            shifted = eval_F1_field(spec, stab, np.minimum(u + 0.1, 1.5), grid)[k]
             assert np.all(shifted >= base - 1e-12)
 
     def test_field_is_c_u_plus_f_plus_g(self):
@@ -415,7 +417,6 @@ class TestEvalF1:
         for k in range(grid.nt + 1):
             f = spec.reaction.f(grid.ts[k], grid.xs, u[k])
             np.testing.assert_allclose(field[k], stab.c_total[k] * u[k] + f + g[k], rtol=1e-14)
-            np.testing.assert_array_equal(eval_F1(spec, stab, u, k, grid), field[k])
 
     @pytest.mark.parametrize("name,params", [
         ("linear_heat", {}),
@@ -433,7 +434,7 @@ class TestEvalF1:
             v = lo + rng.random(lo.shape) * (hi - lo)
             u = v + rng.random(lo.shape) * (hi - v)
             k = int(rng.integers(0, grid.nt + 1))
-            diff = eval_F1(spec, stab, u, k, grid) - eval_F1(spec, stab, v, k, grid)
+            diff = eval_F1_field(spec, stab, u, grid)[k] - eval_F1_field(spec, stab, v, grid)[k]
             assert np.min(diff) >= -1e-12
 
 
