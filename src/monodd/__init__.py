@@ -43,6 +43,7 @@ from .model import (
 )
 from .verify import ResidualReport, check_bracket, check_monotone_chain
 from .volterra import (
+    Past,
     StabilizerField,
     compute_stabilizers,
     eval_F1_field,

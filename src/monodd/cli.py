@@ -24,7 +24,7 @@ from .iteration import (
     run_dd,
     run_single_domain,
 )
-from .model import Bracket, CatalogError, catalog_lookup, validate_problem
+from .model import Bracket, catalog_lookup, validate_problem
 from .verify import check_bracket
 from .volterra import StabilizerError
 
@@ -276,36 +276,32 @@ def _write_history_csv(path, history):
             )
 
 
-def cmd_run(config_path):
+def _load(config_path):
+    """The config, its problem and its grids (the grids list, or the one
+    grid), and None; or Nones and the message of the first thing wrong
+    with them: a ConfigError, a CatalogError, or a grid that build_grid
+    rejects as non-finite."""
     try:
         cfg = load_config(config_path)
         spec = _build_spec(cfg)
-    except (ConfigError, CatalogError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        grids = [build_grid(spec.domain, nx, nt) for nx, nt in cfg.grids or [(cfg.nx, cfg.nt)]]
+    except ValueError as exc:
+        return None, None, None, f"invalid config: {exc}"
+    return cfg, spec, grids, None
+
+
+def cmd_run(config_path):
+    cfg, spec, grids, error = _load(config_path)
+    if error:
+        print(error, file=sys.stderr)
         return EXIT_BAD_CONFIG
-    grid = build_grid(spec.domain, cfg.nx, cfg.nt)
+    grid = grids[0]
     try:
-        if cfg.single_domain:
-            solution, history = run_single_domain(
-                spec,
-                grid,
-                cfg.tol,
-                cfg.max_sweeps,
-                n_samples=cfg.n_samples,
-                c_margin=cfg.c_margin,
-                abort_on_chain_violation=True,
-            )
-        else:
-            solution, history = run_dd(
-                spec,
-                grid,
-                cfg.decomposition,
-                cfg.tol,
-                cfg.max_sweeps,
-                n_samples=cfg.n_samples,
-                c_margin=cfg.c_margin,
-                abort_on_chain_violation=True,
-            )
+        # A non-finite value on the way is caught by march_window as a
+        # FloatingPointError; numpy's warnings about it would only precede
+        # the one-line message.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            solution, history = _solve(cfg, spec, grid)
     except UNDISCRETIZABLE as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -316,22 +312,44 @@ def cmd_run(config_path):
         _write_solution_csv(cfg.solution_csv, grid, solution)
     if cfg.history_csv:
         _write_history_csv(cfg.history_csv, history)
-    gap = history.gap_lower_upper[-1] if history.gap_lower_upper else float("nan")
+    gap = float(np.max(solution.u_upper - solution.u_lower))
     print(
         f"{cfg.problem_name}: {'converged' if solution.converged else 'NOT converged'} "
-        f"after {solution.sweeps_used} sweeps, final gap {gap:.3e}"
+        f"after {solution.sweeps_used} sweeps in {len(history.slab_sweeps)} slabs "
+        f"({history.level_solves} level-solves per window), final gap {gap:.3e}"
     )
     return EXIT_OK if solution.converged else EXIT_NOT_CONVERGED
 
 
+def _solve(cfg, spec, grid):
+    if cfg.single_domain:
+        return run_single_domain(
+            spec,
+            grid,
+            cfg.tol,
+            cfg.max_sweeps,
+            n_samples=cfg.n_samples,
+            c_margin=cfg.c_margin,
+            abort_on_chain_violation=True,
+        )
+    return run_dd(
+        spec,
+        grid,
+        cfg.decomposition,
+        cfg.tol,
+        cfg.max_sweeps,
+        n_samples=cfg.n_samples,
+        c_margin=cfg.c_margin,
+        abort_on_chain_violation=True,
+    )
+
+
 def cmd_verify(config_path):
-    try:
-        cfg = load_config(config_path)
-        spec = _build_spec(cfg)
-    except (ConfigError, CatalogError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    cfg, spec, grids, error = _load(config_path)
+    if error:
+        print(error, file=sys.stderr)
         return EXIT_BAD_CONFIG
-    grid = build_grid(spec.domain, cfg.nx, cfg.nt)
+    grid = grids[0]
     report = validate_problem(spec, sampling=16)
     for item in report:
         print(f"hypothesis violation: {item}")
@@ -349,23 +367,24 @@ def cmd_verify(config_path):
 
 
 def cmd_order(config_path):
-    try:
-        cfg = load_config(config_path)
-        spec = _build_spec(cfg)
-        if cfg.grids is None:
-            raise ConfigError("order command requires a 'grids' list")
-    except (ConfigError, CatalogError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    cfg, spec, _, error = _load(config_path)
+    if error is None and cfg.grids is None:
+        error = "invalid config: order command requires a 'grids' list"
+    elif error is None and spec.exact is None:
+        error = f"invalid config: problem {cfg.problem_name!r} has no exact solution to order against"
+    if error:
+        print(error, file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        result = order_study(
-            spec,
-            cfg.grids,
-            cfg.tol,
-            max_sweeps=cfg.max_sweeps,
-            n_samples=cfg.n_samples,
-            c_margin=cfg.c_margin,
-        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = order_study(
+                spec,
+                cfg.grids,
+                cfg.tol,
+                max_sweeps=cfg.max_sweeps,
+                n_samples=cfg.n_samples,
+                c_margin=cfg.c_margin,
+            )
     except UNDISCRETIZABLE as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

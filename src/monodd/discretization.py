@@ -10,7 +10,9 @@ The solver's matrices depend on the stabilizer and the boundary rows only,
 so a WindowOperator assembles them once per window, keeps them without the
 stabilizer, and holds their LU factors for the current one: march_window
 reuses the factors for every right-hand side, and refactor_window_operator
-refactors them in place when the stabilizer is lowered.
+refactors them in place when the stabilizer is lowered.  Grid1D.levels and
+WindowOperator.levels restrict a grid and an operator to a range of time
+levels (a slab), the operator as views, so a slab refactors its own steps.
 
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
@@ -19,7 +21,8 @@ the check costs about 1% of a solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -49,9 +52,16 @@ class Grid1D:
     xs: np.ndarray
     ts: np.ndarray
 
+    def levels(self, k0, k1):
+        """The grid of the time levels k0..k1 of this one: its steps k0+1..k1."""
+        return replace(self, nt=k1 - k0, ts=self.ts[k0 : k1 + 1])
+
 
 def build_grid(domain, nx, nt):
-    """Build a uniform Grid1D with nx spatial intervals and nt time steps."""
+    """Build a uniform Grid1D with nx spatial intervals and nt time steps.
+
+    Raises ValueError when 1/dt or 1/dx^2, which every step matrix holds,
+    is not a finite number."""
     if nx < 4:
         raise ValueError(f"nx must be >= 4, got {nx}")
     if nt < 1:
@@ -60,6 +70,9 @@ def build_grid(domain, nx, nt):
     ts = np.linspace(0.0, domain.T, nt + 1)
     dx = (domain.x_right - domain.x_left) / nx
     dt = domain.T / nt
+    for name, h in (("dt", dt), ("dx^2", dx * dx)):
+        if not (h > 0.0 and math.isfinite(1.0 / h)):
+            raise ValueError(f"non-finite grid: 1/{name} is not finite ({name} = {h:.3g})")
     return Grid1D(nx=nx, nt=nt, dx=dx, dt=dt, xs=xs, ts=ts)
 
 
@@ -83,12 +96,19 @@ class Subrange:
 
 def m_matrix_check(sub, diag, sup):
     """M-matrix pattern check of the tridiagonal matrix with diagonals
-    sub, diag and sup (sub[0] and sup[-1] unused, zero): positive
-    diagonal, nonpositive off-diagonals, weak diagonal dominance in every
-    row and strict dominance in at least one.
+    sub, diag and sup (sub[0] and sup[-1] unused, zero): finite entries,
+    positive diagonal, nonpositive off-diagonals, weak diagonal dominance
+    in every row and strict dominance in at least one.
 
     Returns (flag, worst-row diagnostic string).
     """
+    excess = diag - (np.abs(sub) + np.abs(sup))
+    finite = np.isfinite(excess)  # false exactly where a row holds an inf or a NaN
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        return False, (
+            f"row {i}: non-finite entry (sub {sub[i]:.6g}, diagonal {diag[i]:.6g}, sup {sup[i]:.6g})"
+        )
     if np.any(diag <= 0):
         i = int(np.argmin(diag))
         return False, f"row {i}: diagonal {diag[i]:.6g} not positive"
@@ -96,7 +116,6 @@ def m_matrix_check(sub, diag, sup):
         off = np.maximum(sub, sup)
         i = int(np.argmax(off))
         return False, f"row {i}: positive off-diagonal {off[i]:.6g}"
-    excess = diag - (np.abs(sub) + np.abs(sup))
     if np.any(excess < 0):
         i = int(np.argmin(excess))
         return False, f"row {i}: diagonal dominance fails by {-excess[i]:.6g}"
@@ -109,7 +128,7 @@ def m_matrix_check(sub, diag, sup):
 class WindowOperator:
     """The backward-Euler matrices of every time step on one window and
     their LU factors (LAPACK dgttrf); row k-1 of each array belongs to
-    step k.
+    step k0+k.
 
     sub, diag and sup are the assembled matrices with the stabilizer left
     out of diag; they never change.  dl, d, du, du2 and ipiv hold the
@@ -127,6 +146,9 @@ class WindowOperator:
     1's coupling (0 where the row is coupled) and pin_diag the first
     row's diagonal (1 there).  A last row with a zero sub-diagonal is
     never swapped and needs no decoupling.
+
+    An operator built for a grid has k0 = 0; levels(k0, k1) gives the
+    operator of a slab of its time levels.
     """
 
     window: Subrange
@@ -143,6 +165,15 @@ class WindowOperator:
     right_h: Union[np.ndarray, None]
     pin_sub: np.ndarray
     pin_diag: np.ndarray
+    k0: int = 0  # the time level its first step starts from
+
+    def levels(self, k0, k1):
+        """The operator of the time levels k0..k1, that is of steps
+        k0+1..k1: views of this operator's arrays, so refactoring it
+        refactors those steps of this operator in place."""
+        steps = slice(k0 - self.k0, k1 - self.k0)
+        arrays = {k: v[steps] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return replace(self, k0=k0, **arrays)
 
 
 def _end_rows(bc, ts):
@@ -218,9 +249,9 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc):
 
 
 def refactor_window_operator(op, c_field):
-    """Add the stabilizer c_field (a whole-grid field) to the operator's
-    matrices, check each for the M-matrix pattern and LU-factor every step
-    into its factor arrays in place.
+    """Add the stabilizer c_field, a field over the operator's time levels
+    (row 0 unused), to its matrices, check each for the M-matrix pattern
+    and LU-factor every step into its factor arrays in place.
 
     Calls neither the coefficients nor the boundary data: the c-free
     matrices were kept at build.  Raises MMatrixViolation, naming the
@@ -233,7 +264,8 @@ def refactor_window_operator(op, c_field):
     # Every step in one vectorized pass; m_matrix_check words the first failure.
     excess = op.d - (np.abs(op.sub) + np.abs(op.sup))
     bad = (
-        np.any(op.d <= 0, axis=1)
+        ~np.all(np.isfinite(excess), axis=1)  # an inf or a NaN entry
+        | np.any(op.d <= 0, axis=1)
         | np.any(op.sub > 0, axis=1)
         | np.any(op.sup > 0, axis=1)
         | np.any(excess < 0, axis=1)
@@ -243,7 +275,7 @@ def refactor_window_operator(op, c_field):
         k = int(np.argmax(bad))
         _, diagnostic = m_matrix_check(op.sub[k], op.d[k], op.sup[k])
         raise MMatrixViolation(
-            f"assembled system fails M-matrix check at time step {k + 1}: {diagnostic}"
+            f"assembled system fails M-matrix check at time step {op.k0 + k + 1}: {diagnostic}"
         )
 
     pinned = op.sup[:, 0] == 0.0
@@ -256,7 +288,7 @@ def refactor_window_operator(op, c_field):
             op.dl[k], op.d[k], op.du[k], overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
         if info != 0:
-            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {k + 1})")
+            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {op.k0 + k + 1})")
         op.du2[k] = du2
         op.ipiv[k] = ipiv
 
@@ -265,11 +297,11 @@ def march_window(op, q, initial, left=None, right=None):
     """Time-march m right-hand sides at once through a window operator.
 
     q is (m, nt+1, n-2): the lagged source on the window's interior (row
-    0 unused).  initial is (m, n), the rows at t=0, or one (n,) row for
-    every field.  left/right are (m, nt+1) Dirichlet values for a pinned
-    end (row 0 unused) and must be None for a physical end.  Each step is
-    one dgttrs call with one right-hand-side column per field, so the
-    columns never mix.
+    0 unused), over the operator's time levels.  initial is (m, n), the
+    rows at its first level, or one (n,) row for every field.  left/right
+    are (m, nt+1) Dirichlet values for a pinned end (row 0 unused) and
+    must be None for a physical end.  Each step is one dgttrs call with
+    one right-hand-side column per field, so the columns never mix.
     Returns the (m, nt+1, n) window solution (a transposed view); raises
     FloatingPointError at the first step whose solution is not finite.
     """

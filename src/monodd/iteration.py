@@ -16,17 +16,44 @@ min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
 down to (c_{n-1} - c_n)(u21(n) - u11(n)) plus an F1_{c_{n-1}} difference,
 both nonnegative only while c never rises.
 
+How a run proceeds.  The scheme is backward Euler in time and the memory
+term is causal, so level k depends on levels <= k only.  A run therefore
+sweeps the strip in m = ceil(T max c) consecutive slabs of equal length
+(+-1 level, at most nt), c the stabilizer over the initial bracket: over a
+slab of length tau the iteration error falls like (c tau)^n / n!
+(windowed waveform relaxation, Miekkala & Nevanlinna 1987, Gander &
+Stuart 1998).  With T max c <= 1 there is one slab, the whole strip.  A
+slab [k0, k1] iterates its levels only: each branch starts at row k0 from
+its own final field of the slab before (lower from u21, upper from u22),
+the memory term reads that field's frozen past (volterra.Past), and the
+stabilizer starts from the initial-bracket c on the slab's levels and is
+refreshed after slab sweeps 1, 2, 4, 8, ...  A slab stops when its gap
+and its update, over its levels and its carried first row, are both <=
+tol; max_sweeps and the chain check apply per slab.  Where the carried
+gap grows across a slab so that its gap stalls above tol, the slab
+before it is swept on to a tighter gap first (see _run).  If a slab does
+not converge the run ends there, and the levels after it keep the
+bracket.
+
+History entry n aggregates the n-th sweep of every slab that ran one (the
+largest gap and update, the smallest chain margin, the largest c, the
+summed wall time); sweeps_used is the largest per-slab count, and
+history.slab_sweeps lists (k0, k1, sweeps) per slab, so a run solves
+sum (k1 - k0) sweeps levels per window (history.level_solves).
+
 The two branches are one stacked array.  Each window's step matrices are
-built once per run and refactored in place at each refresh; a sweep
-marches both branches through them as two right-hand-side columns.  The
-undecomposed single-domain monotone iteration, the correctness oracle for
-the decomposed limit, is the same sweep over one window.  order_study
-runs the decomposed solver over a list of grids and reports the observed
-convergence orders against an exact solution.
+built once per run; a slab marches through level-range views of them and
+its refreshes refactor only its own steps, and a sweep marches both
+branches as two right-hand-side columns.  The undecomposed single-domain
+monotone iteration, the correctness oracle for the decomposed limit, is
+the same sweep over one window.  order_study runs the decomposed solver
+over a list of grids and reports the observed convergence orders against
+an exact solution.
 """
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -35,6 +62,7 @@ import numpy as np
 
 from .discretization import (
     Field,
+    Grid1D,
     Subrange,
     build_grid,
     build_window_operator,
@@ -43,7 +71,13 @@ from .discretization import (
     sample_field,
 )
 from .verify import sweep_metrics
-from .volterra import compute_stabilizers, eval_F1_field, refresh_stabilizers
+from .volterra import (
+    Past,
+    StabilizerField,
+    compute_stabilizers,
+    eval_F1_field,
+    refresh_stabilizers,
+)
 
 
 class BracketError(ValueError):
@@ -88,8 +122,9 @@ def default_decomposition(nx):
 class IterationState:
     """The four bracketing fields, stacked by branch: u1 holds the
     subdomain-1 composites (u11 lower, u12 upper), u2 the subdomain-2
-    composites (u21, u22); each is (2, nt+1, nx+1).  Sweeps make new
-    arrays and never modify a state's fields in place."""
+    composites (u21, u22); each is (2, nt+1, nx+1), or (2, k1-k0+1, nx+1)
+    over the levels of a slab.  Sweeps make new arrays and never modify a
+    state's fields in place."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -114,12 +149,38 @@ class IterationState:
 
 @dataclass
 class ConvergenceHistory:
+    """Entry n aggregates sweep n+1 of every slab that ran one: the largest
+    gap, update and c_max, the smallest chain margin, the summed wall_ms.
+    states[n] (when kept) is the whole-strip composite of every slab's
+    iterate n; a slab that stopped before contributes its final
+    subdomain-2 composite as both u1 and u2."""
+
     gap_lower_upper: List[float] = field(default_factory=list)
     max_update: List[float] = field(default_factory=list)
     chain_violation: List[float] = field(default_factory=list)
     wall_ms: List[float] = field(default_factory=list)
     c_max: List[float] = field(default_factory=list)  # max of the c_total each sweep used
     states: Optional[list] = None  # per-sweep states when requested
+    slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
+
+    @property
+    def level_solves(self):
+        """Time levels solved per window over the run."""
+        return sum((k1 - k0) * sweeps for k0, k1, sweeps in self.slab_sweeps)
+
+    def record(self, n, gap, update, margin, c_max, wall_ms):
+        """Fold a slab's sweep n+1 into entry n."""
+        for values, value, combine in (
+            (self.gap_lower_upper, gap, max),
+            (self.max_update, update, max),
+            (self.chain_violation, margin, min),
+            (self.c_max, c_max, max),
+            (self.wall_ms, wall_ms, operator.add),
+        ):
+            if n < len(values):
+                values[n] = combine(values[n], value)
+            else:
+                values.append(value)
 
 
 @dataclass
@@ -167,86 +228,207 @@ def _dd_windows(grid, decomp):
     return (Subrange(0, decomp.i1_hi), Subrange(decomp.i2_lo, grid.nx))
 
 
-def _sweep(state, spec, grid, stab, ops, u0_row):
+def _sweep(state, spec, grid, stab, ops, pasts):
     """One alternating sweep of both branches over the window operators.
 
-    Window j takes its source F1 from composite j of the old state and its
-    pinned interface values from the composite just before it (the old
-    last composite for window 1); the new composite j is that composite
-    with window j's columns replaced.  One window gives the single-domain
-    iteration, whose two composites coincide.
+    state, grid, stab and ops hold the levels k0..k1 of one slab, and
+    pasts the Past of each branch up to k0; both branches start from the
+    last row of their past.  Window j takes its source F1 from composite
+    j of the old state and its pinned interface values from the composite
+    just before it (the old last composite for window 1); the new
+    composite j is that composite with window j's columns replaced.  One
+    window gives the single-domain iteration, whose two composites
+    coincide.
     """
+    first = np.stack([past.u[-1] for past in pasts])
     base = state.u2
     new = []
     for op, src in zip(ops, (state.u1, state.u2)):
         lo, hi = op.window.lo, op.window.hi
         interior = slice(lo + 1, hi)
-        q = np.stack([eval_F1_field(spec, stab, u, grid, interior) for u in src])
+        q = np.stack(
+            [eval_F1_field(spec, stab, u, grid, interior, past) for u, past in zip(src, pasts)]
+        )
         sol = march_window(
             op,
             q,
-            u0_row[lo : hi + 1],
+            first[:, lo : hi + 1],
             left=base[:, :, lo] if op.left_h is None else None,
             right=base[:, :, hi] if op.right_h is None else None,
         )
         base = base.copy()
         base[:, :, lo : hi + 1] = sol
-        base[:, 0] = u0_row
+        base[:, 0] = first
         new.append(base)
     return IterationState(u1=new[0], u2=new[-1], sweep_index=state.sweep_index + 1)
 
 
+def _initial_pasts(spec, grid):
+    return [Past.initial(_u0_row(spec, grid), grid)] * 2
+
+
 def dd_sweep(state, spec, grid, decomp, stab):
-    """Advance both branches by one alternating-Schwarz sweep with the
-    stabilizer stab as given.  Builds the window operators for this one
-    sweep; run_dd builds them once per run and refreshes stab itself."""
+    """Advance both branches by one alternating-Schwarz sweep of the whole
+    strip with the stabilizer stab as given.  Builds the window operators
+    for this one sweep; run_dd builds them once per run, sweeps slab by
+    slab and refreshes stab itself."""
     ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
-    return _sweep(state, spec, grid, stab, ops, _u0_row(spec, grid))
+    return _sweep(state, spec, grid, stab, ops, _initial_pasts(spec, grid))
+
+
+def _slab_bounds(grid, c_total):
+    """(k0, k1) of m = ceil(T max c_total) consecutive slabs of equal length
+    (+-1 level), m at most nt and at least 1."""
+    span = float(grid.ts[-1] - grid.ts[0]) * float(np.max(c_total))
+    m = grid.nt if not span < grid.nt else max(1, math.ceil(span))
+    ks = [(j * grid.nt) // m for j in range(m + 1)]
+    return list(zip(ks, ks[1:]))
+
+
+@dataclass
+class _Slab:
+    """The levels k0..k1 of a run, restricted: grid, operator views and
+    stabilizer, the bracket there, the current state (and the states so
+    far, when kept) and the gap the slab must reach."""
+
+    k0: int
+    k1: int
+    grid: Grid1D
+    ops: list
+    stab: StabilizerField
+    bracket: IterationState
+    state: IterationState
+    states: list
+    target: float
+
+
+# A slab has stalled when its update is below tol and this many times
+# smaller than the distance of its gap from the target (see _run).
+STALL_RATIO = 100.0
+
+
+def _sweep_slab(slab, spec, pasts, history, tol, max_sweeps, n_samples, c_margin,
+                abort_on_chain_violation, chain_slack, keep_states):
+    """Sweep one slab on from its state until its gap drops to its target
+    and its update below tol, lowering the stabilizer on the slab's
+    envelope after slab sweeps 1, 2, 4, 8, ...; every sweep is folded into
+    history.  Returns (converged, tighter): tighter is None, or, when the
+    slab stalls on the gap its carried first row brings in, the target
+    the slab before it must reach (see _run)."""
+    lo, hi = slab.bracket.u11, slab.bracket.u12
+    state, stab = slab.state, slab.stab
+    outcome = False, None
+    for n in range(state.sweep_index, max_sweeps):
+        t0 = time.perf_counter()
+        if n > 0 and n & (n - 1) == 0:
+            stab = refresh_stabilizers(
+                spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples, margin=c_margin
+            )
+            for op in slab.ops:
+                refactor_window_operator(op, stab.c_total)
+        nxt = _sweep(state, spec, slab.grid, stab, slab.ops, pasts)
+        gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
+        c_max = float(np.max(stab.c_total))
+        history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
+        state = nxt
+        if keep_states:
+            slab.states.append(state)
+        if abort_on_chain_violation and viol < -chain_slack:
+            raise MonotoneChainError(state.sweep_index, viol)
+        if gap <= slab.target and upd <= tol:
+            outcome = True, None
+            break
+        carried = float(np.max(state.u22[0] - state.u21[0]))
+        if carried > 0.0 and upd <= tol and STALL_RATIO * upd <= gap - slab.target:
+            outcome = False, 0.5 * slab.target * carried / gap
+            break
+    slab.state, slab.stab = state, stab
+    return outcome
+
+
+def _composite_states(init, slabs):
+    """history.states: state n holds every slab's iterate n on the levels
+    it owns (k0+1..k1, and level 0 for the first slab), or its final
+    subdomain-2 composite as both u1 and u2 once it has stopped; levels of
+    slabs that never ran keep the bracket."""
+    composites = []
+    for n in range(max(len(slab.states) for slab in slabs)):
+        u1, u2 = init.u1.copy(), init.u2.copy()
+        for slab in slabs:
+            own = 0 if slab.k0 == 0 else 1
+            if n < len(slab.states):
+                one, two = slab.states[n].u1, slab.states[n].u2
+            else:
+                one = two = slab.states[-1].u2
+            u1[:, slab.k0 + own : slab.k1 + 1] = one[:, own:]
+            u2[:, slab.k0 + own : slab.k1 + 1] = two[:, own:]
+        composites.append(IterationState(u1=u1, u2=u2, sweep_index=n))
+    return composites
 
 
 def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
          abort_on_chain_violation, chain_slack, keep_states):
-    """Set up (bracket, stabilizer, window operators) and sweep until the
-    gap and the update both drop below tol, lowering the stabilizer on the
-    current envelope after sweeps 1, 2, 4, 8, ..."""
-    state = init_state(spec, grid)
-    lo, hi = state.u11, state.u12
-    stab = compute_stabilizers(spec, grid, lo, hi, n_samples=n_samples, margin=c_margin)
-    ops = _window_operators(spec, grid, stab, windows)
-    u0_row = _u0_row(spec, grid)
+    """Set up (bracket, stabilizer, window operators) and sweep slab by slab
+    (see the module docstring).
 
-    history = ConvergenceHistory(states=[state] if keep_states else None)
-    converged = False
-    for _ in range(max_sweeps):
-        t0 = time.perf_counter()
-        n = state.sweep_index
-        if n > 0 and n & (n - 1) == 0:
-            stab = refresh_stabilizers(
-                spec, grid, stab, state.u11, state.u12, n_samples=n_samples, margin=c_margin
-            )
-            for op in ops:
-                refactor_window_operator(op, stab.c_total)
-        nxt = _sweep(state, spec, grid, stab, ops, u0_row)
-        gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
-        history.gap_lower_upper.append(gap)
-        history.max_update.append(upd)
-        history.chain_violation.append(viol)
-        history.c_max.append(float(np.max(stab.c_total)))
-        history.wall_ms.append(1e3 * (time.perf_counter() - t0))
-        if keep_states:
-            history.states.append(nxt)
-        state = nxt
-        if abort_on_chain_violation and viol < -chain_slack:
-            raise MonotoneChainError(state.sweep_index, viol)
-        if gap <= tol and upd <= tol:
-            converged = True
+    A slab starts from the gap its previous slab left at their shared
+    level, and where the solution is unstable (f_u > 0) that gap grows
+    across the slab: its lower and upper branches then settle on two
+    different limits and its gap stalls above tol.  The run then lowers
+    the previous slab's target to half the target over the growth the
+    stalled slab showed, sweeps that slab on to it and resumes the stalled
+    one on the new past from where it stopped: its iterates are still
+    bounds, as a tighter past only raises the lower branch's first row
+    and memory term and lowers the upper one's.  Targets only fall and
+    every slab has max_sweeps, so this ends.
+    """
+    init = init_state(spec, grid)
+    stab = compute_stabilizers(spec, grid, init.u11, init.u12, n_samples=n_samples, margin=c_margin)
+    ops = _window_operators(spec, grid, stab, windows)
+    slabs = []
+    for k0, k1 in _slab_bounds(grid, stab.c_total):
+        bracket = IterationState(u1=init.u1[:, k0 : k1 + 1], u2=init.u2[:, k0 : k1 + 1])
+        slabs.append(_Slab(
+            k0, k1, grid.levels(k0, k1), [op.levels(k0, k1) for op in ops],
+            stab.levels(k0, k1), bracket, bracket, [bracket] if keep_states else [], tol,
+        ))
+
+    history = ConvergenceHistory()
+    pasts = [_initial_pasts(spec, grid)] + [None] * (len(slabs) - 1)
+    j = 0
+    while j < len(slabs):
+        slab = slabs[j]
+        done, tighter = _sweep_slab(
+            slab, spec, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
+            abort_on_chain_violation, chain_slack, keep_states,
+        )
+        if done:
+            if j + 1 < len(slabs):
+                pasts[j + 1] = [
+                    past.extend(spec.kernel, u, slab.grid) for past, u in zip(pasts[j], slab.state.u2)
+                ]
+            j += 1
+        elif tighter is None:
             break
+        else:
+            slabs[j - 1].target = min(slabs[j - 1].target, tighter)
+            j -= 1
+    converged = j == len(slabs)
+
+    ran = [slab for slab in slabs if slab.state.sweep_index > 0]
+    history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
+    final = init.u2.copy()  # the result; levels after a slab that failed keep the bracket
+    for slab in slabs[: j + 1]:
+        own = 0 if slab.k0 == 0 else 1
+        final[:, slab.k0 + own : slab.k1 + 1] = slab.state.u2[:, own:]
+    if keep_states:
+        history.states = _composite_states(init, slabs[: j + 1])
     solution = Solution(
-        u=0.5 * (state.u21 + state.u22),
-        u_lower=state.u21,
-        u_upper=state.u22,
+        u=0.5 * (final[0] + final[1]),
+        u_lower=final[0],
+        u_upper=final[1],
         converged=converged,
-        sweeps_used=state.sweep_index,
+        sweeps_used=max((sweeps for *_, sweeps in history.slab_sweeps), default=0),
     )
     return solution, history
 
@@ -263,14 +445,16 @@ def run_dd(
     chain_slack=1e-10,
     keep_states=False,
 ):
-    """Sweep the two-subdomain scheme until the bracket gap and the update
-    size both drop below tol, or max_sweeps is hit.
+    """Sweep the two-subdomain scheme, slab by slab, until the bracket gap
+    and the update size both drop below tol on every slab, or a slab hits
+    max_sweeps.
 
-    The stabilizer c is computed over the initial bracket, then lowered
-    on the current envelope after sweeps 1, 2, 4, 8, ... and never raised
-    (see the module docstring); the window operators are built once and
-    refactored in place at each refresh.  history.c_max records the
-    largest c each sweep used.
+    The stabilizer c is computed over the initial bracket; it sets the
+    number of slabs, and in each slab it is lowered on the current
+    envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
+    module docstring).  The window operators are built once; a refresh
+    refactors the slab's steps in place.  history.c_max records the
+    largest c each sweep used, history.slab_sweeps the sweeps per slab.
     """
     windows = _dd_windows(grid, decomp)
     return _run(

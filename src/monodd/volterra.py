@@ -11,6 +11,13 @@ psi(eta2), the same trapezoid sum obeys a two-term recursion with
 nonnegative coefficients and costs O(nt nx) per field instead of
 O(nt^2 nx); such a kernel does not depend on eta1, so b_under is zero.
 
+A field may also be given on the time levels k0..k1 of a slab only, with
+the Past of its final levels 0..k0: the memory integral at k0, which the
+exponential recursion carries on as r^j T_k0 plus the slab's own
+trapezoid sum from k0 (an exact split of the composite rule), and the
+rows themselves, which the generic trapezoid sum reads.  Both parts are
+nondecreasing in psi, so a lower past gives a lower memory term.
+
 The stabilizer c_total >= max(c_under + b_under, 0) is added to both sides
 of the equation so that
 
@@ -24,7 +31,7 @@ interval the iterates occupy after some sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +52,37 @@ class StabilizerField:
     c_total: Field  # clamped c = max(c_under + b_under + margin, 0)
     b_under: Field  # memory-term component over the initial bracket
     fd_step: float = 0.0  # centered-difference step of c_under, from the initial bracket
+
+    def levels(self, k0, k1):
+        """The stabilizer on the time levels k0..k1 (views)."""
+        rows = slice(k0, k1 + 1)
+        return replace(self, c_total=self.c_total[rows], b_under=self.b_under[rows])
+
+
+@dataclass(frozen=True)
+class Past:
+    """The final time levels 0..k0 of one field, as the memory term at the
+    later levels reads them: the memory integral g at level k0, the
+    recursion state of an exponential kernel, and the rows u and times ts
+    of levels 0..k0, which a generic kernel's trapezoid sum reads."""
+
+    u: np.ndarray  # (k0+1, nx+1)
+    ts: np.ndarray  # (k0+1,)
+    g: np.ndarray  # (nx+1,)
+
+    @classmethod
+    def initial(cls, row, grid):
+        """The past of a strip that starts from row at level 0."""
+        return cls(u=np.asarray(row, dtype=float)[None], ts=grid.ts[:1], g=np.zeros(grid.nx + 1))
+
+    def extend(self, kernel, u, grid):
+        """The past at the last level of u, which holds the final levels
+        k0..k1 (row 0 the level-k0 row of this past) on their grid."""
+        return Past(
+            u=np.concatenate((self.u[:-1], u)),
+            ts=np.concatenate((self.ts[:-1], grid.ts)),
+            g=eval_g_field(kernel, u, grid, past=self)[-1],
+        )
 
 
 def quadrature_weights(k, dt):
@@ -93,9 +131,13 @@ def _exponential_trapezoid(form, u, dt):
     return out
 
 
-def eval_g_field(kernel, u, grid, cols=slice(None)):
+def eval_g_field(kernel, u, grid, cols=slice(None), past=None):
     """Memory integral at every time level and node, shape (nt+1, nx+1), or
     on the columns cols selects: node i's integral reads only column i.
+
+    With a Past of the levels 0..k0, u and grid hold the levels k0..k1
+    only (u's row 0 stands in for the past's last row) and the integral
+    covers the whole history from level 0.
 
     Exponential kernels take the O(nt nx) recursion, trivial kernels give
     zeros, and every other kernel the generic trapezoid sum of eval_g_row.
@@ -103,9 +145,21 @@ def eval_g_field(kernel, u, grid, cols=slice(None)):
     u = np.asarray(u, dtype=float)
     if kernel.trivial:
         return np.zeros((grid.nt + 1, grid.xs[cols].size))
-    if kernel.exp_form is not None:
-        return _exponential_trapezoid(kernel.exp_form, u[:, cols], grid.dt)
-    return np.stack([eval_g_row(kernel, u, k, grid, cols) for k in range(grid.nt + 1)])
+    form = kernel.exp_form
+    if form is not None:
+        out = _exponential_trapezoid(form, u[:, cols], grid.dt)
+        if past is not None:
+            decay = math.exp(-form.lam * grid.dt) ** np.arange(grid.nt + 1)
+            out += decay[:, None] * past.g[cols]
+        return out
+    k0 = 0
+    if past is not None:
+        k0 = past.ts.size - 1
+        u = np.concatenate((past.u[:-1], u))
+        grid = replace(grid, nt=k0 + grid.nt, ts=np.concatenate((past.ts[:-1], grid.ts)))
+    return np.stack(
+        [eval_g_row(kernel, u, k, grid, cols) for k in range(k0, grid.ts.size)]
+    )
 
 
 def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, margin=1e-6):
@@ -222,14 +276,16 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     return StabilizerField(c_total=c, b_under=stab.b_under, fd_step=stab.fd_step)
 
 
-def eval_F1_field(spec, stab, u, grid, cols=slice(None)):
+def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
     """Monotone right-hand side c_total u + f + g at every time level and
     node (row 0 included for completeness), with g from eval_g_field; with
-    cols, on those columns only, which is all a window's solve reads."""
+    cols, on those columns only, which is all a window's solve reads.
+    u, stab and grid may hold the levels of a slab, with the Past of the
+    levels before it (see eval_g_field)."""
     u = np.asarray(u, dtype=float)
     uc = u[:, cols]
     out = stab.c_total[:, cols] * uc
     out += spec.reaction.f(grid.ts[:, None], grid.xs[None, cols], uc)
-    out += eval_g_field(spec.kernel, u, grid, cols)
+    out += eval_g_field(spec.kernel, u, grid, cols, past)
     return out
 

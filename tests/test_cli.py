@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import monodd
 from monodd import SpaceTimeDomain, build_grid
 from monodd.cli import _write_solution_csv, main
 
@@ -103,6 +108,48 @@ def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, menti
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and mentions in err
+
+
+def order_config(path, problem, grids=((16, 16), (32, 32))):
+    cfg = write_config(path, problem=problem)
+    raw = json.loads(cfg.read_text())
+    del raw["grid"], raw["decomposition"]
+    raw["grids"] = [{"nx": nx, "nt": nt} for nx, nt in grids]
+    cfg.write_text(json.dumps(raw))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,problem,mentions",
+    [
+        ("run", {**LOGISTIC, "params": {"lam": 1, "kappa": 0.5, "sigma": 1e200}}, "non-finite"),
+        ("run", {"name": "linear_heat", "params": {"T": 1e-320}}, "non-finite grid"),
+        ("order", {"name": "linear_heat", "params": {"T": 1e-320}}, "non-finite grid"),
+        ("order", LOGISTIC, "no exact solution"),
+    ],
+)
+def test_bad_config_stderr_is_one_line(tmp_path, command, problem, mentions):
+    # In a fresh interpreter, where numpy's RuntimeWarnings would be
+    # printed to stderr: the message is the only line there.
+    if command == "order":
+        cfg = order_config(tmp_path / "cfg.json", problem)
+    else:
+        cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    env = {**os.environ, "PYTHONPATH": str(Path(monodd.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "monodd.cli", command, str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid config:") and mentions in lines[0]
+
+
+def test_run_summary_names_slabs_and_level_solves(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "in 3 slabs (" in out and "level-solves per window), final gap" in out
 
 
 def write_solution_rows(path, grid, solution):
@@ -223,16 +270,17 @@ def test_order_unconverged(tmp_path):
 
 
 def test_order_undiscretizable_problem_exits_3(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "cfg.json", problem={"name": "linear_heat", "params": {"T": 1e-320}}
-    )
-    raw = json.loads(cfg.read_text())
-    del raw["grid"], raw["decomposition"]
-    raw["grids"] = [{"nx": 16, "nt": 16}, {"nx": 32, "nt": 32}]
-    cfg.write_text(json.dumps(raw))
+    cfg = order_config(tmp_path / "cfg.json", {"name": "linear_heat", "params": {"T": 1e-320}})
     assert main(["order", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and "non-finite" in err
+
+
+def test_order_without_exact_solution_exits_3(tmp_path, capsys):
+    cfg = order_config(tmp_path / "cfg.json", LOGISTIC)
+    assert main(["order", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and "no exact solution" in err
 
 
 def test_identical_configs_identical_csv(tmp_path):

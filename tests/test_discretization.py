@@ -66,6 +66,17 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             grid_of(0.0, 1.0, 1.0, 8, 0)
 
+    @pytest.mark.parametrize("x_right,T,name", [(1.0, 1e-320, "dt"), (1e-160, 1.0, "dx\\^2")])
+    def test_non_finite_reciprocal_rejected(self, x_right, T, name):
+        # 1/dt overflows at T = 1e-320, and dx^2 underflows to 0 at dx ~ 1e-161.
+        with pytest.raises(ValueError, match=f"non-finite grid: 1/{name} is not finite"):
+            grid_of(0.0, x_right, T, 16, 16)
+
+    def test_levels(self):
+        g = grid_of(0.0, 1.0, 1.0, 4, 8).levels(3, 6)
+        assert g.nt == 3 and g.dt == 0.125 and g.dx == 0.25
+        np.testing.assert_array_equal(g.ts, [0.375, 0.5, 0.625, 0.75])
+
 
 class TestAssembleStep:
     def setup_method(self):
@@ -491,6 +502,64 @@ class TestWindowOperator:
             rtol=1e-13,
             atol=1e-13,
         )
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_inf_diagonal_fails_the_audit(self, step):
+        # inf - finite > 0 passes every dominance comparison; the audit
+        # rejects the entry itself.
+        grid = grid_of(0.0, 1.0, 0.5, 8, 4)
+        op = build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), None, None)
+        c = np.zeros((5, 9))
+        c[step, 4] = np.inf
+        with pytest.raises(MMatrixViolation, match=f"time step {step}: row 4: non-finite"):
+            refactor_window_operator(op, c)
+
+    def test_nan_off_diagonal_fails_the_audit(self):
+        # Every comparison with NaN is false, so no sign or dominance test
+        # alone would catch it.
+        sub = np.array([0.0, np.nan, -1.0])
+        diag = np.array([2.0, 3.0, 2.0])
+        sup = np.array([-1.0, -1.0, 0.0])
+        ok, diagnostic = m_matrix_check(sub, diag, sup)
+        assert not ok and diagnostic.startswith("row 1: non-finite entry")
+        grid = grid_of(0.0, 1.0, 0.5, 8, 4)
+        t_bad = grid.ts[2]
+        robin = BoundaryCondition(
+            alpha0=lambda t: np.nan if t == t_bad else 1.0, beta0=lambda t: 1.0, h=lambda t: 0.0
+        )
+        with pytest.raises(MMatrixViolation, match="time step 2: row 0: non-finite"):
+            build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), robin, None)
+
+    def test_slab_view_refactors_its_own_steps_in_place(self):
+        # levels(k0, k1) is a view of steps k0+1..k1: refactoring it for a
+        # new stabilizer changes exactly those steps of the whole operator,
+        # and it marches them as the whole operator does.
+        rng = np.random.default_rng(5)
+        grid = grid_of(0.0, 1.0, 0.5, 12, 9)
+        window = Subrange(2, 12)
+        coeffs = EllipticCoefficients(a=lambda t, x: 1.0 + x + t, b=lambda t, x: np.sin(7 * x))
+        right = catalog_lookup("linear_heat").bc_right
+        c_old = rng.uniform(1.0, 2.0, (10, 13))
+        c_new = c_old * rng.uniform(0.0, 1.0, c_old.shape)
+        op = build_window_operator(grid, window, coeffs, c_old, None, right)
+        before = op.d.copy()
+        refactor_window_operator(op.levels(3, 7), c_new[3:8])
+        changed = np.any(op.d != before, axis=1)
+        assert list(np.nonzero(changed)[0]) == [3, 4, 5, 6]  # rows of steps 4..7
+        c_mixed = c_old.copy()
+        c_mixed[4:8] = c_new[4:8]
+        fresh = build_window_operator(grid, window, coeffs, c_mixed, None, right)
+        np.testing.assert_array_equal(op.d, fresh.d)
+        q = rng.standard_normal((2, 10, 9))
+        left = rng.standard_normal((2, 10))
+        initial = rng.standard_normal((2, 11))
+        whole = march_window(op, q, initial, left=left)
+        slab = march_window(op.levels(3, 7), q[:, 3:8], whole[:, 3], left=left[:, 3:8])
+        np.testing.assert_array_equal(slab, whole[:, 3:8])
+        with pytest.raises(MMatrixViolation, match="time step 5"):
+            bad = c_new[3:8].copy()
+            bad[2] = -1e6
+            refactor_window_operator(op.levels(3, 7), bad)
 
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
     def test_refactor_audits_the_new_matrices(self, step):

@@ -26,7 +26,7 @@ from monodd import (
     sample_field,
 )
 from monodd import iteration
-from monodd.discretization import MMatrixViolation
+from monodd.discretization import MMatrixViolation, Subrange
 from monodd.iteration import _u0_row
 from monodd.verify import sweep_metrics
 from monodd.volterra import compute_stabilizers
@@ -201,17 +201,26 @@ class TestRunDD:
 class TestOperatorsOncePerRun:
     def test_audit_runs_once_per_window_not_per_sweep(self, monkeypatch):
         # Step matrices are audited where they are factored: when a window's
-        # operator is built (one call to a per window) and each time the
-        # stabilizer is refreshed after sweeps 1, 2, 4, ... that another
-        # sweep follows (one refactor per window).  Each audits nt matrices.
+        # operator is built (one call to a per window, all nt steps) and
+        # each time a slab's stabilizer is refreshed after its sweeps 1, 2,
+        # 4, ... that another sweep of the slab follows (one refactor per
+        # window of exactly the slab's steps k0+1..k1).
         def refreshes(sweeps):
             return sum(1 for n in (1, 2, 4, 8, 16, 32) if n < sweeps)
+
+        def expected(hist, windows):
+            return [
+                (window, k0, k1)
+                for k0, k1, sweeps in hist.slab_sweeps
+                for _ in range(refreshes(sweeps))
+                for window in windows
+            ]
 
         builds, refactors = [], []
         refactor = iteration.refactor_window_operator
 
         def counted_refactor(op, c_field):
-            refactors.append(op.window)
+            refactors.append((op.window, op.k0, op.k0 + op.d.shape[0]))
             return refactor(op, c_field)
 
         monkeypatch.setattr(iteration, "refactor_window_operator", counted_refactor)
@@ -221,13 +230,15 @@ class TestOperatorsOncePerRun:
         spec = dataclasses.replace(spec, coeffs=coeffs)
         grid = build_grid(spec.domain, 16, 8)
 
-        sol, _ = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
-        assert refreshes(sol.sweeps_used) < sol.sweeps_used - 2
-        assert len(builds) == 2 and len(refactors) == 2 * refreshes(sol.sweeps_used)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
+        assert len(hist.slab_sweeps) > 1
+        assert any(refreshes(sweeps) < sweeps - 2 for *_, sweeps in hist.slab_sweeps)
+        assert len(builds) == 2
+        assert refactors == expected(hist, (Subrange(0, 10), Subrange(6, 16)))
         builds.clear()
         refactors.clear()
-        sol, _ = run_single_domain(spec, grid, 1e-10, 50)
-        assert len(builds) == 1 and len(refactors) == refreshes(sol.sweeps_used)
+        sol, hist = run_single_domain(spec, grid, 1e-10, 50)
+        assert len(builds) == 1 and refactors == expected(hist, (Subrange(0, 16),))
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
@@ -301,21 +312,36 @@ def kpp(lam, b, amp):
     )
 
 
+def generic_memory(spec, kappa):
+    """spec with its memory kernel replaced by one the generic trapezoid sum
+    evaluates: kappa e^{-(t-s)} (eta2 - eta1/10), which also depends on
+    eta1, so its stabilizer has a b_under."""
+    kernel = VolterraKernel(
+        g0=lambda t, x, s, e1, e2: kappa * np.exp(-(t - s)) * (e2 - 0.1 * e1),
+        dg0_deta1=lambda t, x, s, e1, e2: -0.1 * kappa * np.exp(-(t - s)) + 0.0 * e1,
+    )
+    return dataclasses.replace(spec, kernel=kernel)
+
+
 @st.composite
 def small_problems(draw):
-    """A KPP or logistic-memory problem with a random lambda on a small grid,
-    with a random two-window decomposition.  dt (lam + kappa) <= 1/2: at
+    """A KPP, logistic-memory or generic-kernel memory problem with a random
+    lambda on a small grid, with a random two-window decomposition.  The
+    draws span 1 to about 18 slabs.  dt (lam + kappa) <= 1/2: at
     dt (lam + kappa) >= 1 backward Euler can have a second solution, the
     two branches converge to different ones, and close to 1 the iteration
     with the frozen stabilizer takes hundreds of sweeps."""
     lam = draw(st.floats(0.5, 12.0))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("kpp", "logistic", "generic")))
+    if kind == "kpp":
         kappa = 0.0
         spec = kpp(lam, draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 1.0)))
     else:
         kappa = draw(st.floats(0.0, 2.0))
         params = {"lam": lam, "kappa": kappa, "sigma": draw(st.floats(0.0, 1.5))}
         spec = catalog_lookup("logistic_memory", params)
+        if kind == "generic":
+            spec = generic_memory(spec, kappa)
     nx = draw(st.integers(8, 24))
     least = int(2.0 * (lam + kappa)) + 1
     nt = draw(st.integers(least, least + 12))
@@ -324,19 +350,89 @@ def small_problems(draw):
     return spec, build_grid(spec.domain, nx, nt), Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
 
 
+def assert_slab_rules(spec, grid, sol, hist):
+    """The slabs tile [0, nt] in ceil(T max c) pieces of equal length (+-1),
+    c over the initial bracket, and the history has one entry per sweep of
+    the slab that swept most."""
+    init = init_state(spec, grid)
+    c = compute_stabilizers(spec, grid, init.u11, init.u12).c_total
+    bounds = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
+    assert len(bounds) == min(grid.nt, max(1, int(np.ceil(grid.ts[-1] * np.max(c)))))
+    assert bounds[0][0] == 0 and bounds[-1][1] == grid.nt
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    lengths = [k1 - k0 for k0, k1 in bounds]
+    assert max(lengths) - min(lengths) <= 1
+    sweeps = [s for *_, s in hist.slab_sweeps]
+    assert len(hist.gap_lower_upper) == sol.sweeps_used == max(sweeps)
+    assert len(hist.c_max) == len(hist.max_update) == len(hist.wall_ms) == sol.sweeps_used
+    assert hist.level_solves == sum(length * s for length, s in zip(lengths, sweeps))
+    if hist.states is not None:
+        assert len(hist.states) == sol.sweeps_used + 1
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("name,params,slabs", [
+        ("linear_heat", {}, 1),  # T max c = 0.01 (1 + 1e-6)
+        ("logistic_memory", {"lam": 1.0, "kappa": 0.5, "sigma": 0.5}, 3),  # c = 2 + 1e-6
+        ("manufactured_1", {}, 9),  # c = 8 + 1e-6
+    ])
+    def test_slab_count_and_history(self, name, params, slabs):
+        spec = catalog_lookup(name, params)
+        grid = build_grid(spec.domain, 16, 32)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
+        assert sol.converged and len(hist.slab_sweeps) == slabs
+        assert_slab_rules(spec, grid, sol, hist)
+        assert hist.gap_lower_upper[-1] <= 1e-9
+        assert np.max(sol.u_upper - sol.u_lower) <= 1e-9
+
+    def test_one_slab_per_level_at_most(self):
+        # T max c = 9 on 4 levels: one slab per level.
+        spec = catalog_lookup("manufactured_1")
+        grid = build_grid(spec.domain, 16, 4)
+        sol, hist = run_single_domain(spec, grid, 1e-9, 200)
+        assert sol.converged
+        assert [(k0, k1) for k0, k1, _ in hist.slab_sweeps] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_stalled_slab_tightens_its_predecessor(self):
+        # u0 = 0 is KPP's unstable state: the gap a slab carries in grows
+        # across it, so with every slab stopped at gap <= tol the last one
+        # stalls above tol.  The run tightens the slab before it instead,
+        # and still closes the whole envelope below tol with the chain kept.
+        spec = kpp(2.2, 0.0, 0.0)
+        grid = build_grid(spec.domain, 8, 7)
+        tol = 1e-9
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500, keep_states=True)
+        assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= tol
+        assert_slab_rules(spec, grid, sol, hist)
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        for prev, nxt in zip(hist.states, hist.states[1:]):
+            assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
+
+    def test_failed_slab_leaves_the_bracket_after_it(self):
+        spec = catalog_lookup("manufactured_1")
+        grid = build_grid(spec.domain, 16, 32)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-12, 2)
+        assert not sol.converged and hist.slab_sweeps == [(0, 3, 2)]  # 9 slabs of 3-4 levels
+        np.testing.assert_array_equal(sol.u_lower[4:], 0.0)
+        np.testing.assert_array_equal(sol.u_upper[4:], 4.0)
+        assert np.all(sol.u_lower <= sol.u_upper)
+
+
 class TestRefreshedStabilizer:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_problems())
     def test_chain_holds_and_limit_is_the_frozen_one(self, case):
-        # The stabilizer refreshed on the shrinking envelope keeps every
-        # chain link on every sweep and converges to the limit of the
-        # iteration whose stabilizer stays frozen at the initial bracket.
+        # Swept slab by slab, with the stabilizer refreshed on each slab's
+        # shrinking envelope, the run keeps every chain link on every sweep
+        # and converges to the limit of the whole-strip iteration whose
+        # stabilizer stays frozen at the initial bracket.
         spec, grid, decomp = case
         tol = 1e-9
         for kind, candidate in (("sub", spec.bracket.u_hat), ("super", spec.bracket.u_tilde)):
             assert check_bracket(spec, grid, candidate, kind).passed
         sol, hist = run_dd(spec, grid, decomp, tol, 500, keep_states=True)
         assert sol.converged
+        assert_slab_rules(spec, grid, sol, hist)
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
             assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
@@ -354,23 +450,40 @@ class TestRefreshedStabilizer:
         frozen = 0.5 * (state.u21 + state.u22)
         assert np.max(np.abs(sol.u - frozen)) <= tol + 2e-10
 
-    def test_c_max_records_the_stabilizer_of_each_sweep(self):
-        # Refreshed after sweeps 1, 2, 4, ...: c_max can only fall, and only
-        # at the sweeps that follow a refresh.
+    def test_c_max_records_the_stabilizer_of_each_sweep(self, monkeypatch):
+        # Each slab starts from the initial-bracket c on its levels and is
+        # refreshed after its sweeps 1, 2, 4, ...: its c_max can only fall,
+        # and only at the sweeps that follow a refresh.  History entry n
+        # holds the largest c_max of the slabs that ran a sweep n + 1.
+        used = []
+        sweep = iteration._sweep
+
+        def recorded(state, spec, grid, stab, ops, pasts):
+            used.append((ops[0].k0, float(np.max(stab.c_total))))
+            return sweep(state, spec, grid, stab, ops, pasts)
+
+        monkeypatch.setattr(iteration, "_sweep", recorded)
         spec = desk_logistic()
         grid = build_grid(spec.domain, 32, 32)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200)
         init = init_state(spec, grid)
         stab = compute_stabilizers(spec, grid, init.u11, init.u12)
-        c_max = hist.c_max
-        assert len(c_max) == sol.sweeps_used
-        assert c_max[0] == np.max(stab.c_total)
-        assert c_max[-1] < c_max[0]
-        for n in range(1, len(c_max)):
-            if n & (n - 1):  # no refresh between sweeps n and n + 1
-                assert c_max[n] == c_max[n - 1]
-            else:
-                assert c_max[n] <= c_max[n - 1]
+        per_slab = {k0: [c for k, c in used if k == k0] for k0, _, _ in hist.slab_sweeps}
+        assert len(per_slab) > 1
+        assert [len(c) for c in per_slab.values()] == [s for *_, s in hist.slab_sweeps]
+        for (k0, k1, _), c_max in zip(hist.slab_sweeps, per_slab.values()):
+            assert c_max[0] == np.max(stab.c_total[k0 : k1 + 1])
+            assert c_max[-1] < c_max[0]
+            for n in range(1, len(c_max)):
+                if n & (n - 1):  # no refresh between sweeps n and n + 1
+                    assert c_max[n] == c_max[n - 1]
+                else:
+                    assert c_max[n] <= c_max[n - 1]
+        assert len(hist.c_max) == sol.sweeps_used
+        assert hist.c_max[0] == np.max(stab.c_total)
+        assert hist.c_max == [
+            max(c[n] for c in per_slab.values() if n < len(c)) for n in range(sol.sweeps_used)
+        ]
 
     def test_constant_bound_is_not_resampled(self):
         spec = desk_logistic()

@@ -17,6 +17,7 @@ from monodd import (
 )
 from monodd.volterra import (
     HISTORY_CHUNK,
+    Past,
     StabilizerError,
     quadrature_weights,
     refresh_stabilizers,
@@ -134,6 +135,61 @@ class TestEvalGField:
         u = np.random.default_rng(5).random((13, 9))
         rows = np.stack([eval_g_row(EXP_KERNEL, u, k, grid) for k in range(13)])
         np.testing.assert_array_equal(eval_g_field(EXP_KERNEL, u, grid), rows)
+
+
+def split_memory(kernel, u, grid, bounds):
+    """The memory term of u slab by slab: each slab [k0, k1] from its own
+    rows and the Past the slabs before it left, stitched together."""
+    past = Past.initial(u[0], grid)
+    out = [np.zeros((1, u.shape[1]))]
+    for k0, k1 in bounds:
+        levels = grid.levels(k0, k1)
+        out.append(eval_g_field(kernel, u[k0 : k1 + 1], levels, past=past)[1:])
+        past = past.extend(kernel, u[k0 : k1 + 1], levels)
+    return np.concatenate(out)
+
+
+def random_bounds(rng, nt):
+    ks = np.unique(np.concatenate(([0, nt], rng.integers(1, nt, rng.integers(1, 6)))))
+    return list(zip(ks[:-1], ks[1:]))
+
+
+class TestMemoryPast:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exponential_split_matches_whole_strip(self, seed):
+        # T_{k0+j} = r^j T_{k0} + the slab's own trapezoid sum from k0 is an
+        # exact split of the composite rule: it agrees with the whole-strip
+        # recursion to rounding, for slab edges k0 drawn at random.
+        rng = np.random.default_rng([17, seed])
+        nt = int(rng.integers(2, 200))
+        grid = unit_grid(8, nt)
+        kernel = VolterraKernel.exponential(rng.uniform(0.1, 2.0), rng.uniform(-1.5, 3.0), psi_nonlinear)
+        u = rng.uniform(-1.0, 2.0, (nt + 1, 9))
+        whole = eval_g_field(kernel, u, grid)
+        split = split_memory(kernel, u, grid, random_bounds(rng, nt))
+        assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_generic_split_is_the_whole_strip_bitwise(self):
+        # A generic kernel reads the past rows themselves: the same sums.
+        rng = np.random.default_rng(8)
+        grid = unit_grid(8, 20)
+        u = rng.random((21, 9))
+        whole = eval_g_field(EXP_KERNEL, u, grid)
+        split = split_memory(EXP_KERNEL, u, grid, [(0, 3), (3, 11), (11, 20)])
+        np.testing.assert_array_equal(split, whole)
+
+    @pytest.mark.parametrize("kappa,lam", [(0.0, 1.0), (0.4, 2.5), (1.3, -1.5)])
+    def test_exponential_split_monotone_without_tolerance(self, kappa, lam):
+        # A lower field, with its own lower past, gives a lower memory term on
+        # every slab, rounding included.
+        grid = unit_grid(16, 64)
+        rng = np.random.default_rng(4)
+        kernel = VolterraKernel.exponential(kappa, lam, psi_nonlinear)
+        for _ in range(20):
+            bounds = random_bounds(rng, 64)
+            v = rng.uniform(-2.0, 2.0, (65, 17))
+            u = v + rng.random(v.shape) * (rng.random(v.shape) < 0.5)
+            assert np.all(split_memory(kernel, u, grid, bounds) >= split_memory(kernel, v, grid, bounds))
 
 
 class TestComputeStabilizers:
