@@ -241,23 +241,16 @@ def _fmt(v):
 def _write_solution_csv(path, grid, solution):
     """Rows t,x,u,u_lower,u_upper for every (k, i), k-major, each value at
     17 significant digits and each line ended by \\r\\n, as csv.writer
-    wrote them.  One %-format per time level: a whole-table format would
-    hold every value as a Python float at once."""
-    nx1 = grid.nx + 1
-    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * nx1
+    wrote them.  Each x is formatted once per run and each t once per
+    level, into that level's %-format of its three value columns: a
+    whole-table format would hold every value as a Python float at once."""
+    tails = [",%s,%%.17g,%%.17g,%%.17g\r\n" % _fmt(x) for x in grid.xs]
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u,u_lower,u_upper\r\n")
         for k, t in enumerate(grid.ts):
-            level = np.column_stack(
-                (
-                    np.full(nx1, t),
-                    grid.xs,
-                    solution.u[k],
-                    solution.u_lower[k],
-                    solution.u_upper[k],
-                )
-            )
-            fh.write(rows % tuple(level.ravel().tolist()))
+            t = _fmt(t)
+            values = np.column_stack((solution.u[k], solution.u_lower[k], solution.u_upper[k]))
+            fh.write((t + t.join(tails)) % tuple(values.ravel().tolist()))
 
 
 def _write_history_csv(path, history):

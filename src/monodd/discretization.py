@@ -9,10 +9,12 @@ monotone iteration machinery rests on.
 The solver's matrices depend on the stabilizer and the boundary rows only,
 so a WindowOperator assembles them once per window, keeps them without the
 stabilizer, and holds their LU factors for the current one: march_window
-reuses the factors for every right-hand side, and refactor_window_operator
-refactors them in place when the stabilizer is lowered.  Grid1D.levels and
-WindowOperator.levels restrict a grid and an operator to a range of time
-levels (a slab), the operator as views, so a slab refactors its own steps.
+reuses the factors for every right-hand side, through per-step views made
+once per operator and with no allocation per step, and
+refactor_window_operator refactors them in place when the stabilizer is
+lowered.  Grid1D.levels and WindowOperator.levels restrict a grid and an
+operator to a range of time levels (a slab), the operator as views, so a
+slab refactors its own steps.
 
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
@@ -22,7 +24,7 @@ the check costs about 1% of a solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -148,7 +150,9 @@ class WindowOperator:
     never swapped and needs no decoupling.
 
     An operator built for a grid has k0 = 0; levels(k0, k1) gives the
-    operator of a slab of its time levels.
+    operator of a slab of its time levels.  steps holds, per step, the
+    (dl, d, du, du2, ipiv) row views that dgttrs takes, made once here
+    and valid across refactors, which write into the same arrays.
     """
 
     window: Subrange
@@ -166,6 +170,10 @@ class WindowOperator:
     pin_sub: np.ndarray
     pin_diag: np.ndarray
     k0: int = 0  # the time level its first step starts from
+    steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(zip(self.dl, self.d, self.du, self.du2, self.ipiv)))
 
     def levels(self, k0, k1):
         """The operator of the time levels k0..k1, that is of steps
@@ -319,16 +327,18 @@ def march_window(op, q, initial, left=None, right=None):
     u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
     u[1:, :, 0] = op.left_h[:, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
     u[1:, :, -1] = op.right_h[:, None] if right is None else np.asarray(right, dtype=float)[:, 1:].T
-    interior, row1 = u[:, :, 1:-1], u[:, :, 1]
+    interior, row1, blocks = u[:, :, 1:-1], u[:, :, 1], u.transpose(0, 2, 1)
     fold = None
     if np.any(op.pin_sub != 0.0):
         fold = op.pin_sub[:, None] * (u[1:, :, 0] / op.pin_diag[:, None])
-    factors = zip(op.dl, op.d, op.du, op.du2, op.ipiv)
-    for k, step in enumerate(factors, start=1):
-        interior[k] += interior[k - 1] / dt
+    carried = np.empty((m, n - 2))  # u[k-1]/dt, written in place every step
+    solve = lapack.dgttrs
+    for k, step in enumerate(op.steps, start=1):
+        np.divide(interior[k - 1], dt, out=carried)
+        np.add(interior[k], carried, out=interior[k])
         if fold is not None:
             row1[k] -= fold[k - 1]
-        lapack.dgttrs(*step, u[k].T, overwrite_b=1)
+        solve(*step, blocks[k], "N", 1)
     finite = np.all(np.isfinite(u[1:]), axis=(1, 2))
     if not np.all(finite):
         raise FloatingPointError(f"non-finite solution at time step {int(np.argmin(finite)) + 1}")

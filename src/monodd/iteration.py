@@ -27,13 +27,16 @@ slab [k0, k1] iterates its levels only: each branch starts at row k0 from
 its own final field of the slab before (lower from u21, upper from u22),
 the memory term reads that field's frozen past (volterra.Past), and the
 stabilizer starts from the initial-bracket c on the slab's levels and is
-refreshed after slab sweeps 1, 2, 4, 8, ...  A slab stops when its gap
-and its update, over its levels and its carried first row, are both <=
-tol; max_sweeps and the chain check apply per slab.  Where the carried
-gap grows across a slab so that its gap stalls above tol, the slab
-before it is swept on to a tighter gap first (see _run).  If a slab does
-not converge the run ends there, and the levels after it keep the
-bracket.
+refreshed after slab sweeps 1, 2, 4, 8, ...  A slab stops at the first
+sweep whose gap, over its levels and its carried first row, is <= tol:
+every lower iterate is a subsolution and every upper one a
+supersolution, so that envelope is the certified product, and as the
+chain puts sweep n+1 inside the envelope of sweep n, the update of a
+further sweep could not exceed that gap anyway.  max_sweeps and the
+chain check apply per slab.  Where the carried gap grows across a slab
+so that its gap stalls above tol, the slab before it is swept on to a
+tighter gap first (see _run).  If a slab does not converge the run ends
+there, and the levels after it keep the bracket.
 
 History entry n aggregates the n-th sweep of every slab that ran one (the
 largest gap and update, the smallest chain margin, the largest c, the
@@ -43,12 +46,13 @@ sum (k1 - k0) sweeps levels per window (history.level_solves).
 
 The two branches are one stacked array.  Each window's step matrices are
 built once per run; a slab marches through level-range views of them and
-its refreshes refactor only its own steps, and a sweep marches both
-branches as two right-hand-side columns.  The undecomposed single-domain
-monotone iteration, the correctness oracle for the decomposed limit, is
-the same sweep over one window.  order_study runs the decomposed solver
-over a list of grids and reports the observed convergence orders against
-an exact solution.
+its refreshes refactor only its own steps, and a sweep evaluates both
+branches' F1 in one call per window and marches them as two
+right-hand-side columns.  The undecomposed single-domain monotone
+iteration, the correctness oracle for the decomposed limit, is the same
+sweep over one window.  order_study runs the decomposed solver over a
+list of grids and reports the observed convergence orders against an
+exact solution.
 """
 from __future__ import annotations
 
@@ -228,27 +232,24 @@ def _dd_windows(grid, decomp):
     return (Subrange(0, decomp.i1_hi), Subrange(decomp.i2_lo, grid.nx))
 
 
-def _sweep(state, spec, grid, stab, ops, pasts):
+def _sweep(state, spec, grid, stab, ops, past):
     """One alternating sweep of both branches over the window operators.
 
     state, grid, stab and ops hold the levels k0..k1 of one slab, and
-    pasts the Past of each branch up to k0; both branches start from the
-    last row of their past.  Window j takes its source F1 from composite
-    j of the old state and its pinned interface values from the composite
-    just before it (the old last composite for window 1); the new
-    composite j is that composite with window j's columns replaced.  One
-    window gives the single-domain iteration, whose two composites
-    coincide.
+    past the stacked Past of both branches up to k0; both branches start
+    from the last row of their past.  Window j takes its source F1, one
+    call for both branches, from composite j of the old state and its
+    pinned interface values from the composite just before it (the old
+    last composite for window 1); the new composite j is that composite
+    with window j's columns replaced.  One window gives the single-domain
+    iteration, whose two composites coincide.
     """
-    first = np.stack([past.u[-1] for past in pasts])
+    first = past.u[:, -1]
     base = state.u2
     new = []
     for op, src in zip(ops, (state.u1, state.u2)):
         lo, hi = op.window.lo, op.window.hi
-        interior = slice(lo + 1, hi)
-        q = np.stack(
-            [eval_F1_field(spec, stab, u, grid, interior, past) for u, past in zip(src, pasts)]
-        )
+        q = eval_F1_field(spec, stab, src, grid, slice(lo + 1, hi), past)
         sol = march_window(
             op,
             q,
@@ -263,8 +264,9 @@ def _sweep(state, spec, grid, stab, ops, pasts):
     return IterationState(u1=new[0], u2=new[-1], sweep_index=state.sweep_index + 1)
 
 
-def _initial_pasts(spec, grid):
-    return [Past.initial(_u0_row(spec, grid), grid)] * 2
+def _initial_past(spec, grid):
+    row = _u0_row(spec, grid)
+    return Past.initial(np.stack((row, row)), grid)
 
 
 def dd_sweep(state, spec, grid, decomp, stab):
@@ -273,7 +275,7 @@ def dd_sweep(state, spec, grid, decomp, stab):
     for this one sweep; run_dd builds them once per run, sweeps slab by
     slab and refreshes stab itself."""
     ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
-    return _sweep(state, spec, grid, stab, ops, _initial_pasts(spec, grid))
+    return _sweep(state, spec, grid, stab, ops, _initial_past(spec, grid))
 
 
 def _slab_bounds(grid, c_total):
@@ -307,14 +309,14 @@ class _Slab:
 STALL_RATIO = 100.0
 
 
-def _sweep_slab(slab, spec, pasts, history, tol, max_sweeps, n_samples, c_margin,
+def _sweep_slab(slab, spec, past, history, tol, max_sweeps, n_samples, c_margin,
                 abort_on_chain_violation, chain_slack, keep_states):
-    """Sweep one slab on from its state until its gap drops to its target
-    and its update below tol, lowering the stabilizer on the slab's
-    envelope after slab sweeps 1, 2, 4, 8, ...; every sweep is folded into
-    history.  Returns (converged, tighter): tighter is None, or, when the
-    slab stalls on the gap its carried first row brings in, the target
-    the slab before it must reach (see _run)."""
+    """Sweep one slab on from its state until its gap drops to its target,
+    lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
+    4, 8, ...; every sweep is folded into history.  Returns (converged,
+    tighter): tighter is None, or, when the slab stalls on the gap its
+    carried first row brings in, the target the slab before it must reach
+    (see _run)."""
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
     outcome = False, None
@@ -326,7 +328,7 @@ def _sweep_slab(slab, spec, pasts, history, tol, max_sweeps, n_samples, c_margin
             )
             for op in slab.ops:
                 refactor_window_operator(op, stab.c_total)
-        nxt = _sweep(state, spec, slab.grid, stab, slab.ops, pasts)
+        nxt = _sweep(state, spec, slab.grid, stab, slab.ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
         c_max = float(np.max(stab.c_total))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
@@ -335,7 +337,7 @@ def _sweep_slab(slab, spec, pasts, history, tol, max_sweeps, n_samples, c_margin
             slab.states.append(state)
         if abort_on_chain_violation and viol < -chain_slack:
             raise MonotoneChainError(state.sweep_index, viol)
-        if gap <= slab.target and upd <= tol:
+        if gap <= slab.target:
             outcome = True, None
             break
         carried = float(np.max(state.u22[0] - state.u21[0]))
@@ -394,7 +396,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
         ))
 
     history = ConvergenceHistory()
-    pasts = [_initial_pasts(spec, grid)] + [None] * (len(slabs) - 1)
+    pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
     j = 0
     while j < len(slabs):
         slab = slabs[j]
@@ -404,9 +406,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
         )
         if done:
             if j + 1 < len(slabs):
-                pasts[j + 1] = [
-                    past.extend(spec.kernel, u, slab.grid) for past, u in zip(pasts[j], slab.state.u2)
-                ]
+                pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid)
             j += 1
         elif tighter is None:
             break
@@ -446,8 +446,7 @@ def run_dd(
     keep_states=False,
 ):
     """Sweep the two-subdomain scheme, slab by slab, until the bracket gap
-    and the update size both drop below tol on every slab, or a slab hits
-    max_sweeps.
+    drops below tol on every slab, or a slab hits max_sweeps.
 
     The stabilizer c is computed over the initial bracket; it sets the
     number of slabs, and in each slab it is lowered on the current

@@ -7,16 +7,19 @@ Trapezoid weights are nonnegative, which is what lets the discrete g inherit
 the monotone-in-history bound g(u) - g(v) >= -b_under (u - v).
 
 For a kernel declared with VolterraKernel.exponential, kappa e^{-lam(t-s)}
-psi(eta2), the same trapezoid sum obeys a two-term recursion with
-nonnegative coefficients and costs O(nt nx) per field instead of
-O(nt^2 nx); such a kernel does not depend on eta1, so b_under is zero.
+psi(eta2), the same trapezoid sum obeys a two-term recursion, which a
+doubling scan with positive coefficients evaluates in log2(nt) passes over
+the whole field: O(nt log(nt) nx) arithmetic instead of O(nt^2 nx), and
+still exactly monotone in psi.  Such a kernel does not depend on eta1, so
+b_under is zero.  The fields of both branches may come stacked on a
+leading axis, with one Past for both, and take one call.
 
 A field may also be given on the time levels k0..k1 of a slab only, with
 the Past of its final levels 0..k0: the memory integral at k0, which the
 exponential recursion carries on as r^j T_k0 plus the slab's own
 trapezoid sum from k0 (an exact split of the composite rule), and the
-rows themselves, which the generic trapezoid sum reads.  Both parts are
-nondecreasing in psi, so a lower past gives a lower memory term.
+rows themselves, which only the generic trapezoid sum reads.  Both parts
+are nondecreasing in psi, so a lower past gives a lower memory term.
 
 The stabilizer c_total >= max(c_under + b_under, 0) is added to both sides
 of the equation so that
@@ -61,27 +64,35 @@ class StabilizerField:
 
 @dataclass(frozen=True)
 class Past:
-    """The final time levels 0..k0 of one field, as the memory term at the
-    later levels reads them: the memory integral g at level k0, the
-    recursion state of an exponential kernel, and the rows u and times ts
-    of levels 0..k0, which a generic kernel's trapezoid sum reads."""
+    """The final time levels 0..k0 of one field, or of a stack of fields
+    on a leading axis (one per branch), as the memory term at the later
+    levels reads them: the memory integral g at level k0, which an
+    exponential kernel carries on, and the rows u and times ts -- of
+    levels 0..k0 for a generic kernel, whose trapezoid sum reads them,
+    and of level k0 alone for any other kernel (the first row of the
+    levels after it)."""
 
-    u: np.ndarray  # (k0+1, nx+1)
-    ts: np.ndarray  # (k0+1,)
-    g: np.ndarray  # (nx+1,)
+    u: np.ndarray  # (..., k0+1, nx+1), or (..., 1, nx+1)
+    ts: np.ndarray  # (k0+1,), or (1,)
+    g: np.ndarray  # (..., nx+1)
 
     @classmethod
     def initial(cls, row, grid):
-        """The past of a strip that starts from row at level 0."""
-        return cls(u=np.asarray(row, dtype=float)[None], ts=grid.ts[:1], g=np.zeros(grid.nx + 1))
+        """The past of a strip that starts from row (or a stack of rows)
+        at level 0."""
+        row = np.asarray(row, dtype=float)
+        return cls(u=row[..., None, :], ts=grid.ts[:1], g=np.zeros(row.shape))
 
     def extend(self, kernel, u, grid):
         """The past at the last level of u, which holds the final levels
         k0..k1 (row 0 the level-k0 row of this past) on their grid."""
+        g = eval_g_field(kernel, u, grid, past=self)[..., -1, :]
+        if kernel.trivial or kernel.exp_form is not None:
+            return Past(u=u[..., -1:, :].copy(), ts=grid.ts[-1:], g=g)
         return Past(
-            u=np.concatenate((self.u[:-1], u)),
+            u=np.concatenate((self.u[..., :-1, :], u), axis=-2),
             ts=np.concatenate((self.ts[:-1], grid.ts)),
-            g=eval_g_field(kernel, u, grid, past=self)[-1],
+            g=g,
         )
 
 
@@ -115,18 +126,28 @@ def eval_g_row(kernel, u, k, grid, cols=slice(None)):
 
 
 def _exponential_trapezoid(form, u, dt):
-    """Trapezoid sums of kappa e^{-lam(t_k - s)} psi(u(s)) for every level k.
+    """Trapezoid sums of kappa e^{-lam(t_k - s)} psi(u(s)) for every level k
+    (axis -2 of u; any axes before it are separate fields).
 
-    T_0 = 0 and T_k = r T_{k-1} + (dt/2)(r psi_{k-1} + psi_k), r = e^{-lam dt}:
-    every coefficient is nonnegative, so for kappa >= 0 the result is
-    nondecreasing in psi exactly, rounding included.
+    T_0 = 0 and T_k = r T_{k-1} + a_k, a_k = (dt/2)(r psi_{k-1} + psi_k),
+    r = e^{-lam dt}, by a doubling scan (Hillis & Steele 1986): after the
+    pass of step d, T_k holds the a_j r^{k-j} of the 2d levels j <= k
+    nearest k, so ceil(log2 L) whole-array passes finish L levels.  Each
+    r^d is exponentiated directly (d dt is exact for a power of two d), so
+    a_j meets r^{k-j} as a product of at most log2 L correctly rounded
+    factors: rounding grows like log2 L, where the level-by-level
+    recursion's repeated products drift like L.  Every coefficient (dt/2,
+    r^d) is positive, so for kappa >= 0 the result is nondecreasing in psi
+    exactly, rounding included.
     """
     psi = np.broadcast_to(np.asarray(form.psi(u), dtype=float), u.shape)
-    r = math.exp(-form.lam * dt)
+    step = -form.lam * dt
     out = np.zeros(u.shape)
-    out[1:] = (0.5 * dt) * (r * psi[:-1] + psi[1:])
-    for k in range(1, u.shape[0]):
-        out[k] += r * out[k - 1]
+    out[..., 1:, :] = (0.5 * dt) * (math.exp(step) * psi[..., :-1, :] + psi[..., 1:, :])
+    d = 1
+    while d < u.shape[-2]:
+        out[..., d:, :] += math.exp(step * d) * out[..., :-d, :]
+        d *= 2
     out *= form.kappa
     return out
 
@@ -134,24 +155,32 @@ def _exponential_trapezoid(form, u, dt):
 def eval_g_field(kernel, u, grid, cols=slice(None), past=None):
     """Memory integral at every time level and node, shape (nt+1, nx+1), or
     on the columns cols selects: node i's integral reads only column i.
+    u may stack fields on a leading axis, (m, nt+1, nx+1), with a Past
+    whose rows and g carry the same axis; the result then stacks theirs.
 
     With a Past of the levels 0..k0, u and grid hold the levels k0..k1
     only (u's row 0 stands in for the past's last row) and the integral
     covers the whole history from level 0.
 
-    Exponential kernels take the O(nt nx) recursion, trivial kernels give
-    zeros, and every other kernel the generic trapezoid sum of eval_g_row.
+    Exponential kernels take the doubling scan over the whole stack,
+    trivial kernels give zeros, and every other kernel the generic
+    trapezoid sum of eval_g_row, field by field.
     """
     u = np.asarray(u, dtype=float)
     if kernel.trivial:
-        return np.zeros((grid.nt + 1, grid.xs[cols].size))
+        return np.zeros(u.shape[:-1] + (grid.xs[cols].size,))
     form = kernel.exp_form
     if form is not None:
-        out = _exponential_trapezoid(form, u[:, cols], grid.dt)
+        out = _exponential_trapezoid(form, u[..., cols], grid.dt)
         if past is not None:
-            decay = math.exp(-form.lam * grid.dt) ** np.arange(grid.nt + 1)
-            out += decay[:, None] * past.g[cols]
+            decay = np.exp(-form.lam * grid.dt * np.arange(grid.nt + 1))
+            out += decay[:, None] * past.g[..., None, cols]
         return out
+    if u.ndim > 2:
+        return np.stack([
+            eval_g_field(kernel, one, grid, cols, None if past is None else replace(past, u=past.u[j], g=past.g[j]))
+            for j, one in enumerate(u)
+        ])
     k0 = 0
     if past is not None:
         k0 = past.ts.size - 1
@@ -281,11 +310,12 @@ def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
     node (row 0 included for completeness), with g from eval_g_field; with
     cols, on those columns only, which is all a window's solve reads.
     u, stab and grid may hold the levels of a slab, with the Past of the
-    levels before it (see eval_g_field)."""
+    levels before it, and u may stack the fields of both branches on a
+    leading axis (see eval_g_field): one call then serves both, bitwise
+    as two would."""
     u = np.asarray(u, dtype=float)
-    uc = u[:, cols]
+    uc = u[..., cols]
     out = stab.c_total[:, cols] * uc
     out += spec.reaction.f(grid.ts[:, None], grid.xs[None, cols], uc)
     out += eval_g_field(spec.kernel, u, grid, cols, past)
     return out
-

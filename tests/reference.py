@@ -3,11 +3,14 @@
 assemble_step and thomas_solve build and solve the backward-Euler system
 of one time step at a time; build_window_operator and march_window do
 the same for every step at once.  chain_min_margin is the separate-pass
-form of verify.sweep_metrics' margin.  assemble_step checks every matrix
-it builds for the M-matrix pattern, so the suite audits all it assembles.
+form of verify.sweep_metrics' margin.  exponential_trapezoid_recursion
+is the level-by-level recursion that volterra's doubling scan replaces.
+assemble_step checks every matrix it builds for the M-matrix pattern, so
+the suite audits all it assembles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,3 +144,16 @@ def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):
         float(np.min(right - left))
         for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
     )
+
+
+def exponential_trapezoid_recursion(form, u, dt):
+    """Trapezoid sums of kappa e^{-lam(t_k - s)} psi(u(s)) at every level
+    k of u (n_levels, n), one level at a time:
+    T_0 = 0, T_k = r T_{k-1} + (dt/2)(r psi_{k-1} + psi_k), r = e^{-lam dt}."""
+    psi = np.broadcast_to(np.asarray(form.psi(u), dtype=float), u.shape)
+    r = math.exp(-form.lam * dt)
+    out = np.zeros(u.shape)
+    out[1:] = (0.5 * dt) * (r * psi[:-1] + psi[1:])
+    for k in range(1, u.shape[0]):
+        out[k] += r * out[k - 1]
+    return form.kappa * out

@@ -9,17 +9,15 @@ from monodd import (
     BoundaryCondition,
     Bracket,
     Decomposition,
-    EllipticCoefficients,
     IterationState,
-    ProblemSpec,
     Reaction,
-    SpaceTimeDomain,
     VolterraKernel,
     build_grid,
     catalog_lookup,
     check_bracket,
     check_monotone_chain,
     dd_sweep,
+    default_decomposition,
     init_state,
     run_dd,
     run_single_domain,
@@ -31,7 +29,7 @@ from monodd.iteration import _u0_row
 from monodd.verify import sweep_metrics
 from monodd.volterra import compute_stabilizers
 
-from conftest import desk_logistic, make_zero_problem
+from conftest import desk_logistic, kpp, make_zero_problem
 
 
 class TestDecomposition:
@@ -294,24 +292,6 @@ class TestRunSingleDomain:
         assert np.max(np.abs(dd.u - sd.u)) <= 10 * tol
 
 
-def kpp(lam, b, amp):
-    """Memory-free Fisher-KPP problem with advection, variable diffusion, a
-    Robin left end and a Dirichlet right end; [0, 1] brackets it."""
-    return ProblemSpec(
-        domain=SpaceTimeDomain(0.0, 1.0, 1.0),
-        coeffs=EllipticCoefficients(a=lambda t, x: 0.05 + 0.05 * x, b=lambda t, x: b + 0.0 * x),
-        reaction=Reaction(
-            f=lambda t, x, u: lam * u * (1.0 - u),
-            f_u=lambda t, x, u: lam * (1.0 - 2.0 * u),
-        ),
-        kernel=VolterraKernel.zero(),
-        bc_left=BoundaryCondition(alpha0=lambda t: 1.0, beta0=lambda t: 1.0, h=lambda t: 0.0),
-        bc_right=BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0),
-        u0=lambda x: amp * np.sin(np.pi * x),
-        bracket=Bracket(u_hat=lambda t, x: 0.0 * x, u_tilde=lambda t, x: 1.0 + 0.0 * x),
-    )
-
-
 def generic_memory(spec, kappa):
     """spec with its memory kernel replaced by one the generic trapezoid sum
     evaluates: kappa e^{-(t-s)} (eta2 - eta1/10), which also depends on
@@ -418,6 +398,38 @@ class TestSlabs:
         assert np.all(sol.u_lower <= sol.u_upper)
 
 
+class TestStopRule:
+    @pytest.mark.parametrize("spec,nx,nt", [
+        (catalog_lookup("manufactured_1"), 16, 32),
+        (catalog_lookup("logistic_memory", {"lam": 1.0, "kappa": 0.5, "sigma": 0.5}), 24, 16),
+        (kpp(8.0, 0.5, 0.5), 16, 24),
+    ])
+    def test_each_slab_stops_at_its_first_gap_below_tol(self, monkeypatch, spec, nx, nt):
+        # Every sweep's gap, recorded in order: the slabs run one after
+        # the other (none stalls here), and each stops at the first sweep
+        # whose gap is <= tol, whatever its update.
+        gaps = []
+        metrics = iteration.sweep_metrics
+
+        def recorded(prev, nxt, lo, hi):
+            out = metrics(prev, nxt, lo, hi)
+            gaps.append(out[0])
+            return out
+
+        monkeypatch.setattr(iteration, "sweep_metrics", recorded)
+        tol = 1e-9
+        grid = build_grid(spec.domain, nx, nt)
+        sol, hist = run_dd(spec, grid, default_decomposition(nx), tol, 200)
+        assert sol.converged and len(hist.slab_sweeps) > 1
+        sweeps = [s for *_, s in hist.slab_sweeps]
+        assert len(gaps) == sum(sweeps)
+        start = 0
+        for count in sweeps:
+            slab = gaps[start : start + count]
+            assert all(gap > tol for gap in slab[:-1]) and slab[-1] <= tol
+            start += count
+
+
 class TestRefreshedStabilizer:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_problems())
@@ -436,6 +448,11 @@ class TestRefreshedStabilizer:
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
             assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
+        # The chain puts sweep n+1 inside the envelope of sweep n, so no
+        # update exceeds the gap before it: a slab whose gap is <= tol
+        # needs no further sweep to bring its update below tol.
+        for n in range(1, len(hist.max_update)):
+            assert hist.max_update[n] <= hist.gap_lower_upper[n - 1] + 1e-10
 
         stab = compute_stabilizers(spec, grid, lo, hi)
         state = hist.states[0]

@@ -24,6 +24,7 @@ from monodd.volterra import (
 )
 
 from conftest import desk_logistic
+from reference import exponential_trapezoid_recursion
 
 EXP_KERNEL = VolterraKernel(g0=lambda t, x, s, e1, e2: np.exp(-(t - s)) * e2)
 
@@ -125,6 +126,50 @@ class TestEvalGField:
             u = v + rng.random(v.shape) * (rng.random(v.shape) < 0.5)
             assert np.all(eval_g_field(kernel, u, grid) >= eval_g_field(kernel, v, grid))
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 29, 512, 4096])
+    @pytest.mark.parametrize("lam", [1.7, -0.8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scan_matches_recursion_and_trapezoid_rows(self, levels, lam, sign):
+        # The doubling scan against the generic trapezoid rows (every row
+        # up to 512 levels, every 97th and the last beyond) and against
+        # the level-by-level recursion, for psi of either sign.  The
+        # recursion's repeated products of the rounded r drift like L: at
+        # 4096 levels and lam = -0.8 it is itself 1.6e-13 max|G| from the
+        # rows, so there the scan must be at least as close to the rows.
+        nt = levels - 1
+        grid = unit_grid(4, max(nt, 1)).levels(0, nt)
+        rng = np.random.default_rng([levels, int(sign > 0)])
+        u = sign * rng.uniform(0.2, 2.0, (levels, 5))
+        kernel = VolterraKernel.exponential(0.7, lam, psi_nonlinear)
+        field = eval_g_field(kernel, u, grid)
+        assert field.shape == (levels, 5)
+        np.testing.assert_array_equal(field[0], 0.0)
+        ks = list(range(levels)) if levels <= 512 else [*range(0, levels, 97), nt]
+        rows = np.stack([eval_g_row(kernel, u, k, grid) for k in ks])
+        scale = np.max(np.abs(rows))
+        assert np.max(np.abs(field[ks] - rows)) <= 1e-13 * scale
+        recursion = exponential_trapezoid_recursion(kernel.exp_form, u, grid.dt)
+        if levels <= 512:
+            assert np.max(np.abs(field - recursion)) <= 1e-13 * scale
+        else:
+            assert np.max(np.abs(field[ks] - rows)) <= np.max(np.abs(recursion[ks] - rows))
+
+    @pytest.mark.parametrize("levels", [2, 3, 29, 512])
+    @pytest.mark.parametrize("kappa,lam", [(0.0, 1.0), (0.4, 2.5), (1.3, -1.5)])
+    def test_scan_monotone_without_tolerance(self, levels, kappa, lam):
+        # u >= v entrywise, equal on a random half of the entries and on
+        # whole rows, gives G(u) >= G(v) with no tolerance: the scan's
+        # coefficients are nonnegative and rounding is monotone.
+        grid = unit_grid(16, levels - 1)
+        rng = np.random.default_rng([3, levels])
+        kernel = VolterraKernel.exponential(kappa, lam, psi_nonlinear)
+        for _ in range(20):
+            v = rng.uniform(-2.0, 2.0, (levels, 17))
+            u = v + rng.random(v.shape) * (rng.random(v.shape) < 0.5)
+            equal_rows = rng.random(levels) < 0.3
+            u[equal_rows] = v[equal_rows]
+            assert np.all(eval_g_field(kernel, u, grid) >= eval_g_field(kernel, v, grid))
+
     def test_trivial_kernel_zeros(self):
         grid = unit_grid(8, 5)
         out = eval_g_field(VolterraKernel.zero(), np.ones((6, 9)), grid)
@@ -190,6 +235,54 @@ class TestMemoryPast:
             v = rng.uniform(-2.0, 2.0, (65, 17))
             u = v + rng.random(v.shape) * (rng.random(v.shape) < 0.5)
             assert np.all(split_memory(kernel, u, grid, bounds) >= split_memory(kernel, v, grid, bounds))
+
+
+class TestStackedBranches:
+    @pytest.mark.parametrize("kind", ["trivial", "exponential", "generic"])
+    def test_stacked_F1_is_two_calls_bitwise(self, kind):
+        # Both branches in one call, each with the past its own slabs left,
+        # give bitwise what one call per branch gives, on a slab's levels
+        # and window columns.
+        spec = catalog_lookup("linear_heat") if kind == "trivial" else desk_logistic()
+        if kind == "generic":
+            spec = dataclasses.replace(spec, kernel=generic_copy(spec.kernel))
+        grid = build_grid(spec.domain, 16, 24)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        rng = np.random.default_rng(6)
+        u = lo + rng.random((2, *lo.shape)) * (hi - lo)
+        past = Past.initial(u[:, 0], grid)
+        one = [Past.initial(row, grid) for row in u[:, 0]]
+        for k0, k1 in [(0, 5), (5, 13), (13, 24)]:
+            levels, cols = grid.levels(k0, k1), slice(3, 12)
+            rows, slab_stab = u[:, k0 : k1 + 1], stab.levels(k0, k1)
+            both = eval_F1_field(spec, slab_stab, rows, levels, cols, past)
+            apart = [eval_F1_field(spec, slab_stab, r, levels, cols, p) for r, p in zip(rows, one)]
+            np.testing.assert_array_equal(both, np.stack(apart))
+            past = past.extend(spec.kernel, rows, levels)
+            one = [p.extend(spec.kernel, r, levels) for r, p in zip(rows, one)]
+            np.testing.assert_array_equal(past.g, np.stack([p.g for p in one]))
+
+    @pytest.mark.parametrize("kind", ["trivial", "exponential", "generic"])
+    def test_past_keeps_only_what_its_kernel_reads(self, kind):
+        # A generic kernel's trapezoid sum reads every past row; the
+        # exponential scan reads g, and the trivial kernel nothing, so
+        # theirs keep the last row (the next slab's first) alone.
+        kernel = {
+            "trivial": VolterraKernel.zero(),
+            "exponential": VolterraKernel.exponential(0.5, 1.0, psi_nonlinear),
+            "generic": EXP_KERNEL,
+        }[kind]
+        grid = unit_grid(8, 20)
+        u = np.random.default_rng(7).random((2, 21, 9))
+        past = Past.initial(u[:, 0], grid)
+        for k0, k1 in [(0, 6), (6, 20)]:
+            past = past.extend(kernel, u[:, k0 : k1 + 1], grid.levels(k0, k1))
+            kept = k1 + 1 if kind == "generic" else 1
+            assert past.u.shape == (2, kept, 9) and past.ts.shape == (kept,)
+            np.testing.assert_array_equal(past.u[:, -1], u[:, k1])
+            np.testing.assert_array_equal(past.ts[-1], grid.ts[k1])
 
 
 class TestComputeStabilizers:
