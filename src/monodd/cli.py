@@ -306,8 +306,9 @@ def cmd_run(config_path):
     if cfg.history_csv:
         _write_history_csv(cfg.history_csv, history)
     gap = float(np.max(solution.u_upper - solution.u_lower))
+    status = "converged" if solution.converged else f"NOT converged ({history.stop_reason})"
     print(
-        f"{cfg.problem_name}: {'converged' if solution.converged else 'NOT converged'} "
+        f"{cfg.problem_name}: {status} "
         f"after {solution.sweeps_used} sweeps in {len(history.slab_sweeps)} slabs "
         f"({history.level_solves} level-solves per window), final gap {gap:.3e}"
     )

@@ -20,19 +20,58 @@ Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
 MMatrixViolation: the monotone iteration is only sound on M-matrices, and
 the check costs about 1% of a solve.
+
+The two LAPACK routines used, dgttrf and dgttrs, come from scipy's
+compiled extension scipy.linalg._flapack, loaded straight from scipy's
+linalg directory: importing the scipy.linalg package would run its
+__init__, which through scipy's array-API layer imports numpy.f2py,
+numpy.testing, numpy.random and numpy.ma, about 0.3 s and 18 MB that
+monodd never uses, against 0.02 s for the extension.  It is registered
+under its own name in sys.modules, so a later `import scipy.linalg`
+reuses it and scipy.linalg.lapack.dgttrf is the dgttrf used here.  Only
+where no such extension file is found, or it does not load, does this
+module import scipy.linalg.lapack instead.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Union
 
 import numpy as np
-from scipy.linalg import lapack
 
 # A Field is a real array of shape (nt+1, nx+1): rows are time levels,
 # columns are spatial nodes.  Full history is kept for the memory term.
 Field = np.ndarray
+
+
+def _load_extension(name):
+    """The compiled module of dotted name `name`, found package by package
+    from sys.path and loaded without running the __init__ of any package
+    above it; it is registered in sys.modules, whose entry is reused when
+    there is one.  Raises ImportError when it is not found."""
+    if name in sys.modules:
+        return sys.modules[name]
+    path = None
+    for depth in range(1, name.count(".") + 2):
+        spec = PathFinder.find_spec(".".join(name.split(".")[:depth]), path)
+        if spec is None:
+            raise ImportError(f"no {name} on sys.path", name=name)
+        path = spec.submodule_search_locations
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+try:
+    _flapack = _load_extension("scipy.linalg._flapack")
+except ImportError:
+    from scipy.linalg import lapack as _flapack
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 
 class ZeroPivotError(RuntimeError):
@@ -292,7 +331,7 @@ def refactor_window_operator(op, c_field):
     np.copyto(op.du, op.sup[:, :-1])
 
     for k in range(op.d.shape[0]):
-        *_, du2, ipiv, info = lapack.dgttrf(
+        *_, du2, ipiv, info = dgttrf(
             op.dl[k], op.d[k], op.du[k], overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
         if info != 0:
@@ -332,7 +371,7 @@ def march_window(op, q, initial, left=None, right=None):
     if np.any(op.pin_sub != 0.0):
         fold = op.pin_sub[:, None] * (u[1:, :, 0] / op.pin_diag[:, None])
     carried = np.empty((m, n - 2))  # u[k-1]/dt, written in place every step
-    solve = lapack.dgttrs
+    solve = dgttrs
     for k, step in enumerate(op.steps, start=1):
         np.divide(interior[k - 1], dt, out=carried)
         np.add(interior[k], carried, out=interior[k])

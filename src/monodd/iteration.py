@@ -27,16 +27,19 @@ slab [k0, k1] iterates its levels only: each branch starts at row k0 from
 its own final field of the slab before (lower from u21, upper from u22),
 the memory term reads that field's frozen past (volterra.Past), and the
 stabilizer starts from the initial-bracket c on the slab's levels and is
-refreshed after slab sweeps 1, 2, 4, 8, ...  A slab stops at the first
-sweep whose gap, over its levels and its carried first row, is <= tol:
-every lower iterate is a subsolution and every upper one a
-supersolution, so that envelope is the certified product, and as the
-chain puts sweep n+1 inside the envelope of sweep n, the update of a
-further sweep could not exceed that gap anyway.  max_sweeps and the
-chain check apply per slab.  Where the carried gap grows across a slab
-so that its gap stalls above tol, the slab before it is swept on to a
-tighter gap first (see _run).  If a slab does not converge the run ends
-there, and the levels after it keep the bracket.
+refreshed after slab sweeps 1, 2, 4, 8, ..., a refresh put off by one
+sweep when the next sweep is predicted to finish the slab.  A slab
+stops at the first sweep whose gap, over its levels and its carried
+first row, is <= tol: every lower iterate is a subsolution and every
+upper one a supersolution, so that envelope is the certified product,
+and as the chain puts sweep n+1 inside the envelope of sweep n, the
+update of a further sweep could not exceed that gap anyway.  max_sweeps
+and the chain check apply per slab.  Where the carried gap grows across
+a slab so that its gap stalls above tol, the slab before it is swept on
+to a tighter gap first (see _run).  If a slab does not converge, as it
+hits max_sweeps or sits at a rounding-level fixed point above its
+target (see _sweep_slab), the run ends there, history.stop_reason says
+which, and the levels after it keep the bracket.
 
 History entry n aggregates the n-th sweep of every slab that ran one (the
 largest gap and update, the smallest chain margin, the largest c, the
@@ -166,6 +169,8 @@ class ConvergenceHistory:
     c_max: List[float] = field(default_factory=list)  # max of the c_total each sweep used
     states: Optional[list] = None  # per-sweep states when requested
     slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
+    # "converged", "max_sweeps on slab k0..k1" or "fixed point on slab k0..k1 at gap G"
+    stop_reason: str = ""
 
     @property
     def level_solves(self):
@@ -307,43 +312,68 @@ class _Slab:
 # A slab has stalled when its update is below tol and this many times
 # smaller than the distance of its gap from the target (see _run).
 STALL_RATIO = 100.0
+# A slab whose first row is exact sits at a fixed point once its update
+# is at most this many ulps of its largest value.
+FIXED_POINT_ULPS = 4.0
 
 
 def _sweep_slab(slab, spec, past, history, tol, max_sweeps, n_samples, c_margin,
                 abort_on_chain_violation, chain_slack, keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
-    4, 8, ...; every sweep is folded into history.  Returns (converged,
-    tighter): tighter is None, or, when the slab stalls on the gap its
-    carried first row brings in, the target the slab before it must reach
-    (see _run)."""
+    4, 8, ...; every sweep is folded into history.
+
+    A due refresh is put off by one sweep when the last two gaps predict
+    that the next sweep reaches the target (gap * gap / previous gap <=
+    target): keeping the larger c is always sound, and a refresh then
+    would resample c and refactor every step for at most one more sweep.
+
+    Returns (tighter, reason), both None when the slab reaches its target.
+    tighter is the target the slab before it must reach when the slab
+    stalls on the gap its carried first row brings in (see _run); reason
+    says why the run ends at this slab: it hit max_sweeps, or its first
+    row is exact and its update is at rounding level while its gap is
+    above the target, a fixed point no further sweep leaves.
+    """
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
-    outcome = False, None
+    gaps = []  # this call's gaps, for the refresh prediction
+    late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
         t0 = time.perf_counter()
-        if n > 0 and n & (n - 1) == 0:
-            stab = refresh_stabilizers(
-                spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples, margin=c_margin
-            )
-            for op in slab.ops:
-                refactor_window_operator(op, stab.c_total)
+        if late or (n > 0 and n & (n - 1) == 0):
+            late = not late and len(gaps) > 1 and gaps[-1] ** 2 <= slab.target * gaps[-2]
+            if not late:
+                stab = refresh_stabilizers(
+                    spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples,
+                    margin=c_margin,
+                )
+                for op in slab.ops:
+                    refactor_window_operator(op, stab.c_total)
         nxt = _sweep(state, spec, slab.grid, stab, slab.ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
         c_max = float(np.max(stab.c_total))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
         state = nxt
+        gaps.append(gap)
         if keep_states:
             slab.states.append(state)
         if abort_on_chain_violation and viol < -chain_slack:
             raise MonotoneChainError(state.sweep_index, viol)
         if gap <= slab.target:
-            outcome = True, None
+            outcome = None, None
             break
         carried = float(np.max(state.u22[0] - state.u21[0]))
         if carried > 0.0 and upd <= tol and STALL_RATIO * upd <= gap - slab.target:
-            outcome = False, 0.5 * slab.target * carried / gap
+            outcome = 0.5 * slab.target * carried / gap, None
             break
+        if carried == 0.0 and upd <= FIXED_POINT_ULPS * np.finfo(float).eps * max(
+            float(np.max(np.abs(u))) for u in (state.u1, state.u2)
+        ):
+            outcome = None, f"fixed point on slab {slab.k0}..{slab.k1} at gap {gap:.3g}"
+            break
+    else:
+        outcome = None, f"max_sweeps on slab {slab.k0}..{slab.k1}"
     slab.state, slab.stab = state, stab
     return outcome
 
@@ -397,23 +427,24 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
 
     history = ConvergenceHistory()
     pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
-    j = 0
+    j, reason = 0, None
     while j < len(slabs):
         slab = slabs[j]
-        done, tighter = _sweep_slab(
+        tighter, reason = _sweep_slab(
             slab, spec, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
             abort_on_chain_violation, chain_slack, keep_states,
         )
-        if done:
+        if reason is not None:
+            break
+        if tighter is None:
             if j + 1 < len(slabs):
                 pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid)
             j += 1
-        elif tighter is None:
-            break
         else:
             slabs[j - 1].target = min(slabs[j - 1].target, tighter)
             j -= 1
-    converged = j == len(slabs)
+    converged = reason is None
+    history.stop_reason = reason or "converged"
 
     ran = [slab for slab in slabs if slab.state.sweep_index > 0]
     history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]

@@ -198,9 +198,10 @@ def test_decomposition_exceeds_grid(tmp_path, capsys):
     assert "i1_hi" in capsys.readouterr().err
 
 
-def test_not_converged_exit(tmp_path):
+def test_not_converged_exit(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", solver={"tol": 1e-12, "max_sweeps": 1})
     assert main(["run", str(cfg)]) == 2
+    assert "NOT converged (max_sweeps on slab 0.." in capsys.readouterr().out
 
 
 def test_unknown_problem(tmp_path):

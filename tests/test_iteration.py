@@ -200,17 +200,40 @@ class TestOperatorsOncePerRun:
     def test_audit_runs_once_per_window_not_per_sweep(self, monkeypatch):
         # Step matrices are audited where they are factored: when a window's
         # operator is built (one call to a per window, all nt steps) and
-        # each time a slab's stabilizer is refreshed after its sweeps 1, 2,
-        # 4, ... that another sweep of the slab follows (one refactor per
-        # window of exactly the slab's steps k0+1..k1).
-        def refreshes(sweeps):
-            return sum(1 for n in (1, 2, 4, 8, 16, 32) if n < sweeps)
+        # each time a slab's stabilizer is refreshed (one refactor per
+        # window of exactly the slab's steps k0+1..k1).  A slab refreshes
+        # after its sweeps 1, 2, 4, ... that another sweep follows, each
+        # refresh put off by one sweep when the slab's last two gaps
+        # predict that the next sweep reaches tol (gap^2 <= tol * previous).
+        tol = 1e-10
+        gaps = []
+        metrics = iteration.sweep_metrics
+
+        def recorded(prev, nxt, lo, hi):
+            out = metrics(prev, nxt, lo, hi)
+            gaps.append(out[0])
+            return out
+
+        def refreshed_after(slab_gaps):
+            after, late = [], False
+            for n in range(1, len(slab_gaps)):
+                if late or n & (n - 1) == 0:
+                    late = not late and n > 1 and slab_gaps[n - 1] ** 2 <= tol * slab_gaps[n - 2]
+                    if not late:
+                        after.append(n)
+            return after
+
+        def per_slab(hist):
+            sweeps = [s for *_, s in hist.slab_sweeps]
+            assert sum(sweeps) == len(gaps)  # no slab stalls and resumes here
+            starts = np.cumsum([0] + sweeps)
+            return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
 
         def expected(hist, windows):
             return [
                 (window, k0, k1)
-                for k0, k1, sweeps in hist.slab_sweeps
-                for _ in range(refreshes(sweeps))
+                for (k0, k1, _), after in zip(hist.slab_sweeps, per_slab(hist))
+                for _ in after
                 for window in windows
             ]
 
@@ -222,21 +245,28 @@ class TestOperatorsOncePerRun:
             return refactor(op, c_field)
 
         monkeypatch.setattr(iteration, "refactor_window_operator", counted_refactor)
+        monkeypatch.setattr(iteration, "sweep_metrics", recorded)
         spec = desk_logistic()
         a = spec.coeffs.a
         coeffs = dataclasses.replace(spec.coeffs, a=lambda t, x: builds.append(t) or a(t, x))
         spec = dataclasses.replace(spec, coeffs=coeffs)
         grid = build_grid(spec.domain, 16, 8)
 
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-10, 50)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50)
         assert len(hist.slab_sweeps) > 1
-        assert any(refreshes(sweeps) < sweeps - 2 for *_, sweeps in hist.slab_sweeps)
+        assert any(len(after) < sweeps - 2
+                   for after, (*_, sweeps) in zip(per_slab(hist), hist.slab_sweeps))
         assert len(builds) == 2
         assert refactors == expected(hist, (Subrange(0, 10), Subrange(6, 16)))
         builds.clear()
         refactors.clear()
-        sol, hist = run_single_domain(spec, grid, 1e-10, 50)
+        gaps.clear()
+        sol, hist = run_single_domain(spec, grid, tol, 50)
         assert len(builds) == 1 and refactors == expected(hist, (Subrange(0, 16),))
+        # Some refresh was put off: fewer than one after each sweep 1, 2, 4,
+        # ... that another sweep of the slab follows.
+        due = sum(n < sweeps for *_, sweeps in hist.slab_sweeps for n in (1, 2, 4, 8, 16, 32))
+        assert len(refactors) < due
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
@@ -361,6 +391,7 @@ class TestSlabs:
         grid = build_grid(spec.domain, 16, 32)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
         assert sol.converged and len(hist.slab_sweeps) == slabs
+        assert hist.stop_reason == "converged"
         assert_slab_rules(spec, grid, sol, hist)
         assert hist.gap_lower_upper[-1] <= 1e-9
         assert np.max(sol.u_upper - sol.u_lower) <= 1e-9
@@ -393,9 +424,23 @@ class TestSlabs:
         grid = build_grid(spec.domain, 16, 32)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-12, 2)
         assert not sol.converged and hist.slab_sweeps == [(0, 3, 2)]  # 9 slabs of 3-4 levels
+        assert hist.stop_reason == "max_sweeps on slab 0..3"
         np.testing.assert_array_equal(sol.u_lower[4:], 0.0)
         np.testing.assert_array_equal(sol.u_upper[4:], 4.0)
         assert np.all(sol.u_lower <= sol.u_upper)
+
+    def test_rounding_level_fixed_point_ends_the_run(self):
+        # With dt sup f_u >= 1 backward Euler has two discrete solutions
+        # here: the lower branch stays at 0 and the upper one settles on
+        # the other, so the gap never closes.  The slab's first row is
+        # exact and its update falls to rounding level, so the run ends
+        # long before max_sweeps and says why.
+        spec = kpp(4.0, -1.0, 0.0)
+        grid = build_grid(spec.domain, 8, 2)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-8, 500)
+        assert not sol.converged and sol.sweeps_used < 120
+        gap = hist.gap_lower_upper[-1]
+        assert gap > 0.1 and hist.stop_reason == f"fixed point on slab 0..1 at gap {gap:.3g}"
 
 
 class TestStopRule:
@@ -501,6 +546,34 @@ class TestRefreshedStabilizer:
         assert hist.c_max == [
             max(c[n] for c in per_slab.values() if n < len(c)) for n in range(sol.sweeps_used)
         ]
+
+    def test_a_refresh_put_off_comes_one_sweep_later(self, monkeypatch):
+        # The first slab's gaps are faked so that after its sweep 4 they
+        # predict sweep 5 reaches tol (1e-6 ** 2 <= tol * 1e-3), which sweep
+        # 5 then misses: the refresh due after sweep 4 comes after sweep 5.
+        tol = 1e-9
+        fake = [1.0, 1e-1, 1e-3, 1e-6, 1e-7]
+        events = []
+        metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
+
+        def faked(prev, nxt, lo, hi):
+            gap, upd, margin = metrics(prev, nxt, lo, hi)
+            events.append("sweep")
+            n = events.count("sweep")
+            return (fake[n - 1] if n <= len(fake) else gap), upd, margin
+
+        def counted(*args, **kwargs):
+            events.append("refresh")
+            return refresh(*args, **kwargs)
+
+        monkeypatch.setattr(iteration, "sweep_metrics", faked)
+        monkeypatch.setattr(iteration, "refresh_stabilizers", counted)
+        spec = catalog_lookup("manufactured_1")
+        sol, hist = run_dd(spec, build_grid(spec.domain, 16, 32), Decomposition(10, 6), tol, 200)
+        assert sol.converged
+        first = hist.slab_sweeps[0][2]
+        after = [events[:i].count("sweep") for i, e in enumerate(events) if e == "refresh"]
+        assert [n for n in after if n < first][:3] == [1, 2, 5]
 
     def test_constant_bound_is_not_resampled(self):
         spec = desk_logistic()
