@@ -7,14 +7,14 @@ as the zero-order coefficient is nonnegative, which is what the whole
 monotone iteration machinery rests on.
 
 The solver's matrices depend on the stabilizer and the boundary rows only,
-so a WindowOperator assembles them once per window, keeps them without the
-stabilizer, and holds their LU factors for the current one: march_window
-reuses the factors for every right-hand side, through per-step views made
-once per operator and with no allocation per step, and
-refactor_window_operator refactors them in place when the stabilizer is
-lowered.  Grid1D.levels and WindowOperator.levels restrict a grid and an
-operator to a range of time levels (a slab), the operator as views, so a
-slab refactors its own steps.
+so a WindowOperator assembles them for the time levels of one grid, keeps
+them without the stabilizer, and holds their LU factors for the current
+one: march_window reuses the factors for every right-hand side, through
+per-step views made once per operator and with no allocation per step,
+and refactor_window_operator refactors them in place when the stabilizer
+is lowered.  Grid1D.levels restricts a grid to a range of time levels (a
+slab); an operator built on it, with the slab's first level as k0, holds
+that slab's steps only and names them by their strip step in its errors.
 
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
@@ -188,10 +188,11 @@ class WindowOperator:
     row's diagonal (1 there).  A last row with a zero sub-diagonal is
     never swapped and needs no decoupling.
 
-    An operator built for a grid has k0 = 0; levels(k0, k1) gives the
-    operator of a slab of its time levels.  steps holds, per step, the
-    (dl, d, du, du2, ipiv) row views that dgttrs takes, made once here
-    and valid across refactors, which write into the same arrays.
+    k0 is the strip level the operator's grid starts at (0 for a whole
+    strip, the first level of a slab otherwise): errors name step k0+k.
+    steps holds, per step, the (dl, d, du, du2, ipiv) row views that
+    dgttrs takes, made once here and valid across refactors, which write
+    into the same arrays.
     """
 
     window: Subrange
@@ -214,22 +215,16 @@ class WindowOperator:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(zip(self.dl, self.d, self.du, self.du2, self.ipiv)))
 
-    def levels(self, k0, k1):
-        """The operator of the time levels k0..k1, that is of steps
-        k0+1..k1: views of this operator's arrays, so refactoring it
-        refactors those steps of this operator in place."""
-        steps = slice(k0 - self.k0, k1 - self.k0)
-        arrays = {k: v[steps] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        return replace(self, k0=k0, **arrays)
-
 
 def _end_rows(bc, ts):
     """alpha0, beta0 and h of a BoundaryCondition at each of the times ts."""
     return (np.array([float(fn(t)) for t in ts]) for fn in (bc.alpha0, bc.beta0, bc.h))
 
 
-def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc):
-    """Assemble and factor the step matrices of a window for every step.
+def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0):
+    """Assemble and factor the step matrices of a window for every step of
+    grid, the strip or, as grid.levels(k0, k1), a slab of it whose first
+    level k0 is given so that errors name strip steps.
 
     Interior row i of step k, from one a and one b call over the (nt, n-2)
     interior grid:
@@ -290,6 +285,7 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc):
         right_h=ends[1],
         pin_sub=np.where(pinned, sub[:, 1], 0.0),
         pin_diag=np.where(pinned, diag[:, 0], 1.0),
+        k0=k0,
     )
     refactor_window_operator(op, c_field)
     return op

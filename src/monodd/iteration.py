@@ -47,11 +47,16 @@ summed wall time); sweeps_used is the largest per-slab count, and
 history.slab_sweeps lists (k0, k1, sweeps) per slab, so a run solves
 sum (k1 - k0) sweeps levels per window (history.level_solves).
 
-The two branches are one stacked array.  Each window's step matrices are
-built once per run; a slab marches through level-range views of them and
-its refreshes refactor only its own steps, and a sweep evaluates both
-branches' F1 in one call per window and marches them as two
-right-hand-side columns.  The undecomposed single-domain monotone
+The two branches are one stacked array.  The run's working set follows
+the slab: a slab's window operators are built on its levels when it
+starts sweeping (k0 set, so an M-matrix failure names the strip's time
+step), refactored by its refreshes that change c, and dropped when it
+stops; a slab the run comes back to is built again from its current
+stabilizer, which gives the same factors.  What the run keeps of a
+stopped slab is what resuming it needs (its state and stabilizer), and
+the result goes into the bracket's own array at the end.  A sweep
+evaluates both branches' F1 in one call per window and marches them as
+two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
 sweep over one window.  order_study runs the decomposed solver over a
 list of grids and reports the observed convergence orders against an
@@ -221,14 +226,17 @@ def _u0_row(spec, grid):
     ).copy()
 
 
-def _window_operators(spec, grid, stab, windows):
-    """Operators of consecutive windows over [0, nx]: the outer ends carry
-    the physical rows, every inner end is a pinned interface."""
+def _window_operators(spec, grid, stab, windows, k0=0):
+    """Operators of consecutive windows over [0, nx] on grid, whose first
+    level is strip level k0: the outer ends carry the physical rows, every
+    inner end is a pinned interface."""
     ops = []
     for j, window in enumerate(windows):
         left = spec.bc_left if j == 0 else None
         right = spec.bc_right if j == len(windows) - 1 else None
-        ops.append(build_window_operator(grid, window, spec.coeffs, stab.c_total, left, right))
+        ops.append(
+            build_window_operator(grid, window, spec.coeffs, stab.c_total, left, right, k0)
+        )
     return ops
 
 
@@ -277,8 +285,8 @@ def _initial_past(spec, grid):
 def dd_sweep(state, spec, grid, decomp, stab):
     """Advance both branches by one alternating-Schwarz sweep of the whole
     strip with the stabilizer stab as given.  Builds the window operators
-    for this one sweep; run_dd builds them once per run, sweeps slab by
-    slab and refreshes stab itself."""
+    for this one sweep; run_dd sweeps slab by slab, builds each slab's
+    operators on its levels and refreshes stab itself."""
     ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
     return _sweep(state, spec, grid, stab, ops, _initial_past(spec, grid))
 
@@ -294,14 +302,14 @@ def _slab_bounds(grid, c_total):
 
 @dataclass
 class _Slab:
-    """The levels k0..k1 of a run, restricted: grid, operator views and
-    stabilizer, the bracket there, the current state (and the states so
-    far, when kept) and the gap the slab must reach."""
+    """The levels k0..k1 of a run, restricted: grid and stabilizer, the
+    bracket there, the current state (and the states so far, when kept)
+    and the gap the slab must reach.  Its window operators are not kept:
+    _sweep_slab builds them from stab each time it runs the slab."""
 
     k0: int
     k1: int
     grid: Grid1D
-    ops: list
     stab: StabilizerField
     bracket: IterationState
     state: IterationState
@@ -317,16 +325,24 @@ STALL_RATIO = 100.0
 FIXED_POINT_ULPS = 4.0
 
 
-def _sweep_slab(slab, spec, past, history, tol, max_sweeps, n_samples, c_margin,
+def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, c_margin,
                 abort_on_chain_violation, chain_slack, keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
     4, 8, ...; every sweep is folded into history.
 
+    The slab's window operators are built here, from its current
+    stabilizer, and dropped on return: they are factored with the same c
+    as a run-long operator would hold, so a resumed slab marches with the
+    same factors.  A step matrix that fails the M-matrix audit therefore
+    raises when its slab first runs.
+
     A due refresh is put off by one sweep when the last two gaps predict
     that the next sweep reaches the target (gap * gap / previous gap <=
     target): keeping the larger c is always sound, and a refresh then
     would resample c and refactor every step for at most one more sweep.
+    A refresh that leaves c as it was (a constant c_bar_bound, c already 0
+    everywhere) refactors nothing.
 
     Returns (tighter, reason), both None when the slab reaches its target.
     tighter is the target the slab before it must reach when the slab
@@ -337,6 +353,7 @@ def _sweep_slab(slab, spec, past, history, tol, max_sweeps, n_samples, c_margin,
     """
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
+    ops = _window_operators(spec, slab.grid, stab, windows, slab.k0)
     gaps = []  # this call's gaps, for the refresh prediction
     late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
@@ -344,13 +361,15 @@ def _sweep_slab(slab, spec, past, history, tol, max_sweeps, n_samples, c_margin,
         if late or (n > 0 and n & (n - 1) == 0):
             late = not late and len(gaps) > 1 and gaps[-1] ** 2 <= slab.target * gaps[-2]
             if not late:
-                stab = refresh_stabilizers(
+                fresh = refresh_stabilizers(
                     spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples,
                     margin=c_margin,
                 )
-                for op in slab.ops:
-                    refactor_window_operator(op, stab.c_total)
-        nxt = _sweep(state, spec, slab.grid, stab, slab.ops, past)
+                if not np.array_equal(fresh.c_total, stab.c_total):
+                    for op in ops:
+                        refactor_window_operator(op, fresh.c_total)
+                stab = fresh
+        nxt = _sweep(state, spec, slab.grid, stab, ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
         c_max = float(np.max(stab.c_total))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
@@ -400,8 +419,8 @@ def _composite_states(init, slabs):
 
 def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
          abort_on_chain_violation, chain_slack, keep_states):
-    """Set up (bracket, stabilizer, window operators) and sweep slab by slab
-    (see the module docstring).
+    """Set up the bracket and the stabilizer, and sweep slab by slab (see
+    the module docstring).
 
     A slab starts from the gap its previous slab left at their shared
     level, and where the solution is unstable (f_u > 0) that gap grows
@@ -413,17 +432,24 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     bounds, as a tighter past only raises the lower branch's first row
     and memory term and lowers the upper one's.  Targets only fall and
     every slab has max_sweeps, so this ends.
+
+    The working set follows the slab: a slab's window operators live
+    while it sweeps (see _sweep_slab), and what the run keeps of a slab
+    that has stopped is only what resuming it needs, its state and
+    stabilizer.  The result is written into the bracket's own array once
+    no slab can resume, so the levels after a slab that failed keep the
+    bracket.
     """
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12, n_samples=n_samples, margin=c_margin)
-    ops = _window_operators(spec, grid, stab, windows)
     slabs = []
     for k0, k1 in _slab_bounds(grid, stab.c_total):
         bracket = IterationState(u1=init.u1[:, k0 : k1 + 1], u2=init.u2[:, k0 : k1 + 1])
         slabs.append(_Slab(
-            k0, k1, grid.levels(k0, k1), [op.levels(k0, k1) for op in ops],
-            stab.levels(k0, k1), bracket, bracket, [bracket] if keep_states else [], tol,
+            k0, k1, grid.levels(k0, k1), stab.levels(k0, k1), bracket, bracket,
+            [bracket] if keep_states else [], tol,
         ))
+    del stab  # each slab holds its own levels of it
 
     history = ConvergenceHistory()
     pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
@@ -431,7 +457,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     while j < len(slabs):
         slab = slabs[j]
         tighter, reason = _sweep_slab(
-            slab, spec, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
+            slab, spec, windows, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
             abort_on_chain_violation, chain_slack, keep_states,
         )
         if reason is not None:
@@ -446,16 +472,19 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     converged = reason is None
     history.stop_reason = reason or "converged"
 
-    ran = [slab for slab in slabs if slab.state.sweep_index > 0]
-    history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
-    final = init.u2.copy()  # the result; levels after a slab that failed keep the bracket
+    history.slab_sweeps = [
+        (slab.k0, slab.k1, slab.state.sweep_index) for slab in slabs if slab.state.sweep_index > 0
+    ]
+    if keep_states:
+        history.states = _composite_states(init, slabs[: j + 1])
+    final = init.u2
     for slab in slabs[: j + 1]:
         own = 0 if slab.k0 == 0 else 1
         final[:, slab.k0 + own : slab.k1 + 1] = slab.state.u2[:, own:]
-    if keep_states:
-        history.states = _composite_states(init, slabs[: j + 1])
+    u = np.add(final[0], final[1])
+    u *= 0.5
     solution = Solution(
-        u=0.5 * (final[0] + final[1]),
+        u=u,
         u_lower=final[0],
         u_upper=final[1],
         converged=converged,
@@ -482,9 +511,10 @@ def run_dd(
     The stabilizer c is computed over the initial bracket; it sets the
     number of slabs, and in each slab it is lowered on the current
     envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
-    module docstring).  The window operators are built once; a refresh
-    refactors the slab's steps in place.  history.c_max records the
-    largest c each sweep used, history.slab_sweeps the sweeps per slab.
+    module docstring).  A slab's window operators are built when it
+    starts sweeping and refactored in place by a refresh that changes c.
+    history.c_max records the largest c each sweep used,
+    history.slab_sweeps the sweeps per slab.
     """
     windows = _dd_windows(grid, decomp)
     return _run(

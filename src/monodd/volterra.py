@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
@@ -53,13 +54,18 @@ class StabilizerError(RuntimeError):
 @dataclass(frozen=True)
 class StabilizerField:
     c_total: Field  # clamped c = max(c_under + b_under + margin, 0)
-    b_under: Field  # memory-term component over the initial bracket
+    # memory-term component over the initial bracket: a Field, or the
+    # scalar 0.0 for a kernel that does not depend on eta1 (exponential,
+    # trivial), which needs none
+    b_under: Union[Field, float]
     fd_step: float = 0.0  # centered-difference step of c_under, from the initial bracket
 
     def levels(self, k0, k1):
-        """The stabilizer on the time levels k0..k1 (views)."""
+        """The stabilizer on the time levels k0..k1, copied: a slab of a run
+        holds its own rows, and the whole field goes once every slab does."""
         rows = slice(k0, k1 + 1)
-        return replace(self, c_total=self.c_total[rows], b_under=self.b_under[rows])
+        b_under = self.b_under if np.ndim(self.b_under) == 0 else self.b_under[rows].copy()
+        return replace(self, c_total=self.c_total[rows].copy(), b_under=b_under)
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class Past:
     def extend(self, kernel, u, grid):
         """The past at the last level of u, which holds the final levels
         k0..k1 (row 0 the level-k0 row of this past) on their grid."""
-        g = eval_g_field(kernel, u, grid, past=self)[..., -1, :]
+        g = eval_g_field(kernel, u, grid, past=self)[..., -1, :].copy()
         if kernel.trivial or kernel.exp_form is not None:
             return Past(u=u[..., -1:, :].copy(), ts=grid.ts[-1:], g=g)
         return Past(
@@ -199,6 +205,8 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     Derivatives use analytic callables when supplied, centered differences
     otherwise.  The additive margin guards against sampled-sup underestimate;
     the result is clamped at zero so every assembled system is an M-matrix.
+    b_under is the scalar 0.0 for a trivial or exponential kernel, and
+    c_total is formed in place in c_under's array.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -222,8 +230,9 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             )
         c_under = _sampled_c_under(reaction, grid, lo, width, n_samples, fd_step)
 
-    b_under = np.zeros(shape)
+    b_under = 0.0
     if not kernel.trivial and kernel.exp_form is None:
+        b_under = np.zeros(shape)
         if kernel.dg0_deta1 is None and degenerate:
             raise StabilizerError(
                 "bracket has zero width and no analytic dg0_deta1 was supplied"
@@ -253,18 +262,24 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
                 b0[m0:m1] = np.max(-d, axis=(1, 2))
             b_under[k] = quadrature_weights(k, grid.dt) @ b0[: k + 1]
 
-    c_total = np.maximum(c_under + b_under + margin, 0.0)
-    return StabilizerField(c_total=c_total, b_under=b_under, fd_step=fd_step)
+    c_under += b_under
+    c_under += margin
+    return StabilizerField(
+        c_total=np.maximum(c_under, 0.0, out=c_under), b_under=b_under, fd_step=fd_step
+    )
 
 
 def _sampled_c_under(reaction, grid, lo, width, n_samples, eps):
     """max over n_samples equispaced eta in [lo, lo + width] of -f_u(t, x, eta),
     as a running maximum over the samples; f_u is a centered difference of
-    step eps when the reaction has no analytic one."""
+    step eps when the reaction has no analytic one.  The sample eta is
+    formed in one array that every sample reuses."""
     t, x = grid.ts[:, None], grid.xs[None, :]
     c_under = None
+    eta = np.empty(lo.shape)
     for theta in np.linspace(0.0, 1.0, n_samples):
-        eta = lo + theta * width
+        np.multiply(width, theta, out=eta)
+        eta += lo
         if reaction.f_u is not None:
             d = np.asarray(reaction.f_u(t, x, eta), dtype=float)
         else:
@@ -289,13 +304,16 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     is still a bound, and resampling it costs O(nt^2 nx n_samples^2).
     The min keeps c from ever rising, which the monotone chain needs, as
     a sampled supremum over a smaller interval can come out larger.
-    Returns stab itself when the reaction gives a constant c_bar_bound or
-    the envelope has zero width.
+    Returns stab itself, with no resample, when the reaction gives a
+    constant c_bar_bound, when c is already 0 at every node (the min would
+    keep it there) or when the envelope has zero width.
     """
     reaction = spec.reaction
+    if reaction.c_bar_bound is not None or not np.any(stab.c_total):
+        return stab
     lo = np.asarray(lo, dtype=float)
     width = np.asarray(hi, dtype=float) - lo
-    if reaction.c_bar_bound is not None or float(np.max(width)) == 0.0:
+    if float(np.max(width)) == 0.0:
         return stab
     c = _sampled_c_under(reaction, grid, lo, width, n_samples, stab.fd_step)
     c += stab.b_under

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import monodd
 from monodd import SpaceTimeDomain, build_grid
+from monodd import cli
 from monodd.cli import _write_solution_csv, main
 
 
@@ -108,6 +110,25 @@ def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, menti
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and mentions in err
+
+
+def test_late_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # A left row alpha0 = 0, beta0 < 0 for t > 0.8 fails the M-matrix audit
+    # at steps 26..32 only, in the last of the run's three slabs: it is
+    # found when that slab starts, and the run still exits 3 with one line.
+    late = monodd.BoundaryCondition(
+        alpha0=lambda t: 0.0, beta0=lambda t: -1.0 if t > 0.8 else 1.0, h=lambda t: 0.0
+    )
+    lookup = cli.catalog_lookup
+    monkeypatch.setattr(
+        cli, "catalog_lookup", lambda *args: dataclasses.replace(lookup(*args), bc_left=late)
+    )
+    cfg = write_config(tmp_path / "cfg.json", decomposition="single_domain")
+    assert main(["run", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid config:") and captured.err.count("\n") == 1
+    assert "time step 26: row 0: diagonal -1 not positive" in captured.err
 
 
 def order_config(path, problem, grids=((16, 16), (32, 32))):

@@ -530,10 +530,12 @@ class TestWindowOperator:
         with pytest.raises(MMatrixViolation, match="time step 2: row 0: non-finite"):
             build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((5, 9)), robin, None)
 
-    def test_slab_view_refactors_its_own_steps_in_place(self):
-        # levels(k0, k1) is a view of steps k0+1..k1: refactoring it for a
-        # new stabilizer changes exactly those steps of the whole operator,
-        # and it marches them as the whole operator does.
+    def test_slab_operator_holds_the_strip_operators_steps(self):
+        # An operator built on grid.levels(3, 7) with k0 = 3 holds, bitwise,
+        # the matrices and factors of steps 4..7 of the strip's operator,
+        # before and after both are refactored for a new stabilizer; it
+        # marches those steps as the strip's operator does, and its audit
+        # names strip steps.
         rng = np.random.default_rng(5)
         grid = grid_of(0.0, 1.0, 0.5, 12, 9)
         window = Subrange(2, 12)
@@ -541,25 +543,32 @@ class TestWindowOperator:
         right = catalog_lookup("linear_heat").bc_right
         c_old = rng.uniform(1.0, 2.0, (10, 13))
         c_new = c_old * rng.uniform(0.0, 1.0, c_old.shape)
-        op = build_window_operator(grid, window, coeffs, c_old, None, right)
-        before = op.d.copy()
-        refactor_window_operator(op.levels(3, 7), c_new[3:8])
-        changed = np.any(op.d != before, axis=1)
-        assert list(np.nonzero(changed)[0]) == [3, 4, 5, 6]  # rows of steps 4..7
-        c_mixed = c_old.copy()
-        c_mixed[4:8] = c_new[4:8]
-        fresh = build_window_operator(grid, window, coeffs, c_mixed, None, right)
-        np.testing.assert_array_equal(op.d, fresh.d)
+        whole = build_window_operator(grid, window, coeffs, c_old, None, right)
+        slab = build_window_operator(grid.levels(3, 7), window, coeffs, c_old[3:8], None, right, k0=3)
+        assert slab.k0 == 3 and slab.d.shape == (4, window.size)
+        arrays = ("sub", "diag", "sup", "dl", "d", "du", "du2", "ipiv", "right_h", "pin_sub", "pin_diag")
+
+        def same_steps():
+            for name in arrays:
+                part, full = getattr(slab, name), getattr(whole, name)[3:7]
+                assert part.dtype == full.dtype and part.tobytes() == full.tobytes(), name
+
+        same_steps()
+        refactor_window_operator(slab, c_new[3:8])
+        refactor_window_operator(whole, c_new)
+        same_steps()
         q = rng.standard_normal((2, 10, 9))
         left = rng.standard_normal((2, 10))
         initial = rng.standard_normal((2, 11))
-        whole = march_window(op, q, initial, left=left)
-        slab = march_window(op.levels(3, 7), q[:, 3:8], whole[:, 3], left=left[:, 3:8])
-        np.testing.assert_array_equal(slab, whole[:, 3:8])
+        full = march_window(whole, q, initial, left=left)
+        part = march_window(slab, q[:, 3:8], full[:, 3], left=left[:, 3:8])
+        assert part.tobytes() == np.ascontiguousarray(full[:, 3:8]).tobytes()
+        bad = c_new[3:8].copy()
+        bad[2] = -1e6
         with pytest.raises(MMatrixViolation, match="time step 5"):
-            bad = c_new[3:8].copy()
-            bad[2] = -1e6
-            refactor_window_operator(op.levels(3, 7), bad)
+            refactor_window_operator(slab, bad)
+        with pytest.raises(MMatrixViolation, match="time step 5"):
+            build_window_operator(grid.levels(3, 7), window, coeffs, bad, None, right, k0=3)
 
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
     def test_refactor_audits_the_new_matrices(self, step):

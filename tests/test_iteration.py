@@ -23,7 +23,7 @@ from monodd import (
     run_single_domain,
     sample_field,
 )
-from monodd import iteration
+from monodd import iteration, volterra
 from monodd.discretization import MMatrixViolation, Subrange
 from monodd.iteration import _u0_row
 from monodd.verify import sweep_metrics
@@ -196,23 +196,68 @@ class TestRunDD:
             np.testing.assert_array_equal(getattr(nxt, name)[0], u0)
 
 
-class TestOperatorsOncePerRun:
-    def test_audit_runs_once_per_window_not_per_sweep(self, monkeypatch):
-        # Step matrices are audited where they are factored: when a window's
-        # operator is built (one call to a per window, all nt steps) and
-        # each time a slab's stabilizer is refreshed (one refactor per
-        # window of exactly the slab's steps k0+1..k1).  A slab refreshes
-        # after its sweeps 1, 2, 4, ... that another sweep follows, each
-        # refresh put off by one sweep when the slab's last two gaps
-        # predict that the next sweep reaches tol (gap^2 <= tol * previous).
+def record_builds(monkeypatch):
+    """(window, k0, k1) of every window operator the run builds, in order."""
+    builds = []
+    build = iteration.build_window_operator
+
+    def counted(grid, window, coeffs, c_field, left, right, k0=0):
+        builds.append((window, k0, k0 + grid.nt))
+        return build(grid, window, coeffs, c_field, left, right, k0)
+
+    monkeypatch.setattr(iteration, "build_window_operator", counted)
+    return builds
+
+
+def record_refactors(monkeypatch):
+    """(window, k0, k1) of every refactor the run makes after a build."""
+    refactors = []
+    refactor = iteration.refactor_window_operator
+
+    def counted(op, c_field):
+        refactors.append((op.window, op.k0, op.k0 + op.d.shape[0]))
+        return refactor(op, c_field)
+
+    monkeypatch.setattr(iteration, "refactor_window_operator", counted)
+    return refactors
+
+
+def record_slab_runs(monkeypatch):
+    """(k0, k1) of every slab the run sweeps, once per time it takes it up."""
+    runs = []
+    sweep_slab = iteration._sweep_slab
+
+    def recorded(slab, *args):
+        runs.append((slab.k0, slab.k1))
+        return sweep_slab(slab, *args)
+
+    monkeypatch.setattr(iteration, "_sweep_slab", recorded)
+    return runs
+
+
+class TestOperatorsPerSlab:
+    def test_built_per_slab_run_and_refactored_when_c_changes(self, monkeypatch):
+        # Step matrices are audited where they are factored: when a slab
+        # starts sweeping, its window operators are built (one build per
+        # window, of exactly the slab's steps k0+1..k1), and each refresh
+        # that changes the slab's stabilizer refactors them.  A slab
+        # refreshes after its sweeps 1, 2, 4, ... that another sweep
+        # follows, each refresh put off by one sweep when the slab's last
+        # two gaps predict that the next sweep reaches tol (gap^2 <= tol *
+        # previous).
         tol = 1e-10
-        gaps = []
-        metrics = iteration.sweep_metrics
+        gaps, changed = [], []
+        metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
 
         def recorded(prev, nxt, lo, hi):
             out = metrics(prev, nxt, lo, hi)
             gaps.append(out[0])
             return out
+
+        def compared(spec, grid, stab, *args, **kwargs):
+            fresh = refresh(spec, grid, stab, *args, **kwargs)
+            changed.append(not np.array_equal(fresh.c_total, stab.c_total))
+            return fresh
 
         def refreshed_after(slab_gaps):
             after, late = [], False
@@ -229,44 +274,113 @@ class TestOperatorsOncePerRun:
             starts = np.cumsum([0] + sweeps)
             return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
 
-        def expected(hist, windows):
-            return [
-                (window, k0, k1)
+        def expected_refactors(hist, windows):
+            scheduled = [
+                (k0, k1)
                 for (k0, k1, _), after in zip(hist.slab_sweeps, per_slab(hist))
                 for _ in after
+            ]
+            assert len(scheduled) == len(changed)
+            return [
+                (window, k0, k1)
+                for (k0, k1), change in zip(scheduled, changed)
+                if change
                 for window in windows
             ]
 
-        builds, refactors = [], []
-        refactor = iteration.refactor_window_operator
-
-        def counted_refactor(op, c_field):
-            refactors.append((op.window, op.k0, op.k0 + op.d.shape[0]))
-            return refactor(op, c_field)
-
-        monkeypatch.setattr(iteration, "refactor_window_operator", counted_refactor)
+        builds, refactors = record_builds(monkeypatch), record_refactors(monkeypatch)
+        runs = record_slab_runs(monkeypatch)
         monkeypatch.setattr(iteration, "sweep_metrics", recorded)
+        monkeypatch.setattr(iteration, "refresh_stabilizers", compared)
         spec = desk_logistic()
-        a = spec.coeffs.a
-        coeffs = dataclasses.replace(spec.coeffs, a=lambda t, x: builds.append(t) or a(t, x))
-        spec = dataclasses.replace(spec, coeffs=coeffs)
         grid = build_grid(spec.domain, 16, 8)
 
+        windows = (Subrange(0, 10), Subrange(6, 16))
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50)
         assert len(hist.slab_sweeps) > 1
         assert any(len(after) < sweeps - 2
                    for after, (*_, sweeps) in zip(per_slab(hist), hist.slab_sweeps))
-        assert len(builds) == 2
-        assert refactors == expected(hist, (Subrange(0, 10), Subrange(6, 16)))
-        builds.clear()
-        refactors.clear()
-        gaps.clear()
+        assert runs == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
+        assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
+        assert refactors == expected_refactors(hist, windows)
+        assert any(changed) and not all(changed)
+        for recorded_list in (builds, refactors, gaps, changed, runs):
+            recorded_list.clear()
         sol, hist = run_single_domain(spec, grid, tol, 50)
-        assert len(builds) == 1 and refactors == expected(hist, (Subrange(0, 16),))
+        windows = (Subrange(0, 16),)
+        assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for window in windows]
+        assert refactors == expected_refactors(hist, windows)
         # Some refresh was put off: fewer than one after each sweep 1, 2, 4,
         # ... that another sweep of the slab follows.
         due = sum(n < sweeps for *_, sweeps in hist.slab_sweeps for n in (1, 2, 4, 8, 16, 32))
-        assert len(refactors) < due
+        assert len(changed) < due
+
+    def test_a_resumed_slab_is_built_again(self, monkeypatch):
+        # The stalling KPP run of TestSlabs sends the run back to earlier
+        # slabs: every time a slab is taken up, its operators are built
+        # from its current stabilizer, and dropped when it stops.
+        builds, runs = record_builds(monkeypatch), record_slab_runs(monkeypatch)
+        spec = kpp(2.2, 0.0, 0.0)
+        grid = build_grid(spec.domain, 8, 7)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
+        assert sol.converged
+        assert len(runs) > len(hist.slab_sweeps)
+        assert sorted(set(runs)) == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
+        windows = (Subrange(0, 3), Subrange(1, 8))
+        assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
+
+    def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
+        # A constant c_bar_bound is never resampled, so no refresh changes
+        # c: after the builds nothing is refactored.  On the desk logistic
+        # problem every slab's first refresh lowers c to 0 on its steps,
+        # and no later refresh refactors.  The first slab keeps c = margin
+        # at one node of level 0, where u0 = 1/2 makes f_u = 0, so it
+        # resamples at each of its three refreshes (after sweeps 1, 2 and
+        # 4); every other slab's c is 0 everywhere after its first, and its
+        # later refreshes do not resample either.
+        refactors = record_refactors(monkeypatch)
+        resamples = []
+        sample = volterra._sampled_c_under
+
+        def counted(*args):
+            resamples.append(args[1].ts[0])
+            return sample(*args)
+
+        monkeypatch.setattr(volterra, "_sampled_c_under", counted)
+        spec = desk_logistic()
+        bounded = Reaction(f=spec.reaction.f, f_u=spec.reaction.f_u, c_bar_bound=2.0)
+        grid = build_grid(spec.domain, 16, 8)
+        sol, hist = run_dd(
+            dataclasses.replace(spec, reaction=bounded), grid, Decomposition(i1_hi=10, i2_lo=6),
+            1e-9, 200,
+        )
+        assert sol.converged and sol.sweeps_used > 4
+        assert refactors == [] and resamples == []
+
+        grid = build_grid(spec.domain, 64, 16)
+        sol, hist = run_single_domain(spec, grid, 1e-8, 200)
+        assert sol.converged and all(sweeps > 4 for *_, sweeps in hist.slab_sweeps)
+        window = Subrange(0, 64)
+        assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps]
+        # The strip's initial c, the first slab's three refreshes, and one
+        # refresh of each later slab.
+        later = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps[1:]]
+        assert len(later) == 2 and resamples == [0.0] * 4 + later
+
+    def test_late_audit_failure_names_the_strip_step(self, monkeypatch):
+        # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
+        # negative at steps 7 and 8 only, both in the last of the three
+        # slabs (levels 5..8): the first two slabs sweep, and the audit of
+        # the last slab's build names strip step 7, not its own step 2.
+        late = BoundaryCondition(
+            alpha0=lambda t: 0.0, beta0=lambda t: -1.0 if t > 0.8 else 1.0, h=lambda t: 0.0
+        )
+        spec = dataclasses.replace(desk_logistic(), bc_left=late)
+        grid = build_grid(spec.domain, 16, 8)
+        runs = record_slab_runs(monkeypatch)
+        with pytest.raises(MMatrixViolation, match="time step 7: row 0: diagonal -1 not positive"):
+            run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-8, 50)
+        assert runs == [(0, 2), (2, 5), (5, 8)]
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
