@@ -21,7 +21,6 @@ from .iteration import (
     MonotoneChainError,
     OrderStudyResult,
     Solution,
-    dd_sweep,
     default_decomposition,
     init_state,
     order_study,

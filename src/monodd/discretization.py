@@ -9,12 +9,20 @@ monotone iteration machinery rests on.
 The solver's matrices depend on the stabilizer and the boundary rows only,
 so a WindowOperator assembles them for the time levels of one grid, keeps
 them without the stabilizer, and holds their LU factors for the current
-one: march_window reuses the factors for every right-hand side, through
-per-step views made once per operator and with no allocation per step,
-and refactor_window_operator refactors them in place when the stabilizer
-is lowered.  Grid1D.levels restricts a grid to a range of time levels (a
-slab); an operator built on it, with the slab's first level as k0, holds
-that slab's steps only and names them by their strip step in its errors.
+one; refactor_window_operator refactors them in place when the stabilizer
+is lowered.  All steps are factored by one dgttrf call on the
+block-diagonal stack of the step matrices: the zero couplings between
+blocks are never pivoted on, so each block's factors are bitwise its own
+step's.  A Dirichlet first row is factored with a power-of-two diagonal
+no smaller than its coupling to row 1, which dgttrf never swaps and which
+returns the row's value exactly (see WindowOperator).  march_window
+reuses the factors for every right-hand side through a per-operator
+plan, a march buffer and the dgttrs arguments of every step, made at the
+first march and valid across refactors, so a step is one divide, one add
+per right-hand-side column and one dgttrs call, with no allocation.
+Grid1D.levels restricts a grid to a range of time levels (a slab); an
+operator built on it, with the slab's first level as k0, holds that
+slab's steps only and names them by their strip step in its errors.
 
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
@@ -174,25 +182,34 @@ class WindowOperator:
     sub, diag and sup are the assembled matrices with the stabilizer left
     out of diag; they never change.  dl, d, du, du2 and ipiv hold the
     factors of the matrices with a stabilizer c added, and
-    refactor_window_operator overwrites them in place for a new c.
+    refactor_window_operator overwrites them in place for a new c.  All
+    are (nt, n): read flat, d and, without their last entry, dl and du
+    are the diagonals of the block-diagonal stack of every step's matrix,
+    which one dgttrf call factors.  Row k of dl, du and du2 holds step k's
+    factors in its first n-1, n-1 and n-2 entries (the rest belong to no
+    step), and row k of ipiv step k's own pivot rows.
 
     A window end is either physical, the row alpha0 du/dnu + beta0 u = h
-    of its BoundaryCondition with h in left_h/right_h, or pinned: a
-    Dirichlet row, its values given to each march (left_h/right_h None).
-    A first row with a zero super-diagonal is decoupled before factoring:
-    its value is folded into row 1's right-hand side and row 1's coupling
-    to it is zeroed, so it comes back exact.  Left coupled, dgttrf's
-    partial pivoting would swap it with row 1, whose sub-diagonal is of
-    order a/dx^2, and return it off by about eps/dx^2.  pin_sub holds row
-    1's coupling (0 where the row is coupled) and pin_diag the first
-    row's diagonal (1 there).  A last row with a zero sub-diagonal is
-    never swapped and needs no decoupling.
+    of its BoundaryCondition, or pinned: a Dirichlet row, its values given
+    to each march (left_h/right_h None).  A first row with a zero
+    super-diagonal, pinned or a physical Dirichlet row, is factored with
+    the diagonal D, the least power of two not below 1 and row 1's
+    coupling to it, and the right-hand side D*(value/diagonal), formed in
+    that order.  dgttrf then never swaps it with row 1 (|D| >= |coupling|;
+    a swap would return it off by about eps/dx^2, the coupling being of
+    order a/dx^2), elimination subtracts (coupling/D)*(D*value/diagonal),
+    both factors exact, which is the rounded product coupling*(value /
+    diagonal), and back-substitution returns (D*w)/D = w exactly.  row0_d
+    holds the first row's diagonal as factored (D on those steps), and
+    left_h/right_h a physical end row's right-hand side (h, or
+    D*(h/beta0) on a Dirichlet first row).  A last row with a zero
+    sub-diagonal is never swapped and is factored as it is.
 
     k0 is the strip level the operator's grid starts at (0 for a whole
     strip, the first level of a slab otherwise): errors name step k0+k.
-    steps holds, per step, the (dl, d, du, du2, ipiv) row views that
-    dgttrs takes, made once here and valid across refactors, which write
-    into the same arrays.
+    plan is march_window's buffer and per-step dgttrs arguments for the
+    column count of its last march, made by the first march with that
+    count and valid across refactors, which write into the same arrays.
     """
 
     window: Subrange
@@ -200,25 +217,40 @@ class WindowOperator:
     sub: np.ndarray  # (nt, n), sub[:, 0] = 0
     diag: np.ndarray  # (nt, n), without c
     sup: np.ndarray  # (nt, n), sup[:, -1] = 0
-    dl: np.ndarray  # (nt, n-1)
+    dl: np.ndarray  # (nt, n)
     d: np.ndarray  # (nt, n)
-    du: np.ndarray  # (nt, n-1)
-    du2: np.ndarray  # (nt, n-2)
+    du: np.ndarray  # (nt, n)
+    du2: np.ndarray  # (nt, n)
     ipiv: np.ndarray  # (nt, n), int32
     left_h: Union[np.ndarray, None]
     right_h: Union[np.ndarray, None]
-    pin_sub: np.ndarray
-    pin_diag: np.ndarray
+    row0_d: np.ndarray  # (nt,)
     k0: int = 0  # the time level its first step starts from
-    steps: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(zip(self.dl, self.d, self.du, self.du2, self.ipiv)))
+    plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def _end_rows(bc, ts):
     """alpha0, beta0 and h of a BoundaryCondition at each of the times ts."""
     return (np.array([float(fn(t)) for t in ts]) for fn in (bc.alpha0, bc.beta0, bc.h))
+
+
+def _pinned_row_diagonal(sub1, diag0, pinned, k0):
+    """The first row's diagonal to factor at each step: diag0, or D where
+    the row is pinned (see WindowOperator), from row 1's coupling sub1.
+    Raises FloatingPointError, naming the step, where that coupling
+    exceeds the largest power of two."""
+    row0_d = diag0.copy()
+    ks = np.flatnonzero(pinned)
+    mantissa, exponent = np.frexp(sub1[ks])  # |sub1| = |mantissa| 2^exponent, |mantissa| in [1/2, 1)
+    exponent -= np.abs(mantissa) == 0.5  # sub1 a power of two
+    if np.any(exponent > 1023):
+        k = ks[int(np.argmax(exponent > 1023))]
+        raise FloatingPointError(
+            f"time step {k0 + k + 1}: row 1's coupling {sub1[k]:.6g} to the Dirichlet first "
+            "row exceeds the largest power of two"
+        )
+    row0_d[ks] = np.ldexp(1.0, np.maximum(exponent, 0))
+    return row0_d
 
 
 def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0):
@@ -236,7 +268,8 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     takes a BoundaryCondition, discretized one-sided at every step time,
     or None to pin it (see WindowOperator).  Raises ValueError where
     a <= 0, MMatrixViolation when a matrix fails the M-matrix check,
-    ZeroPivotError on a singular matrix.
+    ZeroPivotError on a singular matrix, FloatingPointError where a
+    Dirichlet first row cannot be scaled (see _pinned_row_diagonal).
     """
     n, nt = window.size, grid.nt
     lo, hi = window.lo, window.hi
@@ -269,22 +302,25 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
             off[:, col] = -alpha0 / dx
             ends.append(h)
 
-    pinned = sup[:, 0] == 0.0
+    # A first row with a diagonal <= 0 fails the audit; it is left as it is.
+    pinned = (sup[:, 0] == 0.0) & (diag[:, 0] > 0.0)
+    row0_d = _pinned_row_diagonal(sub[:, 1], diag[:, 0], pinned, k0)
+    if ends[0] is not None:
+        ends[0][pinned] = row0_d[pinned] * (ends[0][pinned] / diag[pinned, 0])
     op = WindowOperator(
         window=window,
         dt=dt,
         sub=sub,
         diag=diag,
         sup=sup,
-        dl=np.empty((nt, n - 1)),
+        dl=np.zeros((nt, n)),
         d=np.empty((nt, n)),
-        du=np.empty((nt, n - 1)),
-        du2=np.empty((nt, n - 2)),
+        du=np.zeros((nt, n)),
+        du2=np.zeros((nt, n)),
         ipiv=np.empty((nt, n), dtype=np.int32),
         left_h=ends[0],
         right_h=ends[1],
-        pin_sub=np.where(pinned, sub[:, 1], 0.0),
-        pin_diag=np.where(pinned, diag[:, 0], 1.0),
+        row0_d=row0_d,
         k0=k0,
     )
     refactor_window_operator(op, c_field)
@@ -294,7 +330,8 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
 def refactor_window_operator(op, c_field):
     """Add the stabilizer c_field, a field over the operator's time levels
     (row 0 unused), to its matrices, check each for the M-matrix pattern
-    and LU-factor every step into its factor arrays in place.
+    and LU-factor every step into its factor arrays in place, all in one
+    dgttrf call on the block-diagonal stack of the steps.
 
     Calls neither the coefficients nor the boundary data: the c-free
     matrices were kept at build.  Raises MMatrixViolation, naming the
@@ -321,19 +358,44 @@ def refactor_window_operator(op, c_field):
             f"assembled system fails M-matrix check at time step {op.k0 + k + 1}: {diagnostic}"
         )
 
-    pinned = op.sup[:, 0] == 0.0
-    np.copyto(op.dl, op.sub[:, 1:])
-    op.dl[pinned, 0] = 0.0
-    np.copyto(op.du, op.sup[:, :-1])
+    op.d[:, 0] = op.row0_d
+    nt, n = op.d.shape
+    # Read flat, sub without its first entry and sup without its last are
+    # the stack's off-diagonals: sub[:, 0] and sup[:, -1] are the zero
+    # couplings between consecutive steps.
+    dl, du = op.dl.reshape(-1)[:-1], op.du.reshape(-1)[:-1]
+    np.copyto(dl, op.sub.reshape(-1)[1:])
+    np.copyto(du, op.sup.reshape(-1)[:-1])
+    *_, du2, ipiv, info = dgttrf(
+        dl, op.d.reshape(-1), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+    )
+    if info != 0:
+        k, i = divmod(info - 1, n)
+        raise ZeroPivotError(f"zero pivot at row {i} (time step {op.k0 + k + 1})")
+    op.du2.reshape(-1)[:-2] = du2
+    np.subtract(ipiv.reshape(nt, n), np.arange(0, nt * n, n, dtype=ipiv.dtype)[:, None], out=op.ipiv)
 
-    for k in range(op.d.shape[0]):
-        *_, du2, ipiv, info = dgttrf(
-            op.dl[k], op.d[k], op.du[k], overwrite_dl=1, overwrite_d=1, overwrite_du=1
+
+def _march_plan(op, m):
+    """The buffer u (nt+1, m, n) a march of m columns solves in, a scratch
+    row and, per step k, (u[k-1], the (column, scratch) pairs of u[k]'s
+    interior, step k's dgttrs arguments).  u[k].T is the Fortran-ordered
+    (n, m) block dgttrs solves in place."""
+    nt, n = op.d.shape
+    u = np.empty((nt + 1, m, n))
+    rows = [u[k].T for k in range(nt + 1)]
+    carried = np.empty((n, m), order="F")
+    scratch = [carried[1:-1, j] for j in range(m)]
+    steps = tuple(
+        (
+            rows[k - 1],
+            tuple((rows[k][1:-1, j], scratch[j]) for j in range(m)),
+            (op.dl[k - 1, :-1], op.d[k - 1], op.du[k - 1, :-1], op.du2[k - 1, :-2],
+             op.ipiv[k - 1], rows[k], "N", 1),
         )
-        if info != 0:
-            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {op.k0 + k + 1})")
-        op.du2[k] = du2
-        op.ipiv[k] = ipiv
+        for k in range(1, nt + 1)
+    )
+    return u, carried, steps
 
 
 def march_window(op, q, initial, left=None, right=None):
@@ -343,40 +405,42 @@ def march_window(op, q, initial, left=None, right=None):
     0 unused), over the operator's time levels.  initial is (m, n), the
     rows at its first level, or one (n,) row for every field.  left/right
     are (m, nt+1) Dirichlet values for a pinned end (row 0 unused) and
-    must be None for a physical end.  Each step is one dgttrs call with
-    one right-hand-side column per field, so the columns never mix.
-    Returns the (m, nt+1, n) window solution (a transposed view); raises
-    FloatingPointError at the first step whose solution is not finite.
+    must be None for a physical end.  Each step divides the previous
+    level by dt, adds it to each column's interior and makes one dgttrs
+    call with one right-hand-side column per field, so the columns never
+    mix.
+
+    Returns the (m, nt+1, n) window solution, a transposed view of the
+    operator's march buffer: the next march on the operator with as many
+    columns overwrites it, so copy what must outlive that.  Raises
+    FloatingPointError at the first step whose solution is not finite,
+    naming it by its strip step.
     """
     q = np.asarray(q, dtype=float)
-    m, nt1, _ = q.shape
-    n, dt = op.window.size, op.dt
+    m = q.shape[0]
     for name, given, built in (("left", left, op.left_h), ("right", right, op.right_h)):
         if (given is None) == (built is None):
             raise ValueError(f"{name} end: pass values exactly when the end is pinned")
-    # u[k] holds step k's right-hand side until dgttrs overwrites it with
-    # the solution: (m, n) C-contiguous, so u[k].T is the Fortran-ordered
-    # (n, m) block dgttrs solves in place.  u[0] is the initial rows.
-    u = np.empty((nt1, m, n))
+    if op.plan is None or op.plan[0].shape[1] != m:
+        object.__setattr__(op, "plan", _march_plan(op, m))
+    u, carried, steps = op.plan
     u[0] = initial
     u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
-    u[1:, :, 0] = op.left_h[:, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
+    if left is None:
+        u[1:, :, 0] = op.left_h[:, None]
+    else:  # a pinned end's diagonal is 1, so D*(value/1) is D*value
+        np.multiply(op.row0_d[:, None], np.asarray(left, dtype=float)[:, 1:].T, out=u[1:, :, 0])
     u[1:, :, -1] = op.right_h[:, None] if right is None else np.asarray(right, dtype=float)[:, 1:].T
-    interior, row1, blocks = u[:, :, 1:-1], u[:, :, 1], u.transpose(0, 2, 1)
-    fold = None
-    if np.any(op.pin_sub != 0.0):
-        fold = op.pin_sub[:, None] * (u[1:, :, 0] / op.pin_diag[:, None])
-    carried = np.empty((m, n - 2))  # u[k-1]/dt, written in place every step
-    solve = dgttrs
-    for k, step in enumerate(op.steps, start=1):
-        np.divide(interior[k - 1], dt, out=carried)
-        np.add(interior[k], carried, out=interior[k])
-        if fold is not None:
-            row1[k] -= fold[k - 1]
-        solve(*step, blocks[k], "N", 1)
+    divide, add, solve, dt = np.divide, np.add, dgttrs, op.dt
+    for prev, columns, args in steps:
+        divide(prev, dt, out=carried)
+        for column, new in columns:
+            add(column, new, out=column)
+        solve(*args)
     finite = np.all(np.isfinite(u[1:]), axis=(1, 2))
     if not np.all(finite):
-        raise FloatingPointError(f"non-finite solution at time step {int(np.argmin(finite)) + 1}")
+        k = op.k0 + int(np.argmin(finite)) + 1
+        raise FloatingPointError(f"non-finite solution at time step {k}")
     return u.transpose(1, 0, 2)
 
 

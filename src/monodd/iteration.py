@@ -282,15 +282,6 @@ def _initial_past(spec, grid):
     return Past.initial(np.stack((row, row)), grid)
 
 
-def dd_sweep(state, spec, grid, decomp, stab):
-    """Advance both branches by one alternating-Schwarz sweep of the whole
-    strip with the stabilizer stab as given.  Builds the window operators
-    for this one sweep; run_dd sweeps slab by slab, builds each slab's
-    operators on its levels and refreshes stab itself."""
-    ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
-    return _sweep(state, spec, grid, stab, ops, _initial_past(spec, grid))
-
-
 def _slab_bounds(grid, c_total):
     """(k0, k1) of m = ceil(T max c_total) consecutive slabs of equal length
     (+-1 level), m at most nt and at least 1."""

@@ -2,9 +2,13 @@
 
 assemble_step and thomas_solve build and solve the backward-Euler system
 of one time step at a time; build_window_operator and march_window do
-the same for every step at once.  chain_min_margin is the separate-pass
+the same for every step at once.  per_step_factors and per_step_march
+are the LAPACK loop march_window must match bitwise: one dgttrf call per
+step, a pinned first row decoupled and its value folded into row 1, and
+a strided divide and add per step.  chain_min_margin is the separate-pass
 form of verify.sweep_metrics' margin.  exponential_trapezoid_recursion
 is the level-by-level recursion that volterra's doubling scan replaces.
+dd_sweep is one whole-strip sweep with a given stabilizer.
 assemble_step checks every matrix it builds for the M-matrix pattern, so
 the suite audits all it assembles.
 """
@@ -17,6 +21,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from monodd.discretization import MMatrixViolation, ZeroPivotError, m_matrix_check
+from monodd.iteration import _dd_windows, _initial_past, _sweep, _window_operators
 from monodd.verify import _chain_links
 
 
@@ -136,6 +141,68 @@ def thomas_solve(system):
     if info != 0:
         raise ZeroPivotError(f"zero pivot at row {info - 1}")
     return x
+
+
+def per_step_factors(sub, diag, sup, c):
+    """The LU factors (dl, d, du, du2, ipiv) of every step matrix, as a
+    WindowOperator keeps them (sub, diag, sup (nt, n), diag without the
+    stabilizer) with c (nt, n-2) added to the interior diagonal, one
+    dgttrf call per step.  A first row with a zero super-diagonal is
+    decoupled: row 1's coupling to it is zeroed, and per_step_march folds
+    its value into row 1's right-hand side."""
+    d = diag.copy()
+    d[:, 1:-1] += c
+    factors = []
+    for k in range(d.shape[0]):
+        dl = sub[k, 1:].copy()
+        if sup[k, 0] == 0.0:
+            dl[0] = 0.0
+        *step, info = lapack.dgttrf(dl, d[k], sup[k, :-1])
+        if info != 0:
+            raise ZeroPivotError(f"zero pivot at row {info - 1} (time step {k + 1})")
+        factors.append(step)
+    return factors
+
+
+def per_step_march(sub, diag, sup, factors, dt, q, initial, left, right):
+    """March m right-hand sides through per_step_factors' factors as
+    march_window does: q (m, nt+1, n-2), initial (m, n), and left/right
+    (m, nt+1) the first and last rows' right-hand sides at each step (h
+    of a physical row, the values of a pinned one; row 0 unused).  Each
+    step divides the previous level's interior by dt and adds it, both on
+    strided (m, n-2) views, subtracts from row 1 its coupling times a
+    decoupled first row's value over its diagonal, and calls dgttrs."""
+    m, nt1, _ = q.shape
+    n = diag.shape[1]
+    pinned = sup[:, 0] == 0.0
+    pin_sub = np.where(pinned, sub[:, 1], 0.0)
+    pin_diag = np.where(pinned, diag[:, 0], 1.0)
+    u = np.empty((nt1, m, n))
+    u[0] = initial
+    u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
+    u[1:, :, 0] = left[:, 1:].T
+    u[1:, :, -1] = right[:, 1:].T
+    interior, row1, blocks = u[:, :, 1:-1], u[:, :, 1], u.transpose(0, 2, 1)
+    fold = None
+    if np.any(pin_sub != 0.0):
+        fold = pin_sub[:, None] * (u[1:, :, 0] / pin_diag[:, None])
+    carried = np.empty((m, n - 2))
+    for k, step in enumerate(factors, start=1):
+        np.divide(interior[k - 1], dt, out=carried)
+        np.add(interior[k], carried, out=interior[k])
+        if fold is not None:
+            row1[k] -= fold[k - 1]
+        lapack.dgttrs(*step, blocks[k], "N", 1)
+    return u.transpose(1, 0, 2)
+
+
+def dd_sweep(state, spec, grid, decomp, stab):
+    """Advance both branches by one alternating-Schwarz sweep of the whole
+    strip with the stabilizer stab as given, the window operators built
+    for this one sweep: run_dd's sweep of a one-slab run before any
+    refresh."""
+    ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
+    return _sweep(state, spec, grid, stab, ops, _initial_past(spec, grid))
 
 
 def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):

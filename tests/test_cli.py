@@ -131,6 +131,40 @@ def test_late_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch)
     assert "time step 26: row 0: diagonal -1 not positive" in captured.err
 
 
+@pytest.mark.parametrize("case", ["coupling", "value"])
+def test_pinned_row_overflow_exits_3_with_one_line(tmp_path, capsys, monkeypatch, case):
+    # A Dirichlet first row is factored with a power-of-two diagonal D no
+    # smaller than row 1's coupling, and its value enters as D*value.  The
+    # coupling -9e307 has no such D, found at build; with coupling -1.5
+    # (D = 2), a value of 1e308 from step 5 on overflows at that step.
+    if case == "coupling":
+        params, grid, message = {"T": 1e-299}, {"nx": 4, "nt": 10}, "time step 1: row 1's coupling"
+        a, b, bc = 6.25e305, -2e307, None
+    else:
+        params, grid, message = {"T": 0.01}, {"nx": 4, "nt": 8}, "non-finite solution at time step 5"
+        a, b = 0.09375, 0.0
+        bc = monodd.BoundaryCondition(
+            alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 1e308 if t > 0.005 else 0.0
+        )
+    coeffs = monodd.EllipticCoefficients(a=lambda t, x: a + 0.0 * x, b=lambda t, x: b + 0.0 * x)
+    lookup = cli.catalog_lookup
+
+    def patched(*args):
+        spec = dataclasses.replace(lookup(*args), coeffs=coeffs)
+        return spec if bc is None else dataclasses.replace(spec, bc_left=bc)
+
+    monkeypatch.setattr(cli, "catalog_lookup", patched)
+    cfg = write_config(
+        tmp_path / "cfg.json", problem={"name": "linear_heat", "params": params}, grid=grid,
+        decomposition="single_domain",
+    )
+    assert main(["run", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid config:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def order_config(path, problem, grids=((16, 16), (32, 32))):
     cfg = write_config(path, problem=problem)
     raw = json.loads(cfg.read_text())

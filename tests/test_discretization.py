@@ -18,7 +18,15 @@ from monodd.discretization import (
     refactor_window_operator,
 )
 
-from reference import DirichletRow, RobinRow, TridiagonalSystem, assemble_step, thomas_solve
+from reference import (
+    DirichletRow,
+    RobinRow,
+    TridiagonalSystem,
+    assemble_step,
+    per_step_factors,
+    per_step_march,
+    thomas_solve,
+)
 
 CONST = EllipticCoefficients(a=lambda t, x: 1.0 + 0.0 * x, b=lambda t, x: 0.0 * x)
 
@@ -546,7 +554,7 @@ class TestWindowOperator:
         whole = build_window_operator(grid, window, coeffs, c_old, None, right)
         slab = build_window_operator(grid.levels(3, 7), window, coeffs, c_old[3:8], None, right, k0=3)
         assert slab.k0 == 3 and slab.d.shape == (4, window.size)
-        arrays = ("sub", "diag", "sup", "dl", "d", "du", "du2", "ipiv", "right_h", "pin_sub", "pin_diag")
+        arrays = ("sub", "diag", "sup", "dl", "d", "du", "du2", "ipiv", "right_h", "row0_d")
 
         def same_steps():
             for name in arrays:
@@ -580,3 +588,103 @@ class TestWindowOperator:
         c[step] = -100.0
         with pytest.raises(MMatrixViolation, match=f"time step {step}"):
             refactor_window_operator(op, c)
+
+
+class TestStackedFactors:
+    """The block-stacked factors and the planned march against the per-step
+    LAPACK loop they replace (tests/reference.py), bitwise."""
+
+    ENDS = ("pinned", "dirichlet", "robin")
+
+    @pytest.mark.parametrize("nt", range(1, 12))
+    @pytest.mark.parametrize("left", ENDS)
+    @pytest.mark.parametrize("right", ENDS)
+    def test_march_is_bitwise_the_per_step_loop(self, nt, left, right):
+        # dt = 0.5/nt is not a power of two for most nt; a Dirichlet end has
+        # beta0 != 1 and h != 0.  One and two columns, at build and after a
+        # refactor with a lower stabilizer.
+        rng = np.random.default_rng([nt, self.ENDS.index(left), self.ENDS.index(right)])
+        grid = grid_of(0.0, 1.0, 0.5, 16, nt)
+        lo, hi = rng.choice([(0, 16), (3, 16), (0, 9), (4, 13)])
+        window = Subrange(lo, hi)
+        s = rng.uniform(-3.0, 3.0)
+        coeffs = EllipticCoefficients(
+            a=lambda t, x: 0.5 + 0.3 * np.sin(4 * x) + t, b=lambda t, x: s * np.cos(3 * x) + t
+        )
+        ends = [random_end(rng, nt, left), random_end(rng, nt, right)]
+        built, _ = march_args(ends)
+        c_old = rng.uniform(0.0, 3.0, (nt + 1, 17))
+        c_new = c_old * rng.uniform(0.0, 1.0, c_old.shape)
+        op = build_window_operator(grid, window, coeffs, c_old, *built)
+        for c in (c_old, c_new):
+            if c is c_new:
+                refactor_window_operator(op, c)
+            factors = per_step_factors(op.sub, op.diag, op.sup, c[1:, lo + 1 : hi])
+            for m in (1, 2):
+                q = rng.standard_normal((m, nt + 1, window.size - 2))
+                initial = rng.standard_normal((m, window.size))
+                # The end rows' right-hand sides: h of a physical end, the
+                # march's values of a pinned one.
+                values = [
+                    np.tile([float(end.h(t)) for t in grid.ts], (m, 1))
+                    if isinstance(end, BoundaryCondition) else rng.standard_normal((m, nt + 1))
+                    for end in ends
+                ]
+                pins = {
+                    side: None if isinstance(end, BoundaryCondition) else value
+                    for side, end, value in zip(("left", "right"), ends, values)
+                }
+                got = march_window(op, q, initial, **pins)
+                expected = per_step_march(
+                    op.sub, op.diag, op.sup, factors, grid.dt, q, initial, *values
+                )
+                assert got.tobytes() == expected.tobytes()
+
+    def test_march_reuses_the_operators_buffer(self):
+        # The result is a view of the operator's march buffer: the next march
+        # with as many columns overwrites it, one with another count does not.
+        rng = np.random.default_rng(3)
+        grid = grid_of(0.0, 1.0, 0.5, 8, 5)
+        op = build_window_operator(grid, Subrange(0, 8), CONST, np.zeros((6, 9)), None, None)
+
+        def march(m):
+            return march_window(
+                op, rng.standard_normal((m, 6, 7)), np.zeros((m, 9)), np.ones((m, 6)), np.ones((m, 6))
+            )
+
+        first = march(2)
+        kept = first.copy()
+        second = march(2)
+        assert np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+        assert kept.tobytes() != second.tobytes()
+        kept = second.copy()
+        one = march(1)
+        assert not np.shares_memory(one, second) and second.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_coupling_beyond_the_largest_power_of_two_names_the_step(self, pinned):
+        # Row 1's coupling to a Dirichlet first row, -(a/dx^2 + |b|/dx) =
+        # -9e307, passes the audit but exceeds 2^1023, so the row has no
+        # power-of-two diagonal: the build names the slab's first strip step.
+        grid = grid_of(0.0, 1.0, 1e-299, 4, 10)
+        coeffs = EllipticCoefficients(a=lambda t, x: 6.25e305 + 0.0 * x, b=lambda t, x: -2e307 + 0.0 * x)
+        left = None if pinned else catalog_lookup("linear_heat").bc_left
+        with pytest.raises(FloatingPointError, match="time step 4: row 1's coupling -9e"):
+            build_window_operator(grid.levels(3, 7), Subrange(0, 4), coeffs, np.zeros((5, 5)),
+                                  left, None, k0=3)
+
+    def test_scaled_pinned_value_overflow_names_the_step(self):
+        # Row 1's coupling -1.5 gives the pinned row D = 2: a value of 1e308
+        # at strip step 5 scales past the largest double, and the march
+        # names that step.
+        grid = grid_of(0.0, 1.0, 0.5, 4, 8)
+        coeffs = EllipticCoefficients(a=lambda t, x: 0.09375 + 0.0 * x, b=lambda t, x: 0.0 * x)
+        op = build_window_operator(grid.levels(3, 7), Subrange(0, 4), coeffs, np.zeros((5, 5)),
+                                   None, None, k0=3)
+        assert np.all(op.row0_d == 2.0)
+        left = np.zeros((1, 5))
+        left[0, 2] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite solution at time step 5"
+        ):
+            march_window(op, np.zeros((1, 5, 3)), np.zeros((1, 5)), left, np.zeros((1, 5)))

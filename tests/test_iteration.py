@@ -16,7 +16,6 @@ from monodd import (
     catalog_lookup,
     check_bracket,
     check_monotone_chain,
-    dd_sweep,
     default_decomposition,
     init_state,
     run_dd,
@@ -30,6 +29,7 @@ from monodd.verify import sweep_metrics
 from monodd.volterra import compute_stabilizers
 
 from conftest import desk_logistic, kpp, make_zero_problem
+from reference import dd_sweep
 
 
 class TestDecomposition:
