@@ -3,8 +3,10 @@
 The time direction is discretized by backward Euler and space by central
 differences for the diffusion term plus first-order upwinding for advection.
 That combination makes every per-step tridiagonal matrix an M-matrix as soon
-as the zero-order coefficient is nonnegative, which is what the whole
-monotone iteration machinery rests on.
+as 1/dt + c > 0 for the zero-order coefficient c, the amount by which each
+interior row is diagonally dominant: a strictly diagonally dominant
+Z-matrix is an M-matrix.  That is what the whole monotone iteration
+machinery rests on, and c may be negative down to -1/(2 dt) (see volterra).
 
 The solver's matrices depend on the stabilizer and the boundary rows only,
 so a WindowOperator assembles them for the time levels of one grid, keeps
@@ -27,7 +29,8 @@ slab's steps only and names them by their strip step in its errors.
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
 MMatrixViolation: the monotone iteration is only sound on M-matrices, and
-the check costs about 1% of a solve.
+the check costs about 1% of a solve.  With a negative stabilizer it is
+also what rejects c <= -1/dt.
 
 The two LAPACK routines used, dgttrf and dgttrs, come from scipy's
 compiled extension scipy.linalg._flapack, loaded straight from scipy's
@@ -180,7 +183,9 @@ class WindowOperator:
     step k0+k.
 
     sub, diag and sup are the assembled matrices with the stabilizer left
-    out of diag; they never change.  dl, d, du, du2 and ipiv hold the
+    out of diag; they never change, and neither do offdiag, |sub| + |sup|,
+    and positive_off, which flags the steps with a positive off-diagonal,
+    both kept for the audit.  dl, d, du, du2 and ipiv hold the
     factors of the matrices with a stabilizer c added, and
     refactor_window_operator overwrites them in place for a new c.  All
     are (nt, n): read flat, d and, without their last entry, dl and du
@@ -217,6 +222,8 @@ class WindowOperator:
     sub: np.ndarray  # (nt, n), sub[:, 0] = 0
     diag: np.ndarray  # (nt, n), without c
     sup: np.ndarray  # (nt, n), sup[:, -1] = 0
+    offdiag: np.ndarray  # (nt, n), |sub| + |sup|
+    positive_off: np.ndarray  # (nt,), bool
     dl: np.ndarray  # (nt, n)
     d: np.ndarray  # (nt, n)
     du: np.ndarray  # (nt, n)
@@ -313,6 +320,8 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
         sub=sub,
         diag=diag,
         sup=sup,
+        offdiag=np.abs(sub) + np.abs(sup),
+        positive_off=np.any(sub > 0, axis=1) | np.any(sup > 0, axis=1),
         dl=np.zeros((nt, n)),
         d=np.empty((nt, n)),
         du=np.zeros((nt, n)),
@@ -341,16 +350,17 @@ def refactor_window_operator(op, c_field):
     lo, hi = op.window.lo, op.window.hi
     np.copyto(op.d, op.diag)
     op.d[:, 1:-1] += np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
-    # Every step in one vectorized pass; m_matrix_check words the first failure.
-    excess = op.d - (np.abs(op.sub) + np.abs(op.sup))
-    bad = (
-        ~np.all(np.isfinite(excess), axis=1)  # an inf or a NaN entry
-        | np.any(op.d <= 0, axis=1)
-        | np.any(op.sub > 0, axis=1)
-        | np.any(op.sup > 0, axis=1)
-        | np.any(excess < 0, axis=1)
-        | ~np.any(excess > 0, axis=1)
+    # Every step at once, m_matrix_check's tests as one subtraction and
+    # row-wise reductions; m_matrix_check words the first failure.  A
+    # step's least and largest excess are both finite exactly where all
+    # its excesses are: min and max return a NaN where there is one.
+    excess = np.subtract(op.d, op.offdiag)
+    least, largest = excess.min(axis=1), excess.max(axis=1)
+    bad = ~(
+        np.isfinite(least) & np.isfinite(largest) & (least >= 0) & (largest > 0)
+        & (op.d.min(axis=1) > 0)
     )
+    bad |= op.positive_off
     if np.any(bad):
         k = int(np.argmax(bad))
         _, diagnostic = m_matrix_check(op.sub[k], op.d[k], op.sup[k])

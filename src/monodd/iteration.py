@@ -11,7 +11,8 @@ The stabilizer c makes F1 = c u + f + g nondecreasing on the order
 interval the iterates occupy.  That interval shrinks every sweep, so c is
 refreshed on the current envelope [u11, u12] after sweeps 1, 2, 4, 8, ...
 (the accelerated monotone iteration of Pao), as
-c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + margin, 0)).  The
+c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + margin, -1/(2 dt))),
+negative where f grows on the whole envelope (see volterra).  The
 min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
 down to (c_{n-1} - c_n)(u21(n) - u11(n)) plus an F1_{c_{n-1}} difference,
 both nonnegative only while c never rises.
@@ -284,7 +285,8 @@ def _initial_past(spec, grid):
 
 def _slab_bounds(grid, c_total):
     """(k0, k1) of m = ceil(T max c_total) consecutive slabs of equal length
-    (+-1 level), m at most nt and at least 1."""
+    (+-1 level), m at most nt and at least 1: one slab, the whole strip,
+    where max c_total <= 0."""
     span = float(grid.ts[-1] - grid.ts[0]) * float(np.max(c_total))
     m = grid.nt if not span < grid.nt else max(1, math.ceil(span))
     ks = [(j * grid.nt) // m for j in range(m + 1)]
@@ -332,8 +334,10 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
     that the next sweep reaches the target (gap * gap / previous gap <=
     target): keeping the larger c is always sound, and a refresh then
     would resample c and refactor every step for at most one more sweep.
-    A refresh that leaves c as it was (a constant c_bar_bound, c already 0
-    everywhere) refactors nothing.
+    A refresh that leaves c as it was (a constant c_bar_bound, c already at
+    its floor -1/(2 dt) everywhere, a resample that comes out no lower)
+    refactors nothing.  Where f grows on the slab's envelope, c goes below
+    0 and keeps falling as the envelope closes, so it refactors there.
 
     Returns (tighter, reason), both None when the slab reaches its target.
     tighter is the target the slab before it must reach when the slab

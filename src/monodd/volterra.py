@@ -21,15 +21,21 @@ trapezoid sum from k0 (an exact split of the composite rule), and the
 rows themselves, which only the generic trapezoid sum reads.  Both parts
 are nondecreasing in psi, so a lower past gives a lower memory term.
 
-The stabilizer c_total >= max(c_under + b_under, 0) is added to both sides
-of the equation so that
+The stabilizer c_total >= c_under + b_under + margin is added to both
+sides of the equation so that
 
     F1(t, x, u) = c_total u + f(t, x, u) + g(t, x, u)
 
 is nondecreasing in u over the bracket.  c_under and b_under are sampled
 suprema of -df/du and -dg0/deta1; an additive margin compensates for the
-sampling underestimate.  refresh_stabilizers lowers c_total to the smaller
-interval the iterates occupy after some sweeps.
+sampling underestimate.  c_total is negative where f grows in u, as the
+monotone iteration of parabolic problems allows (Pao, Nonlinear Parabolic
+and Elliptic Equations, 1992, ch. 2-3).  Its only floor is C_FLOOR_DT / dt
+= -1/(2 dt): a step matrix's interior rows exceed diagonal dominance by
+1/dt + c_total >= 1/(2 dt), so it stays a strictly diagonally dominant
+Z-matrix, an M-matrix (Varga, Matrix Iterative Analysis, 2000, 3.5).
+refresh_stabilizers lowers c_total to the smaller interval the iterates
+occupy after some sweeps.
 """
 from __future__ import annotations
 
@@ -42,6 +48,11 @@ import numpy as np
 from .discretization import Field, Grid1D
 
 
+# The least stabilizer, in units of 1/dt: c_total >= C_FLOOR_DT / dt keeps
+# every backward-Euler step matrix diagonally dominant by 1/dt + c_total >=
+# 1/(2 dt) (see the module docstring).
+C_FLOOR_DT = -0.5
+
 # History levels per block in the generic-kernel stabilizer loop; bounds its
 # temporaries at O(n_samples^2 nx HISTORY_CHUNK) whatever nt is.
 HISTORY_CHUNK = 32
@@ -53,7 +64,7 @@ class StabilizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilizerField:
-    c_total: Field  # clamped c = max(c_under + b_under + margin, 0)
+    c_total: Field  # c = max(c_under + b_under + margin, C_FLOOR_DT / dt), may be negative
     # memory-term component over the initial bracket: a Field, or the
     # scalar 0.0 for a kernel that does not depend on eta1 (exponential,
     # trivial), which needs none
@@ -198,15 +209,18 @@ def eval_g_field(kernel, u, grid, cols=slice(None), past=None):
 
 
 def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, margin=1e-6):
-    """Sampled suprema c_under, b_under over the bracket, combined and clamped.
+    """Sampled suprema c_under, b_under over the bracket, combined and floored:
+
+        c_total = max(c_under + b_under + margin, C_FLOOR_DT / dt).
 
     c_under(t,x) ~ max over eta in [u_hat, u_tilde] of -f_u(t,x,eta);
     b_under(t,x) = trapezoid over s of max over eta1, eta2 of -dg0/deta1.
     Derivatives use analytic callables when supplied, centered differences
-    otherwise.  The additive margin guards against sampled-sup underestimate;
-    the result is clamped at zero so every assembled system is an M-matrix.
-    b_under is the scalar 0.0 for a trivial or exponential kernel, and
-    c_total is formed in place in c_under's array.
+    otherwise.  The additive margin guards against sampled-sup underestimate.
+    c_total is negative where f grows on the whole bracket; the floor
+    -1/(2 dt) keeps every assembled system an M-matrix.  b_under is the
+    scalar 0.0 for a trivial or exponential kernel, and c_total is formed
+    in place in c_under's array.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -265,7 +279,9 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     c_under += b_under
     c_under += margin
     return StabilizerField(
-        c_total=np.maximum(c_under, 0.0, out=c_under), b_under=b_under, fd_step=fd_step
+        c_total=np.maximum(c_under, C_FLOOR_DT / grid.dt, out=c_under),
+        b_under=b_under,
+        fd_step=fd_step,
     )
 
 
@@ -296,7 +312,8 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     """The stabilizer lowered to the envelope [lo, hi] that the iterates now
     occupy (the accelerated monotone iteration of Pao):
 
-        c = min(stab.c_total, max(c_under([lo, hi]) + stab.b_under + margin, 0)).
+        c = min(stab.c_total,
+                max(c_under([lo, hi]) + stab.b_under + margin, C_FLOOR_DT / dt)).
 
     c_under is resampled as compute_stabilizers samples it, with the
     centered-difference step of the initial bracket (a step scaled to a
@@ -305,11 +322,12 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     The min keeps c from ever rising, which the monotone chain needs, as
     a sampled supremum over a smaller interval can come out larger.
     Returns stab itself, with no resample, when the reaction gives a
-    constant c_bar_bound, when c is already 0 at every node (the min would
-    keep it there) or when the envelope has zero width.
+    constant c_bar_bound, when c is already at the floor at every node
+    (the min would keep it there) or when the envelope has zero width.
     """
     reaction = spec.reaction
-    if reaction.c_bar_bound is not None or not np.any(stab.c_total):
+    floor = C_FLOOR_DT / grid.dt
+    if reaction.c_bar_bound is not None or np.all(stab.c_total == floor):
         return stab
     lo = np.asarray(lo, dtype=float)
     width = np.asarray(hi, dtype=float) - lo
@@ -318,7 +336,7 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     c = _sampled_c_under(reaction, grid, lo, width, n_samples, stab.fd_step)
     c += stab.b_under
     c += margin
-    np.maximum(c, 0.0, out=c)
+    np.maximum(c, floor, out=c)
     np.minimum(c, stab.c_total, out=c)
     return StabilizerField(c_total=c, b_under=stab.b_under, fd_step=stab.fd_step)
 

@@ -578,6 +578,74 @@ class TestWindowOperator:
         with pytest.raises(MMatrixViolation, match="time step 5"):
             build_window_operator(grid.levels(3, 7), window, coeffs, bad, None, right, k0=3)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_audit_fails_where_the_per_step_check_first_does(self, seed):
+        # The audit's row-wise reductions against m_matrix_check on each
+        # step's own assembly (reference.assemble_step), for a left end
+        # row and a stabilizer that break each of its tests at random
+        # steps, with dominance at rounding level (c = -1/dt) among them:
+        # build and refactor fail at the same first step, in the same
+        # words, or pass where every step does.
+        rng = np.random.default_rng(seed)
+        grid = grid_of(0.0, 1.0, 0.5, 8, 6)
+        window = Subrange(0, 8)
+
+        def expected(c, alpha, beta):
+            for k in range(1, grid.nt + 1):
+                rows = (RobinRow(alpha[k], beta[k], 0.0), DirichletRow(0.0))
+                try:
+                    assemble_step(grid, CONST, c[k], grid.ts[k], rows, window)
+                except MMatrixViolation as err:
+                    return f"at time step {k}: " + str(err).split(": ", 1)[1]
+            return None
+
+        def outcome(call):
+            try:
+                call()
+            except MMatrixViolation as err:
+                return "at time step " + str(err).split(" at time step ", 1)[1]
+            return None
+
+        def stabilizer():
+            c = rng.uniform(-0.4 / grid.dt, 3.0, (grid.nt + 1, 9))
+            for k in range(1, grid.nt + 1):
+                i = rng.integers(0, 9)
+                defect = rng.choice([-1.0 / grid.dt, -2.0 / grid.dt, np.inf, np.nan])
+                c[k, i] = defect if rng.uniform() < 0.1 else c[k, i]
+            return c
+
+        # (alpha0, beta0) of the left end: Robin, Dirichlet, Neumann (a row
+        # of zero excess), a zero diagonal, a positive off-diagonal and a
+        # row that is not dominant.
+        pairs = np.array([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-1.0, 20.0), (1.0, -1.0)])
+
+        def end_values():
+            odd = rng.uniform(size=grid.nt + 1) < 0.1
+            return pairs[np.where(odd, rng.integers(1, len(pairs), grid.nt + 1), 0)].T
+
+        built, refactored = [], []
+        for _ in range(20):
+            alpha, beta = end_values()
+            level = {t: k for k, t in enumerate(grid.ts)}
+            robin = BoundaryCondition(
+                alpha0=lambda t: alpha[level[t]], beta0=lambda t: beta[level[t]], h=lambda t: 0.0
+            )
+            c = stabilizer()
+            ops = []
+            want = expected(c, alpha, beta)
+            got = outcome(lambda: ops.append(
+                build_window_operator(grid, window, CONST, c, robin, None)
+            ))
+            assert got == want
+            built.append(want)
+            if ops:
+                c = stabilizer()
+                want = expected(c, alpha, beta)
+                assert outcome(lambda: refactor_window_operator(ops[0], c)) == want
+                refactored.append(want)
+        for wants in (built, refactored):
+            assert None in wants and any(want is not None for want in wants)
+
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
     def test_refactor_audits_the_new_matrices(self, step):
         # A stabilizer below -1/dt breaks diagonal dominance; the refactor

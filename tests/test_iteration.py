@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from monodd import (
     sample_field,
 )
 from monodd import iteration, volterra
-from monodd.discretization import MMatrixViolation, Subrange
+from monodd.discretization import MMatrixViolation, Subrange, m_matrix_check
 from monodd.iteration import _u0_row
 from monodd.verify import sweep_metrics
-from monodd.volterra import compute_stabilizers
+from monodd.volterra import Past, compute_stabilizers, eval_F1_field
 
 from conftest import desk_logistic, kpp, make_zero_problem
 from reference import dd_sweep
@@ -244,8 +245,9 @@ class TestOperatorsPerSlab:
         # refreshes after its sweeps 1, 2, 4, ... that another sweep
         # follows, each refresh put off by one sweep when the slab's last
         # two gaps predict that the next sweep reaches tol (gap^2 <= tol *
-        # previous).
-        tol = 1e-10
+        # previous).  Desk logistic's f grows where u < 1/2, so its c falls
+        # below 0 there and every refresh lowers it further: each refactors.
+        tol = 1e-9
         gaps, changed = [], []
         metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
 
@@ -303,7 +305,7 @@ class TestOperatorsPerSlab:
         assert runs == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
         assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
         assert refactors == expected_refactors(hist, windows)
-        assert any(changed) and not all(changed)
+        assert changed and all(changed)
         for recorded_list in (builds, refactors, gaps, changed, runs):
             recorded_list.clear()
         sol, hist = run_single_domain(spec, grid, tol, 50)
@@ -316,13 +318,13 @@ class TestOperatorsPerSlab:
         assert len(changed) < due
 
     def test_a_resumed_slab_is_built_again(self, monkeypatch):
-        # The stalling KPP run of TestSlabs sends the run back to earlier
-        # slabs: every time a slab is taken up, its operators are built
-        # from its current stabilizer, and dropped when it stops.
+        # A stalling KPP run sends the run back to earlier slabs: every
+        # time a slab is taken up, its operators are built from its current
+        # stabilizer, and dropped when it stops.
         builds, runs = record_builds(monkeypatch), record_slab_runs(monkeypatch)
-        spec = kpp(2.2, 0.0, 0.0)
+        spec = kpp(3.0, -0.5, 0.0)
         grid = build_grid(spec.domain, 8, 7)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-8, 500)
         assert sol.converged
         assert len(runs) > len(hist.slab_sweeps)
         assert sorted(set(runs)) == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
@@ -332,12 +334,10 @@ class TestOperatorsPerSlab:
     def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
         # A constant c_bar_bound is never resampled, so no refresh changes
         # c: after the builds nothing is refactored.  On the desk logistic
-        # problem every slab's first refresh lowers c to 0 on its steps,
-        # and no later refresh refactors.  The first slab keeps c = margin
-        # at one node of level 0, where u0 = 1/2 makes f_u = 0, so it
-        # resamples at each of its three refreshes (after sweeps 1, 2 and
-        # 4); every other slab's c is 0 everywhere after its first, and its
-        # later refreshes do not resample either.
+        # problem c falls below 0 where u < 1/2 and keeps falling as the
+        # envelope closes, so every refresh resamples and refactors.  Each
+        # slab sweeps 5 times and refreshes after sweeps 1 and 2; the
+        # refresh due after sweep 4 is put off, as sweep 5 finishes it.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -359,13 +359,12 @@ class TestOperatorsPerSlab:
 
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
-        assert sol.converged and all(sweeps > 4 for *_, sweeps in hist.slab_sweeps)
+        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 5, 5]
         window = Subrange(0, 64)
-        assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps]
-        # The strip's initial c, the first slab's three refreshes, and one
-        # refresh of each later slab.
-        later = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps[1:]]
-        assert len(later) == 2 and resamples == [0.0] * 4 + later
+        assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for _ in (1, 2)]
+        # The strip's initial c, then two refreshes of each slab.
+        starts = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps]
+        assert resamples == [0.0] + [t for t in starts for _ in (1, 2)]
 
     def test_late_audit_failure_names_the_strip_step(self, monkeypatch):
         # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
@@ -528,6 +527,22 @@ class TestSlabs:
         tol = 1e-9
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500, keep_states=True)
         assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= tol
+        assert_slab_rules(spec, grid, sol, hist)
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        for prev, nxt in zip(hist.states, hist.states[1:]):
+            assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
+
+    def test_a_stall_under_the_floor_tightens_its_predecessor(self, monkeypatch):
+        # With c below 0 where f grows, kpp(2.2, 0, 0) on 8x7 converges slab
+        # by slab; this run still stalls: it goes back to tighten the slabs
+        # before the stalled one, and closes the envelope with the chain kept.
+        runs = record_slab_runs(monkeypatch)
+        spec = kpp(3.0, -0.5, 0.0)
+        grid = build_grid(spec.domain, 8, 7)
+        tol = 1e-8
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500, keep_states=True)
+        assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= tol
+        assert len(runs) > len(hist.slab_sweeps)
         assert_slab_rules(spec, grid, sol, hist)
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
@@ -697,3 +712,74 @@ class TestRefreshedStabilizer:
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
         assert sol.converged and sol.sweeps_used > 4
         assert hist.c_max == [2.0 + 1e-6] * sol.sweeps_used
+
+
+class TestFlooredStabilizer:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(small_problems())
+    def test_m_matrices_monotone_F1_and_chain(self, case):
+        # c goes below 0 where f grows on the envelope, down to -1/(2 dt).
+        # Every step matrix a run builds or refactors is still an M-matrix,
+        # step by step, with interior rows dominant by at least 1/(2 dt);
+        # F1 = c u + f + g is nondecreasing in u between ordered fields
+        # sampled in the envelope each c was computed or refreshed on; and
+        # the chain holds on every sweep.
+        spec, grid, decomp = case
+        factored, stabilized = [], []
+        build, refactor = iteration.build_window_operator, iteration.refactor_window_operator
+        compute, refresh = iteration.compute_stabilizers, iteration.refresh_stabilizers
+
+        def built(slab_grid, window, coeffs, c, left, right, k0=0):
+            op = build(slab_grid, window, coeffs, c, left, right, k0)
+            factored.append((op, c))
+            return op
+
+        def refactored(op, c):
+            refactor(op, c)
+            factored.append((op, c))
+
+        def computed(spec_, strip, lo, hi, **kwargs):
+            stab = compute(spec_, strip, lo, hi, **kwargs)
+            stabilized.append((strip, stab, lo, hi))
+            return stab
+
+        def refreshed(spec_, slab_grid, stab, lo, hi, **kwargs):
+            fresh = refresh(spec_, slab_grid, stab, lo, hi, **kwargs)
+            stabilized.append((slab_grid, fresh, lo, hi))
+            return fresh
+
+        with mock.patch.object(iteration, "build_window_operator", built), \
+                mock.patch.object(iteration, "refactor_window_operator", refactored), \
+                mock.patch.object(iteration, "compute_stabilizers", computed), \
+                mock.patch.object(iteration, "refresh_stabilizers", refreshed):
+            sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, keep_states=True)
+        assert sol.converged
+
+        floor = -0.5 / grid.dt
+        for op, c in factored:
+            assert np.all(c >= floor)
+            diag = op.diag.copy()
+            diag[:, 1:-1] += c[1:, op.window.lo + 1 : op.window.hi]
+            for k in range(diag.shape[0]):
+                ok, diagnostic = m_matrix_check(op.sub[k], diag[k], op.sup[k])
+                assert ok, diagnostic
+            excess = diag - (np.abs(op.sub) + np.abs(op.sup))
+            assert np.all(excess[:, 1:-1] >= -floor - 1e-12 * diag[:, 1:-1])
+
+        rng = np.random.default_rng(0)
+        init = init_state(spec, grid)
+        for levels, stab, lo, hi in stabilized:
+            k0 = int(np.flatnonzero(grid.ts == levels.ts[0])[0])
+            past = Past.initial(init.u11[0], grid)
+            if k0 > 0:
+                past = past.extend(spec.kernel, init.u11[: k0 + 1], grid.levels(0, k0))
+            theta = np.sort(rng.uniform(0.0, 1.0, (2,) + lo.shape), axis=0)
+            lower, upper = lo + theta * (hi - lo)
+            f_lower = eval_F1_field(spec, stab, lower, levels, past=past)[1:]
+            f_upper = eval_F1_field(spec, stab, upper, levels, past=past)[1:]
+            scale = 1.0 + np.max(np.abs(f_upper))
+            assert np.min(f_upper - f_lower) >= -1e-12 * scale
+
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        for prev, nxt in zip(hist.states, hist.states[1:]):
+            assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []

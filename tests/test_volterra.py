@@ -15,6 +15,7 @@ from monodd import (
     eval_g_row,
     sample_field,
 )
+from monodd import volterra
 from monodd.volterra import (
     HISTORY_CHUNK,
     Past,
@@ -304,27 +305,31 @@ class TestComputeStabilizers:
         stab = compute_stabilizers(spec, grid, lo, hi)
         np.testing.assert_array_equal(stab.b_under, 0.0)
 
-    def test_clamp_at_zero(self):
+    def test_floor_at_minus_half_over_dt(self):
+        # f_u = 5x - 1 does not depend on u, so c_under = 1 - 5x exactly:
+        # positive for x < 0.2, negative above it and, with dt = 1/4,
+        # below the floor -1/(2 dt) = -2 for x > 0.6.  c_total keeps the
+        # negative values and is floored there; every step matrix built
+        # with it is an M-matrix, dominant by at least 1/(2 dt).
         from conftest import make_zero_problem
-        from monodd import Reaction
+        from monodd import Reaction, Subrange, build_window_operator
 
         base = make_zero_problem()
-        spec = type(base)(
-            domain=base.domain,
-            coeffs=base.coeffs,
-            reaction=Reaction(f=lambda t, x, u: u, f_u=lambda t, x, u: 1.0 + 0.0 * u),
-            kernel=base.kernel,
-            bc_left=base.bc_left,
-            bc_right=base.bc_right,
-            u0=base.u0,
-            bracket=base.bracket,
+        spec = dataclasses.replace(
+            base, reaction=Reaction(f=lambda t, x, u: (5.0 * x - 1.0) * u,
+                                    f_u=lambda t, x, u: 5.0 * x - 1.0 + 0.0 * u),
         )
-        grid = build_grid(spec.domain, 6, 4)
-        lo = np.zeros((5, 7))
-        hi = np.ones((5, 7))
+        grid = build_grid(spec.domain, 10, 4)
+        lo = np.zeros((5, 11))
+        hi = np.ones((5, 11))
         stab = compute_stabilizers(spec, grid, lo, hi, margin=1e-6)
-        # c_under = -1, clamp lands at 0
-        np.testing.assert_array_equal(stab.c_total, 0.0)
+        c_under = stacked_c_under(spec, grid, lo, hi, 8)
+        floor = -1.0 / (2.0 * grid.dt)
+        np.testing.assert_array_equal(stab.c_total, np.maximum(c_under + 0.0 + 1e-6, floor))
+        assert np.any(stab.c_total > 0.0)
+        assert np.any((stab.c_total < 0.0) & (stab.c_total > floor))
+        assert np.any(stab.c_total == floor) and np.all(stab.c_total >= floor)
+        build_window_operator(grid, Subrange(0, 10), spec.coeffs, stab.c_total, None, None)
 
     def test_zero_width_without_derivatives(self):
         from monodd import Bracket, Reaction
@@ -478,11 +483,13 @@ class TestRefreshStabilizers:
         env_hi = env_lo + rng.uniform(0.0, 0.5, lo.shape)
         fresh = refresh_stabilizers(spec, grid, stab, env_lo, env_hi, n_samples=5, margin=1e-6)
         c_under = stacked_c_under(spec, grid, env_lo, env_hi, 5)
-        expected = np.minimum(stab.c_total, np.maximum(c_under + stab.b_under + 1e-6, 0.0))
+        floor = -1.0 / (2.0 * grid.dt)
+        expected = np.minimum(stab.c_total, np.maximum(c_under + stab.b_under + 1e-6, floor))
         np.testing.assert_array_equal(fresh.c_total, expected)
         assert fresh.b_under is stab.b_under and np.max(stab.b_under) > 0.0
         assert np.all(fresh.c_total <= stab.c_total)
         assert np.any(fresh.c_total < stab.c_total)
+        assert np.any(fresh.c_total < 0.0)  # f grows on the whole envelope there
 
     def test_clamp_holds_c_where_the_smaller_interval_samples_higher(self):
         # -f_u = 1 - 4|u - 0.5| peaks at u = 0.5.  Two samples of [0, 1]
@@ -511,6 +518,22 @@ class TestRefreshStabilizers:
         lo = np.full((5, 7), 0.9)
         fresh = refresh_stabilizers(spec, grid, stab, lo, lo + 1e-9, margin=0.0)
         np.testing.assert_allclose(fresh.c_total, 0.8, atol=1e-8)
+
+    def test_c_at_the_floor_everywhere_is_not_resampled(self, monkeypatch):
+        # f_u = 3 on [0, 1] and dt = 1/4: c_under + margin = -3 is below the
+        # floor -2 at every node, so c_total is the floor everywhere, and a
+        # refresh, which could only keep it there, returns it unsampled.
+        spec = with_reaction(desk_logistic(), lambda t, x, u: 3.0 * u, lambda t, x, u: 3.0 + 0.0 * u)
+        grid = build_grid(spec.domain, 6, 4)
+        stab = compute_stabilizers(spec, grid, np.zeros((5, 7)), np.ones((5, 7)))
+        np.testing.assert_array_equal(stab.c_total, -2.0)
+
+        def no_resample(*args):
+            raise AssertionError("c was resampled")
+
+        monkeypatch.setattr(volterra, "_sampled_c_under", no_resample)
+        env = (np.full((5, 7), 0.2), np.full((5, 7), 0.4))
+        assert refresh_stabilizers(spec, grid, stab, *env) is stab
 
     def test_degenerate_envelope_keeps_c(self):
         # No analytic f_u and a zero-width envelope: compute_stabilizers
