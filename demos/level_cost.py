@@ -58,7 +58,7 @@ def main():
         grid = build_grid(spec.domain, nx, nt)
         state = init_state(spec, grid)
         c = compute_stabilizers(spec, grid, state.u11, state.u12).c_total
-        k1 = nt // max(1, min(nt, math.ceil(spec.domain.T * float(np.max(c)))))
+        k1 = nt // max(1, min(nt, math.ceil(spec.domain.T * float(np.max(c[1:])))))
         slab = grid.levels(0, k1)
         if single:
             windows = (Subrange(0, nx),)

@@ -9,7 +9,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -201,6 +203,9 @@ def load_config(path):
 
     out = _section(raw, "output", "config")
     _only(out, ("solution_csv", "history_csv"), "output")
+    for key in ("solution_csv", "history_csv"):
+        if not isinstance(out.get(key, ""), (str, type(None))):
+            raise ConfigError(f"output.{key} must be a path string, got {out[key]!r}")
     return RunConfig(
         problem_name=name,
         problem_params=params,
@@ -238,19 +243,101 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _level_block(t, tails, u, u_lower, u_upper):
+    """One level's rows as ASCII bytes: t, formatted once, joins the tail
+    templates of the x's, which take the level's three value columns."""
+    values = np.column_stack((u, u_lower, u_upper))
+    return ((t + t.join(tails)) % tuple(values.ravel().tolist())).encode("ascii")
+
+
+def _fork_helper(block, levels):
+    """Fork a helper that writes block(k) of every odd level k into a pipe,
+    each as its length (8 bytes, little-endian) and then its bytes; return
+    the helper's pid and the pipe's read end.  The helper leaves only
+    through os._exit, 0 after its last block and 1 on any exception, so it
+    never runs the parent's cleanup and never flushes the parent's buffers."""
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn when a process with other threads
+        # (OpenBLAS's pool, say) forks, as the child may find a lock held
+        # by a thread it does not have.  The helper makes no BLAS call and
+        # takes no lock another thread could hold: it formats and writes.
+        warnings.filterwarnings("ignore", ".*multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for k in range(1, levels, 2):
+                    data = block(k)
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _received(pipe, k):
+    """Level k's block, the helper's next one on the pipe."""
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    if size == 0 or len(data) < size:
+        raise OSError(f"the helper formatting the odd time levels stopped before level {k}")
+    return data
+
+
 def _write_solution_csv(path, grid, solution):
     """Rows t,x,u,u_lower,u_upper for every (k, i), k-major, each value at
     17 significant digits and each line ended by \\r\\n, as csv.writer
     wrote them.  Each x is formatted once per run and each t once per
     level, into that level's %-format of its three value columns: a
-    whole-table format would hold every value as a Python float at once."""
+    whole-table format would hold every value as a Python float at once.
+
+    Formatting is almost all of the cost, and it holds the GIL, so the
+    writer uses a second CPU when it may run on one: a forked helper
+    (_fork_helper) formats the odd levels and sends each through a pipe as
+    one length-prefixed block, while this process formats the even levels
+    and writes every level in order, its own and the helper's next block
+    in turn.  Either process holds about one level at a time, and the
+    bytes are the same as with no helper.  There is none, and this process
+    formats every level, where os.fork does not exist, where the process
+    may run on fewer than two CPUs, and for a grid of one level.  The
+    helper only formats numbers already in memory and writes to the pipe;
+    it never opens the output file.  On the way out the pipe is closed
+    first, so a helper blocked on it gets BrokenPipeError and exits, and
+    then the helper is reaped; an OSError is raised if it failed."""
     tails = [",%s,%%.17g,%%.17g,%%.17g\r\n" % _fmt(x) for x in grid.xs]
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,u,u_lower,u_upper\r\n")
-        for k, t in enumerate(grid.ts):
-            t = _fmt(t)
-            values = np.column_stack((solution.u[k], solution.u_lower[k], solution.u_upper[k]))
-            fh.write((t + t.join(tails)) % tuple(values.ravel().tolist()))
+    levels = len(grid.ts)
+
+    def block(k):
+        return _level_block(
+            _fmt(grid.ts[k]), tails, solution.u[k], solution.u_lower[k], solution.u_upper[k]
+        )
+
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,u,u_lower,u_upper\r\n")
+        helper = pipe = None
+        if levels > 1 and hasattr(os, "fork") and _usable_cpus() > 1:
+            helper, pipe = _fork_helper(block, levels)
+        try:
+            for k in range(levels):
+                fh.write(_received(pipe, k) if pipe and k % 2 else block(k))
+        finally:
+            if helper is not None:
+                pipe.close()
+                status = os.waitpid(helper, 0)[1]
+    if helper is not None and status != 0:
+        raise OSError(f"the helper formatting the odd time levels failed (wait status {status})")
 
 
 def _write_history_csv(path, history):
@@ -301,10 +388,17 @@ def cmd_run(config_path):
     except MonotoneChainError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_CHAIN_VIOLATION
-    if cfg.solution_csv:
-        _write_solution_csv(cfg.solution_csv, grid, solution)
-    if cfg.history_csv:
-        _write_history_csv(cfg.history_csv, history)
+    for key, write, data in (
+        ("solution_csv", _write_solution_csv, (grid, solution)),
+        ("history_csv", _write_history_csv, (history,)),
+    ):
+        path = getattr(cfg, key)
+        if path:
+            try:
+                write(path, *data)
+            except OSError as exc:
+                print(f"invalid config: cannot write output.{key}: {exc}", file=sys.stderr)
+                return EXIT_BAD_CONFIG
     gap = float(np.max(solution.u_upper - solution.u_lower))
     status = "converged" if solution.converged else f"NOT converged ({history.stop_reason})"
     print(

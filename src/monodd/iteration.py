@@ -20,7 +20,8 @@ both nonnegative only while c never rises.
 How a run proceeds.  The scheme is backward Euler in time and the memory
 term is causal, so level k depends on levels <= k only.  A run therefore
 sweeps the strip in m = ceil(T max c) consecutive slabs of equal length
-(+-1 level, at most nt), c the stabilizer over the initial bracket: over a
+(+-1 level, at most nt), c the stabilizer over the initial bracket on
+levels 1..nt, the ones a step uses: over a
 slab of length tau the iteration error falls like (c tau)^n / n!
 (windowed waveform relaxation, Miekkala & Nevanlinna 1987, Gander &
 Stuart 1998).  With T max c <= 1 there is one slab, the whole strip.  A
@@ -172,7 +173,7 @@ class ConvergenceHistory:
     max_update: List[float] = field(default_factory=list)
     chain_violation: List[float] = field(default_factory=list)
     wall_ms: List[float] = field(default_factory=list)
-    c_max: List[float] = field(default_factory=list)  # max of the c_total each sweep used
+    c_max: List[float] = field(default_factory=list)  # max of c_total[1:], the c each sweep's steps used
     states: Optional[list] = None  # per-sweep states when requested
     slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
     # "converged", "max_sweeps on slab k0..k1" or "fixed point on slab k0..k1 at gap G"
@@ -284,10 +285,10 @@ def _initial_past(spec, grid):
 
 
 def _slab_bounds(grid, c_total):
-    """(k0, k1) of m = ceil(T max c_total) consecutive slabs of equal length
-    (+-1 level), m at most nt and at least 1: one slab, the whole strip,
-    where max c_total <= 0."""
-    span = float(grid.ts[-1] - grid.ts[0]) * float(np.max(c_total))
+    """(k0, k1) of m = ceil(T max c_total[1:]) consecutive slabs of equal
+    length (+-1 level), m at most nt and at least 1: one slab, the whole
+    strip, where that max is <= 0.  Row 0 is left out: no step uses it."""
+    span = float(grid.ts[-1] - grid.ts[0]) * float(np.max(c_total[1:]))
     m = grid.nt if not span < grid.nt else max(1, math.ceil(span))
     ks = [(j * grid.nt) // m for j in range(m + 1)]
     return list(zip(ks, ks[1:]))
@@ -366,7 +367,7 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
                 stab = fresh
         nxt = _sweep(state, spec, slab.grid, stab, ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
-        c_max = float(np.max(stab.c_total))
+        c_max = float(np.max(stab.c_total[1:]))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
         state = nxt
         gaps.append(gap)

@@ -103,6 +103,7 @@ LOGISTIC = {"name": "logistic_memory", "params": {"lam": 1.0, "kappa": 0.5, "sig
         ({"solver": {"parallel_branches": True}}, "unknown key solver.parallel_branches"),
         ({"problem": {**LOGISTIC, "params": {"lam": 1, "kappa": 0.5, "sigma": 1e200}}}, "non-finite"),
         ({"problem": {"name": "linear_heat", "params": {"T": 1e-320}}}, "non-finite"),
+        ({"output": {"solution_csv": 1}}, "output.solution_csv must be a path string"),
     ],
 )
 def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, mentions):
@@ -110,6 +111,18 @@ def test_bad_config_exits_3_without_traceback(tmp_path, capsys, overrides, menti
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config:") and mentions in err
+
+
+@pytest.mark.parametrize("key", ["solution_csv", "history_csv"])
+def test_unwritable_output_exits_3_without_traceback(tmp_path, capsys, key):
+    # The run solves, then cannot open the file: one line, exit 3, and no
+    # helper left behind.
+    cfg = write_config(tmp_path / "cfg.json", output={key: str(tmp_path / "missing" / "out.csv")})
+    assert main(["run", str(cfg)]) == 3
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"invalid config: cannot write output.{key}: [Errno 2]")
 
 
 def test_late_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
@@ -228,17 +241,54 @@ def write_solution_rows(path, grid, solution):
                 )
 
 
-def test_solution_csv_bytes_match_row_writer(tmp_path):
-    grid = build_grid(SpaceTimeDomain(-1.0, 2.0, 0.3), 6, 5)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "one CPU"])
+@pytest.mark.parametrize("levels", [1, 2, 3, 6])
+def test_solution_csv_bytes_match_row_writer(tmp_path, monkeypatch, levels, cpus):
+    # With a helper formatting the odd levels (forked on any machine when
+    # the CPU count reads 2) and with none, the file is the row writer's,
+    # byte for byte, and no child process is left behind.  One level has
+    # no odd level to hand out, so no helper is forked for it.
+    forks = []
+    fork_helper = cli._fork_helper
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_fork_helper", lambda *args: forks.append(args) or fork_helper(*args))
+    grid = build_grid(SpaceTimeDomain(-1.0, 2.0, 0.3), 6, 5).levels(0, levels - 1)
     rng = np.random.default_rng(4)
-    fields = rng.standard_normal((3, 6, 7)) * 10.0 ** rng.integers(-300, 300, (3, 6, 7))
+    fields = rng.standard_normal((3, levels, 7)) * 10.0 ** rng.integers(-300, 300, (3, levels, 7))
     fields[0, 0, :4] = (-0.0, 1e-300, np.nan, np.inf)
-    fields[1, 2, 1:5] = (-np.inf, 0.0, 5e-324, -1.7976931348623157e308)
-    fields[2, 5, 6] = 0.1
+    fields[1, -1, 1:5] = (-np.inf, 0.0, 5e-324, -1.7976931348623157e308)
+    fields[2, levels // 2, 6] = 0.1
     solution = SimpleNamespace(u=fields[0], u_lower=fields[1], u_upper=fields[2])
     _write_solution_csv(tmp_path / "fast.csv", grid, solution)
+    assert_no_child_left()
     write_solution_rows(tmp_path / "rows.csv", grid, solution)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert len(forks) == (cpus > 1 and levels > 1)
+
+
+def test_failed_helper_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # Only the forked helper fails: the run exits 3 with one line, and the
+    # helper has been reaped.
+    parent, level_block = os.getpid(), cli._level_block
+
+    def failing_in_helper(*args):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed")
+        return level_block(*args)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_level_block", failing_in_helper)
+    cfg = write_config(tmp_path / "cfg.json", output={"solution_csv": str(tmp_path / "u.csv")})
+    assert main(["run", str(cfg)]) == 3
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("invalid config: cannot write output.solution_csv: the helper")
 
 
 def test_invalid_decomposition(tmp_path, capsys):

@@ -475,12 +475,12 @@ def small_problems(draw):
 
 def assert_slab_rules(spec, grid, sol, hist):
     """The slabs tile [0, nt] in ceil(T max c) pieces of equal length (+-1),
-    c over the initial bracket, and the history has one entry per sweep of
-    the slab that swept most."""
+    c over the initial bracket on levels 1..nt, and the history has one
+    entry per sweep of the slab that swept most."""
     init = init_state(spec, grid)
     c = compute_stabilizers(spec, grid, init.u11, init.u12).c_total
     bounds = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
-    assert len(bounds) == min(grid.nt, max(1, int(np.ceil(grid.ts[-1] * np.max(c)))))
+    assert len(bounds) == min(grid.nt, max(1, int(np.ceil(grid.ts[-1] * np.max(c[1:])))))
     assert bounds[0][0] == 0 and bounds[-1][1] == grid.nt
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     lengths = [k1 - k0 for k0, k1 in bounds]
@@ -517,16 +517,19 @@ class TestSlabs:
         assert sol.converged
         assert [(k0, k1) for k0, k1, _ in hist.slab_sweeps] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
-    def test_stalled_slab_tightens_its_predecessor(self):
+    def test_stalled_slab_tightens_its_predecessor(self, monkeypatch):
         # u0 = 0 is KPP's unstable state: the gap a slab carries in grows
-        # across it, so with every slab stopped at gap <= tol the last one
+        # across it, so with every slab stopped at gap <= tol a later one
         # stalls above tol.  The run tightens the slab before it instead,
-        # and still closes the whole envelope below tol with the chain kept.
-        spec = kpp(2.2, 0.0, 0.0)
-        grid = build_grid(spec.domain, 8, 7)
+        # taking up slabs again, and still closes the whole envelope below
+        # tol with the chain kept.
+        runs = record_slab_runs(monkeypatch)
+        spec = kpp(6.0, 0.0, 0.0)
+        grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500, keep_states=True)
         assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= tol
+        assert len(runs) > len(hist.slab_sweeps)
         assert_slab_rules(spec, grid, sol, hist)
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
@@ -643,14 +646,15 @@ class TestRefreshedStabilizer:
 
     def test_c_max_records_the_stabilizer_of_each_sweep(self, monkeypatch):
         # Each slab starts from the initial-bracket c on its levels and is
-        # refreshed after its sweeps 1, 2, 4, ...: its c_max can only fall,
-        # and only at the sweeps that follow a refresh.  History entry n
-        # holds the largest c_max of the slabs that ran a sweep n + 1.
+        # refreshed after its sweeps 1, 2, 4, ...: its c_max, the largest c
+        # of its steps (levels k0+1..k1), can only fall, and only at the
+        # sweeps that follow a refresh.  History entry n holds the largest
+        # c_max of the slabs that ran a sweep n + 1.
         used = []
         sweep = iteration._sweep
 
         def recorded(state, spec, grid, stab, ops, pasts):
-            used.append((ops[0].k0, float(np.max(stab.c_total))))
+            used.append((ops[0].k0, float(np.max(stab.c_total[1:]))))
             return sweep(state, spec, grid, stab, ops, pasts)
 
         monkeypatch.setattr(iteration, "_sweep", recorded)
@@ -663,7 +667,7 @@ class TestRefreshedStabilizer:
         assert len(per_slab) > 1
         assert [len(c) for c in per_slab.values()] == [s for *_, s in hist.slab_sweeps]
         for (k0, k1, _), c_max in zip(hist.slab_sweeps, per_slab.values()):
-            assert c_max[0] == np.max(stab.c_total[k0 : k1 + 1])
+            assert c_max[0] == np.max(stab.c_total[k0 + 1 : k1 + 1])
             assert c_max[-1] < c_max[0]
             for n in range(1, len(c_max)):
                 if n & (n - 1):  # no refresh between sweeps n and n + 1
@@ -671,10 +675,32 @@ class TestRefreshedStabilizer:
                 else:
                     assert c_max[n] <= c_max[n - 1]
         assert len(hist.c_max) == sol.sweeps_used
-        assert hist.c_max[0] == np.max(stab.c_total)
+        assert hist.c_max[0] == np.max(stab.c_total[1:])
         assert hist.c_max == [
             max(c[n] for c in per_slab.values() if n < len(c)) for n in range(sol.sweeps_used)
         ]
+
+    def test_row_0_of_c_is_read_by_no_step(self, monkeypatch):
+        # Row 0 of the strip's c is level 0, which no step matrix adds: a c
+        # that only row 0 holds, and that would make 32 slabs of 1 level,
+        # moves neither the slab count nor history.c_max nor the envelope.
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 32, 32)
+        decomp = Decomposition(i1_hi=20, i2_lo=12)
+        sol, hist = run_dd(spec, grid, decomp, 1e-10, 200)
+        compute = iteration.compute_stabilizers
+
+        def row_0_largest(*args, **kwargs):
+            stab = compute(*args, **kwargs)
+            stab.c_total[0] = 1e3
+            return stab
+
+        monkeypatch.setattr(iteration, "compute_stabilizers", row_0_largest)
+        raised, raised_hist = run_dd(spec, grid, decomp, 1e-10, 200)
+        assert len(hist.slab_sweeps) == 3 and raised_hist.slab_sweeps == hist.slab_sweeps
+        assert max(raised_hist.c_max) < 3.0 and raised_hist.c_max == hist.c_max
+        np.testing.assert_array_equal(raised.u_lower, sol.u_lower)
+        np.testing.assert_array_equal(raised.u_upper, sol.u_upper)
 
     def test_a_refresh_put_off_comes_one_sweep_later(self, monkeypatch):
         # The first slab's gaps are faked so that after its sweep 4 they
