@@ -6,6 +6,10 @@ subdomain-1 composite and a subdomain-2 composite.  Within a branch the
 subdomain-2 solve sees subdomain 1's freshly updated interface trace
 (multiplicative/alternating order).  Artificial interfaces carry Dirichlet
 trace copies; physical endpoints always carry the real boundary data.
+Composite 1 holds window 1's solve on its own columns and, right of
+window 1, the same sweep's subdomain-2 values: no solve reads it there,
+but the envelope [u11, u12] a refresh samples is then current on the
+whole strip.
 
 The stabilizer c makes F1 = c u + f + g nondecreasing on the order
 interval the iterates occupy.  That interval shrinks every sweep, so c is
@@ -15,7 +19,11 @@ c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + margin, -1/(2 dt))),
 negative where f grows on the whole envelope (see volterra).  The
 min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
 down to (c_{n-1} - c_n)(u21(n) - u11(n)) plus an F1_{c_{n-1}} difference,
-both nonnegative only while c never rises.
+both nonnegative only while c never rises.  A refresh after sweep n
+covers every field the next sweep applies c to: F1 is evaluated on u1(n)
+over window 1 and on u2(n) over window 2, and u2(n) lies inside
+[u11(n), u12(n)] on the overlap by the chain and is that envelope right
+of window 1.
 
 How a run proceeds.  The scheme is backward Euler in time and the memory
 term is causal, so level k depends on levels <= k only.  A run therefore
@@ -37,8 +45,10 @@ upper one a supersolution, so that envelope is the certified product,
 and as the chain puts sweep n+1 inside the envelope of sweep n, the
 update of a further sweep could not exceed that gap anyway.  max_sweeps
 and the chain check apply per slab.  Where the carried gap grows across
-a slab so that its gap stalls above tol, the slab before it is swept on
-to a tighter gap first (see _run).  If a slab does not converge, as it
+a slab so that its gap stalls above tol, which the slab tells from the
+contraction of its own updates (see _sweep_slab), every earlier slab is
+given a tighter target at once and the run resumes at the earliest one
+that misses it (see _run).  If a slab does not converge, as it
 hits max_sweeps or sits at a rounding-level fixed point above its
 target (see _sweep_slab), the run ends there, history.stop_reason says
 which, and the levels after it keep the bracket.
@@ -137,8 +147,9 @@ class IterationState:
     """The four bracketing fields, stacked by branch: u1 holds the
     subdomain-1 composites (u11 lower, u12 upper), u2 the subdomain-2
     composites (u21, u22); each is (2, nt+1, nx+1), or (2, k1-k0+1, nx+1)
-    over the levels of a slab.  Sweeps make new arrays and never modify a
-    state's fields in place."""
+    over the levels of a slab.  After a sweep, u1 is window 1's solve on
+    its columns and equals u2 right of them.  Sweeps make new arrays and
+    never modify a state's fields in place."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -166,8 +177,9 @@ class ConvergenceHistory:
     """Entry n aggregates sweep n+1 of every slab that ran one: the largest
     gap, update and c_max, the smallest chain margin, the summed wall_ms.
     states[n] (when kept) is the whole-strip composite of every slab's
-    iterate n; a slab that stopped before contributes its final
-    subdomain-2 composite as both u1 and u2."""
+    iterate n, whose u1 equals its u2 right of window 1 from sweep 1 on;
+    a slab that stopped before contributes its final subdomain-2
+    composite as both u1 and u2."""
 
     gap_lower_upper: List[float] = field(default_factory=list)
     max_update: List[float] = field(default_factory=list)
@@ -256,8 +268,13 @@ def _sweep(state, spec, grid, stab, ops, past):
     call for both branches, from composite j of the old state and its
     pinned interface values from the composite just before it (the old
     last composite for window 1); the new composite j is that composite
-    with window j's columns replaced.  One window gives the single-domain
-    iteration, whose two composites coincide.
+    with window j's columns replaced.  The new composite 1 then takes the
+    last one's columns right of window 1, in place: no window reads
+    composite 1 there, so for a given c each window's iterate is the same,
+    and the envelope, the subdomain-1 gap and the chain links right of
+    window 1 see the newest values, the link u21(n) <= u11(n+1) there
+    checking that the lower branch rises.  One window gives the
+    single-domain iteration, whose two composites coincide.
     """
     first = past.u[:, -1]
     base = state.u2
@@ -276,6 +293,8 @@ def _sweep(state, spec, grid, stab, ops, past):
         base[:, :, lo : hi + 1] = sol
         base[:, 0] = first
         new.append(base)
+    right = ops[0].window.hi + 1
+    new[0][:, :, right:] = new[-1][:, :, right:]
     return IterationState(u1=new[0], u2=new[-1], sweep_index=state.sweep_index + 1)
 
 
@@ -297,9 +316,10 @@ def _slab_bounds(grid, c_total):
 @dataclass
 class _Slab:
     """The levels k0..k1 of a run, restricted: grid and stabilizer, the
-    bracket there, the current state (and the states so far, when kept)
-    and the gap the slab must reach.  Its window operators are not kept:
-    _sweep_slab builds them from stab each time it runs the slab."""
+    bracket there, the current state (and the states so far, when kept),
+    the gap the slab must reach and the gap of its last sweep.  Its window
+    operators are not kept: _sweep_slab builds them from stab each time it
+    runs the slab."""
 
     k0: int
     k1: int
@@ -309,11 +329,9 @@ class _Slab:
     state: IterationState
     states: list
     target: float
+    gap: float = math.inf  # of its last sweep
 
 
-# A slab has stalled when its update is below tol and this many times
-# smaller than the distance of its gap from the target (see _run).
-STALL_RATIO = 100.0
 # A slab whose first row is exact sits at a fixed point once its update
 # is at most this many ulps of its largest value.
 FIXED_POINT_ULPS = 4.0
@@ -340,17 +358,24 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
     refactors nothing.  Where f grows on the slab's envelope, c goes below
     0 and keeps falling as the envelope closes, so it refactors there.
 
-    Returns (tighter, reason), both None when the slab reaches its target.
-    tighter is the target the slab before it must reach when the slab
-    stalls on the gap its carried first row brings in (see _run); reason
-    says why the run ends at this slab: it hit max_sweeps, or its first
-    row is exact and its update is at rounding level while its gap is
-    above the target, a fixed point no further sweep leaves.
+    The slab has stalled on the gap its first row carries in when that
+    gap is > 0, the update is <= tol, and the ratio r of the last two
+    updates of this call is < 1 with 2 upd r / (1 - r) <= gap - target:
+    if both branches' updates kept contracting at r, each branch would
+    move by at most upd r / (1 - r) more, and the gap could not fall to
+    the target.  A slowly contracting slab (r near 1) does not stall.
+
+    Returns (carried, reason), both None when the slab reaches its
+    target.  carried is the gap its first row brings in when the slab
+    stalls (see _run); reason says why the run ends at this slab: it hit
+    max_sweeps, or its first row is exact and its update is at rounding
+    level while its gap is above the target, a fixed point no further
+    sweep leaves.
     """
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
     ops = _window_operators(spec, slab.grid, stab, windows, slab.k0)
-    gaps = []  # this call's gaps, for the refresh prediction
+    gaps, upds = [], []  # this call's, for the refresh prediction and the stall test
     late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
         t0 = time.perf_counter()
@@ -370,7 +395,9 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
         c_max = float(np.max(stab.c_total[1:]))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
         state = nxt
+        slab.gap = gap
         gaps.append(gap)
+        upds.append(upd)
         if keep_states:
             slab.states.append(state)
         if abort_on_chain_violation and viol < -chain_slack:
@@ -379,8 +406,11 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
             outcome = None, None
             break
         carried = float(np.max(state.u22[0] - state.u21[0]))
-        if carried > 0.0 and upd <= tol and STALL_RATIO * upd <= gap - slab.target:
-            outcome = 0.5 * slab.target * carried / gap, None
+        r = upd / upds[-2] if len(upds) > 1 and upd < upds[-2] else 1.0
+        if carried > 0.0 and upd <= tol and r < 1.0 and (
+            2.0 * upd * r / (1.0 - r) <= gap - slab.target
+        ):
+            outcome = carried, None
             break
         if carried == 0.0 and upd <= FIXED_POINT_ULPS * np.finfo(float).eps * max(
             float(np.max(np.abs(u))) for u in (state.u1, state.u2)
@@ -421,13 +451,17 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     A slab starts from the gap its previous slab left at their shared
     level, and where the solution is unstable (f_u > 0) that gap grows
     across the slab: its lower and upper branches then settle on two
-    different limits and its gap stalls above tol.  The run then lowers
-    the previous slab's target to half the target over the growth the
-    stalled slab showed, sweeps that slab on to it and resumes the stalled
-    one on the new past from where it stopped: its iterates are still
-    bounds, as a tighter past only raises the lower branch's first row
-    and memory term and lowers the upper one's.  Targets only fall and
-    every slab has max_sweeps, so this ends.
+    different limits and its gap stalls above tol (see _sweep_slab).
+    With G = gap / carried the growth the stalled slab j showed, the run
+    lowers slab j-1's target to tighter = target / (2 G) and every
+    earlier slab i's to min(its target, tighter / G^(j-1-i)), as if each
+    slab grew its carried gap by G, all at once; it resumes at the
+    earliest slab whose last gap exceeds its new target and sweeps on
+    from there, each slab after it on its new past from where it
+    stopped: its iterates are still bounds, as a tighter past only raises
+    the lower branch's first row and memory term and lowers the upper
+    one's.  Targets only fall and every slab has max_sweeps, so this
+    ends.
 
     The working set follows the slab: a slab's window operators live
     while it sweeps (see _sweep_slab), and what the run keeps of a slab
@@ -452,19 +486,26 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     j, reason = 0, None
     while j < len(slabs):
         slab = slabs[j]
-        tighter, reason = _sweep_slab(
+        carried, reason = _sweep_slab(
             slab, spec, windows, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
             abort_on_chain_violation, chain_slack, keep_states,
         )
         if reason is not None:
             break
-        if tighter is None:
+        if carried is None:
             if j + 1 < len(slabs):
                 pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid)
             j += 1
         else:
-            slabs[j - 1].target = min(slabs[j - 1].target, tighter)
-            j -= 1
+            growth = slab.gap / carried
+            tighter = 0.5 * slab.target * carried / slab.gap
+            for earlier in reversed(slabs[:j]):
+                earlier.target = min(earlier.target, tighter)
+                tighter /= growth
+            # Slab j-1 always qualifies: its last gap is at least carried,
+            # its last row being slab j's first, and its new target is at
+            # most carried * target / (2 gap) < carried.
+            j = next(i for i, earlier in enumerate(slabs[:j]) if earlier.gap > earlier.target)
     converged = reason is None
     history.stop_reason = reason or "converged"
 

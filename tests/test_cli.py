@@ -291,6 +291,28 @@ def test_failed_helper_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("invalid config: cannot write output.solution_csv: the helper")
 
 
+def test_helper_exiting_nonzero_after_its_blocks_exits_3(tmp_path, capsys, monkeypatch):
+    # The helper sends every block and then exits 1: the parent reads a
+    # whole file's worth from the pipe, so only the helper's wait status
+    # tells it that the helper failed.
+    parent, exit_now = os.getpid(), os._exit
+
+    def failing_in_helper(status):
+        exit_now(1 if os.getpid() != parent else status)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "_exit", failing_in_helper)
+    cfg = write_config(tmp_path / "cfg.json", output={"solution_csv": str(tmp_path / "u.csv")})
+    assert main(["run", str(cfg)]) == 3
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "invalid config: cannot write output.solution_csv: "
+        "the helper formatting the odd time levels failed"
+    )
+
+
 def test_invalid_decomposition(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", decomposition={"i1_hi": 12, "i2_lo": 20})
     assert main(["run", str(cfg)]) == 3
