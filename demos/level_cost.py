@@ -2,18 +2,18 @@
 step, for both windows of each benchmark configuration.
 
 Each configuration's window operators are built as a run builds them,
-on the levels of its first slab (m = ceil(T max c) slabs, c the
-stabilizer over the initial bracket).  One march of two right-hand-side
-columns (the lower and upper branch, as a sweep marches them) and one
-refactor for the same c are timed REPEATS times each; the table shows
-the median divided by the slab's steps.  The configurations are the
+on the levels of its first slab (iteration._slab_bounds: the slab rule,
+from the stabilizer c over the initial bracket and, for two windows, the
+overlap).  One march of two right-hand-side columns (the lower and upper
+branch, as a sweep marches them) and one refactor for the same c are
+timed REPEATS times each; the table shows the median divided by the
+slab's steps.  The configurations are the
 benchmark's: memory_dd (manufactured_1, 128x256, two windows), kpp_dd
 (Fisher-KPP, 256x256, two windows) and cli_single (logistic_memory,
 512x64, one window).
 
     python demos/level_cost.py
 """
-import math
 import statistics
 import time
 
@@ -27,6 +27,7 @@ from monodd import (
     compute_stabilizers,
     default_decomposition,
     init_state,
+    iteration,
     march_window,
     refactor_window_operator,
 )
@@ -58,13 +59,13 @@ def main():
         grid = build_grid(spec.domain, nx, nt)
         state = init_state(spec, grid)
         c = compute_stabilizers(spec, grid, state.u11, state.u12).c_total
-        k1 = nt // max(1, min(nt, math.ceil(spec.domain.T * float(np.max(c[1:])))))
-        slab = grid.levels(0, k1)
         if single:
             windows = (Subrange(0, nx),)
         else:
             decomp = default_decomposition(nx)
             windows = (Subrange(0, decomp.i1_hi), Subrange(decomp.i2_lo, nx))
+        (_, k1), *_ = iteration._slab_bounds(grid, c, spec.coeffs, windows)
+        slab = grid.levels(0, k1)
         for j, window in enumerate(windows):
             left = spec.bc_left if j == 0 else None
             right = spec.bc_right if j == len(windows) - 1 else None

@@ -1,7 +1,9 @@
 """Work counts of the decomposed solver over a fixed set of problems, with
-no timing: per case the sweeps, the level-solves per window, the slab
-count, the slab runs (a slab taken up again after a stall counts once
-more) and whether the run converged, then the totals.
+no timing: per case the sweeps, the level-solves per window, the
+slab-sweeps (one sweep of one slab; each has a fixed cost besides its
+level-solves, see demos/slab_cost.py), the slab count, the slab runs (a
+slab taken up again after a stall counts once more) and whether the run
+converged, then the totals.
 
 The cases are
 - the survey: Fisher-KPP with lambda in {2, 4, 8}, advection in
@@ -80,23 +82,26 @@ def main():
     runs = count_slab_runs()
     totals = {}
     print(f"{'group':9s} {'case':16s} {'grid':>8s} {'decomp':>8s} {'tol':>6s} "
-          f"{'sweeps':>6s} {'levels':>6s} {'slabs':>5s} {'runs':>5s}  converged")
+          f"{'sweeps':>6s} {'levels':>6s} {'slab-sweeps':>11s} {'slabs':>5s} {'runs':>5s}  "
+          "converged")
     for group, label, spec, nx, nt, decomp, tol in cases():
         runs.clear()
         decomp = decomp or default_decomposition(nx)
         sol, hist = run_dd(spec, build_grid(spec.domain, nx, nt), decomp, tol, MAX_SWEEPS,
                            abort_on_chain_violation=True)
-        row = (sol.sweeps_used, hist.level_solves, len(hist.slab_sweeps), len(runs))
-        total = totals.setdefault(group, [0, 0, 0, 0, 0, 0])
+        slab_sweeps = sum(sweeps for *_, sweeps in hist.slab_sweeps)
+        row = (sol.sweeps_used, hist.level_solves, slab_sweeps, len(hist.slab_sweeps), len(runs))
+        total = totals.setdefault(group, [0] * 7)
         for slot, value in enumerate(row + (int(sol.converged), 1)):
             total[slot] += value
         print(f"{group:9s} {label:16s} {f'{nx}x{nt}':>8s} "
               f"{f'{decomp.i1_hi},{decomp.i2_lo}':>8s} {tol:6.0e} "
-              f"{row[0]:6d} {row[1]:6d} {row[2]:5d} {row[3]:5d}  {sol.converged}")
+              f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d}  {sol.converged}")
     print()
-    for group, (sweeps, levels, slabs, slab_runs, converged, count) in totals.items():
+    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, converged, count) in totals.items():
         print(f"{group:9s} {count:3d} cases: {sweeps} sweeps, {levels} level-solves, "
-              f"{slabs} slabs, {slab_runs} slab runs, {converged} converged")
+              f"{slab_sweeps} slab-sweeps, {slabs} slabs, {slab_runs} slab runs, "
+              f"{converged} converged")
 
 
 if __name__ == "__main__":

@@ -184,8 +184,8 @@ class WindowOperator:
 
     sub, diag and sup are the assembled matrices with the stabilizer left
     out of diag; they never change, and neither do offdiag, |sub| + |sup|,
-    and positive_off, which flags the steps with a positive off-diagonal,
-    both kept for the audit.  dl, d, du, du2 and ipiv hold the
+    and positive_off, whether some step has a positive off-diagonal, both
+    kept for the audit.  dl, d, du, du2 and ipiv hold the
     factors of the matrices with a stabilizer c added, and
     refactor_window_operator overwrites them in place for a new c.  All
     are (nt, n): read flat, d and, without their last entry, dl and du
@@ -223,7 +223,7 @@ class WindowOperator:
     diag: np.ndarray  # (nt, n), without c
     sup: np.ndarray  # (nt, n), sup[:, -1] = 0
     offdiag: np.ndarray  # (nt, n), |sub| + |sup|
-    positive_off: np.ndarray  # (nt,), bool
+    positive_off: bool
     dl: np.ndarray  # (nt, n)
     d: np.ndarray  # (nt, n)
     du: np.ndarray  # (nt, n)
@@ -234,6 +234,13 @@ class WindowOperator:
     row0_d: np.ndarray  # (nt,)
     k0: int = 0  # the time level its first step starts from
     plan: tuple = field(default=None, init=False, repr=False, compare=False)
+
+
+def as_shape(values, shape):
+    """values as a float array of the given shape, broadcast (read-only)
+    only where it is not that shape already."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _end_rows(bc, ts):
@@ -281,22 +288,21 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     n, nt = window.size, grid.nt
     lo, hi = window.lo, window.hi
     t, x = grid.ts[1:, None], grid.xs[None, lo + 1 : hi]
-    a = np.broadcast_to(np.asarray(coeffs.a(t, x), dtype=float), (nt, n - 2))
+    a = as_shape(coeffs.a(t, x), (nt, n - 2))
     if np.any(a <= 0.0):
         k, i = np.unravel_index(int(np.argmax(a <= 0.0)), a.shape)
         raise ValueError(
             f"diffusion not positive at t={grid.ts[k + 1]}, x={x[0, i]} (a={a[k, i]})"
         )
-    b = np.broadcast_to(np.asarray(coeffs.b(t, x), dtype=float), (nt, n - 2))
+    b = as_shape(coeffs.b(t, x), (nt, n - 2))
 
     dx, dt = grid.dx, grid.dt
     inv_dx2 = 1.0 / (dx * dx)
-    sub = np.zeros((nt, n))
-    diag = np.zeros((nt, n))
-    sup = np.zeros((nt, n))
+    sub, diag, sup = np.zeros((3, nt, n))
     diag[:, 1:-1] = 1.0 / dt + 2.0 * a * inv_dx2 + np.abs(b) / dx
-    sub[:, 1:-1] = -(a * inv_dx2) - np.maximum(-b, 0.0) / dx
-    sup[:, 1:-1] = -(a * inv_dx2) - np.maximum(b, 0.0) / dx
+    coupling = -(a * inv_dx2)
+    np.subtract(coupling, np.maximum(-b, 0.0) / dx, out=sub[:, 1:-1])
+    np.subtract(coupling, np.maximum(b, 0.0) / dx, out=sup[:, 1:-1])
 
     ends = []
     for bc, row, off, col in ((left_bc, 0, sup, 0), (right_bc, -1, sub, -1)):
@@ -314,6 +320,7 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     row0_d = _pinned_row_diagonal(sub[:, 1], diag[:, 0], pinned, k0)
     if ends[0] is not None:
         ends[0][pinned] = row0_d[pinned] * (ends[0][pinned] / diag[pinned, 0])
+    dl, du, du2 = np.zeros((3, nt, n))
     op = WindowOperator(
         window=window,
         dt=dt,
@@ -321,11 +328,13 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
         diag=diag,
         sup=sup,
         offdiag=np.abs(sub) + np.abs(sup),
-        positive_off=np.any(sub > 0, axis=1) | np.any(sup > 0, axis=1),
-        dl=np.zeros((nt, n)),
+        # An interior coupling, -(a/dx^2) - max(+-b, 0)/dx with a > 0, is
+        # never > 0 (a NaN is not): only a physical end row's can be.
+        positive_off=bool(np.any(sup[:, 0] > 0) or np.any(sub[:, -1] > 0)),
+        dl=dl,
         d=np.empty((nt, n)),
-        du=np.zeros((nt, n)),
-        du2=np.zeros((nt, n)),
+        du=du,
+        du2=du2,
         ipiv=np.empty((nt, n), dtype=np.int32),
         left_h=ends[0],
         right_h=ends[1],
@@ -350,23 +359,26 @@ def refactor_window_operator(op, c_field):
     lo, hi = op.window.lo, op.window.hi
     np.copyto(op.d, op.diag)
     op.d[:, 1:-1] += np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
-    # Every step at once, m_matrix_check's tests as one subtraction and
-    # row-wise reductions; m_matrix_check words the first failure.  A
-    # step's least and largest excess are both finite exactly where all
-    # its excesses are: min and max return a NaN where there is one.
+    # m_matrix_check's tests on every step at once, as one subtraction and
+    # a few reductions over the whole stack: every excess is finite and
+    # >= 0 exactly where the least is >= 0 (min returns a NaN where there
+    # is one) and the largest row-wise largest is finite, and every step
+    # has a strictly dominant row where the least row-wise largest is > 0.
+    # Only on a failure are the steps checked one by one, for the first.
     excess = np.subtract(op.d, op.offdiag)
-    least, largest = excess.min(axis=1), excess.max(axis=1)
-    bad = ~(
-        np.isfinite(least) & np.isfinite(largest) & (least >= 0) & (largest > 0)
-        & (op.d.min(axis=1) > 0)
-    )
-    bad |= op.positive_off
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        _, diagnostic = m_matrix_check(op.sub[k], op.d[k], op.sup[k])
-        raise MMatrixViolation(
-            f"assembled system fails M-matrix check at time step {op.k0 + k + 1}: {diagnostic}"
-        )
+    least, most = np.minimum.reduce, np.maximum.reduce
+    largest = most(excess, 1)
+    if not (
+        least(excess, None) >= 0 and math.isfinite(most(largest)) and least(largest) > 0
+        and least(op.d, None) > 0 and not op.positive_off
+    ):
+        for k, (sub, d, sup) in enumerate(zip(op.sub, op.d, op.sup)):
+            ok, diagnostic = m_matrix_check(sub, d, sup)
+            if not ok:
+                raise MMatrixViolation(
+                    f"assembled system fails M-matrix check at time step {op.k0 + k + 1}: "
+                    f"{diagnostic}"
+                )
 
     op.d[:, 0] = op.row0_d
     nt, n = op.d.shape
@@ -447,9 +459,8 @@ def march_window(op, q, initial, left=None, right=None):
         for column, new in columns:
             add(column, new, out=column)
         solve(*args)
-    finite = np.all(np.isfinite(u[1:]), axis=(1, 2))
-    if not np.all(finite):
-        k = op.k0 + int(np.argmin(finite)) + 1
+    if not np.logical_and.reduce(np.isfinite(u[1:]), None):
+        k = op.k0 + int(np.argmin(np.all(np.isfinite(u[1:]), axis=(1, 2)))) + 1
         raise FloatingPointError(f"non-finite solution at time step {k}")
     return u.transpose(1, 0, 2)
 

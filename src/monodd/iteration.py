@@ -27,18 +27,29 @@ of window 1.
 
 How a run proceeds.  The scheme is backward Euler in time and the memory
 term is causal, so level k depends on levels <= k only.  A run therefore
-sweeps the strip in m = ceil(T max c) consecutive slabs of equal length
-(+-1 level, at most nt), c the stabilizer over the initial bracket on
-levels 1..nt, the ones a step uses: over a
-slab of length tau the iteration error falls like (c tau)^n / n!
-(windowed waveform relaxation, Miekkala & Nevanlinna 1987, Gander &
-Stuart 1998).  With T max c <= 1 there is one slab, the whole strip.  A
-slab [k0, k1] iterates its levels only: each branch starts at row k0 from
-its own final field of the slab before (lower from u21, upper from u22),
-the memory term reads that field's frozen past (volterra.Past), and the
-stabilizer starts from the initial-bracket c on the slab's levels and is
-refreshed after slab sweeps 1, 2, 4, 8, ..., a refresh put off by one
-sweep when the next sweep is predicted to finish the slab.  A slab
+sweeps the strip in
+
+    m = max(ceil(T max c), min(ceil(T max a / delta^2), nt // MIN_SLAB_LEVELS))
+
+consecutive slabs of equal length (+-1 level, each ceil within 1..nt).
+c is the stabilizer over the initial bracket on levels 1..nt, the ones a
+step uses: over a slab of length tau the iteration error falls like
+(c tau)^n / n! (windowed waveform relaxation, Miekkala & Nevanlinna 1987,
+Gander & Stuart 1998).  Two windows must also converge across their
+overlap, delta = (i1_hi - i2_lo) dx wide, and overlapping Schwarz
+waveform relaxation contracts at a rate set by delta^2 / (a tau) (same
+references): no slab is longer than delta^2 / max a, the time diffusion
+takes to cross the overlap, but none is shorter than MIN_SLAB_LEVELS
+levels on that account, as a slab-sweep's fixed cost would then exceed
+its level-solves'.  The single-domain iteration has no overlap and takes
+the c term alone.  With both terms <= 1 there is one slab, the whole
+strip.  A slab [k0, k1] iterates its levels only: each branch starts at
+row k0 from its own final field of the slab before (lower from u21,
+upper from u22), the memory term reads that field's frozen past
+(volterra.Past), and the stabilizer starts from the initial-bracket c
+on the slab's levels and is refreshed after slab sweeps 1, 2, 4, 8, ...,
+a refresh put off by one sweep when the next sweep is predicted to
+finish the slab.  A slab
 stops at the first sweep whose gap, over its levels and its carried
 first row, is <= tol: every lower iterate is a subsolution and every
 upper one a supersolution, so that envelope is the certified product,
@@ -67,8 +78,8 @@ stops; a slab the run comes back to is built again from its current
 stabilizer, which gives the same factors.  What the run keeps of a
 stopped slab is what resuming it needs (its state and stabilizer), and
 the result goes into the bracket's own array at the end.  A sweep
-evaluates both branches' F1 in one call per window and marches them as
-two right-hand-side columns.  The undecomposed single-domain monotone
+evaluates F1 for both branches and both windows in one call and marches
+the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
 sweep over one window.  order_study runs the decomposed solver over a
 list of grids and reports the observed convergence orders against an
@@ -77,7 +88,6 @@ exact solution.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -198,17 +208,18 @@ class ConvergenceHistory:
 
     def record(self, n, gap, update, margin, c_max, wall_ms):
         """Fold a slab's sweep n+1 into entry n."""
-        for values, value, combine in (
-            (self.gap_lower_upper, gap, max),
-            (self.max_update, update, max),
-            (self.chain_violation, margin, min),
-            (self.c_max, c_max, max),
-            (self.wall_ms, wall_ms, operator.add),
-        ):
-            if n < len(values):
-                values[n] = combine(values[n], value)
-            else:
-                values.append(value)
+        if n < len(self.gap_lower_upper):
+            self.gap_lower_upper[n] = max(self.gap_lower_upper[n], gap)
+            self.max_update[n] = max(self.max_update[n], update)
+            self.chain_violation[n] = min(self.chain_violation[n], margin)
+            self.c_max[n] = max(self.c_max[n], c_max)
+            self.wall_ms[n] += wall_ms
+        else:
+            self.gap_lower_upper.append(gap)
+            self.max_update.append(update)
+            self.chain_violation.append(margin)
+            self.c_max.append(c_max)
+            self.wall_ms.append(wall_ms)
 
 
 @dataclass
@@ -264,12 +275,12 @@ def _sweep(state, spec, grid, stab, ops, past):
 
     state, grid, stab and ops hold the levels k0..k1 of one slab, and
     past the stacked Past of both branches up to k0; both branches start
-    from the last row of their past.  Window j takes its source F1, one
-    call for both branches, from composite j of the old state and its
-    pinned interface values from the composite just before it (the old
-    last composite for window 1); the new composite j is that composite
-    with window j's columns replaced.  The new composite 1 then takes the
-    last one's columns right of window 1, in place: no window reads
+    from the last row of their past.  Window j takes its source F1 from
+    composite j of the old state, one call for both windows and branches,
+    and its pinned interface values from the composite just before it
+    (the old last composite for window 1); the new composite j is that
+    composite with window j's columns replaced.  The new composite 1 then
+    takes the last one's columns right of window 1: no window reads
     composite 1 there, so for a given c each window's iterate is the same,
     and the envelope, the subdomain-1 gap and the chain links right of
     window 1 see the newest values, the link u21(n) <= u11(n+1) there
@@ -277,25 +288,28 @@ def _sweep(state, spec, grid, stab, ops, past):
     single-domain iteration, whose two composites coincide.
     """
     first = past.u[:, -1]
-    base = state.u2
-    new = []
-    for op, src in zip(ops, (state.u1, state.u2)):
+    u2 = np.empty(state.u2.shape)
+    sols = []
+    cols = tuple(slice(op.window.lo + 1, op.window.hi) for op in ops)
+    sources = (state.u1, state.u2)[: len(ops)]
+    for op, q in zip(ops, eval_F1_field(spec, stab, sources, grid, cols, past)):
         lo, hi = op.window.lo, op.window.hi
-        q = eval_F1_field(spec, stab, src, grid, slice(lo + 1, hi), past)
         sol = march_window(
             op,
             q,
             first[:, lo : hi + 1],
-            left=base[:, :, lo] if op.left_h is None else None,
-            right=base[:, :, hi] if op.right_h is None else None,
+            left=u2[:, :, lo] if op.left_h is None else None,
+            right=state.u2[:, :, hi] if op.right_h is None else None,
         )
-        base = base.copy()
-        base[:, :, lo : hi + 1] = sol
-        base[:, 0] = first
-        new.append(base)
-    right = ops[0].window.hi + 1
-    new[0][:, :, right:] = new[-1][:, :, right:]
-    return IterationState(u1=new[0], u2=new[-1], sweep_index=state.sweep_index + 1)
+        u2[:, :, lo : hi + 1] = sol
+        sols.append(sol)
+    u1 = u2
+    if len(ops) > 1:
+        right = ops[0].window.hi + 1
+        u1 = np.empty(u2.shape)
+        u1[:, :, :right] = sols[0]
+        u1[:, :, right:] = u2[:, :, right:]
+    return IterationState(u1=u1, u2=u2, sweep_index=state.sweep_index + 1)
 
 
 def _initial_past(spec, grid):
@@ -303,13 +317,36 @@ def _initial_past(spec, grid):
     return Past.initial(np.stack((row, row)), grid)
 
 
-def _slab_bounds(grid, c_total):
-    """(k0, k1) of m = ceil(T max c_total[1:]) consecutive slabs of equal
-    length (+-1 level), m at most nt and at least 1: one slab, the whole
-    strip, where that max is <= 0.  Row 0 is left out: no step uses it."""
-    span = float(grid.ts[-1] - grid.ts[0]) * float(np.max(c_total[1:]))
-    m = grid.nt if not span < grid.nt else max(1, math.ceil(span))
-    ks = [(j * grid.nt) // m for j in range(m + 1)]
+# The least slab length, in levels, the overlap term of the slab rule
+# asks for: about a/b, the fixed cost of a slab-sweep in level-solves,
+# which demos/slab_cost.py puts at 11 to 18 on memory_dd.  Shorter slabs
+# would spend more on slab-sweeps than they save in level-solves.
+MIN_SLAB_LEVELS = 16
+
+
+def _slab_count(span, nt):
+    """ceil(span) within [1, nt]; nt where span is not a number below nt."""
+    return nt if not span < nt else max(1, math.ceil(span))
+
+
+def _slab_bounds(grid, c_total, coeffs, windows):
+    """(k0, k1) of m consecutive slabs of equal length (+-1 level), with
+
+        m = max(ceil(T max c), min(ceil(T max a / delta^2), nt // MIN_SLAB_LEVELS))
+
+    at most nt and at least 1 (see the module docstring).  max c is over
+    c_total[1:], the rows the steps use; the second term counts only for
+    two windows, whose overlap is delta = (i1_hi - i2_lo) dx wide, with
+    max a the largest diffusion coefficient at the strip's steps and
+    interior nodes, sampled here once."""
+    nt = grid.nt
+    T = float(grid.ts[-1] - grid.ts[0])
+    m = _slab_count(T * float(np.max(c_total[1:])), nt)
+    if len(windows) > 1:
+        a = coeffs.a(grid.ts[1:, None], grid.xs[None, 1:-1])
+        delta = (windows[0].hi - windows[-1].lo) * grid.dx
+        m = max(m, min(_slab_count(T * float(np.max(a)) / delta**2, nt), nt // MIN_SLAB_LEVELS))
+    ks = [(j * nt) // m for j in range(m + 1)]
     return list(zip(ks, ks[1:]))
 
 
@@ -375,6 +412,10 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
     ops = _window_operators(spec, slab.grid, stab, windows, slab.k0)
+    c_max = float(np.maximum.reduce(stab.c_total[1:], None))
+    # Every sweep's row 0 is the past's last row, so the gap it carries in
+    # is the same for every sweep of this call.
+    carried = float(np.maximum.reduce(past.u[1, -1] - past.u[0, -1]))
     gaps, upds = [], []  # this call's, for the refresh prediction and the stall test
     late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
@@ -386,13 +427,13 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
                     spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples,
                     margin=c_margin,
                 )
-                if not np.array_equal(fresh.c_total, stab.c_total):
+                if fresh is not stab and not np.array_equal(fresh.c_total, stab.c_total):
                     for op in ops:
                         refactor_window_operator(op, fresh.c_total)
+                    c_max = float(np.maximum.reduce(fresh.c_total[1:], None))
                 stab = fresh
         nxt = _sweep(state, spec, slab.grid, stab, ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
-        c_max = float(np.max(stab.c_total[1:]))
         history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
         state = nxt
         slab.gap = gap
@@ -405,7 +446,6 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
         if gap <= slab.target:
             outcome = None, None
             break
-        carried = float(np.max(state.u22[0] - state.u21[0]))
         r = upd / upds[-2] if len(upds) > 1 and upd < upds[-2] else 1.0
         if carried > 0.0 and upd <= tol and r < 1.0 and (
             2.0 * upd * r / (1.0 - r) <= gap - slab.target
@@ -473,7 +513,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12, n_samples=n_samples, margin=c_margin)
     slabs = []
-    for k0, k1 in _slab_bounds(grid, stab.c_total):
+    for k0, k1 in _slab_bounds(grid, stab.c_total, spec.coeffs, windows):
         bracket = IterationState(u1=init.u1[:, k0 : k1 + 1], u2=init.u2[:, k0 : k1 + 1])
         slabs.append(_Slab(
             k0, k1, grid.levels(k0, k1), stab.levels(k0, k1), bracket, bracket,

@@ -87,15 +87,12 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
 
 # The seven ordering links between consecutive sweeps:
 # u_hat <= u11(n) <= u21(n) <= u11(n+1) <= u12(n+1) <= u22(n) <= u12(n) <= u_tilde
-_GAP_LINK = "u11(n+1) <= u12(n+1)"
-
-
 def _chain_links(prev, nxt, u_hat_field, u_tilde_field):
     return (
         ("u_hat <= u11(n)", u_hat_field, prev.u11),
         ("u11(n) <= u21(n)", prev.u11, prev.u21),
         ("u21(n) <= u11(n+1)", prev.u21, nxt.u11),
-        (_GAP_LINK, nxt.u11, nxt.u12),
+        ("u11(n+1) <= u12(n+1)", nxt.u11, nxt.u12),
         ("u12(n+1) <= u22(n)", nxt.u12, prev.u22),
         ("u22(n) <= u12(n)", prev.u22, prev.u12),
         ("u12(n) <= u_tilde", prev.u12, u_tilde_field),
@@ -128,22 +125,30 @@ def sweep_metrics(prev, nxt, u_hat_field, u_tilde_field):
     four fields, and the smallest margin right - left over every chain
     link and node (negative where a link is violated).
 
-    Every difference is written into one scratch array instead of a
-    temporary of its own, and the u11(n+1) <= u12(n+1) link's difference
-    also gives the subdomain-1 gap.
+    Every difference is written into a scratch array instead of a
+    temporary of its own and reduced by the ufunc straight away, the
+    links in _chain_links' order, so a NaN meets Python's min and max in
+    the same place; the u11(n+1) <= u12(n+1) link's difference, kept in a
+    scratch row of its own, also gives the subdomain-1 gap.  The two
+    updates' absolute values, which hold no signed zero, are taken in one
+    call and reduced in another.
     """
-    scratch = np.empty(np.shape(nxt.u1))
-    one = scratch[0]
-    margins = []
-    for name, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field):
-        diff = np.subtract(right, left, out=one)
-        margins.append(float(np.min(diff)))
-        if name == _GAP_LINK:
-            gap_1 = float(np.max(diff))
-    gap_2 = float(np.max(np.subtract(nxt.u22, nxt.u21, out=one)))
-    updates = []
-    for new, old in ((nxt.u1, prev.u1), (nxt.u2, prev.u2)):
-        diff = np.subtract(new, old, out=scratch)
-        updates.append(float(np.max(np.abs(diff, out=diff))))
-    return max(gap_2, gap_1), max(updates), min(margins)
+    scratch = np.empty((2,) + np.shape(nxt.u1))
+    one, gap_1 = scratch[0]
+    sub, least, most = np.subtract, np.minimum.reduce, np.maximum.reduce
+    sub(nxt.u12, nxt.u11, out=gap_1)
+    margin = min(
+        least(sub(prev.u11, u_hat_field, out=one), None),
+        least(sub(prev.u21, prev.u11, out=one), None),
+        least(sub(nxt.u11, prev.u21, out=one), None),
+        least(gap_1, None),
+        least(sub(prev.u22, nxt.u12, out=one), None),
+        least(sub(prev.u12, prev.u22, out=one), None),
+        least(sub(u_tilde_field, prev.u12, out=one), None),
+    )
+    gap = max(most(sub(nxt.u22, nxt.u21, out=one), None), most(gap_1, None))
+    sub(nxt.u1, prev.u1, out=scratch[0])
+    sub(nxt.u2, prev.u2, out=scratch[1])
+    update = max(most(np.abs(scratch, out=scratch), (1, 2, 3)).tolist())
+    return float(gap), float(update), float(margin)
 

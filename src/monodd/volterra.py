@@ -40,12 +40,13 @@ occupy after some sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .discretization import Field, Grid1D
+from .discretization import Field, Grid1D, as_shape
 
 
 # The least stabilizer, in units of 1/dt: c_total >= C_FLOOR_DT / dt keeps
@@ -56,6 +57,10 @@ C_FLOOR_DT = -0.5
 # History levels per block in the generic-kernel stabilizer loop; bounds its
 # temporaries at O(n_samples^2 nx HISTORY_CHUNK) whatever nt is.
 HISTORY_CHUNK = 32
+
+# Time rows per block of the sampled c_under; bounds its temporaries at
+# O(C_UNDER_ROWS nx) whatever nt is.
+C_UNDER_ROWS = 32
 
 
 class StabilizerError(RuntimeError):
@@ -92,6 +97,10 @@ class Past:
     u: np.ndarray  # (..., k0+1, nx+1), or (..., 1, nx+1)
     ts: np.ndarray  # (k0+1,), or (1,)
     g: np.ndarray  # (..., nx+1)
+    # e^{-lam dt j} at the levels j = 0..nt after k0, as a column, by
+    # (lam, dt, nt): the factor an exponential kernel's g carries on by,
+    # made once for the levels every sweep of a slab evaluates
+    decay: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, row, grid):
@@ -157,7 +166,7 @@ def _exponential_trapezoid(form, u, dt):
     r^d) is positive, so for kappa >= 0 the result is nondecreasing in psi
     exactly, rounding included.
     """
-    psi = np.broadcast_to(np.asarray(form.psi(u), dtype=float), u.shape)
+    psi = as_shape(form.psi(u), u.shape)
     step = -form.lam * dt
     out = np.zeros(u.shape)
     out[..., 1:, :] = (0.5 * dt) * (math.exp(step) * psi[..., :-1, :] + psi[..., 1:, :])
@@ -166,6 +175,20 @@ def _exponential_trapezoid(form, u, dt):
         out[..., d:, :] += math.exp(step * d) * out[..., :-d, :]
         d *= 2
     out *= form.kappa
+    return out
+
+
+def _exponential_memory(form, u, grid, cols, past):
+    """An exponential kernel's memory integral of u, the field already on
+    the columns cols selects (a slice or an index array), carrying on
+    past.g at those columns when there is a past."""
+    out = _exponential_trapezoid(form, u, grid.dt)
+    if past is not None:
+        key = (form.lam, grid.dt, grid.nt)
+        decay = past.decay.get(key)
+        if decay is None:
+            decay = past.decay[key] = np.exp(-form.lam * grid.dt * np.arange(grid.nt + 1))[:, None]
+        out += decay * past.g[..., None, cols]
     return out
 
 
@@ -186,13 +209,8 @@ def eval_g_field(kernel, u, grid, cols=slice(None), past=None):
     u = np.asarray(u, dtype=float)
     if kernel.trivial:
         return np.zeros(u.shape[:-1] + (grid.xs[cols].size,))
-    form = kernel.exp_form
-    if form is not None:
-        out = _exponential_trapezoid(form, u[..., cols], grid.dt)
-        if past is not None:
-            decay = np.exp(-form.lam * grid.dt * np.arange(grid.nt + 1))
-            out += decay[:, None] * past.g[..., None, cols]
-        return out
+    if kernel.exp_form is not None:
+        return _exponential_memory(kernel.exp_form, u[..., cols], grid, cols, past)
     if u.ndim > 2:
         return np.stack([
             eval_g_field(kernel, one, grid, cols, None if past is None else replace(past, u=past.u[j], g=past.g[j]))
@@ -228,12 +246,11 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     hi = np.asarray(u_tilde_field, dtype=float)
     if np.any(lo > hi):
         raise ValueError("u_hat_field must be <= u_tilde_field everywhere")
-    width = hi - lo
+    max_width = float(np.max(hi - lo))
     shape = lo.shape
     reaction, kernel = spec.reaction, spec.kernel
-    theta = np.linspace(0.0, 1.0, n_samples)
-    degenerate = float(np.max(width)) == 0.0
-    fd_step = 0.0 if degenerate else 1e-6 * float(np.max(width))
+    degenerate = max_width == 0.0
+    fd_step = 0.0 if degenerate else 1e-6 * max_width
 
     if reaction.c_bar_bound is not None:
         c_under = np.full(shape, float(reaction.c_bar_bound))
@@ -242,10 +259,12 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             raise StabilizerError(
                 "bracket has zero width and no analytic f_u or c_bar_bound was supplied"
             )
-        c_under = _sampled_c_under(reaction, grid, lo, width, n_samples, fd_step)
+        c_under = _sampled_c_under(reaction, grid, lo, hi, n_samples, fd_step)
 
     b_under = 0.0
     if not kernel.trivial and kernel.exp_form is None:
+        width = hi - lo
+        theta = np.linspace(0.0, 1.0, n_samples)
         b_under = np.zeros(shape)
         if kernel.dg0_deta1 is None and degenerate:
             raise StabilizerError(
@@ -285,26 +304,46 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     )
 
 
-def _sampled_c_under(reaction, grid, lo, width, n_samples, eps):
-    """max over n_samples equispaced eta in [lo, lo + width] of -f_u(t, x, eta),
-    as a running maximum over the samples; f_u is a centered difference of
-    step eps when the reaction has no analytic one.  The sample eta is
-    formed in one array that every sample reuses."""
-    t, x = grid.ts[:, None], grid.xs[None, :]
-    c_under = None
-    eta = np.empty(lo.shape)
-    for theta in np.linspace(0.0, 1.0, n_samples):
-        np.multiply(width, theta, out=eta)
-        eta += lo
-        if reaction.f_u is not None:
-            d = np.asarray(reaction.f_u(t, x, eta), dtype=float)
-        else:
-            d = (
-                np.asarray(reaction.f(t, x, eta + eps), dtype=float)
-                - np.asarray(reaction.f(t, x, eta - eps), dtype=float)
-            ) / (2 * eps)
-        d = -np.broadcast_to(d, lo.shape)
-        c_under = d if c_under is None else np.maximum(c_under, d, out=c_under)
+@lru_cache(maxsize=8)
+def _sample_points(n_samples):
+    """The n_samples equispaced points of [0, 1], computed once per count."""
+    return tuple(np.linspace(0.0, 1.0, n_samples).tolist())
+
+
+def _sampled_c_under(reaction, grid, lo, hi, n_samples, eps):
+    """max over n_samples equispaced eta in [lo, hi] of -f_u(t, x, eta),
+    eta = lo + theta (hi - lo); f_u is a centered difference of step eps
+    when the reaction has no analytic one.  It runs C_UNDER_ROWS time rows
+    at a time, every sample of a block formed in one array: each operation
+    is pointwise, so the blocks give the whole field's values and the
+    temporaries stay O(C_UNDER_ROWS nx)."""
+    c_under = np.empty(lo.shape)
+    thetas = _sample_points(n_samples)
+    for r0 in range(0, lo.shape[0], C_UNDER_ROWS):
+        rows = slice(r0, r0 + C_UNDER_ROWS)
+        t, x = grid.ts[rows, None], grid.xs[None, :]
+        base, out = lo[rows], c_under[rows]
+        width = hi[rows] - base
+        eta = np.empty(base.shape)
+        for j, theta in enumerate(thetas):
+            np.multiply(width, theta, out=eta)
+            eta += base
+            if reaction.f_u is not None:
+                d = reaction.f_u(t, x, eta)
+            else:
+                d = (
+                    np.asarray(reaction.f(t, x, eta + eps), dtype=float)
+                    - np.asarray(reaction.f(t, x, eta - eps), dtype=float)
+                ) / (2 * eps)
+            # The running minimum of f_u, negated once at the end, is the
+            # running maximum of -f_u, NaNs and signed zeros included:
+            # maximum keeps its first argument where minimum of the
+            # negations keeps theirs.
+            if j == 0:
+                out[...] = d
+            else:
+                np.minimum(out, d, out=out)
+        np.negative(out, out=out)
     return c_under
 
 
@@ -329,11 +368,10 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     floor = C_FLOOR_DT / grid.dt
     if reaction.c_bar_bound is not None or np.all(stab.c_total == floor):
         return stab
-    lo = np.asarray(lo, dtype=float)
-    width = np.asarray(hi, dtype=float) - lo
-    if float(np.max(width)) == 0.0:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if float(np.max(hi - lo)) == 0.0:
         return stab
-    c = _sampled_c_under(reaction, grid, lo, width, n_samples, stab.fd_step)
+    c = _sampled_c_under(reaction, grid, lo, hi, n_samples, stab.fd_step)
     c += stab.b_under
     c += margin
     np.maximum(c, floor, out=c)
@@ -348,7 +386,46 @@ def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
     u, stab and grid may hold the levels of a slab, with the Past of the
     levels before it, and u may stack the fields of both branches on a
     leading axis (see eval_g_field): one call then serves both, bitwise
-    as two would."""
+    as two would.
+
+    u and cols may also be tuples of the same length, the fields and the
+    column slices of several windows: the result is then the list of F1
+    of u[j] on cols[j], bitwise as one call each would give it.  Every
+    term at a node reads that node's column only, so the windows' columns
+    are gathered side by side, overlapping ones twice, and evaluated at
+    once: a sweep evaluates F1 in one call, not one per window.  Only a
+    generic kernel's memory term, a trapezoid sum by matrix product whose
+    rounding may depend on the number of columns, is evaluated window by
+    window.
+    """
+    if not isinstance(cols, tuple):
+        return _F1_on(spec, stab, u, grid, cols, past)
+    if len(cols) == 1:
+        return [_F1_on(spec, stab, u[0], grid, cols[0], past)]
+    kernel = spec.kernel
+    nodes = np.arange(grid.xs.size)
+    parts = [nodes[one] for one in cols]
+    gathered = np.concatenate(parts)
+    uc = np.concatenate([np.asarray(one, dtype=float)[..., c] for one, c in zip(u, cols)], axis=-1)
+    out = stab.c_total[:, gathered] * uc
+    out += spec.reaction.f(grid.ts[:, None], grid.xs[None, gathered], uc)
+    if kernel.trivial:
+        out += 0.0  # what adding eval_g_field's zeros does: -0.0 becomes +0.0
+    elif kernel.exp_form is not None:
+        out += _exponential_memory(kernel.exp_form, uc, grid, gathered, past)
+    else:
+        out += np.concatenate(
+            [eval_g_field(kernel, one, grid, c, past) for one, c in zip(u, cols)], axis=-1
+        )
+    results, start = [], 0
+    for part in parts:
+        results.append(out[..., start : start + part.size])
+        start += part.size
+    return results
+
+
+def _F1_on(spec, stab, u, grid, cols, past):
+    """eval_F1_field of one field on one set of columns."""
     u = np.asarray(u, dtype=float)
     uc = u[..., cols]
     out = stab.c_total[:, cols] * uc

@@ -6,7 +6,8 @@ the same for every step at once.  per_step_factors and per_step_march
 are the LAPACK loop march_window must match bitwise: one dgttrf call per
 step, a pinned first row decoupled and its value folded into row 1, and
 a strided divide and add per step.  chain_min_margin is the separate-pass
-form of verify.sweep_metrics' margin.  exponential_trapezoid_recursion
+form of verify.sweep_metrics' margin, and sweep_metrics_reference that of
+all three of its values.  exponential_trapezoid_recursion
 is the level-by-level recursion that volterra's doubling scan replaces.
 dd_sweep is one whole-strip sweep with a given stabilizer.
 assemble_step checks every matrix it builds for the M-matrix pattern, so
@@ -211,6 +212,17 @@ def chain_min_margin(prev, nxt, u_hat_field, u_tilde_field):
         float(np.min(right - left))
         for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
     )
+
+
+def sweep_metrics_reference(prev, nxt, u_hat_field, u_tilde_field):
+    """verify.sweep_metrics' gap, update and margin, each difference a
+    temporary of its own and each value a float of its own, folded by
+    Python's max and min in the order sweep_metrics documents."""
+    gap = max(float(np.max(nxt.u22 - nxt.u21)), float(np.max(nxt.u12 - nxt.u11)))
+    upd = max(
+        float(np.max(np.abs(nxt.u1 - prev.u1))), float(np.max(np.abs(nxt.u2 - prev.u2)))
+    )
+    return gap, upd, chain_min_margin(prev, nxt, u_hat_field, u_tilde_field)
 
 
 def exponential_trapezoid_recursion(form, u, dt):

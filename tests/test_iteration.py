@@ -473,14 +473,28 @@ def small_problems(draw):
     return spec, build_grid(spec.domain, nx, nt), Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
 
 
-def assert_slab_rules(spec, grid, sol, hist):
-    """The slabs tile [0, nt] in ceil(T max c) pieces of equal length (+-1),
-    c over the initial bracket on levels 1..nt, and the history has one
-    entry per sweep of the slab that swept most."""
+def slab_count(spec, grid, decomp=None):
+    """The slab rule, restated: m = max(ceil(T max c), min(ceil(T max a /
+    delta^2), nt // 16)), each ceil within [1, nt], c over the initial
+    bracket on levels 1..nt and a at those levels' interior nodes; the
+    overlap term, delta the overlap's width, only for a decomposition."""
     init = init_state(spec, grid)
     c = compute_stabilizers(spec, grid, init.u11, init.u12).c_total
+    T = grid.ts[-1]
+    m = min(grid.nt, max(1, int(np.ceil(T * np.max(c[1:])))))
+    if decomp is not None:
+        a = np.max(spec.coeffs.a(grid.ts[1:, None], grid.xs[None, 1:-1]))
+        delta = (decomp.i1_hi - decomp.i2_lo) * grid.dx
+        overlap = min(grid.nt, max(1, int(np.ceil(T * a / delta**2))))
+        m = max(m, min(overlap, grid.nt // 16))
+    return m
+
+
+def assert_slab_rules(spec, grid, sol, hist, decomp=None):
+    """The slabs tile [0, nt] in slab_count pieces of equal length (+-1),
+    and the history has one entry per sweep of the slab that swept most."""
     bounds = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
-    assert len(bounds) == min(grid.nt, max(1, int(np.ceil(grid.ts[-1] * np.max(c[1:])))))
+    assert len(bounds) == slab_count(spec, grid, decomp)
     assert bounds[0][0] == 0 and bounds[-1][1] == grid.nt
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     lengths = [k1 - k0 for k0, k1 in bounds]
@@ -493,6 +507,47 @@ def assert_slab_rules(spec, grid, sol, hist):
         assert len(hist.states) == sol.sweeps_used + 1
 
 
+class TestSlabRule:
+    """iteration._slab_bounds on the initial-bracket stabilizer, as a run
+    calls it, against the counts the rule gives by hand and slab_count."""
+
+    @pytest.mark.parametrize("spec,nx,nt,decomp,slabs", [
+        # T max c = 9 (c = 8 + 1e-6), T max a / delta^2 = 1 / 0.25^2 = 16 = nt // 16
+        pytest.param(catalog_lookup("manufactured_1"), 128, 256, default_decomposition(128), 16,
+                     id="memory_dd"),
+        # T max c = 9, T max a / delta^2 = 0.0998 / 0.25^2 -> 2
+        pytest.param(kpp(8.0, 0.5, 0.5), 256, 256, default_decomposition(256), 9, id="kpp_dd"),
+        # one window: the c term alone ...
+        pytest.param(catalog_lookup("manufactured_1"), 128, 256, None, 9, id="one_window"),
+        # ... even where diffusion crosses the strip 4 times: T max a / 1^2 = 4 <= 64 // 16
+        pytest.param(catalog_lookup("linear_heat", {"T": 4.0}), 32, 64, None, 1,
+                     id="one_window_long_diffusion"),
+        # ... which two windows do take: T max a / delta^2 = 4 / 0.25^2 = 64 -> 64 // 16
+        pytest.param(catalog_lookup("linear_heat", {"T": 4.0}), 32, 64, default_decomposition(32),
+                     4, id="two_windows_long_diffusion"),
+        # a 2-cell overlap: T max a / delta^2 = 4096, capped at nt // 16
+        pytest.param(catalog_lookup("manufactured_1"), 128, 256, Decomposition(65, 63), 16,
+                     id="two_cells_capped"),
+        # ... and never below the c term: min(64 -> 32, 32 // 16 = 2) < 9
+        pytest.param(catalog_lookup("manufactured_1"), 16, 32, Decomposition(9, 7), 9,
+                     id="two_cells_under_c"),
+        # T = 0.01: T max a / delta^2 = 0.16 and T max c = 0.01
+        pytest.param(catalog_lookup("linear_heat"), 128, 256, default_decomposition(128), 1,
+                     id="linear_heat"),
+        # nt < 16: nt // 16 = 0, so the c term, ceil(2 + 1e-6)
+        pytest.param(desk_logistic(), 16, 12, Decomposition(9, 7), 3, id="nt_below_16"),
+    ])
+    def test_slab_count(self, spec, nx, nt, decomp, slabs):
+        grid = build_grid(spec.domain, nx, nt)
+        init = init_state(spec, grid)
+        c = compute_stabilizers(spec, grid, init.u11, init.u12).c_total
+        windows = (Subrange(0, nx),) if decomp is None else iteration._dd_windows(grid, decomp)
+        bounds = iteration._slab_bounds(grid, c, spec.coeffs, windows)
+        assert len(bounds) == slabs == slab_count(spec, grid, decomp)
+        assert bounds[0][0] == 0 and bounds[-1][1] == nt
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
 class TestSlabs:
     @pytest.mark.parametrize("name,params,slabs", [
         ("linear_heat", {}, 1),  # T max c = 0.01 (1 + 1e-6)
@@ -502,10 +557,11 @@ class TestSlabs:
     def test_slab_count_and_history(self, name, params, slabs):
         spec = catalog_lookup(name, params)
         grid = build_grid(spec.domain, 16, 32)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
+        decomp = Decomposition(i1_hi=10, i2_lo=6)
+        sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
         assert sol.converged and len(hist.slab_sweeps) == slabs
         assert hist.stop_reason == "converged"
-        assert_slab_rules(spec, grid, sol, hist)
+        assert_slab_rules(spec, grid, sol, hist, decomp)
         assert hist.gap_lower_upper[-1] <= 1e-9
         assert np.max(sol.u_upper - sol.u_lower) <= 1e-9
 
@@ -527,10 +583,11 @@ class TestSlabs:
         spec = kpp(6.0, 0.0, 0.0)
         grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500, keep_states=True)
+        decomp = Decomposition(i1_hi=3, i2_lo=1)
+        sol, hist = run_dd(spec, grid, decomp, tol, 500, keep_states=True)
         assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= tol
         assert len(runs) > len(hist.slab_sweeps)
-        assert_slab_rules(spec, grid, sol, hist)
+        assert_slab_rules(spec, grid, sol, hist, decomp)
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
             assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
@@ -685,7 +742,7 @@ class TestRefreshedStabilizer:
             assert check_bracket(spec, grid, candidate, kind).passed
         sol, hist = run_dd(spec, grid, decomp, tol, 500, keep_states=True)
         assert sol.converged
-        assert_slab_rules(spec, grid, sol, hist)
+        assert_slab_rules(spec, grid, sol, hist, decomp)
         lo, hi = hist.states[0].u11, hist.states[0].u12
         for prev, nxt in zip(hist.states, hist.states[1:]):
             assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []

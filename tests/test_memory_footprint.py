@@ -3,7 +3,7 @@ RSS assertion: a change that makes a run hold more strip-sized arrays at
 once fails here."""
 import tracemalloc
 
-from monodd import build_grid, default_decomposition, run_dd
+from monodd import build_grid, compute_stabilizers, default_decomposition, init_state, run_dd
 
 from conftest import kpp
 
@@ -29,3 +29,25 @@ def test_kpp_dd_peak_is_a_few_strip_fields():
         tracemalloc.stop()
     assert sol.converged and len(hist.slab_sweeps) == 9
     assert peak / field <= PEAK_STRIP_FIELDS, f"peak {peak / field:.1f} strip fields"
+
+
+# Peak traced bytes of compute_stabilizers beyond its inputs, over one
+# strip field: c_total itself (1) and the temporaries of one block of
+# volterra.C_UNDER_ROWS time rows; measured 1.6 on the 256x256 strip
+# below, against 6.0 when c_under was sampled over the whole strip at once.
+STABILIZER_PEAK_STRIP_FIELDS = 2.0
+
+
+def test_compute_stabilizers_peak_is_two_strip_fields():
+    spec = kpp(8.0, 0.5, 0.5)
+    grid = build_grid(spec.domain, 256, 256)
+    state = init_state(spec, grid)
+    field = (grid.nt + 1) * (grid.nx + 1) * 8
+    tracemalloc.start()
+    try:
+        stab = compute_stabilizers(spec, grid, state.u11, state.u12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stab.c_total.shape == state.u11.shape
+    assert peak / field <= STABILIZER_PEAK_STRIP_FIELDS, f"peak {peak / field:.1f} strip fields"

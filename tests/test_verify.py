@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monodd import (
     Decomposition,
@@ -19,7 +22,7 @@ from monodd import (
 from monodd.verify import sweep_metrics
 
 from conftest import desk_logistic
-from reference import chain_min_margin
+from reference import sweep_metrics_reference
 
 
 class TestCheckBracket:
@@ -120,15 +123,43 @@ class TestCheckMonotoneChain:
             check_monotone_chain(s, s, np.zeros((3, 6)), np.zeros((3, 6)))
 
 
+@st.composite
+def chained_states(draw):
+    """(prev, nxt, u_hat, u_tilde) on a random small grid: the eight fields
+    of the chain u_hat <= u11(n) <= u21(n) <= u11(n+1) <= u12(n+1) <= u22(n)
+    <= u12(n) <= u_tilde and nxt's u21 and u22, drawn from a few values,
+    both signed zeros and a NaN so that ties occur and the order in which
+    values are folded shows; the chain fields are sorted into order or
+    not, and some nodes of a sorted chain then get two of its fields
+    swapped, breaking the links between them."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, float("nan")]), st.floats(-4.0, 4.0, width=32)
+    )
+    fields = draw(arrays(np.float64, (10, rows, cols), elements=values))
+    chain = fields[:8]
+    if draw(st.booleans()):
+        chain.sort(axis=0)
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+            k, i = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            chain[[a, b], k, i] = chain[[b, a], k, i]
+    u_hat, u11, u21, u11n, u12n, u22, u12, u_tilde = chain
+    return (
+        state_of(u11, u12, u21, u22),
+        state_of(u11n, u12n, fields[8], fields[9]),
+        u_hat,
+        u_tilde,
+    )
+
+
 class TestSweepMetrics:
-    @staticmethod
-    def separate_passes(prev, nxt, lo, hi):
-        """Gap, update and margin with one temporary per difference."""
-        gap = max(float(np.max(nxt.u22 - nxt.u21)), float(np.max(nxt.u12 - nxt.u11)))
-        upd = max(
-            float(np.max(np.abs(nxt.u1 - prev.u1))), float(np.max(np.abs(nxt.u2 - prev.u2)))
-        )
-        return gap, upd, chain_min_margin(prev, nxt, lo, hi)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chained_states())
+    def test_equal_to_the_reference(self, case):
+        got = sweep_metrics(*case)
+        want = sweep_metrics_reference(*case)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_bitwise_equal_to_separate_passes(self):
         # Real sweeps, random fields with violated links, identical states
@@ -149,7 +180,7 @@ class TestSweepMetrics:
         cases += [(rand[0], IterationState(u1=with_nan, u2=rand[1].u2), lo, hi)]
         for prev, nxt, u_hat, u_tilde in cases:
             got = sweep_metrics(prev, nxt, u_hat, u_tilde)
-            want = self.separate_passes(prev, nxt, u_hat, u_tilde)
+            want = sweep_metrics_reference(prev, nxt, u_hat, u_tilde)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 

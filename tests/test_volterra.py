@@ -266,6 +266,29 @@ class TestStackedBranches:
             np.testing.assert_array_equal(past.g, np.stack([p.g for p in one]))
 
     @pytest.mark.parametrize("kind", ["trivial", "exponential", "generic"])
+    def test_windows_in_one_call_are_separate_calls_bitwise(self, kind):
+        # Two overlapping windows' columns, each from a field of its own,
+        # in one call give bitwise, signed zeros included, what one call
+        # per window gives, on a slab's levels with a past.
+        spec = catalog_lookup("linear_heat") if kind == "trivial" else desk_logistic()
+        if kind == "generic":
+            spec = dataclasses.replace(spec, kernel=generic_copy(spec.kernel))
+        grid = build_grid(spec.domain, 16, 24)
+        lo = sample_field(spec.bracket.u_hat, grid)
+        hi = sample_field(spec.bracket.u_tilde, grid)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        rng = np.random.default_rng(7)
+        u1, u2 = lo + rng.random((2, 2, *lo.shape)) * (hi - lo)
+        u1[:, 3:9, 4] = -0.0
+        past = Past.initial(u1[:, 0], grid).extend(spec.kernel, u1[:, :6], grid.levels(0, 5))
+        levels, slab_stab = grid.levels(5, 13), stab.levels(5, 13)
+        fields, cols = (u1[:, 5:14], u2[:, 5:14]), (slice(1, 10), slice(7, 16))
+        together = eval_F1_field(spec, slab_stab, fields, levels, cols, past)
+        for got, u, c in zip(together, fields, cols):
+            want = eval_F1_field(spec, slab_stab, u, levels, c, past)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["trivial", "exponential", "generic"])
     def test_past_keeps_only_what_its_kernel_reads(self, kind):
         # A generic kernel's trapezoid sum reads every past row; the
         # exponential scan reads g, and the trivial kernel nothing, so
