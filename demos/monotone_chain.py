@@ -43,7 +43,7 @@ def main():
     hi = sample_field(spec.bracket.u_tilde, grid)
     worst = 0.0
     for prev, nxt in zip(hist.states, hist.states[1:]):
-        violations = check_monotone_chain(prev, nxt, lo, hi, slack=1e-10)
+        violations = check_monotone_chain(prev, nxt, lo, hi)
         assert violations == []
         worst = max(worst, max(abs(v[3]) for v in violations) if violations else 0.0)
     print(f"monotone chain clean across all {len(hist.states) - 1} sweep pairs")

@@ -67,8 +67,6 @@ class RunConfig:
     decomposition: Optional[Decomposition]
     tol: float
     max_sweeps: int
-    c_margin: float
-    n_samples: int
     solution_csv: Optional[str]
     history_csv: Optional[str]
 
@@ -177,29 +175,20 @@ def load_config(path):
         _only(dec_raw, ("i1_hi", "i2_lo"), "decomposition")
         i1_hi = _int(_need(dec_raw, "i1_hi", "decomposition"), "decomposition.i1_hi")
         i2_lo = _int(_need(dec_raw, "i2_lo", "decomposition"), "decomposition.i2_lo")
-        if i2_lo >= i1_hi:
-            raise ConfigError(f"decomposition.i2_lo={i2_lo} must be < i1_hi={i1_hi}")
         try:
             decomp = Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
+            decomp.check(nx)
         except ValueError as exc:
             raise ConfigError(f"decomposition: {exc}") from None
-        if i1_hi >= nx:
-            raise ConfigError(f"decomposition.i1_hi={i1_hi} must be < grid.nx={nx}")
 
     solver = _section(raw, "solver", "config")
-    _only(solver, ("tol", "max_sweeps", "c_margin", "n_samples"), "solver")
+    _only(solver, ("tol", "max_sweeps"), "solver")
     tol = _float(_need(solver, "tol", "solver"), "solver.tol")
     if tol <= 0:
         raise ConfigError(f"solver.tol must be positive, got {tol}")
     max_sweeps = _int(_need(solver, "max_sweeps", "solver"), "solver.max_sweeps")
     if max_sweeps < 1:
         raise ConfigError(f"solver.max_sweeps must be >= 1, got {max_sweeps}")
-    c_margin = _float(solver.get("c_margin", 1e-6), "solver.c_margin")
-    if c_margin < 0:
-        raise ConfigError(f"solver.c_margin must be >= 0, got {c_margin}")
-    n_samples = _int(solver.get("n_samples", 8), "solver.n_samples")
-    if n_samples < 2:
-        raise ConfigError(f"solver.n_samples must be >= 2, got {n_samples}")
 
     out = _section(raw, "output", "config")
     _only(out, ("solution_csv", "history_csv"), "output")
@@ -218,8 +207,6 @@ def load_config(path):
         decomposition=decomp,
         tol=tol,
         max_sweeps=max_sweeps,
-        c_margin=c_margin,
-        n_samples=n_samples,
         solution_csv=out.get("solution_csv"),
         history_csv=out.get("history_csv"),
     )
@@ -412,23 +399,10 @@ def cmd_run(config_path):
 def _solve(cfg, spec, grid):
     if cfg.single_domain:
         return run_single_domain(
-            spec,
-            grid,
-            cfg.tol,
-            cfg.max_sweeps,
-            n_samples=cfg.n_samples,
-            c_margin=cfg.c_margin,
-            abort_on_chain_violation=True,
+            spec, grid, cfg.tol, cfg.max_sweeps, abort_on_chain_violation=True
         )
     return run_dd(
-        spec,
-        grid,
-        cfg.decomposition,
-        cfg.tol,
-        cfg.max_sweeps,
-        n_samples=cfg.n_samples,
-        c_margin=cfg.c_margin,
-        abort_on_chain_violation=True,
+        spec, grid, cfg.decomposition, cfg.tol, cfg.max_sweeps, abort_on_chain_violation=True
     )
 
 
@@ -438,7 +412,7 @@ def cmd_verify(config_path):
         print(error, file=sys.stderr)
         return EXIT_BAD_CONFIG
     grid = grids[0]
-    report = validate_problem(spec, sampling=16)
+    report = validate_problem(spec)
     for item in report:
         print(f"hypothesis violation: {item}")
     ok = not report
@@ -465,14 +439,7 @@ def cmd_order(config_path):
         return EXIT_BAD_CONFIG
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = order_study(
-                spec,
-                cfg.grids,
-                cfg.tol,
-                max_sweeps=cfg.max_sweeps,
-                n_samples=cfg.n_samples,
-                c_margin=cfg.c_margin,
-            )
+            result = order_study(spec, cfg.grids, cfg.tol, max_sweeps=cfg.max_sweeps)
     except UNDISCRETIZABLE as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -15,7 +15,7 @@ The stabilizer c makes F1 = c u + f + g nondecreasing on the order
 interval the iterates occupy.  That interval shrinks every sweep, so c is
 refreshed on the current envelope [u11, u12] after sweeps 1, 2, 4, 8, ...
 (the accelerated monotone iteration of Pao), as
-c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + margin, -1/(2 dt))),
+c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + C_MARGIN, -1/(2 dt))),
 negative where f grows on the whole envelope (see volterra).  The
 min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
 down to (c_{n-1} - c_n)(u21(n) - u11(n)) plus an F1_{c_{n-1}} difference,
@@ -55,7 +55,8 @@ first row, is <= tol: every lower iterate is a subsolution and every
 upper one a supersolution, so that envelope is the certified product,
 and as the chain puts sweep n+1 inside the envelope of sweep n, the
 update of a further sweep could not exceed that gap anyway.  max_sweeps
-and the chain check apply per slab.  Where the carried gap grows across
+and the chain check apply per slab; a chain link counts as violated
+below -verify.CHAIN_SLACK.  Where the carried gap grows across
 a slab so that its gap stalls above tol, which the slab tells from the
 contraction of its own updates (see _sweep_slab), every earlier slab is
 given a tighter target at once and the run resumes at the earliest one
@@ -82,8 +83,11 @@ evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
 sweep over one window.  order_study runs the decomposed solver over a
-list of grids and reports the observed convergence orders against an
-exact solution.
+list of grids, each on its default_decomposition, and reports the
+observed convergence orders against an exact solution.
+
+The stabilizer's sampling (volterra.N_SAMPLES, C_MARGIN) and the chain
+slack (verify.CHAIN_SLACK) are constants, not arguments.
 """
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ from .discretization import (
     refactor_window_operator,
     sample_field,
 )
-from .verify import sweep_metrics
+from .verify import CHAIN_SLACK, sweep_metrics
 from .volterra import (
     Past,
     StabilizerField,
@@ -148,8 +152,10 @@ class Decomposition:
 
 
 def default_decomposition(nx):
-    """Centered overlap covering the middle quarter of the grid."""
-    return Decomposition(i1_hi=(5 * nx) // 8, i2_lo=(3 * nx) // 8)
+    """Centered overlap covering the middle quarter of the grid, at least
+    two cells wide (nx >= 4)."""
+    i2_lo = (3 * nx) // 8
+    return Decomposition(i1_hi=max((5 * nx) // 8, i2_lo + 2), i2_lo=i2_lo)
 
 
 @dataclass
@@ -374,8 +380,8 @@ class _Slab:
 FIXED_POINT_ULPS = 4.0
 
 
-def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, c_margin,
-                abort_on_chain_violation, chain_slack, keep_states):
+def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, abort_on_chain_violation,
+                keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
     4, 8, ...; every sweep is folded into history.
@@ -423,10 +429,7 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
         if late or (n > 0 and n & (n - 1) == 0):
             late = not late and len(gaps) > 1 and gaps[-1] ** 2 <= slab.target * gaps[-2]
             if not late:
-                fresh = refresh_stabilizers(
-                    spec, slab.grid, stab, state.u11, state.u12, n_samples=n_samples,
-                    margin=c_margin,
-                )
+                fresh = refresh_stabilizers(spec, slab.grid, stab, state.u11, state.u12)
                 if fresh is not stab and not np.array_equal(fresh.c_total, stab.c_total):
                     for op in ops:
                         refactor_window_operator(op, fresh.c_total)
@@ -441,7 +444,7 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, n_samples, 
         upds.append(upd)
         if keep_states:
             slab.states.append(state)
-        if abort_on_chain_violation and viol < -chain_slack:
+        if abort_on_chain_violation and viol < -CHAIN_SLACK:
             raise MonotoneChainError(state.sweep_index, viol)
         if gap <= slab.target:
             outcome = None, None
@@ -483,8 +486,7 @@ def _composite_states(init, slabs):
     return composites
 
 
-def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
-         abort_on_chain_violation, chain_slack, keep_states):
+def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
     """Set up the bracket and the stabilizer, and sweep slab by slab (see
     the module docstring).
 
@@ -511,7 +513,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     bracket.
     """
     init = init_state(spec, grid)
-    stab = compute_stabilizers(spec, grid, init.u11, init.u12, n_samples=n_samples, margin=c_margin)
+    stab = compute_stabilizers(spec, grid, init.u11, init.u12)
     slabs = []
     for k0, k1 in _slab_bounds(grid, stab.c_total, spec.coeffs, windows):
         bracket = IterationState(u1=init.u1[:, k0 : k1 + 1], u2=init.u2[:, k0 : k1 + 1])
@@ -527,8 +529,8 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     while j < len(slabs):
         slab = slabs[j]
         carried, reason = _sweep_slab(
-            slab, spec, windows, pasts[j], history, tol, max_sweeps, n_samples, c_margin,
-            abort_on_chain_violation, chain_slack, keep_states,
+            slab, spec, windows, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
+            keep_states,
         )
         if reason is not None:
             break
@@ -570,18 +572,7 @@ def _run(spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
     return solution, history
 
 
-def run_dd(
-    spec,
-    grid,
-    decomp,
-    tol,
-    max_sweeps,
-    n_samples=8,
-    c_margin=1e-6,
-    abort_on_chain_violation=False,
-    chain_slack=1e-10,
-    keep_states=False,
-):
+def run_dd(spec, grid, decomp, tol, max_sweeps, abort_on_chain_violation=False, keep_states=False):
     """Sweep the two-subdomain scheme, slab by slab, until the bracket gap
     drops below tol on every slab, or a slab hits max_sweeps.
 
@@ -594,28 +585,16 @@ def run_dd(
     history.slab_sweeps the sweeps per slab.
     """
     windows = _dd_windows(grid, decomp)
-    return _run(
-        spec, grid, windows, tol, max_sweeps, n_samples, c_margin,
-        abort_on_chain_violation, chain_slack, keep_states,
-    )
+    return _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states)
 
 
-def run_single_domain(
-    spec,
-    grid,
-    tol,
-    max_sweeps,
-    n_samples=8,
-    c_margin=1e-6,
-    abort_on_chain_violation=False,
-    chain_slack=1e-10,
-    keep_states=False,
-):
+def run_single_domain(spec, grid, tol, max_sweeps, abort_on_chain_violation=False,
+                      keep_states=False):
     """Undecomposed two-sequence monotone iteration (the DD oracle):
     the same sweep with a single window covering the whole grid."""
     return _run(
-        spec, grid, (Subrange(0, grid.nx),), tol, max_sweeps, n_samples, c_margin,
-        abort_on_chain_violation, chain_slack, keep_states,
+        spec, grid, (Subrange(0, grid.nx),), tol, max_sweeps, abort_on_chain_violation,
+        keep_states,
     )
 
 
@@ -626,19 +605,18 @@ class OrderStudyResult:
     orders: tuple  # log2(e_coarse / e_fine) per refinement step
 
 
-def order_study(spec, grids, tol, max_sweeps=500, decomposition_for=None, **run_kwargs):
-    """Run the domain-decomposition solver per grid and report observed orders.
+def order_study(spec, grids, tol, max_sweeps=500):
+    """Run the domain-decomposition solver per grid, on its
+    default_decomposition, and report observed orders.
 
     Requires spec.exact.  Raises RuntimeError on a non-converged run.
     """
     if spec.exact is None:
         raise ValueError("order_study requires a spec with an exact solution attached")
-    if decomposition_for is None:
-        decomposition_for = default_decomposition
     errors = []
     for nx, nt in grids:
         grid = build_grid(spec.domain, nx, nt)
-        sol, _ = run_dd(spec, grid, decomposition_for(nx), tol, max_sweeps, **run_kwargs)
+        sol, _ = run_dd(spec, grid, default_decomposition(nx), tol, max_sweeps)
         if not sol.converged:
             raise RuntimeError(f"run on grid (nx={nx}, nt={nt}) did not converge")
         exact = sample_field(spec.exact, grid)

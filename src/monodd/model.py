@@ -121,21 +121,26 @@ class ProblemSpec:
     exact: Optional[Callable] = None  # known exact solution (t, x) -> real
 
 
+# Sample points per axis (t, x, s, eta1, eta2) of validate_problem's checks,
+# and its random draws of the Lipschitz check.
+SAMPLING = 16
+
+
 def _samples(fn, t, x):
     return np.broadcast_to(np.asarray(fn(t, x), dtype=float), np.broadcast(t, x).shape)
 
 
-def validate_problem(spec, sampling=16):
+def validate_problem(spec):
     """Sample-check the problem hypotheses; returns a list of violations.
 
     Each violation is a string naming the failed invariant and a witnessing
-    point.  An empty list means no violation was found at this sampling
-    resolution; nothing is proven.
+    point.  An empty list means no violation was found at SAMPLING points
+    per axis; nothing is proven.
     """
     report = []
     dom = spec.domain
-    ts = np.linspace(0.0, dom.T, sampling)
-    xs = np.linspace(dom.x_left, dom.x_right, sampling)
+    ts = np.linspace(0.0, dom.T, SAMPLING)
+    xs = np.linspace(dom.x_left, dom.x_right, SAMPLING)
     tg = ts[:, None]
     xg = xs[None, :]
 
@@ -171,19 +176,19 @@ def validate_problem(spec, sampling=16):
     width = np.maximum(hi - lo, 0.0)
 
     # Monotonicity of g0 in eta2 over the bracket, sampled.
-    theta = np.linspace(0.0, 1.0, sampling)
+    theta = np.linspace(0.0, 1.0, SAMPLING)
     done = False
     for k, t in enumerate(ts):
         if t == 0.0 or done:
             continue
-        for s in np.linspace(0.0, t, sampling):
+        for s in np.linspace(0.0, t, SAMPLING):
             ms = int(np.argmin(np.abs(ts - s)))
             # eta1 ranges over the bracket at (t, x), eta2 at (s, x);
             # axes are (eta1 sample, eta2 sample, node).
             e1 = (lo[k] + theta[:, None] * width[k])[:, None, :]
             e2 = (lo[ms] + theta[:, None] * width[ms])[None, :, :]
             vals = np.asarray(spec.kernel.g0(t, xs[None, None, :], s, e1, e2), dtype=float)
-            vals = np.broadcast_to(vals, (sampling, sampling, sampling))
+            vals = np.broadcast_to(vals, (SAMPLING, SAMPLING, SAMPLING))
             diffs = np.diff(vals, axis=1)  # theta ascending -> must be >= 0
             if np.any(diffs < -1e-12):
                 j = np.unravel_index(np.argmin(diffs), diffs.shape)
@@ -215,10 +220,10 @@ def validate_problem(spec, sampling=16):
         rng = np.random.default_rng(0)
         t = 0.5 * dom.T
         s = 0.25 * dom.T
-        xm = xs[sampling // 2]
+        xm = xs[SAMPLING // 2]
         w = float(np.max(width))
         base = float(np.min(lo))
-        for _ in range(sampling):
+        for _ in range(SAMPLING):
             e1, e2, e1p, e2p = base + w * rng.random(4)
             d = abs(
                 float(np.asarray(spec.kernel.g0(t, xm, s, e1, e2), dtype=float))

@@ -8,13 +8,16 @@ which certification against exact calculus would not guarantee.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import sample_field
+from .discretization import _end_rows, sample_field
 from .volterra import eval_g_field
+
+# How far below zero a chain link may fall to rounding: the slack of
+# check_monotone_chain and of the iteration's abort on a violated chain.
+CHAIN_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,9 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
 
     kind="super" requires all residuals >= -slack; kind="sub" checks the
     reversed inequalities (implemented by flipping the residual sign).
+    Each worst entry is the smallest residual of its kind, the first one
+    (by level, then node, the left end before the right) on a tie; a NaN
+    residual is the worst of its kind and fails the check.
     """
     if kind not in ("super", "sub"):
         raise ValueError(f"kind must be 'super' or 'sub', got {kind!r}")
@@ -58,24 +64,22 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
     k, i = np.unravel_index(int(np.argmin(res)), res.shape)
     worst_int = (float(res[k, i]), int(k) + 1, int(i) + 1)
 
-    worst_bnd = (math.inf, -1, "")
-    for k in range(1, nt + 1):
-        t = ts[k]
-        for end, bc, val, ngh in (
-            ("left", spec.bc_left, U[k, 0], U[k, 1]),
-            ("right", spec.bc_right, U[k, nx], U[k, nx - 1]),
-        ):
-            r = sign * (
-                float(bc.alpha0(t)) * (val - ngh) / dx + float(bc.beta0(t)) * val - float(bc.h(t))
-            )
-            if r < worst_bnd[0]:
-                worst_bnd = (float(r), k, end)
+    # Boundary residuals at every level k >= 1, (nt, 2): the left end's
+    # column before the right end's, so argmin keeps the loop order.
+    bnd = np.empty((nt, 2))
+    for j, (bc, i, ngh) in enumerate(((spec.bc_left, 0, 1), (spec.bc_right, nx, nx - 1))):
+        alpha0, beta0, h = _end_rows(bc, ts[1:])
+        val = U[1:, i]
+        bnd[:, j] = sign * (alpha0 * (val - U[1:, ngh]) / dx + beta0 * val - h)
+    j = int(np.argmin(bnd))
+    worst_bnd = (float(bnd.flat[j]), j // 2 + 1, ("left", "right")[j % 2])
 
     res0 = sign * (U[0] - _as_field(spec.u0(xs), (nx + 1,)))
     i0 = int(np.argmin(res0))
     worst_ini = (float(res0[i0]), i0)
 
-    passed = min(worst_int[0], worst_bnd[0], worst_ini[0]) >= -slack
+    # argmin takes the first NaN, and a NaN fails the comparison.
+    passed = all(worst[0] >= -slack for worst in (worst_int, worst_bnd, worst_ini))
     return ResidualReport(
         worst_interior=worst_int,
         worst_boundary=worst_bnd,
@@ -99,10 +103,10 @@ def _chain_links(prev, nxt, u_hat_field, u_tilde_field):
     )
 
 
-def check_monotone_chain(prev, nxt, u_hat_field, u_tilde_field, slack=1e-10):
+def check_monotone_chain(prev, nxt, u_hat_field, u_tilde_field):
     """Check all seven chain links at every node; returns a violation list.
 
-    Each violation is (link_name, k, i, margin) with margin < -slack.
+    Each violation is (link_name, k, i, margin) with margin < -CHAIN_SLACK.
     Empty list means the chain holds.
     """
     shape = np.shape(prev.u11)
@@ -112,7 +116,7 @@ def check_monotone_chain(prev, nxt, u_hat_field, u_tilde_field, slack=1e-10):
     violations = []
     for name, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field):
         margin = right - left
-        bad = margin < -slack
+        bad = margin < -CHAIN_SLACK
         if np.any(bad):
             for k, i in zip(*np.nonzero(bad)):
                 violations.append((name, int(k), int(i), float(margin[k, i])))

@@ -21,14 +21,16 @@ trapezoid sum from k0 (an exact split of the composite rule), and the
 rows themselves, which only the generic trapezoid sum reads.  Both parts
 are nondecreasing in psi, so a lower past gives a lower memory term.
 
-The stabilizer c_total >= c_under + b_under + margin is added to both
+The stabilizer c_total >= c_under + b_under + C_MARGIN is added to both
 sides of the equation so that
 
     F1(t, x, u) = c_total u + f(t, x, u) + g(t, x, u)
 
-is nondecreasing in u over the bracket.  c_under and b_under are sampled
-suprema of -df/du and -dg0/deta1; an additive margin compensates for the
-sampling underestimate.  c_total is negative where f grows in u, as the
+is nondecreasing in u over the bracket.  c_under and b_under are suprema
+of -df/du and -dg0/deta1 sampled at N_SAMPLES equispaced points of each
+interval; the additive C_MARGIN compensates for the sampling
+underestimate.  Both are constants, not settings: all the monotone
+iteration asks of c is that F1 be nondecreasing.  c_total is negative where f grows in u, as the
 monotone iteration of parabolic problems allows (Pao, Nonlinear Parabolic
 and Elliptic Equations, 1992, ch. 2-3).  Its only floor is C_FLOOR_DT / dt
 = -1/(2 dt): a step matrix's interior rows exceed diagonal dominance by
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -54,8 +55,16 @@ from .discretization import Field, Grid1D, as_shape
 # 1/(2 dt) (see the module docstring).
 C_FLOOR_DT = -0.5
 
+# Equispaced samples of each interval in the sampled suprema c_under and
+# b_under, and the margin added to their sum against the sampling
+# underestimate.
+N_SAMPLES = 8
+C_MARGIN = 1e-6
+# The theta of the samples lo + theta (hi - lo), as Python floats.
+_SAMPLE_POINTS = tuple(np.linspace(0.0, 1.0, N_SAMPLES).tolist())
+
 # History levels per block in the generic-kernel stabilizer loop; bounds its
-# temporaries at O(n_samples^2 nx HISTORY_CHUNK) whatever nt is.
+# temporaries at O(N_SAMPLES^2 nx HISTORY_CHUNK) whatever nt is.
 HISTORY_CHUNK = 32
 
 # Time rows per block of the sampled c_under; bounds its temporaries at
@@ -69,7 +78,7 @@ class StabilizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilizerField:
-    c_total: Field  # c = max(c_under + b_under + margin, C_FLOOR_DT / dt), may be negative
+    c_total: Field  # c = max(c_under + b_under + C_MARGIN, C_FLOOR_DT / dt), may be negative
     # memory-term component over the initial bracket: a Field, or the
     # scalar 0.0 for a kernel that does not depend on eta1 (exponential,
     # trivial), which needs none
@@ -226,22 +235,21 @@ def eval_g_field(kernel, u, grid, cols=slice(None), past=None):
     )
 
 
-def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, margin=1e-6):
+def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field):
     """Sampled suprema c_under, b_under over the bracket, combined and floored:
 
-        c_total = max(c_under + b_under + margin, C_FLOOR_DT / dt).
+        c_total = max(c_under + b_under + C_MARGIN, C_FLOOR_DT / dt).
 
-    c_under(t,x) ~ max over eta in [u_hat, u_tilde] of -f_u(t,x,eta);
-    b_under(t,x) = trapezoid over s of max over eta1, eta2 of -dg0/deta1.
-    Derivatives use analytic callables when supplied, centered differences
-    otherwise.  The additive margin guards against sampled-sup underestimate.
+    c_under(t,x) ~ max over N_SAMPLES eta in [u_hat, u_tilde] of
+    -f_u(t,x,eta); b_under(t,x) = trapezoid over s of max over N_SAMPLES^2
+    pairs eta1, eta2 of -dg0/deta1.  Derivatives use analytic callables
+    when supplied, centered differences otherwise.  C_MARGIN guards
+    against sampled-sup underestimate.
     c_total is negative where f grows on the whole bracket; the floor
     -1/(2 dt) keeps every assembled system an M-matrix.  b_under is the
     scalar 0.0 for a trivial or exponential kernel, and c_total is formed
     in place in c_under's array.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     lo = np.asarray(u_hat_field, dtype=float)
     hi = np.asarray(u_tilde_field, dtype=float)
     if np.any(lo > hi):
@@ -259,12 +267,12 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             raise StabilizerError(
                 "bracket has zero width and no analytic f_u or c_bar_bound was supplied"
             )
-        c_under = _sampled_c_under(reaction, grid, lo, hi, n_samples, fd_step)
+        c_under = _sampled_c_under(reaction, grid, lo, hi, fd_step)
 
     b_under = 0.0
     if not kernel.trivial and kernel.exp_form is None:
         width = hi - lo
-        theta = np.linspace(0.0, 1.0, n_samples)
+        theta = np.array(_SAMPLE_POINTS)
         b_under = np.zeros(shape)
         if kernel.dg0_deta1 is None and degenerate:
             raise StabilizerError(
@@ -276,7 +284,7 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
             t = grid.ts[k]
             e1 = (lo[k] + theta[:, None] * width[k])[None, :, None, :]
             # The history axis goes in chunks so temporaries stay
-            # O(n_samples^2 nx HISTORY_CHUNK); axes: (history level m,
+            # O(N_SAMPLES^2 nx HISTORY_CHUNK); axes: (history level m,
             # eta1 sample, eta2 sample, node).
             for m0 in range(0, k + 1, HISTORY_CHUNK):
                 m1 = min(m0 + HISTORY_CHUNK, k + 1)
@@ -291,12 +299,12 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
                         np.asarray(kernel.g0(t, x, s, e1 + fd_step, e2), dtype=float)
                         - np.asarray(kernel.g0(t, x, s, e1 - fd_step, e2), dtype=float)
                     ) / (2 * fd_step)
-                d = np.broadcast_to(d, (m1 - m0, n_samples, n_samples, grid.nx + 1))
+                d = np.broadcast_to(d, (m1 - m0, N_SAMPLES, N_SAMPLES, grid.nx + 1))
                 b0[m0:m1] = np.max(-d, axis=(1, 2))
             b_under[k] = quadrature_weights(k, grid.dt) @ b0[: k + 1]
 
     c_under += b_under
-    c_under += margin
+    c_under += C_MARGIN
     return StabilizerField(
         c_total=np.maximum(c_under, C_FLOOR_DT / grid.dt, out=c_under),
         b_under=b_under,
@@ -304,28 +312,21 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field, n_samples=8, mar
     )
 
 
-@lru_cache(maxsize=8)
-def _sample_points(n_samples):
-    """The n_samples equispaced points of [0, 1], computed once per count."""
-    return tuple(np.linspace(0.0, 1.0, n_samples).tolist())
-
-
-def _sampled_c_under(reaction, grid, lo, hi, n_samples, eps):
-    """max over n_samples equispaced eta in [lo, hi] of -f_u(t, x, eta),
+def _sampled_c_under(reaction, grid, lo, hi, eps):
+    """max over N_SAMPLES equispaced eta in [lo, hi] of -f_u(t, x, eta),
     eta = lo + theta (hi - lo); f_u is a centered difference of step eps
     when the reaction has no analytic one.  It runs C_UNDER_ROWS time rows
     at a time, every sample of a block formed in one array: each operation
     is pointwise, so the blocks give the whole field's values and the
     temporaries stay O(C_UNDER_ROWS nx)."""
     c_under = np.empty(lo.shape)
-    thetas = _sample_points(n_samples)
     for r0 in range(0, lo.shape[0], C_UNDER_ROWS):
         rows = slice(r0, r0 + C_UNDER_ROWS)
         t, x = grid.ts[rows, None], grid.xs[None, :]
         base, out = lo[rows], c_under[rows]
         width = hi[rows] - base
         eta = np.empty(base.shape)
-        for j, theta in enumerate(thetas):
+        for j, theta in enumerate(_SAMPLE_POINTS):
             np.multiply(width, theta, out=eta)
             eta += base
             if reaction.f_u is not None:
@@ -347,17 +348,17 @@ def _sampled_c_under(reaction, grid, lo, hi, n_samples, eps):
     return c_under
 
 
-def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
+def refresh_stabilizers(spec, grid, stab, lo, hi):
     """The stabilizer lowered to the envelope [lo, hi] that the iterates now
     occupy (the accelerated monotone iteration of Pao):
 
         c = min(stab.c_total,
-                max(c_under([lo, hi]) + stab.b_under + margin, C_FLOOR_DT / dt)).
+                max(c_under([lo, hi]) + stab.b_under + C_MARGIN, C_FLOOR_DT / dt)).
 
     c_under is resampled as compute_stabilizers samples it, with the
     centered-difference step of the initial bracket (a step scaled to a
     nearly closed envelope would be rounding noise).  b_under is kept: it
-    is still a bound, and resampling it costs O(nt^2 nx n_samples^2).
+    is still a bound, and resampling it costs O(nt^2 nx N_SAMPLES^2).
     The min keeps c from ever rising, which the monotone chain needs, as
     a sampled supremum over a smaller interval can come out larger.
     Returns stab itself, with no resample, when the reaction gives a
@@ -371,9 +372,9 @@ def refresh_stabilizers(spec, grid, stab, lo, hi, n_samples=8, margin=1e-6):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if float(np.max(hi - lo)) == 0.0:
         return stab
-    c = _sampled_c_under(reaction, grid, lo, hi, n_samples, stab.fd_step)
+    c = _sampled_c_under(reaction, grid, lo, hi, stab.fd_step)
     c += stab.b_under
-    c += margin
+    c += C_MARGIN
     np.maximum(c, floor, out=c)
     np.minimum(c, stab.c_total, out=c)
     return StabilizerField(c_total=c, b_under=stab.b_under, fd_step=stab.fd_step)

@@ -54,7 +54,7 @@ def test_criterion_1_monotone_chain(desk_run):
     lo = sample_field(spec.bracket.u_hat, grid)
     hi = sample_field(spec.bracket.u_tilde, grid)
     for prev, nxt in zip(hist.states, hist.states[1:]):
-        assert check_monotone_chain(prev, nxt, lo, hi, slack=1e-10) == []
+        assert check_monotone_chain(prev, nxt, lo, hi) == []
     assert elapsed < 30.0
     print(
         f"\nPASS criterion 1: monotone chain clean over {len(hist.states) - 1} sweeps "

@@ -88,8 +88,8 @@ LOGISTIC = {"name": "logistic_memory", "params": {"lam": 1.0, "kappa": 0.5, "sig
         ({"problem": {**LOGISTIC, "u_hat_const": 5}}, "bracket ordering"),
         ({"problem": {**LOGISTIC, "u_tilde_const": "high"}}, "u_tilde_const"),
         ({"solver": {"tol": float("nan")}}, "solver.tol"),
-        ({"solver": {"c_margin": float("inf")}}, "solver.c_margin"),
-        ({"solver": {"n_samples": 1}}, "solver.n_samples"),
+        ({"solver": {"c_margin": 1e-6}}, "unknown key solver.c_margin"),
+        ({"solver": {"n_samples": 8}}, "unknown key solver.n_samples"),
         ({"solver": {"max_sweeps": "many"}}, "solver.max_sweeps"),
         ({"solver": [1e-8]}, "solver"),
         ({"decomposition": {"i1_hi": 20.0, "i2_lo": [12]}}, "decomposition.i2_lo"),
@@ -352,6 +352,47 @@ def test_verify_broken_supersolution(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+SMALL_GRID_PROBLEMS = [
+    {"name": "linear_heat", "params": {}},
+    LOGISTIC,
+    {"name": "manufactured_1", "params": {}},
+]
+
+
+def test_small_grids_exit_with_a_documented_code(tmp_path, capsys):
+    # Every command on every catalog problem, on the smallest grids the
+    # config accepts, ends with a documented exit code and no traceback:
+    # run on one window and on two with the widest overlap, order on the
+    # grid and its refinement.
+    documented = {
+        cli.EXIT_OK, cli.EXIT_NOT_CONVERGED, cli.EXIT_BAD_CONFIG, cli.EXIT_VERIFY_FAILED,
+        cli.EXIT_CHAIN_VIOLATION,
+    }
+    failures = []
+    for problem in SMALL_GRID_PROBLEMS:
+        for nx in range(4, 9):
+            for nt in (1, 3):
+                grid = {"nx": nx, "nt": nt}
+                cases = [
+                    ("run", write_config(tmp_path / "one.json", problem=problem, grid=grid,
+                                         decomposition="single_domain")),
+                    ("run", write_config(tmp_path / "two.json", problem=problem, grid=grid,
+                                         decomposition={"i1_hi": nx - 1, "i2_lo": 1})),
+                    ("verify", tmp_path / "two.json"),
+                    ("order", order_config(tmp_path / "order.json", problem,
+                                           grids=((nx, nt), (2 * nx, 2 * nt)))),
+                ]
+                for command, cfg in cases:
+                    try:
+                        code = main([command, str(cfg)])
+                    except Exception as exc:  # a traceback, exit 1, from the console
+                        code = repr(exc)
+                    err = capsys.readouterr().err
+                    if code not in documented or "Traceback" in err:
+                        failures.append((command, problem["name"], nx, nt, code))
+    assert failures == []
 
 
 def test_order_two_refinements(tmp_path, capsys):

@@ -39,34 +39,34 @@ def simple_spec(**overrides):
 class TestValidateProblem:
     def test_both_boundary_coefficients_zero(self):
         bad = BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 0.0, h=lambda t: 0.0)
-        report = validate_problem(simple_spec(bc_left=bad), sampling=8)
+        report = validate_problem(simple_spec(bc_left=bad))
         assert any("boundary coefficients both zero" in v for v in report)
 
     def test_clean_dirichlet_problem(self):
-        assert validate_problem(simple_spec(), sampling=8) == []
+        assert validate_problem(simple_spec()) == []
 
     def test_negative_diffusion(self):
         bad = EllipticCoefficients(a=lambda t, x: -1.0 + 0.0 * x, b=lambda t, x: 0.0 * x)
-        report = validate_problem(simple_spec(coeffs=bad), sampling=8)
+        report = validate_problem(simple_spec(coeffs=bad))
         assert any("diffusion not positive" in v for v in report)
 
     def test_bracket_out_of_order(self):
         br = Bracket(u_hat=lambda t, x: 1.0 + 0.0 * x, u_tilde=lambda t, x: 0.0 * x)
-        report = validate_problem(simple_spec(bracket=br), sampling=8)
+        report = validate_problem(simple_spec(bracket=br))
         assert any("bracket out of order" in v for v in report)
 
     def test_kernel_not_monotone(self):
         k = VolterraKernel(g0=lambda t, x, s, e1, e2: -e2)
-        report = validate_problem(simple_spec(kernel=k), sampling=8)
+        report = validate_problem(simple_spec(kernel=k))
         assert any("not nondecreasing in eta2" in v for v in report)
 
     def test_incompatible_dirichlet_data(self):
-        report = validate_problem(simple_spec(u0=lambda x: 1.0 + 0.0 * x), sampling=8)
+        report = validate_problem(simple_spec(u0=lambda x: 1.0 + 0.0 * x))
         assert any("incompatible initial/boundary data" in v for v in report)
 
     def test_wrong_analytic_derivative(self):
         r = Reaction(f=lambda t, x, u: u * u, f_u=lambda t, x, u: 0.0 * u)
-        report = validate_problem(simple_spec(reaction=r), sampling=8)
+        report = validate_problem(simple_spec(reaction=r))
         assert any("reaction derivative mismatch" in v for v in report)
 
     def test_lipschitz_violation(self):
@@ -74,7 +74,7 @@ class TestValidateProblem:
         k = VolterraKernel(
             g0=lambda t, x, s, e1, e2: 100.0 * e2 * np.abs(e2), lipschitz_K0=0.1
         )
-        report = validate_problem(simple_spec(kernel=k), sampling=8)
+        report = validate_problem(simple_spec(kernel=k))
         assert any("Lipschitz" in v for v in report)
 
 
@@ -140,7 +140,7 @@ class TestCatalog:
         ("manufactured_1", {}),
     ])
     def test_catalog_entries_validate_clean(self, name, params):
-        assert validate_problem(catalog_lookup(name, params), sampling=16) == []
+        assert validate_problem(catalog_lookup(name, params)) == []
 
 
 class TestManufacturedResidual:

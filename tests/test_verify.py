@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monodd import (
+    BoundaryCondition,
     Decomposition,
     IterationState,
     VolterraKernel,
@@ -86,6 +89,68 @@ class TestCheckBracket:
                 worst = (float(res[i]), k, i + 1)
         assert report.worst_interior[1:] == worst[1:]
         assert report.worst_interior[0] == pytest.approx(worst[0], rel=1e-12, abs=1e-12)
+
+    def test_boundary_matches_level_by_level_loop(self):
+        # Robin ends whose data vary in time, and a random candidate: the
+        # worst boundary residual is the loop's, bitwise, ties included.
+        from conftest import kpp
+
+        spec = dataclasses.replace(
+            kpp(2.0, 0.5, 0.5),
+            bc_right=BoundaryCondition(
+                alpha0=lambda t: 0.5 + t, beta0=lambda t: 2.0 - t, h=lambda t: np.sin(3.0 * t)
+            ),
+        )
+        grid = build_grid(spec.domain, 12, 9)
+        U = np.random.default_rng(5).random((10, 13))
+        for kind, sign in (("super", 1.0), ("sub", -1.0)):
+            worst = (np.inf, -1, "")
+            for k in range(1, grid.nt + 1):
+                t = grid.ts[k]
+                for end, bc, val, ngh in (
+                    ("left", spec.bc_left, U[k, 0], U[k, 1]),
+                    ("right", spec.bc_right, U[k, -1], U[k, -2]),
+                ):
+                    r = sign * (
+                        float(bc.alpha0(t)) * (val - ngh) / grid.dx
+                        + float(bc.beta0(t)) * val
+                        - float(bc.h(t))
+                    )
+                    if r < worst[0]:
+                        worst = (float(r), k, end)
+            assert check_bracket(spec, grid, U, kind).worst_boundary == worst
+        # Equal residuals at both ends of every level: level 1's left one.
+        spec = catalog_lookup("linear_heat")
+        grid = build_grid(spec.domain, 8, 4)
+        report = check_bracket(spec, grid, lambda t, x: 0.25 + 0.0 * x, "super")
+        assert report.worst_boundary == (0.25, 1, "left")
+
+    def test_nan_boundary_residual_fails(self):
+        # h(t) = nan at the right end: every right residual is NaN, the
+        # first of them is the worst, and neither candidate passes.
+        base = catalog_lookup("manufactured_1")
+        nan_end = BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: np.nan)
+        spec = dataclasses.replace(base, bc_right=nan_end)
+        grid = build_grid(spec.domain, 16, 16)
+        for kind, fn in (("sub", spec.bracket.u_hat), ("super", spec.bracket.u_tilde)):
+            report = check_bracket(spec, grid, fn, kind)
+            value, k, end = report.worst_boundary
+            assert np.isnan(value) and (k, end) == (1, "right")
+            assert not report.passed
+
+    def test_nan_initial_residual_fails(self):
+        # u0 is NaN at x = 0.5 alone: that node is the worst initial
+        # residual, and neither candidate passes.
+        base = catalog_lookup("manufactured_1")
+        spec = dataclasses.replace(
+            base, u0=lambda x: np.where(x == 0.5, np.nan, np.sin(np.pi * x))
+        )
+        grid = build_grid(spec.domain, 16, 16)
+        for kind, fn in (("sub", spec.bracket.u_hat), ("super", spec.bracket.u_tilde)):
+            report = check_bracket(spec, grid, fn, kind)
+            value, i = report.worst_initial
+            assert np.isnan(value) and i == 8
+            assert not report.passed
 
     def test_bad_kind(self):
         spec = desk_logistic()

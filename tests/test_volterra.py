@@ -17,7 +17,9 @@ from monodd import (
 )
 from monodd import volterra
 from monodd.volterra import (
+    C_MARGIN,
     HISTORY_CHUNK,
+    N_SAMPLES,
     Past,
     StabilizerError,
     quadrature_weights,
@@ -316,8 +318,8 @@ class TestComputeStabilizers:
         grid = build_grid(spec.domain, 8, 8)
         lo = np.zeros((9, 9))
         hi = np.full((9, 9), 1.5)
-        stab = compute_stabilizers(spec, grid, lo, hi, n_samples=8, margin=1e-6)
-        np.testing.assert_allclose(stab.c_total, 2.0 + 1e-6, atol=1e-12)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        np.testing.assert_allclose(stab.c_total, 2.0 + C_MARGIN, atol=1e-12)
         np.testing.assert_array_equal(stab.b_under, 0.0)
 
     def test_kernel_independent_of_eta1(self):
@@ -345,10 +347,10 @@ class TestComputeStabilizers:
         grid = build_grid(spec.domain, 10, 4)
         lo = np.zeros((5, 11))
         hi = np.ones((5, 11))
-        stab = compute_stabilizers(spec, grid, lo, hi, margin=1e-6)
-        c_under = stacked_c_under(spec, grid, lo, hi, 8)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        c_under = stacked_c_under(spec, grid, lo, hi, N_SAMPLES)
         floor = -1.0 / (2.0 * grid.dt)
-        np.testing.assert_array_equal(stab.c_total, np.maximum(c_under + 0.0 + 1e-6, floor))
+        np.testing.assert_array_equal(stab.c_total, np.maximum(c_under + 0.0 + C_MARGIN, floor))
         assert np.any(stab.c_total > 0.0)
         assert np.any((stab.c_total < 0.0) & (stab.c_total > floor))
         assert np.any(stab.c_total == floor) and np.all(stab.c_total >= floor)
@@ -400,14 +402,14 @@ class TestComputeStabilizers:
             dg0_deta1=lambda t, x, s, e1, e2: -0.6 * (1.0 + s + 0.0 * x) * e1 + 0.0 * e2,
         )
         spec = type(base)(**{**base.__dict__, "kernel": kernel})
-        nx, nt, p, margin = 64, 4 * HISTORY_CHUNK, 8, 1e-6
+        nx, nt, p, margin = 64, 4 * HISTORY_CHUNK, N_SAMPLES, C_MARGIN
         grid = build_grid(spec.domain, nx, nt)
         lo = np.zeros((nt + 1, nx + 1))
         hi = 1.5 + 0.1 * np.sin(np.pi * grid.xs) + 0.0 * lo
 
         tracemalloc.start()
         try:
-            stab = compute_stabilizers(spec, grid, lo, hi, n_samples=p, margin=margin)
+            stab = compute_stabilizers(spec, grid, lo, hi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -455,8 +457,8 @@ class TestComputeStabilizers:
         grid = build_grid(spec.domain, 6, 4)
         lo = np.zeros((5, 7))
         hi = np.full((5, 7), 1.5)
-        stab = compute_stabilizers(spec, grid, lo, hi, margin=0.0)
-        np.testing.assert_allclose(stab.c_total, 2.0, atol=1e-5)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        np.testing.assert_allclose(stab.c_total, 2.0 + C_MARGIN, atol=1e-5)
 
 
 def with_reaction(spec, f, f_u=None):
@@ -483,11 +485,11 @@ class TestRefreshStabilizers:
         hi = 1.0 + 0.5 * np.sin(np.pi * grid.xs) + 0.0 * lo
         tracemalloc.start()
         try:
-            stab = compute_stabilizers(spec, grid, lo, hi, n_samples=16, margin=0.0)
+            stab = compute_stabilizers(spec, grid, lo, hi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        reference = np.maximum(stacked_c_under(spec, grid, lo, hi, 16), 0.0)
+        reference = np.maximum(stacked_c_under(spec, grid, lo, hi, N_SAMPLES) + C_MARGIN, 0.0)
         np.testing.assert_array_equal(stab.c_total, reference)
         assert peak < 8 * lo.nbytes, f"tracemalloc peak {peak / lo.nbytes:.1f} fields"
 
@@ -501,13 +503,13 @@ class TestRefreshStabilizers:
         grid = build_grid(spec.domain, 12, 10)
         rng = np.random.default_rng(3)
         lo, hi = np.zeros((11, 13)), np.full((11, 13), 1.5)
-        stab = compute_stabilizers(spec, grid, lo, hi, n_samples=5, margin=1e-6)
+        stab = compute_stabilizers(spec, grid, lo, hi)
         env_lo = rng.uniform(0.0, 1.0, lo.shape)
         env_hi = env_lo + rng.uniform(0.0, 0.5, lo.shape)
-        fresh = refresh_stabilizers(spec, grid, stab, env_lo, env_hi, n_samples=5, margin=1e-6)
-        c_under = stacked_c_under(spec, grid, env_lo, env_hi, 5)
+        fresh = refresh_stabilizers(spec, grid, stab, env_lo, env_hi)
+        c_under = stacked_c_under(spec, grid, env_lo, env_hi, N_SAMPLES)
         floor = -1.0 / (2.0 * grid.dt)
-        expected = np.minimum(stab.c_total, np.maximum(c_under + stab.b_under + 1e-6, floor))
+        expected = np.minimum(stab.c_total, np.maximum(c_under + stab.b_under + C_MARGIN, floor))
         np.testing.assert_array_equal(fresh.c_total, expected)
         assert fresh.b_under is stab.b_under and np.max(stab.b_under) > 0.0
         assert np.all(fresh.c_total <= stab.c_total)
@@ -515,9 +517,10 @@ class TestRefreshStabilizers:
         assert np.any(fresh.c_total < 0.0)  # f grows on the whole envelope there
 
     def test_clamp_holds_c_where_the_smaller_interval_samples_higher(self):
-        # -f_u = 1 - 4|u - 0.5| peaks at u = 0.5.  Two samples of [0, 1]
-        # miss the peak and the samples of [0.4, 0.6] do not: the refreshed
-        # c stays at the old one.
+        # -f_u = 1 - 4|u - 0.5| peaks at u = 0.5.  The N_SAMPLES = 8 samples
+        # of [0, 1] (3/7 and 4/7 nearest the peak) reach 1 - 4/14 ~ 0.714,
+        # those of [0.4, 0.6] reach 1 - 0.4/7 ~ 0.943, higher: the
+        # refreshed c stays at the old one.
         spec = with_reaction(
             desk_logistic(),
             lambda t, x, u: 2.0 * (u - 0.5) * np.abs(u - 0.5) - u,
@@ -525,10 +528,11 @@ class TestRefreshStabilizers:
         )
         grid = build_grid(spec.domain, 6, 4)
         lo, hi = np.zeros((5, 7)), np.ones((5, 7))
-        stab = compute_stabilizers(spec, grid, lo, hi, n_samples=2, margin=0.0)
+        stab = compute_stabilizers(spec, grid, lo, hi)
         env = (np.full((5, 7), 0.4), np.full((5, 7), 0.6))
-        assert np.all(compute_stabilizers(spec, grid, *env, n_samples=2, margin=0.0).c_total > 0.0)
-        fresh = refresh_stabilizers(spec, grid, stab, *env, n_samples=2, margin=0.0)
+        higher = compute_stabilizers(spec, grid, *env).c_total
+        assert np.all(higher > stab.c_total)
+        fresh = refresh_stabilizers(spec, grid, stab, *env)
         np.testing.assert_array_equal(fresh.c_total, stab.c_total)
 
     def test_difference_step_keeps_the_initial_scale(self):
@@ -537,10 +541,10 @@ class TestRefreshStabilizers:
         # instead of rounding noise.
         spec = with_reaction(desk_logistic(), lambda t, x, u: u * (1.0 - u))
         grid = build_grid(spec.domain, 6, 4)
-        stab = compute_stabilizers(spec, grid, np.zeros((5, 7)), np.full((5, 7), 1.5), margin=0.0)
+        stab = compute_stabilizers(spec, grid, np.zeros((5, 7)), np.full((5, 7), 1.5))
         lo = np.full((5, 7), 0.9)
-        fresh = refresh_stabilizers(spec, grid, stab, lo, lo + 1e-9, margin=0.0)
-        np.testing.assert_allclose(fresh.c_total, 0.8, atol=1e-8)
+        fresh = refresh_stabilizers(spec, grid, stab, lo, lo + 1e-9)
+        np.testing.assert_allclose(fresh.c_total, 0.8 + C_MARGIN, atol=1e-8)
 
     def test_c_at_the_floor_everywhere_is_not_resampled(self, monkeypatch):
         # f_u = 3 on [0, 1] and dt = 1/4: c_under + margin = -3 is below the
@@ -583,9 +587,10 @@ class TestEvalF1:
         grid = build_grid(spec.domain, 8, 4)
         lo = sample_field(spec.bracket.u_hat, grid)
         hi = sample_field(spec.bracket.u_tilde, grid)
-        stab = compute_stabilizers(spec, grid, lo, hi, margin=0.0)
+        stab = compute_stabilizers(spec, grid, lo, hi)
         u = sample_field(spec.exact, grid)
-        np.testing.assert_array_equal(eval_F1_field(spec, stab, u, grid)[2], 0.0)
+        # f and g vanish: all that is left is the stabilizer's c u.
+        np.testing.assert_array_equal(eval_F1_field(spec, stab, u, grid)[2], stab.c_total[2] * u[2])
 
     def test_monotone_under_uniform_shift(self):
         spec = desk_logistic()
