@@ -2,7 +2,8 @@
 no timing: per case the sweeps, the level-solves per window, the
 slab-sweeps (one sweep of one slab; each has a fixed cost besides its
 level-solves, see demos/slab_cost.py), the slab count, the slab runs (a
-slab taken up again after a stall counts once more) and whether the run
+slab taken up again after a stall counts once more), the slabs that
+started from their certified predicted bracket and whether the run
 converged, then the totals.
 
 The cases are
@@ -11,7 +12,10 @@ The cases are
   128x64, and manufactured_1, the desk logistic problem and linear_heat
   on 32x64 and 64x128, all on the default decomposition;
 - 2-cell overlaps, where a stall test that fires too early shows;
-- runs that stall, where the gap a slab carries in grows across it;
+- runs that stalled before slabs started from a predicted bracket,
+  where the gap a slab carries in grows across it: from u0 = 0, KPP's
+  unstable state, whose start u = 0 now certifies at once;
+- runs from u0 = amp sin(pi x) near 0 that still stall;
 - the benchmark's two decomposed configurations.
 Every run is at tol 1e-8 unless the case says otherwise, with the chain
 abort on.  Grids are nx x nt.  It takes a few seconds.
@@ -60,6 +64,10 @@ def cases():
     yield "stall", "kpp(3,-0.5,0)", kpp(3.0, -0.5, 0.0), 8, 7, Decomposition(3, 1), TOL
     yield "stall", "kpp(2.2,0,0)", kpp(2.2, 0.0, 0.0), 8, 7, Decomposition(3, 1), TOL
     yield "stall", "kpp(8,0.5,0)", kpp(8.0, 0.5, 0.0), 32, 64, None, 1e-9
+    for lam in (6.0, 8.0):
+        yield "stall-amp", f"kpp({lam:g},0,1e-3)", kpp(lam, 0.0, 1e-3), 8, 12, Decomposition(3, 1), 1e-9
+    yield ("stall-amp", "kpp(8,0.5,1e-4)", kpp(8.0, 0.5, 1e-4), 64, 64, Decomposition(33, 31),
+           TOL)
     yield "benchmark", "memory_dd", catalog_lookup("manufactured_1"), 128, 256, None, TOL
     yield "benchmark", "kpp_dd", kpp(8.0, 0.5, 0.5), 256, 256, None, TOL
 
@@ -82,26 +90,30 @@ def main():
     runs = count_slab_runs()
     totals = {}
     print(f"{'group':9s} {'case':16s} {'grid':>8s} {'decomp':>8s} {'tol':>6s} "
-          f"{'sweeps':>6s} {'levels':>6s} {'slab-sweeps':>11s} {'slabs':>5s} {'runs':>5s}  "
-          "converged")
+          f"{'sweeps':>6s} {'levels':>6s} {'slab-sweeps':>11s} {'slabs':>5s} {'runs':>5s} "
+          f"{'certified':>9s}  converged")
     for group, label, spec, nx, nt, decomp, tol in cases():
         runs.clear()
         decomp = decomp or default_decomposition(nx)
         sol, hist = run_dd(spec, build_grid(spec.domain, nx, nt), decomp, tol, MAX_SWEEPS,
                            abort_on_chain_violation=True)
         slab_sweeps = sum(sweeps for *_, sweeps in hist.slab_sweeps)
-        row = (sol.sweeps_used, hist.level_solves, slab_sweeps, len(hist.slab_sweeps), len(runs))
-        total = totals.setdefault(group, [0] * 7)
+        certified = sum(certified for *_, certified, _ in hist.slab_starts)
+        row = (sol.sweeps_used, hist.level_solves, slab_sweeps, len(hist.slab_sweeps), len(runs),
+               certified)
+        total = totals.setdefault(group, [0] * 8)
         for slot, value in enumerate(row + (int(sol.converged), 1)):
             total[slot] += value
         print(f"{group:9s} {label:16s} {f'{nx}x{nt}':>8s} "
               f"{f'{decomp.i1_hi},{decomp.i2_lo}':>8s} {tol:6.0e} "
-              f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d}  {sol.converged}")
+              f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d} {row[5]:9d}  "
+              f"{sol.converged}")
     print()
-    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, converged, count) in totals.items():
+    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, certified, converged,
+                count) in totals.items():
         print(f"{group:9s} {count:3d} cases: {sweeps} sweeps, {levels} level-solves, "
               f"{slab_sweeps} slab-sweeps, {slabs} slabs, {slab_runs} slab runs, "
-              f"{converged} converged")
+              f"{certified} certified starts, {converged} converged")
 
 
 if __name__ == "__main__":

@@ -245,7 +245,37 @@ def as_shape(values, shape):
 
 def _end_rows(bc, ts):
     """alpha0, beta0 and h of a BoundaryCondition at each of the times ts."""
-    return (np.array([float(fn(t)) for t in ts]) for fn in (bc.alpha0, bc.beta0, bc.h))
+    return tuple(np.array([float(fn(t)) for t in ts]) for fn in (bc.alpha0, bc.beta0, bc.h))
+
+
+@dataclass(frozen=True)
+class StepSamples:
+    """The data of a grid's steps that no iterate changes: the diffusion a
+    and advection b at every step and interior node, (nt, nx-1), and the
+    (alpha0, beta0, h) rows of the left and the right boundary condition
+    at every step, each (nt,).  Sampled once, they serve both
+    build_window_operator and the residuals of verify."""
+
+    a: np.ndarray
+    b: np.ndarray
+    ends: tuple  # ((alpha0, beta0, h) left, (alpha0, beta0, h) right)
+
+    def first(self, n):
+        """The samples of the first n steps."""
+        return StepSamples(
+            a=self.a[:n], b=self.b[:n], ends=tuple(tuple(row[:n] for row in end) for end in self.ends)
+        )
+
+
+def sample_steps(grid, coeffs, bc_left, bc_right):
+    """StepSamples of grid's steps, its levels 1..nt."""
+    t, x = grid.ts[1:, None], grid.xs[None, 1:-1]
+    shape = (grid.nt, grid.nx - 1)
+    return StepSamples(
+        a=as_shape(coeffs.a(t, x), shape),
+        b=as_shape(coeffs.b(t, x), shape),
+        ends=(_end_rows(bc_left, grid.ts[1:]), _end_rows(bc_right, grid.ts[1:])),
+    )
 
 
 def _pinned_row_diagonal(sub1, diag0, pinned, k0):
@@ -267,10 +297,13 @@ def _pinned_row_diagonal(sub1, diag0, pinned, k0):
     return row0_d
 
 
-def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0):
+def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0, samples=None):
     """Assemble and factor the step matrices of a window for every step of
     grid, the strip or, as grid.levels(k0, k1), a slab of it whose first
-    level k0 is given so that errors name strip steps.
+    level k0 is given so that errors name strip steps.  samples, when
+    given, are the StepSamples of grid with the boundary conditions of the
+    strip's two ends, which a physical window end then reads in place of
+    calling coeffs and its BoundaryCondition.
 
     Interior row i of step k, from one a and one b call over the (nt, n-2)
     interior grid:
@@ -288,13 +321,16 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     n, nt = window.size, grid.nt
     lo, hi = window.lo, window.hi
     t, x = grid.ts[1:, None], grid.xs[None, lo + 1 : hi]
-    a = as_shape(coeffs.a(t, x), (nt, n - 2))
+    if samples is None:
+        a = as_shape(coeffs.a(t, x), (nt, n - 2))
+    else:
+        a = samples.a[:, lo : hi - 1]
     if np.any(a <= 0.0):
         k, i = np.unravel_index(int(np.argmax(a <= 0.0)), a.shape)
         raise ValueError(
             f"diffusion not positive at t={grid.ts[k + 1]}, x={x[0, i]} (a={a[k, i]})"
         )
-    b = as_shape(coeffs.b(t, x), (nt, n - 2))
+    b = as_shape(coeffs.b(t, x), (nt, n - 2)) if samples is None else samples.b[:, lo : hi - 1]
 
     dx, dt = grid.dx, grid.dt
     inv_dx2 = 1.0 / (dx * dx)
@@ -305,15 +341,15 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     np.subtract(coupling, np.maximum(b, 0.0) / dx, out=sup[:, 1:-1])
 
     ends = []
-    for bc, row, off, col in ((left_bc, 0, sup, 0), (right_bc, -1, sub, -1)):
+    for j, (bc, row, off, col) in enumerate(((left_bc, 0, sup, 0), (right_bc, -1, sub, -1))):
         if bc is None:
             diag[:, row] = 1.0
             ends.append(None)
         else:
-            alpha0, beta0, h = _end_rows(bc, grid.ts[1:])
+            alpha0, beta0, h = _end_rows(bc, grid.ts[1:]) if samples is None else samples.ends[j]
             diag[:, row] = alpha0 / dx + beta0
             off[:, col] = -alpha0 / dx
-            ends.append(h)
+            ends.append(h.copy())  # a Dirichlet first row rescales it below
 
     # A first row with a diagonal <= 0 fails the audit; it is left as it is.
     pinned = (sup[:, 0] == 0.0) & (diag[:, 0] > 0.0)

@@ -49,7 +49,24 @@ upper from u22), the memory term reads that field's frozen past
 (volterra.Past), and the stabilizer starts from the initial-bracket c
 on the slab's levels and is refreshed after slab sweeps 1, 2, 4, 8, ...,
 a refresh put off by one sweep when the next sweep is predicted to
-finish the slab.  A slab
+finish the slab.
+
+The sweeps a slab needs grow with the distance between the sub- and
+supersolution it starts from (Pao, 1992, ch. 2-3), so before its first
+sweep a slab predicts a tighter pair on its levels from rows the run
+holds: each branch's last row of the past, carried on at the rate of
+the previous slab's final midpoint (for slab 0, the rate the scheme
+gives u0 at the first step), pushed outward by a multiple of tau
+e^{L tau} in backward-Euler form and clipped into the bracket (see
+_predicted_start).  The pair is certified
+by verify.bracket_residuals, the residuals of check_bracket, on the
+slab's grid and its past at slack 0.  A certified pair is the slab's
+state, is written into the rows of the bracket's own array that its
+chain links read, and lowers its stabilizer by a refresh on it before
+its operators are built; otherwise, after START_WIDENINGS widenings,
+the slab starts from the bracket.  The a and b samples and boundary
+rows of the slab's steps (discretization.sample_steps) serve both the
+residuals and the operator build.  A slab
 stops at the first sweep whose gap, over its levels and its carried
 first row, is <= tol: every lower iterate is a subsolution and every
 upper one a supersolution, so that envelope is the certified product,
@@ -69,7 +86,10 @@ History entry n aggregates the n-th sweep of every slab that ran one (the
 largest gap and update, the smallest chain margin, the largest c, the
 summed wall time); sweeps_used is the largest per-slab count, and
 history.slab_sweeps lists (k0, k1, sweeps) per slab, so a run solves
-sum (k1 - k0) sweeps levels per window (history.level_solves).
+sum (k1 - k0) sweeps levels per window (history.level_solves), and
+history.slab_starts lists (k0, k1, certified, width) per slab: whether
+it started from its certified prediction, and the largest gap of its
+start on its levels.
 
 The two branches are one stacked array.  The run's working set follows
 the slab: a slab's window operators are built on its levels when it
@@ -77,8 +97,9 @@ starts sweeping (k0 set, so an M-matrix failure names the strip's time
 step), refactored by its refreshes that change c, and dropped when it
 stops; a slab the run comes back to is built again from its current
 stabilizer, which gives the same factors.  What the run keeps of a
-stopped slab is what resuming it needs (its state and stabilizer), and
-the result goes into the bracket's own array at the end.  A sweep
+stopped slab is what resuming it needs (its state and stabilizer); its
+start is in the bracket's own rows, and the result goes into the
+bracket's own array at the end.  A sweep
 evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
@@ -107,8 +128,9 @@ from .discretization import (
     march_window,
     refactor_window_operator,
     sample_field,
+    sample_steps,
 )
-from .verify import CHAIN_SLACK, sweep_metrics
+from .verify import CHAIN_SLACK, bracket_residuals, sweep_metrics
 from .volterra import (
     Past,
     StabilizerField,
@@ -204,6 +226,9 @@ class ConvergenceHistory:
     c_max: List[float] = field(default_factory=list)  # max of c_total[1:], the c each sweep's steps used
     states: Optional[list] = None  # per-sweep states when requested
     slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
+    # (k0, k1, certified, width) per slab run: whether it started from its
+    # certified predicted bracket, and the largest gap of its start
+    slab_starts: List[tuple] = field(default_factory=list)
     # "converged", "max_sweeps on slab k0..k1" or "fixed point on slab k0..k1 at gap G"
     stop_reason: str = ""
 
@@ -257,17 +282,18 @@ def _u0_row(spec, grid):
     ).copy()
 
 
-def _window_operators(spec, grid, stab, windows, k0=0):
+def _window_operators(spec, grid, stab, windows, k0=0, samples=None):
     """Operators of consecutive windows over [0, nx] on grid, whose first
-    level is strip level k0: the outer ends carry the physical rows, every
-    inner end is a pinned interface."""
+    level is strip level k0, from the StepSamples of grid when given: the
+    outer ends carry the physical rows, every inner end is a pinned
+    interface."""
     ops = []
     for j, window in enumerate(windows):
         left = spec.bc_left if j == 0 else None
         right = spec.bc_right if j == len(windows) - 1 else None
-        ops.append(
-            build_window_operator(grid, window, spec.coeffs, stab.c_total, left, right, k0)
-        )
+        ops.append(build_window_operator(
+            grid, window, spec.coeffs, stab.c_total, left, right, k0, samples=samples
+        ))
     return ops
 
 
@@ -359,10 +385,11 @@ def _slab_bounds(grid, c_total, coeffs, windows):
 @dataclass
 class _Slab:
     """The levels k0..k1 of a run, restricted: grid and stabilizer, the
-    bracket there, the current state (and the states so far, when kept),
-    the gap the slab must reach and the gap of its last sweep.  Its window
-    operators are not kept: _sweep_slab builds them from stab each time it
-    runs the slab."""
+    bracket there (its start, once it has one), the current state (and
+    the states so far, when kept), the gap the slab must reach, the gap of
+    its last sweep, and whether its start was certified and how wide it
+    was.  Its window operators are not kept: _sweep_slab builds them from
+    stab each time it runs the slab."""
 
     k0: int
     k1: int
@@ -373,6 +400,8 @@ class _Slab:
     states: list
     target: float
     gap: float = math.inf  # of its last sweep
+    certified: bool = False
+    width: float = math.inf
 
 
 # A slab whose first row is exact sits at a fixed point once its update
@@ -380,16 +409,16 @@ class _Slab:
 FIXED_POINT_ULPS = 4.0
 
 
-def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, abort_on_chain_violation,
-                keep_states):
+def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
+                abort_on_chain_violation, keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
     4, 8, ...; every sweep is folded into history.
 
     The slab's window operators are built here, from its current
-    stabilizer, and dropped on return: they are factored with the same c
-    as a run-long operator would hold, so a resumed slab marches with the
-    same factors.  A step matrix that fails the M-matrix audit therefore
+    stabilizer and the StepSamples of its grid, and dropped on return:
+    they are factored with the same c as a run-long operator would hold,
+    so a resumed slab marches with the same factors.  A step matrix that fails the M-matrix audit therefore
     raises when its slab first runs.
 
     A due refresh is put off by one sweep when the last two gaps predict
@@ -417,7 +446,7 @@ def _sweep_slab(slab, spec, windows, past, history, tol, max_sweeps, abort_on_ch
     """
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
-    ops = _window_operators(spec, slab.grid, stab, windows, slab.k0)
+    ops = _window_operators(spec, slab.grid, stab, windows, slab.k0, samples)
     c_max = float(np.maximum.reduce(stab.c_total[1:], None))
     # Every sweep's row 0 is the past's last row, so the gap it carries in
     # is the same for every sweep of this call.
@@ -486,6 +515,128 @@ def _composite_states(init, slabs):
     return composites
 
 
+# Times a predicted start that fails its certificate is widened before
+# the slab starts from the bracket instead.
+START_WIDENINGS = 3
+
+
+def _first_rate(spec, grid, samples):
+    """The rate u_t that the scheme gives u0 at the first step of grid, a
+    strip's first slab: the residual of u0 held over the step, negated,
+    at the interior nodes, and 0 at the ends, whose predicted values the
+    boundary rows set (see _predicted_start)."""
+    row = _u0_row(spec, grid)
+    res, _, _ = bracket_residuals(
+        spec, grid.levels(0, 1), np.stack((row, row)), samples=samples.first(1)
+    )
+    rate = np.zeros(grid.nx + 1)
+    rate[1:-1] = -res[0]
+    return rate
+
+
+def _sup_f_u(spec, grid, rows, fd_step):
+    """max(0, sup f_u) over the stacked rows (..., 2, nx+1) of the first
+    and last step of grid, f_u by the reaction's own or by a centered
+    difference of step fd_step."""
+    reaction, t, x = spec.reaction, grid.ts[[1, -1], None], grid.xs[None, :]
+    if reaction.f_u is not None:
+        d = reaction.f_u(t, x, rows)
+    else:
+        d = (np.asarray(reaction.f(t, x, rows + fd_step)) - reaction.f(t, x, rows - fd_step)) / (
+            2 * fd_step
+        )
+    return max(0.0, float(np.max(d)))
+
+
+def _wrong(res, bnd):
+    """Per branch, the largest wrong-signed residual at each level: above
+    0 for the lower branch, a subsolution, below 0 for the upper one, as a
+    positive number; interior (2, nt) and boundary (2, nt, 2)."""
+    interior = np.stack((np.max(res[0], axis=1), -np.min(res[1], axis=1)))
+    return interior, np.stack((bnd[0], -bnd[1]))
+
+
+def _predicted_start(spec, slab, past, rate, samples):
+    """A certified sub/supersolution pair on the slab's levels, stacked
+    (lower, upper), with row 0 the past's last row; None where none
+    certifies.
+
+    The guess carries each branch's last row of the past on at rate,
+    row + tau rate with tau = t - t_k0, its end values at each level those
+    that keep their boundary rows given the neighbouring node's.  The
+    lower branch is pushed down and the upper one up by A phi, with
+    phi_k = tau_k (1 - L dt)^-k, the backward-Euler form of tau e^{L tau},
+    and L = max(0, sup f_u) over the guess's first and last step: a step
+    of phi exceeds L phi by D_k = (phi_k - phi_{k-1}) / dt - L phi_k =
+    (1 - L dt)^-(k-1), and phi adds beta0 phi to a boundary row, so
+    A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over the wrong-signed
+    residuals R_k of the guess covers them to first order.  Both branches
+    are clipped into the slab's bracket.
+
+    The pair is certified by bracket_residuals on the slab and its past
+    at slack 0: the lower branch a subsolution and the upper one a
+    supersolution at every interior node, boundary row and level (row 0
+    is the past's, exactly).  A branch that fails adds the residuals it
+    failed by to its A in the same way and is tried again, up to
+    START_WIDENINGS times.  Where L dt >= 1 no push helps, nor at a
+    boundary row with beta0 <= 0, so a wrong-signed residual there ends
+    the prediction."""
+    grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
+    tau = grid.ts - grid.ts[0]
+    guess = past.u[:, -1, None, :] + tau[:, None] * rate
+    for (alpha0, beta0, h), end, neighbour in zip(samples.ends, (0, -1), (1, -2)):
+        scale = alpha0 / grid.dx + beta0
+        np.divide(h + alpha0 / grid.dx * guess[:, 1:, neighbour], scale,
+                  out=guess[:, 1:, end], where=scale > 0.0)
+    lam = _sup_f_u(spec, grid, guess[:, [1, -1]], slab.stab.fd_step)
+    if lam * grid.dt < 1.0:
+        growth = (1.0 - lam * grid.dt) ** -np.arange(grid.nt + 1.0)
+    else:  # no push helps: only a guess with no wrong-signed residual certifies
+        growth = np.zeros(grid.nt + 1)
+    phi, drive = tau * growth, growth[:-1]
+    edge = np.stack([beta0 for _, beta0, _ in samples.ends], axis=-1) * phi[1:, None]
+    outward = np.array([-1.0, 1.0])[:, None, None]
+    push, passed, start = np.zeros(2), np.zeros(2, dtype=bool), guess.copy()
+    interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(1 + START_WIDENINGS):
+            # A NaN residual makes need NaN, and a row that phi cannot
+            # move (beta0 <= 0) makes it infinite: the start is given up.
+            need = np.maximum(
+                np.max(np.where(interior > 0.0, interior / drive, 0.0), axis=1),
+                np.max(np.where(ends > 0.0, ends / np.maximum(edge, 0.0), 0.0), axis=(1, 2)),
+            )
+            push = np.where(passed, push, 2.0 * (push + need))
+            if not np.all(np.isfinite(push)):
+                return None
+            np.clip(guess[:, 1:] + outward * push[:, None, None] * phi[1:, None],
+                    bracket[0], bracket[1], out=start[:, 1:])
+            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
+            # max keeps a NaN, which fails the comparison.
+            passed = (np.max(interior, axis=1) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
+            if passed.all():
+                return start
+    return None
+
+
+def _start(slab, spec, past, rate, samples, keep_states):
+    """Start a slab from its predicted bracket where it certifies (see
+    _predicted_start): that pair becomes its state, is written into the
+    rows of the bracket's own array its chain links read, and the
+    stabilizer is refreshed on it.  Otherwise the slab starts from the
+    bracket."""
+    lo, hi = slab.bracket.u11[1:], slab.bracket.u12[1:]
+    if np.any(hi > lo):
+        start = _predicted_start(spec, slab, past, rate, samples)
+        if start is not None:
+            slab.bracket.u1[:, 1:] = start[:, 1:]
+            slab.state = IterationState(u1=start, u2=start)
+            slab.states = [slab.state] if keep_states else []
+            slab.stab = refresh_stabilizers(spec, slab.grid, slab.stab, start[0], start[1])
+            slab.certified = True
+    slab.width = float(np.max(hi - lo))
+
+
 def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
     """Set up the bracket and the stabilizer, and sweep slab by slab (see
     the module docstring).
@@ -528,9 +679,17 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     j, reason = 0, None
     while j < len(slabs):
         slab = slabs[j]
+        samples = sample_steps(slab.grid, spec.coeffs, spec.bc_left, spec.bc_right)
+        if slab.state.sweep_index == 0:
+            if j == 0:
+                rate = _first_rate(spec, slab.grid, samples)
+            else:
+                last = slabs[j - 1].state.u2
+                rate = (last[0, -1] - last[0, -2] + last[1, -1] - last[1, -2]) / (2.0 * grid.dt)
+            _start(slab, spec, pasts[j], rate, samples, keep_states)
         carried, reason = _sweep_slab(
-            slab, spec, windows, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
-            keep_states,
+            slab, spec, windows, pasts[j], samples, history, tol, max_sweeps,
+            abort_on_chain_violation, keep_states,
         )
         if reason is not None:
             break
@@ -551,9 +710,9 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     converged = reason is None
     history.stop_reason = reason or "converged"
 
-    history.slab_sweeps = [
-        (slab.k0, slab.k1, slab.state.sweep_index) for slab in slabs if slab.state.sweep_index > 0
-    ]
+    ran = [slab for slab in slabs if slab.state.sweep_index > 0]
+    history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
+    history.slab_starts = [(slab.k0, slab.k1, slab.certified, slab.width) for slab in ran]
     if keep_states:
         history.states = _composite_states(init, slabs[: j + 1])
     final = init.u2

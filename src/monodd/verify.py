@@ -4,7 +4,9 @@ checking and the per-sweep metrics of the iteration.
 Bracket residuals deliberately reuse the solver's stencils and quadrature
 (eval_g_field, the memory term the iteration itself evaluates):
 a candidate certified here starts a monotone discrete iteration to roundoff,
-which certification against exact calculus would not guarantee.
+which certification against exact calculus would not guarantee.  The
+solver certifies each slab's predicted start with the same residuals, on
+the slab's levels and the past of both branches (see iteration).
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import _end_rows, sample_field
+from .discretization import sample_field, sample_steps
 from .volterra import eval_g_field
 
 # How far below zero a chain link may fall to rounding: the slack of
@@ -33,8 +35,60 @@ def _as_field(values, shape):
     return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
-def check_bracket(spec, grid, candidate, kind, slack=1e-9):
-    """Discrete sub/supersolution residuals of a candidate field.
+def bracket_residuals(spec, grid, U, past=None, samples=None):
+    """The discrete supersolution residuals of U, each >= 0 where U is a
+    supersolution and <= 0 where it is a subsolution: (interior, boundary,
+    initial), of shapes (..., nt, nx-1), (..., nt, 2) and (..., nx+1).
+
+    Interior residuals are those of the solver's scheme at every level
+    k >= 1 and node 1..nx-1, u_t - a u_xx - b u_x - f - g with backward
+    Euler, central diffusion, upwinded advection and the memory term the
+    iteration itself evaluates; boundary ones are alpha0 du/dnu + beta0 u
+    - h at every level k >= 1, the left end before the right; initial
+    ones are U's row 0 less u0.  U may stack fields on a leading axis.
+
+    With a Past of the levels 0..k0, U and grid hold the levels k0..k1 of
+    a slab, the memory term reads that past (U's row 0 standing in for
+    its last row, see volterra.eval_g_field), and the initial residual is
+    U's row 0 less the past's last row: a slab's start is a subsolution
+    where it lies below its past and a supersolution where above.
+    samples are the StepSamples of grid when the caller has them already.
+    """
+    if samples is None:
+        samples = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
+    dx, dt = grid.dx, grid.dt
+    t, x, Uk = grid.ts[1:, None], grid.xs[None, 1:-1], U[..., 1:, 1:-1]
+    a, b = samples.a, samples.b
+    res = np.subtract(Uk, U[..., :-1, 1:-1])
+    res /= dt
+    term = np.multiply(Uk, 2.0)
+    np.subtract(U[..., 1:, 2:], term, out=term)
+    term += U[..., 1:, :-2]
+    term /= dx * dx
+    term *= a
+    res -= term
+    if np.any(b):  # upwinded advection; with b = 0 everywhere it adds nothing
+        term = np.where(b > 0, U[..., 1:, 2:] - Uk, Uk - U[..., 1:, :-2])
+        term /= dx
+        term *= b
+        res -= term
+    res -= spec.reaction.f(t, x, Uk)
+    res -= eval_g_field(spec.kernel, U, grid, past=past)[..., 1:, 1:-1]
+
+    bnd = np.empty(U.shape[:-2] + (grid.nt, 2))
+    for j, (i, ngh) in enumerate(((0, 1), (grid.nx, grid.nx - 1))):
+        alpha0, beta0, h = samples.ends[j]
+        val = U[..., 1:, i]
+        bnd[..., j] = alpha0 * (val - U[..., 1:, ngh]) / dx + beta0 * val - h
+
+    first = _as_field(spec.u0(grid.xs), (grid.nx + 1,)) if past is None else past.u[..., -1, :]
+    return res, bnd, U[..., 0, :] - first
+
+
+def check_bracket(spec, grid, candidate, kind, slack=1e-9, past=None):
+    """Discrete sub/supersolution residuals of a candidate field (see
+    bracket_residuals): on the strip, or on the levels of a slab, grid,
+    with the Past of one field up to its first level.
 
     kind="super" requires all residuals >= -slack; kind="sub" checks the
     reversed inequalities (implemented by flipping the residual sign).
@@ -46,35 +100,14 @@ def check_bracket(spec, grid, candidate, kind, slack=1e-9):
         raise ValueError(f"kind must be 'super' or 'sub', got {kind!r}")
     sign = 1.0 if kind == "super" else -1.0
     U = candidate if isinstance(candidate, np.ndarray) else sample_field(candidate, grid)
-    nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
-    xs, ts = grid.xs, grid.ts
+    res, bnd, res0 = (sign * r for r in bracket_residuals(spec, grid, U, past))
 
-    # Interior residuals at every level k >= 1 and node 1..nx-1 at once.
-    t, x, Uk = ts[1:, None], xs[None, 1:-1], U[1:, 1:-1]
-    a = _as_field(spec.coeffs.a(t, x), Uk.shape)
-    b = _as_field(spec.coeffs.b(t, x), Uk.shape)
-    ut = (Uk - U[:-1, 1:-1]) / dt
-    uxx = (U[1:, 2:] - 2.0 * Uk + U[1:, :-2]) / (dx * dx)
-    fwd = (U[1:, 2:] - Uk) / dx
-    bwd = (Uk - U[1:, :-2]) / dx
-    ux = np.where(b > 0, fwd, bwd)
-    fval = _as_field(spec.reaction.f(t, x, Uk), Uk.shape)
-    g = eval_g_field(spec.kernel, U, grid)[1:, 1:-1]
-    res = sign * (ut - a * uxx - b * ux - fval - g)
     k, i = np.unravel_index(int(np.argmin(res)), res.shape)
     worst_int = (float(res[k, i]), int(k) + 1, int(i) + 1)
-
-    # Boundary residuals at every level k >= 1, (nt, 2): the left end's
-    # column before the right end's, so argmin keeps the loop order.
-    bnd = np.empty((nt, 2))
-    for j, (bc, i, ngh) in enumerate(((spec.bc_left, 0, 1), (spec.bc_right, nx, nx - 1))):
-        alpha0, beta0, h = _end_rows(bc, ts[1:])
-        val = U[1:, i]
-        bnd[:, j] = sign * (alpha0 * (val - U[1:, ngh]) / dx + beta0 * val - h)
+    # bnd is (nt, 2), the left end's column before the right end's, so
+    # argmin keeps the level-by-level order.
     j = int(np.argmin(bnd))
     worst_bnd = (float(bnd.flat[j]), j // 2 + 1, ("left", "right")[j % 2])
-
-    res0 = sign * (U[0] - _as_field(spec.u0(xs), (nx + 1,)))
     i0 = int(np.argmin(res0))
     worst_ini = (float(res0[i0]), i0)
 

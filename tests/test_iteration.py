@@ -26,11 +26,16 @@ from monodd import (
 from monodd import iteration, volterra
 from monodd.discretization import MMatrixViolation, Subrange, m_matrix_check
 from monodd.iteration import _u0_row
-from monodd.verify import sweep_metrics
+from monodd.verify import CHAIN_SLACK, sweep_metrics
 from monodd.volterra import Past, compute_stabilizers, eval_F1_field
 
 from conftest import desk_logistic, kpp, make_zero_problem
 from reference import dd_sweep
+
+# The amplitude of u0 in the KPP runs whose slabs stall: near 0, KPP's
+# unstable state, so the gap a slab carries in grows across it.  From
+# u0 = 0 itself the predicted start u = 0 certifies and nothing stalls.
+STALL_AMP = 1e-3
 
 
 class TestDecomposition:
@@ -215,9 +220,9 @@ def record_builds(monkeypatch):
     builds = []
     build = iteration.build_window_operator
 
-    def counted(grid, window, coeffs, c_field, left, right, k0=0):
+    def counted(grid, window, coeffs, c_field, left, right, k0=0, samples=None):
         builds.append((window, k0, k0 + grid.nt))
-        return build(grid, window, coeffs, c_field, left, right, k0)
+        return build(grid, window, coeffs, c_field, left, right, k0, samples=samples)
 
     monkeypatch.setattr(iteration, "build_window_operator", counted)
     return builds
@@ -254,12 +259,14 @@ class TestOperatorsPerSlab:
         # Step matrices are audited where they are factored: when a slab
         # starts sweeping, its window operators are built (one build per
         # window, of exactly the slab's steps k0+1..k1), and each refresh
-        # that changes the slab's stabilizer refactors them.  A slab
-        # refreshes after its sweeps 1, 2, 4, ... that another sweep
-        # follows, each refresh put off by one sweep when the slab's last
-        # two gaps predict that the next sweep reaches tol (gap^2 <= tol *
-        # previous).  Desk logistic's f grows where u < 1/2, so its c falls
-        # below 0 there and every refresh lowers it further: each refactors.
+        # that changes the slab's stabilizer refactors them.  A slab whose
+        # predicted start certifies refreshes on it before its operators
+        # are built, which refactors nothing; it then refreshes after its
+        # sweeps 1, 2, 4, ... that another sweep follows, each refresh put
+        # off by one sweep when the slab's last two gaps predict that the
+        # next sweep reaches tol (gap^2 <= tol * previous).  Desk logistic's
+        # f grows where u < 1/2, so its c falls below 0 there and every
+        # refresh lowers it further: each refactors.
         tol = 1e-9
         gaps, changed = [], []
         metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
@@ -290,16 +297,20 @@ class TestOperatorsPerSlab:
             return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
 
         def expected_refactors(hist, windows):
+            # (k0, k1, built) of every refresh in order: the start's, before
+            # the build, and then those after sweeps.
             scheduled = [
-                (k0, k1)
-                for (k0, k1, _), after in zip(hist.slab_sweeps, per_slab(hist))
-                for _ in after
+                (k0, k1, built)
+                for (k0, k1, _), (*_, certified, _), after in zip(
+                    hist.slab_sweeps, hist.slab_starts, per_slab(hist)
+                )
+                for built in [False] * certified + [True] * len(after)
             ]
             assert len(scheduled) == len(changed)
             return [
                 (window, k0, k1)
-                for (k0, k1), change in zip(scheduled, changed)
-                if change
+                for (k0, k1, built), change in zip(scheduled, changed)
+                if change and built
                 for window in windows
             ]
 
@@ -312,7 +323,7 @@ class TestOperatorsPerSlab:
 
         windows = (Subrange(0, 10), Subrange(6, 16))
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50)
-        assert len(hist.slab_sweeps) > 1
+        assert len(hist.slab_sweeps) > 1 and all(start[2] for start in hist.slab_starts)
         assert any(len(after) < sweeps - 2
                    for after, (*_, sweeps) in zip(per_slab(hist), hist.slab_sweeps))
         assert runs == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
@@ -328,14 +339,15 @@ class TestOperatorsPerSlab:
         # Some refresh was put off: fewer than one after each sweep 1, 2, 4,
         # ... that another sweep of the slab follows.
         due = sum(n < sweeps for *_, sweeps in hist.slab_sweeps for n in (1, 2, 4, 8, 16, 32))
-        assert len(changed) < due
+        starts = sum(certified for *_, certified, _ in hist.slab_starts)
+        assert len(changed) - starts < due
 
     def test_a_resumed_slab_is_built_again(self, monkeypatch):
         # A stalling KPP run sends the run back to earlier slabs: every
         # time a slab is taken up, its operators are built from its current
         # stabilizer, and dropped when it stops.
         builds, runs = record_builds(monkeypatch), record_slab_runs(monkeypatch)
-        spec = kpp(6.0, 0.0, 0.0)
+        spec = kpp(6.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
         assert sol.converged
@@ -349,8 +361,11 @@ class TestOperatorsPerSlab:
         # c: after the builds nothing is refactored.  On the desk logistic
         # problem c falls below 0 where u < 1/2 and keeps falling as the
         # envelope closes, so every refresh resamples and refactors.  Each
-        # slab sweeps 5 times and refreshes after sweeps 1 and 2; the
-        # refresh due after sweep 4 is put off, as sweep 5 finishes it.
+        # slab starts from its certified predicted bracket, on which it
+        # resamples c before its operators are built, and refreshes after
+        # its sweeps 1 and 2: the first slab sweeps 5 times, the refresh
+        # due after sweep 4 put off as sweep 5 finishes it, and the others
+        # 4 times.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -372,12 +387,13 @@ class TestOperatorsPerSlab:
 
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
-        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 5, 5]
+        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 4, 4]
+        assert all(certified for *_, certified, _ in hist.slab_starts)
         window = Subrange(0, 64)
         assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for _ in (1, 2)]
-        # The strip's initial c, then two refreshes of each slab.
+        # The strip's initial c, then each slab's start and two refreshes.
         starts = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps]
-        assert resamples == [0.0] + [t for t in starts for _ in (1, 2)]
+        assert resamples == [0.0] + [t for t in starts for _ in (0, 1, 2)]
 
     def test_late_audit_failure_names_the_strip_step(self, monkeypatch):
         # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
@@ -486,6 +502,18 @@ def small_problems(draw):
     return spec, build_grid(spec.domain, nx, nt), Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
 
 
+@st.composite
+def manufactured_problems(draw):
+    """manufactured_1, an exponential memory kernel with a known solution,
+    on a small grid with a random two-window decomposition."""
+    spec = catalog_lookup("manufactured_1")
+    nx = draw(st.integers(8, 24))
+    i2_lo = draw(st.integers(1, nx - 3))
+    i1_hi = draw(st.integers(i2_lo + 2, nx - 1))
+    grid = build_grid(spec.domain, nx, draw(st.integers(4, 24)))
+    return spec, grid, Decomposition(i1_hi=i1_hi, i2_lo=i2_lo)
+
+
 def slab_count(spec, grid, decomp=None):
     """The slab rule, restated: m = max(ceil(T max c), min(ceil(T max a /
     delta^2), nt // 16)), each ceil within [1, nt], c over the initial
@@ -587,13 +615,13 @@ class TestSlabs:
         assert [(k0, k1) for k0, k1, _ in hist.slab_sweeps] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_stalled_slab_tightens_its_predecessor(self, monkeypatch):
-        # u0 = 0 is KPP's unstable state: the gap a slab carries in grows
+        # u0 near 0, KPP's unstable state: the gap a slab carries in grows
         # across it, so with every slab stopped at gap <= tol a later one
         # stalls above tol.  The run tightens the slab before it instead,
         # taking up slabs again, and still closes the whole envelope below
         # tol with the chain kept.
         runs = record_slab_runs(monkeypatch)
-        spec = kpp(6.0, 0.0, 0.0)
+        spec = kpp(6.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
         decomp = Decomposition(i1_hi=3, i2_lo=1)
@@ -606,13 +634,12 @@ class TestSlabs:
             assert check_monotone_chain(prev, nxt, lo, hi) == []
 
     def test_a_stall_under_the_floor_tightens_its_predecessor(self, monkeypatch):
-        # With c below 0 where f grows, kpp(2.2, 0, 0) and kpp(3, -0.5, 0)
-        # on 8x7 converge slab by slab.  The run of the test above, whose
-        # chain is checked there, still stalls and goes back to tighten the
-        # slabs before the stalled one, with c below 0: at some sweep,
-        # every slab sweeping has c < 0 on all its levels.
+        # The run of the test above, whose chain is checked there, stalls
+        # and goes back to tighten the slabs before the stalled one with c
+        # below 0: at some sweep, every slab sweeping has c < 0 on all its
+        # levels.
         runs = record_slab_runs(monkeypatch)
-        spec = kpp(6.0, 0.0, 0.0)
+        spec = kpp(6.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500)
@@ -643,8 +670,8 @@ class TestSlabs:
         monkeypatch.setattr(iteration, "_sweep_slab", recorded)
         resumed, kept = set(), False
         for spec, nx, nt, decomp, tol in (
-            (kpp(6.0, 0.0, 0.0), 8, 12, Decomposition(i1_hi=3, i2_lo=1), 1e-9),
-            (kpp(8.0, 0.5, 0.0), 64, 64, Decomposition(i1_hi=33, i2_lo=31), 1e-8),
+            (kpp(8.0, 0.0, STALL_AMP), 8, 12, Decomposition(i1_hi=3, i2_lo=1), 1e-9),
+            (kpp(8.0, 0.5, STALL_AMP / 10), 64, 64, Decomposition(i1_hi=33, i2_lo=31), 1e-8),
         ):
             slabs.clear()
             events.clear()
@@ -695,18 +722,152 @@ class TestSlabs:
         np.testing.assert_array_equal(sol.u_upper[4:], 4.0)
         assert np.all(sol.u_lower <= sol.u_upper)
 
-    def test_rounding_level_fixed_point_ends_the_run(self):
+    def test_rounding_level_fixed_point_ends_the_run(self, monkeypatch):
         # With dt sup f_u >= 1 backward Euler has two discrete solutions
-        # here: the lower branch stays at 0 and the upper one settles on
-        # the other, so the gap never closes.  The slab's first row is
-        # exact and its update falls to rounding level, so the run ends
-        # long before max_sweeps and says why.
+        # here, u = 0 and another.  u = 0 is the predicted start and
+        # certifies, so the run returns it after one sweep per slab.  From
+        # the bracket, where a slab starts when its prediction does not
+        # certify, the lower branch stays at 0 and the upper one settles on
+        # the other solution, so the gap never closes.  The slab's first
+        # row is exact and its update falls to rounding level, so the run
+        # ends long before max_sweeps and says why.
         spec = kpp(4.0, -1.0, 0.0)
         grid = build_grid(spec.domain, 8, 2)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-8, 500)
+        decomp = Decomposition(i1_hi=3, i2_lo=1)
+        sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
+        assert sol.converged and sol.sweeps_used == 1
+        assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
+        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: None)
+        sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
+        assert not any(certified for *_, certified, _ in hist.slab_starts)
         gap = hist.gap_lower_upper[-1]
         assert gap > 0.1 and hist.stop_reason == f"fixed point on slab 0..1 at gap {gap:.3g}"
+
+
+def branch(past, j):
+    """Branch j of a Past of both branches."""
+    return dataclasses.replace(past, u=past.u[j], g=past.g[j])
+
+
+def assert_start_certified(spec, grid, start, past):
+    """The stacked start (lower, upper) passes the residual signs at slack 0
+    on the slab grid with the past of each branch."""
+    for j, kind in ((0, "sub"), (1, "super")):
+        report = check_bracket(spec, grid, start[j], kind, slack=0.0, past=branch(past, j))
+        assert report.passed, (kind, report)
+
+
+class TestPredictedStart:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(small_problems(), manufactured_problems()))
+    def test_every_certified_start_is_a_bracket_inside_the_global_one(self, case):
+        # Every start the run takes from its prediction is a discrete
+        # subsolution (lower) and supersolution (upper) at slack 0 on its
+        # slab and against its past, with row 0 the past's last row, and
+        # lies inside the global bracket.
+        spec, grid, decomp = case
+        starts = []
+        predict = iteration._predicted_start
+
+        def recorded(spec_, slab, past, rate, samples):
+            bracket = slab.bracket.u1.copy()
+            start = predict(spec_, slab, past, rate, samples)
+            if start is not None:
+                starts.append((slab.k0, slab.k1, slab.grid, past, start.copy(), bracket))
+            return start
+
+        with mock.patch.object(iteration, "_predicted_start", recorded):
+            sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
+        assert sol.converged
+        assert [k0 for k0, *_ in starts] == [k0 for k0, _, certified, _ in hist.slab_starts
+                                             if certified]
+        init = init_state(spec, grid)
+        for k0, k1, levels, past, start, bracket in starts:
+            np.testing.assert_array_equal(bracket[:, 1:], init.u1[:, k0 + 1 : k1 + 1])
+            np.testing.assert_array_equal(start[:, 0], past.u[:, -1])
+            # The past's two branches are ordered only to rounding once
+            # their slab has converged, as the chain check allows.
+            assert np.all(start[0] <= start[1] + CHAIN_SLACK)
+            assert np.all(bracket[0, 1:] <= start[:, 1:]) and np.all(start[:, 1:] <= bracket[1, 1:])
+            assert_start_certified(spec, levels, start, past)
+
+    def test_a_start_that_fails_certification_starts_from_the_bracket(self):
+        # KPP whose growth rate falls from 12 to 2 at t = 0.35, at dt = 0.1:
+        # while dt sup f_u >= 1 no push makes the guess a bracket, so the
+        # first three slabs' predictions fail and they start from the
+        # global bracket; the later ones certify.  The envelope still
+        # matches the single-domain oracle.
+        def lam(t):
+            return np.where(t < 0.35, 12.0, 2.0)
+
+        falling = Reaction(f=lambda t, x, u: lam(t) * u * (1.0 - u),
+                           f_u=lambda t, x, u: lam(t) * (1.0 - 2.0 * u))
+        spec = dataclasses.replace(kpp(8.0, 0.5, 0.5), reaction=falling)
+        grid = build_grid(spec.domain, 16, 10)
+        tol = 1e-9
+        sol, hist = run_dd(spec, grid, default_decomposition(16), tol, 300,
+                           abort_on_chain_violation=True, keep_states=True)
+        oracle, _ = run_single_domain(spec, grid, tol, 300)
+        assert sol.converged and oracle.converged
+        assert [certified for *_, certified, _ in hist.slab_starts] == [False] * 3 + [True] * 7
+        init, start = init_state(spec, grid), hist.states[0]
+        for k0, k1, certified, width in hist.slab_starts:
+            rows = slice(k0 + 1, k1 + 1)
+            lo, hi = init.u11[rows], init.u12[rows]
+            if certified:
+                assert np.all(lo <= start.u11[rows]) and np.all(start.u12[rows] <= hi)
+                assert width < np.max(hi - lo)
+            else:
+                np.testing.assert_array_equal(start.u11[rows], lo)
+                np.testing.assert_array_equal(start.u12[rows], hi)
+                assert width == np.max(hi - lo)
+        assert np.max(np.abs(sol.u - oracle.u)) <= tol + 2e-10
+
+    def test_a_reaction_without_f_u_predicts_by_differences(self):
+        # With no analytic f_u, the sup f_u that sizes the push is a
+        # centered difference of the reaction, as the stabilizer's is: the
+        # starts still certify, and the envelope matches the run with f_u.
+        spec = desk_logistic()
+        bare = dataclasses.replace(spec, reaction=Reaction(f=spec.reaction.f))
+        grid = build_grid(spec.domain, 32, 32)
+        decomp = Decomposition(i1_hi=20, i2_lo=12)
+        tol = 1e-9
+        sol, _ = run_dd(spec, grid, decomp, tol, 300, abort_on_chain_violation=True)
+        bare_sol, hist = run_dd(bare, grid, decomp, tol, 300, abort_on_chain_violation=True)
+        assert sol.converged and bare_sol.converged
+        assert all(certified for *_, certified, _ in hist.slab_starts)
+        assert np.max(np.abs(bare_sol.u - sol.u)) <= tol + 2e-10
+
+    def test_a_later_start_passes_against_its_tightened_past(self, monkeypatch):
+        # After a stall retarget, the slabs after the one the run resumes at
+        # are taken up again on a tighter past: the lower branch's past
+        # rises and the upper one's falls.  Their starts, certified on the
+        # past they first ran on, still pass against the tighter one, as
+        # the lower branch's first row and memory term only rise (the
+        # monotone-memory argument of _run).
+        first, checked = {}, []
+        sweep_slab = iteration._sweep_slab
+
+        def recorded(slab, spec_, windows, past, *args):
+            if slab.k0 not in first:
+                first[slab.k0] = (slab.certified, slab.state.u1.copy(), past)
+            else:
+                certified, start, before = first[slab.k0]
+                if certified and past is not before:
+                    assert np.all(past.u[0, -1] >= before.u[0, -1])
+                    assert np.all(past.u[1, -1] <= before.u[1, -1])
+                    assert np.any(past.u[:, -1] != before.u[:, -1])
+                    assert_start_certified(spec_, slab.grid, start, past)
+                    checked.append(slab.k0)
+            return sweep_slab(slab, spec_, windows, past, *args)
+
+        monkeypatch.setattr(iteration, "_sweep_slab", recorded)
+        spec = kpp(8.0, 0.0, STALL_AMP)
+        grid = build_grid(spec.domain, 8, 12)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500,
+                           abort_on_chain_violation=True)
+        assert sol.converged and checked
 
 
 class TestStopRule:
@@ -779,11 +940,12 @@ class TestRefreshedStabilizer:
         assert np.max(np.abs(sol.u - frozen)) <= tol + 2e-10
 
     def test_c_max_records_the_stabilizer_of_each_sweep(self, monkeypatch):
-        # Each slab starts from the initial-bracket c on its levels and is
-        # refreshed after its sweeps 1, 2, 4, ...: its c_max, the largest c
-        # of its steps (levels k0+1..k1), can only fall, and only at the
-        # sweeps that follow a refresh.  History entry n holds the largest
-        # c_max of the slabs that ran a sweep n + 1.
+        # Each slab starts from the initial-bracket c on its levels, lowered
+        # on its start where that certifies, and is refreshed after its
+        # sweeps 1, 2, 4, ...: its c_max, the largest c of its steps
+        # (levels k0+1..k1), can only fall, and only at the sweeps that
+        # follow a refresh.  History entry n holds the largest c_max of the
+        # slabs that ran a sweep n + 1.
         used = []
         sweep = iteration._sweep
 
@@ -794,22 +956,30 @@ class TestRefreshedStabilizer:
         monkeypatch.setattr(iteration, "_sweep", recorded)
         spec = desk_logistic()
         grid = build_grid(spec.domain, 32, 32)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200,
+                           keep_states=True)
         init = init_state(spec, grid)
         stab = compute_stabilizers(spec, grid, init.u11, init.u12)
+        start = hist.states[0]
         per_slab = {k0: [c for k, c in used if k == k0] for k0, _, _ in hist.slab_sweeps}
         assert len(per_slab) > 1
         assert [len(c) for c in per_slab.values()] == [s for *_, s in hist.slab_sweeps]
-        for (k0, k1, _), c_max in zip(hist.slab_sweeps, per_slab.values()):
-            assert c_max[0] == np.max(stab.c_total[k0 + 1 : k1 + 1])
-            assert c_max[-1] < c_max[0]
+        for (k0, k1, _), (*_, certified, _), c_max in zip(
+            hist.slab_sweeps, hist.slab_starts, per_slab.values()
+        ):
+            first = stab.levels(k0, k1)
+            if certified:  # c is pointwise, so rows k0+1..k1 read the start's alone
+                first = volterra.refresh_stabilizers(
+                    spec, grid.levels(k0, k1), first, start.u11[k0 : k1 + 1], start.u12[k0 : k1 + 1]
+                )
+            assert c_max[0] == np.max(first.c_total[1:])
+            assert c_max[-1] < c_max[0] <= np.max(stab.c_total[k0 + 1 : k1 + 1])
             for n in range(1, len(c_max)):
                 if n & (n - 1):  # no refresh between sweeps n and n + 1
                     assert c_max[n] == c_max[n - 1]
                 else:
                     assert c_max[n] <= c_max[n - 1]
         assert len(hist.c_max) == sol.sweeps_used
-        assert hist.c_max[0] == np.max(stab.c_total[1:])
         assert hist.c_max == [
             max(c[n] for c in per_slab.values() if n < len(c)) for n in range(sol.sweeps_used)
         ]
@@ -862,7 +1032,9 @@ class TestRefreshedStabilizer:
         assert sol.converged
         first = hist.slab_sweeps[0][2]
         after = [events[:i].count("sweep") for i, e in enumerate(events) if e == "refresh"]
-        assert [n for n in after if n < first][:3] == [1, 2, 5]
+        # The first refresh is the one on the slab's certified start.
+        assert hist.slab_starts[0][2] and after[0] == 0
+        assert [n for n in after if n < first][1:4] == [1, 2, 5]
 
     def test_constant_bound_is_not_resampled(self):
         spec = desk_logistic()
@@ -889,8 +1061,8 @@ class TestFlooredStabilizer:
         build, refactor = iteration.build_window_operator, iteration.refactor_window_operator
         compute, refresh = iteration.compute_stabilizers, iteration.refresh_stabilizers
 
-        def built(slab_grid, window, coeffs, c, left, right, k0=0):
-            op = build(slab_grid, window, coeffs, c, left, right, k0)
+        def built(slab_grid, window, coeffs, c, left, right, k0=0, samples=None):
+            op = build(slab_grid, window, coeffs, c, left, right, k0, samples=samples)
             factored.append((op, c))
             return op
 
