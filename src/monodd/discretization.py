@@ -15,9 +15,10 @@ one; refactor_window_operator refactors them in place when the stabilizer
 is lowered.  All steps are factored by one dgttrf call on the
 block-diagonal stack of the step matrices: the zero couplings between
 blocks are never pivoted on, so each block's factors are bitwise its own
-step's.  A Dirichlet first row is factored with a power-of-two diagonal
-no smaller than its coupling to row 1, which dgttrf never swaps and which
-returns the row's value exactly (see WindowOperator).  march_window
+step's.  A Dirichlet first row enters them as an identity row, its
+value the right-hand side, and row 1's coupling to it as L's first
+multiplier: the block LU of [[1, 0], [c, A]], which returns the value
+exactly (see WindowOperator).  march_window
 reuses the factors for every right-hand side through a per-operator
 plan, a march buffer and the dgttrs arguments of every step, made at the
 first march and valid across refactors, so a step is one divide, one add
@@ -196,19 +197,16 @@ class WindowOperator:
 
     A window end is either physical, the row alpha0 du/dnu + beta0 u = h
     of its BoundaryCondition, or pinned: a Dirichlet row, its values given
-    to each march (left_h/right_h None).  A first row with a zero
-    super-diagonal, pinned or a physical Dirichlet row, is factored with
-    the diagonal D, the least power of two not below 1 and row 1's
-    coupling to it, and the right-hand side D*(value/diagonal), formed in
-    that order.  dgttrf then never swaps it with row 1 (|D| >= |coupling|;
-    a swap would return it off by about eps/dx^2, the coupling being of
-    order a/dx^2), elimination subtracts (coupling/D)*(D*value/diagonal),
-    both factors exact, which is the rounded product coupling*(value /
-    diagonal), and back-substitution returns (D*w)/D = w exactly.  row0_d
-    holds the first row's diagonal as factored (D on those steps), and
-    left_h/right_h a physical end row's right-hand side (h, or
-    D*(h/beta0) on a Dirichlet first row).  A last row with a zero
-    sub-diagonal is never swapped and is factored as it is.
+    to each march (left_h/right_h None).  pinned marks the steps whose
+    first row has a zero super-diagonal and a positive diagonal, pinned
+    or a physical Dirichlet row: it is factored as the identity row, with
+    row 1's coupling zeroed so that dgttrf never pivots in column 0, and
+    the coupling is then written in as L's first multiplier, the block LU
+    of [[1, 0], [coupling, A]].  dgttrs subtracts the one rounded product
+    coupling*value from row 1 and returns the value exactly.  left_h and
+    right_h hold a physical end row's right-hand side: h, or h/beta0 on a
+    Dirichlet first row.  A last row with a zero sub-diagonal is never
+    swapped and is factored as it is.
 
     k0 is the strip level the operator's grid starts at (0 for a whole
     strip, the first level of a slab otherwise): errors name step k0+k.
@@ -231,7 +229,7 @@ class WindowOperator:
     ipiv: np.ndarray  # (nt, n), int32
     left_h: Union[np.ndarray, None]
     right_h: Union[np.ndarray, None]
-    row0_d: np.ndarray  # (nt,)
+    pinned: np.ndarray  # (nt,) bool
     k0: int = 0  # the time level its first step starts from
     plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -278,25 +276,6 @@ def sample_steps(grid, coeffs, bc_left, bc_right):
     )
 
 
-def _pinned_row_diagonal(sub1, diag0, pinned, k0):
-    """The first row's diagonal to factor at each step: diag0, or D where
-    the row is pinned (see WindowOperator), from row 1's coupling sub1.
-    Raises FloatingPointError, naming the step, where that coupling
-    exceeds the largest power of two."""
-    row0_d = diag0.copy()
-    ks = np.flatnonzero(pinned)
-    mantissa, exponent = np.frexp(sub1[ks])  # |sub1| = |mantissa| 2^exponent, |mantissa| in [1/2, 1)
-    exponent -= np.abs(mantissa) == 0.5  # sub1 a power of two
-    if np.any(exponent > 1023):
-        k = ks[int(np.argmax(exponent > 1023))]
-        raise FloatingPointError(
-            f"time step {k0 + k + 1}: row 1's coupling {sub1[k]:.6g} to the Dirichlet first "
-            "row exceeds the largest power of two"
-        )
-    row0_d[ks] = np.ldexp(1.0, np.maximum(exponent, 0))
-    return row0_d
-
-
 def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0, samples=None):
     """Assemble and factor the step matrices of a window for every step of
     grid, the strip or, as grid.levels(k0, k1), a slab of it whose first
@@ -315,8 +294,7 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     takes a BoundaryCondition, discretized one-sided at every step time,
     or None to pin it (see WindowOperator).  Raises ValueError where
     a <= 0, MMatrixViolation when a matrix fails the M-matrix check,
-    ZeroPivotError on a singular matrix, FloatingPointError where a
-    Dirichlet first row cannot be scaled (see _pinned_row_diagonal).
+    ZeroPivotError on a singular matrix.
     """
     n, nt = window.size, grid.nt
     lo, hi = window.lo, window.hi
@@ -349,13 +327,12 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
             alpha0, beta0, h = _end_rows(bc, grid.ts[1:]) if samples is None else samples.ends[j]
             diag[:, row] = alpha0 / dx + beta0
             off[:, col] = -alpha0 / dx
-            ends.append(h.copy())  # a Dirichlet first row rescales it below
+            ends.append(h.copy())  # a Dirichlet first row divides it below
 
     # A first row with a diagonal <= 0 fails the audit; it is left as it is.
     pinned = (sup[:, 0] == 0.0) & (diag[:, 0] > 0.0)
-    row0_d = _pinned_row_diagonal(sub[:, 1], diag[:, 0], pinned, k0)
     if ends[0] is not None:
-        ends[0][pinned] = row0_d[pinned] * (ends[0][pinned] / diag[pinned, 0])
+        ends[0][pinned] /= diag[pinned, 0]
     dl, du, du2 = np.zeros((3, nt, n))
     op = WindowOperator(
         window=window,
@@ -374,7 +351,7 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
         ipiv=np.empty((nt, n), dtype=np.int32),
         left_h=ends[0],
         right_h=ends[1],
-        row0_d=row0_d,
+        pinned=pinned,
         k0=k0,
     )
     refactor_window_operator(op, c_field)
@@ -416,20 +393,24 @@ def refactor_window_operator(op, c_field):
                     f"{diagnostic}"
                 )
 
-    op.d[:, 0] = op.row0_d
     nt, n = op.d.shape
     # Read flat, sub without its first entry and sup without its last are
     # the stack's off-diagonals: sub[:, 0] and sup[:, -1] are the zero
-    # couplings between consecutive steps.
+    # couplings between consecutive steps.  dl[k, 0] is row 1's coupling
+    # to row 0, zeroed under a pinned first row, which is factored as the
+    # identity row, and written back as L's multiplier (see WindowOperator).
     dl, du = op.dl.reshape(-1)[:-1], op.du.reshape(-1)[:-1]
     np.copyto(dl, op.sub.reshape(-1)[1:])
     np.copyto(du, op.sup.reshape(-1)[:-1])
+    op.d[op.pinned, 0] = 1.0
+    op.dl[op.pinned, 0] = 0.0
     *_, du2, ipiv, info = dgttrf(
         dl, op.d.reshape(-1), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
     )
     if info != 0:
         k, i = divmod(info - 1, n)
         raise ZeroPivotError(f"zero pivot at row {i} (time step {op.k0 + k + 1})")
+    op.dl[op.pinned, 0] = op.sub[op.pinned, 1]
     op.du2.reshape(-1)[:-2] = du2
     np.subtract(ipiv.reshape(nt, n), np.arange(0, nt * n, n, dtype=ipiv.dtype)[:, None], out=op.ipiv)
 
@@ -484,10 +465,7 @@ def march_window(op, q, initial, left=None, right=None):
     u, carried, steps = op.plan
     u[0] = initial
     u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
-    if left is None:
-        u[1:, :, 0] = op.left_h[:, None]
-    else:  # a pinned end's diagonal is 1, so D*(value/1) is D*value
-        np.multiply(op.row0_d[:, None], np.asarray(left, dtype=float)[:, 1:].T, out=u[1:, :, 0])
+    u[1:, :, 0] = op.left_h[:, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
     u[1:, :, -1] = op.right_h[:, None] if right is None else np.asarray(right, dtype=float)[:, 1:].T
     divide, add, solve, dt = np.divide, np.add, dgttrs, op.dt
     for prev, columns, args in steps:

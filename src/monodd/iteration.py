@@ -113,7 +113,6 @@ slack (verify.CHAIN_SLACK) are constants, not arguments.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -136,6 +135,7 @@ from .volterra import (
     StabilizerField,
     compute_stabilizers,
     eval_F1_field,
+    f_u_values,
     refresh_stabilizers,
 )
 
@@ -213,7 +213,7 @@ class IterationState:
 @dataclass
 class ConvergenceHistory:
     """Entry n aggregates sweep n+1 of every slab that ran one: the largest
-    gap, update and c_max, the smallest chain margin, the summed wall_ms.
+    gap, update and c_max, and the smallest chain margin.
     states[n] (when kept) is the whole-strip composite of every slab's
     iterate n, whose u1 equals its u2 right of window 1 from sweep 1 on;
     a slab that stopped before contributes its final subdomain-2
@@ -222,7 +222,6 @@ class ConvergenceHistory:
     gap_lower_upper: List[float] = field(default_factory=list)
     max_update: List[float] = field(default_factory=list)
     chain_violation: List[float] = field(default_factory=list)
-    wall_ms: List[float] = field(default_factory=list)
     c_max: List[float] = field(default_factory=list)  # max of c_total[1:], the c each sweep's steps used
     states: Optional[list] = None  # per-sweep states when requested
     slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
@@ -237,20 +236,18 @@ class ConvergenceHistory:
         """Time levels solved per window over the run."""
         return sum((k1 - k0) * sweeps for k0, k1, sweeps in self.slab_sweeps)
 
-    def record(self, n, gap, update, margin, c_max, wall_ms):
+    def record(self, n, gap, update, margin, c_max):
         """Fold a slab's sweep n+1 into entry n."""
         if n < len(self.gap_lower_upper):
             self.gap_lower_upper[n] = max(self.gap_lower_upper[n], gap)
             self.max_update[n] = max(self.max_update[n], update)
             self.chain_violation[n] = min(self.chain_violation[n], margin)
             self.c_max[n] = max(self.c_max[n], c_max)
-            self.wall_ms[n] += wall_ms
         else:
             self.gap_lower_upper.append(gap)
             self.max_update.append(update)
             self.chain_violation.append(margin)
             self.c_max.append(c_max)
-            self.wall_ms.append(wall_ms)
 
 
 @dataclass
@@ -425,10 +422,10 @@ def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
     that the next sweep reaches the target (gap * gap / previous gap <=
     target): keeping the larger c is always sound, and a refresh then
     would resample c and refactor every step for at most one more sweep.
-    A refresh that leaves c as it was (a constant c_bar_bound, c already at
-    its floor -1/(2 dt) everywhere, a resample that comes out no lower)
-    refactors nothing.  Where f grows on the slab's envelope, c goes below
-    0 and keeps falling as the envelope closes, so it refactors there.
+    A refresh that leaves c as it was (c already at its floor -1/(2 dt)
+    everywhere, a resample that comes out no lower) refactors nothing.
+    Where f grows on the slab's envelope, c goes below 0 and keeps falling
+    as the envelope closes, so it refactors there.
 
     The slab has stalled on the gap its first row carries in when that
     gap is > 0, the update is <= tol, and the ratio r of the last two
@@ -454,7 +451,6 @@ def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
     gaps, upds = [], []  # this call's, for the refresh prediction and the stall test
     late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
-        t0 = time.perf_counter()
         if late or (n > 0 and n & (n - 1) == 0):
             late = not late and len(gaps) > 1 and gaps[-1] ** 2 <= slab.target * gaps[-2]
             if not late:
@@ -466,7 +462,7 @@ def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
                 stab = fresh
         nxt = _sweep(state, spec, slab.grid, stab, ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
-        history.record(n, gap, upd, viol, c_max, 1e3 * (time.perf_counter() - t0))
+        history.record(n, gap, upd, viol, c_max)
         state = nxt
         slab.gap = gap
         gaps.append(gap)
@@ -536,15 +532,8 @@ def _first_rate(spec, grid, samples):
 
 def _sup_f_u(spec, grid, rows, fd_step):
     """max(0, sup f_u) over the stacked rows (..., 2, nx+1) of the first
-    and last step of grid, f_u by the reaction's own or by a centered
-    difference of step fd_step."""
-    reaction, t, x = spec.reaction, grid.ts[[1, -1], None], grid.xs[None, :]
-    if reaction.f_u is not None:
-        d = reaction.f_u(t, x, rows)
-    else:
-        d = (np.asarray(reaction.f(t, x, rows + fd_step)) - reaction.f(t, x, rows - fd_step)) / (
-            2 * fd_step
-        )
+    and last step of grid, f_u by f_u_values with the step fd_step."""
+    d = f_u_values(spec.reaction, grid.ts[[1, -1], None], grid.xs[None, :], rows, fd_step)
     return max(0.0, float(np.max(d)))
 
 

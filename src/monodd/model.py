@@ -46,7 +46,6 @@ class EllipticCoefficients:
 class Reaction:
     f: Callable  # (t, x, u) -> real
     f_u: Optional[Callable] = None  # analytic partial derivative, optional
-    c_bar_bound: Optional[float] = None  # upper bound for sup(-f_u) over the bracket
 
 
 @dataclass(frozen=True)

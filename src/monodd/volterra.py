@@ -260,14 +260,9 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field):
     degenerate = max_width == 0.0
     fd_step = 0.0 if degenerate else 1e-6 * max_width
 
-    if reaction.c_bar_bound is not None:
-        c_under = np.full(shape, float(reaction.c_bar_bound))
-    else:
-        if reaction.f_u is None and degenerate:
-            raise StabilizerError(
-                "bracket has zero width and no analytic f_u or c_bar_bound was supplied"
-            )
-        c_under = _sampled_c_under(reaction, grid, lo, hi, fd_step)
+    if reaction.f_u is None and degenerate:
+        raise StabilizerError("bracket has zero width and no analytic f_u was supplied")
+    c_under = _sampled_c_under(reaction, grid, lo, hi, fd_step)
 
     b_under = 0.0
     if not kernel.trivial and kernel.exp_form is None:
@@ -312,13 +307,23 @@ def compute_stabilizers(spec, grid, u_hat_field, u_tilde_field):
     )
 
 
+def f_u_values(reaction, t, x, eta, eps):
+    """f_u(t, x, eta): the reaction's analytic f_u, or else the centered
+    difference of f of step eps."""
+    if reaction.f_u is not None:
+        return reaction.f_u(t, x, eta)
+    return (
+        np.asarray(reaction.f(t, x, eta + eps), dtype=float)
+        - np.asarray(reaction.f(t, x, eta - eps), dtype=float)
+    ) / (2 * eps)
+
+
 def _sampled_c_under(reaction, grid, lo, hi, eps):
     """max over N_SAMPLES equispaced eta in [lo, hi] of -f_u(t, x, eta),
-    eta = lo + theta (hi - lo); f_u is a centered difference of step eps
-    when the reaction has no analytic one.  It runs C_UNDER_ROWS time rows
-    at a time, every sample of a block formed in one array: each operation
-    is pointwise, so the blocks give the whole field's values and the
-    temporaries stay O(C_UNDER_ROWS nx)."""
+    eta = lo + theta (hi - lo), with f_u_values.  It runs C_UNDER_ROWS
+    time rows at a time, every sample of a block formed in one array: each
+    operation is pointwise, so the blocks give the whole field's values
+    and the temporaries stay O(C_UNDER_ROWS nx)."""
     c_under = np.empty(lo.shape)
     for r0 in range(0, lo.shape[0], C_UNDER_ROWS):
         rows = slice(r0, r0 + C_UNDER_ROWS)
@@ -329,13 +334,7 @@ def _sampled_c_under(reaction, grid, lo, hi, eps):
         for j, theta in enumerate(_SAMPLE_POINTS):
             np.multiply(width, theta, out=eta)
             eta += base
-            if reaction.f_u is not None:
-                d = reaction.f_u(t, x, eta)
-            else:
-                d = (
-                    np.asarray(reaction.f(t, x, eta + eps), dtype=float)
-                    - np.asarray(reaction.f(t, x, eta - eps), dtype=float)
-                ) / (2 * eps)
+            d = f_u_values(reaction, t, x, eta, eps)
             # The running minimum of f_u, negated once at the end, is the
             # running maximum of -f_u, NaNs and signed zeros included:
             # maximum keeps its first argument where minimum of the
@@ -361,18 +360,17 @@ def refresh_stabilizers(spec, grid, stab, lo, hi):
     is still a bound, and resampling it costs O(nt^2 nx N_SAMPLES^2).
     The min keeps c from ever rising, which the monotone chain needs, as
     a sampled supremum over a smaller interval can come out larger.
-    Returns stab itself, with no resample, when the reaction gives a
-    constant c_bar_bound, when c is already at the floor at every node
-    (the min would keep it there) or when the envelope has zero width.
+    Returns stab itself, with no resample, when c is already at the floor
+    at every node (the min would keep it there) or when the envelope has
+    zero width.
     """
-    reaction = spec.reaction
     floor = C_FLOOR_DT / grid.dt
-    if reaction.c_bar_bound is not None or np.all(stab.c_total == floor):
+    if np.all(stab.c_total == floor):
         return stab
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if float(np.max(hi - lo)) == 0.0:
         return stab
-    c = _sampled_c_under(reaction, grid, lo, hi, stab.fd_step)
+    c = _sampled_c_under(spec.reaction, grid, lo, hi, stab.fd_step)
     c += stab.b_under
     c += C_MARGIN
     np.maximum(c, floor, out=c)
@@ -383,11 +381,11 @@ def refresh_stabilizers(spec, grid, stab, lo, hi):
 def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
     """Monotone right-hand side c_total u + f + g at every time level and
     node (row 0 included for completeness), with g from eval_g_field; with
-    cols, on those columns only, which is all a window's solve reads.
-    u, stab and grid may hold the levels of a slab, with the Past of the
-    levels before it, and u may stack the fields of both branches on a
-    leading axis (see eval_g_field): one call then serves both, bitwise
-    as two would.
+    cols, on those columns only, which is all a window's solve reads
+    (evaluated as a one-window tuple, below).  u, stab and grid may hold
+    the levels of a slab, with the Past of the levels before it, and u may
+    stack the fields of both branches on a leading axis (see
+    eval_g_field): one call then serves both, bitwise as two would.
 
     u and cols may also be tuples of the same length, the fields and the
     column slices of several windows: the result is then the list of F1
@@ -400,14 +398,17 @@ def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
     window.
     """
     if not isinstance(cols, tuple):
-        return _F1_on(spec, stab, u, grid, cols, past)
-    if len(cols) == 1:
-        return [_F1_on(spec, stab, u[0], grid, cols[0], past)]
+        return eval_F1_field(spec, stab, (u,), grid, (cols,), past)[0]
     kernel = spec.kernel
     nodes = np.arange(grid.xs.size)
     parts = [nodes[one] for one in cols]
-    gathered = np.concatenate(parts)
-    uc = np.concatenate([np.asarray(one, dtype=float)[..., c] for one, c in zip(u, cols)], axis=-1)
+    fields = [np.asarray(one, dtype=float)[..., c] for one, c in zip(u, cols)]
+    # One window's columns are read in place, as views: gathering them
+    # would copy its field and c_total every sweep for nothing.
+    if len(cols) == 1:
+        gathered, uc = cols[0], fields[0]
+    else:
+        gathered, uc = np.concatenate(parts), np.concatenate(fields, axis=-1)
     out = stab.c_total[:, gathered] * uc
     out += spec.reaction.f(grid.ts[:, None], grid.xs[None, gathered], uc)
     if kernel.trivial:
@@ -423,13 +424,3 @@ def eval_F1_field(spec, stab, u, grid, cols=slice(None), past=None):
         results.append(out[..., start : start + part.size])
         start += part.size
     return results
-
-
-def _F1_on(spec, stab, u, grid, cols, past):
-    """eval_F1_field of one field on one set of columns."""
-    u = np.asarray(u, dtype=float)
-    uc = u[..., cols]
-    out = stab.c_total[:, cols] * uc
-    out += spec.reaction.f(grid.ts[:, None], grid.xs[None, cols], uc)
-    out += eval_g_field(spec.kernel, u, grid, cols, past)
-    return out

@@ -146,36 +146,47 @@ def test_late_audit_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("case", ["coupling", "value"])
 def test_pinned_row_overflow_exits_3_with_one_line(tmp_path, capsys, monkeypatch, case):
-    # A Dirichlet first row is factored with a power-of-two diagonal D no
-    # smaller than row 1's coupling, and its value enters as D*value.  The
-    # coupling -9e307 has no such D, found at build; with coupling -1.5
-    # (D = 2), a value of 1e308 from step 5 on overflows at that step.
+    # A Dirichlet first row is factored as the identity row, row 1's
+    # coupling to it as L's first multiplier, and its value h/beta0 enters
+    # row 1 as coupling*value.  A coupling of -9e307 needs nothing more:
+    # the run converges with the left column h/beta0 = 1/3 exactly.  With
+    # coupling -1.5, a value of 1e308 from step 5 on enters row 1 as
+    # 1.5e308, and at step 6, with the previous level over dt, the solution
+    # overflows: exit 3 with one line.
     if case == "coupling":
-        params, grid, message = {"T": 1e-299}, {"nx": 4, "nt": 10}, "time step 1: row 1's coupling"
-        a, b, bc = 6.25e305, -2e307, None
+        params, grid = {"T": 1e-299}, {"nx": 4, "nt": 10}
+        a, b = 6.25e305, -2e307
+        bc = monodd.BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 3.0, h=lambda t: 1.0)
     else:
-        params, grid, message = {"T": 0.01}, {"nx": 4, "nt": 8}, "non-finite solution at time step 5"
+        params, grid = {"T": 0.01}, {"nx": 4, "nt": 8}
         a, b = 0.09375, 0.0
         bc = monodd.BoundaryCondition(
             alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 1e308 if t > 0.005 else 0.0
         )
     coeffs = monodd.EllipticCoefficients(a=lambda t, x: a + 0.0 * x, b=lambda t, x: b + 0.0 * x)
     lookup = cli.catalog_lookup
-
-    def patched(*args):
-        spec = dataclasses.replace(lookup(*args), coeffs=coeffs)
-        return spec if bc is None else dataclasses.replace(spec, bc_left=bc)
-
-    monkeypatch.setattr(cli, "catalog_lookup", patched)
+    monkeypatch.setattr(
+        cli, "catalog_lookup",
+        lambda *args: dataclasses.replace(lookup(*args), coeffs=coeffs, bc_left=bc),
+    )
+    solution_csv = tmp_path / "solution.csv"
     cfg = write_config(
         tmp_path / "cfg.json", problem={"name": "linear_heat", "params": params}, grid=grid,
-        decomposition="single_domain",
+        decomposition="single_domain", output={"solution_csv": str(solution_csv)},
     )
-    assert main(["run", str(cfg)]) == 3
+    status = main(["run", str(cfg)])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("invalid config:") and captured.err.count("\n") == 1
-    assert message in captured.err
+    if case == "coupling":
+        assert status == 0 and captured.err == ""
+        with open(solution_csv) as fh:
+            rows = csv.DictReader(fh)
+            left = [row for row in rows if float(row["x"]) == 0.0 and float(row["t"]) > 0]
+        assert len(left) == 10
+        assert all(float(row[key]) == 1.0 / 3.0 for row in left for key in ("u_lower", "u_upper"))
+    else:
+        assert status == 3 and captured.out == ""
+        assert captured.err.startswith("invalid config:") and captured.err.count("\n") == 1
+        assert "non-finite solution at time step 6" in captured.err
 
 
 def order_config(path, problem, grids=((16, 16), (32, 32))):

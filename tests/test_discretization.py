@@ -554,7 +554,7 @@ class TestWindowOperator:
         whole = build_window_operator(grid, window, coeffs, c_old, None, right)
         slab = build_window_operator(grid.levels(3, 7), window, coeffs, c_old[3:8], None, right, k0=3)
         assert slab.k0 == 3 and slab.d.shape == (4, window.size)
-        arrays = ("sub", "diag", "sup", "dl", "d", "du", "du2", "ipiv", "right_h", "row0_d")
+        arrays = ("sub", "diag", "sup", "dl", "d", "du", "du2", "ipiv", "right_h", "pinned")
 
         def same_steps():
             for name in arrays:
@@ -730,26 +730,46 @@ class TestStackedFactors:
         assert not np.shares_memory(one, second) and second.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("pinned", [True, False])
-    def test_coupling_beyond_the_largest_power_of_two_names_the_step(self, pinned):
-        # Row 1's coupling to a Dirichlet first row, -(a/dx^2 + |b|/dx) =
-        # -9e307, passes the audit but exceeds 2^1023, so the row has no
-        # power-of-two diagonal: the build names the slab's first strip step.
-        grid = grid_of(0.0, 1.0, 1e-299, 4, 10)
+    def test_coupling_beyond_the_largest_power_of_two_marches_exactly(self, pinned):
+        # Row 1's coupling to a Dirichlet first row is -(a/dx^2 + |b|/dx) =
+        # -9e307, beyond 2^1023.  The first row is factored as the identity
+        # row, the coupling written in as L's first multiplier: the march
+        # returns the pinned values, or h/beta0 of a physical row, exactly,
+        # and bitwise the per-step reference solve.
+        rng = np.random.default_rng(9)
+        grid = grid_of(0.0, 1.0, 1e-299, 4, 10).levels(3, 7)
         coeffs = EllipticCoefficients(a=lambda t, x: 6.25e305 + 0.0 * x, b=lambda t, x: -2e307 + 0.0 * x)
-        left = None if pinned else catalog_lookup("linear_heat").bc_left
-        with pytest.raises(FloatingPointError, match="time step 4: row 1's coupling -9e"):
-            build_window_operator(grid.levels(3, 7), Subrange(0, 4), coeffs, np.zeros((5, 5)),
-                                  left, None, k0=3)
+        bc = BoundaryCondition(alpha0=lambda t: 0.0, beta0=lambda t: 3.0, h=lambda t: 1.0 + t)
+        c = np.zeros((5, 5))
+        left = None if pinned else bc
+        op = build_window_operator(grid, Subrange(0, 4), coeffs, c, left, None, k0=3)
+        assert np.all(op.pinned) and np.all(op.sub[:, 1] == -9e307)
+        assert np.all(op.dl[:, 0] == -9e307)
+        q = rng.standard_normal((2, 5, 3))
+        initial = rng.standard_normal((2, 5))
+        # |coupling * value| stays below the largest double for |value| < 1.9
+        if pinned:
+            values = rng.uniform(-1.0, 1.0, (2, 5))
+        else:
+            values = np.tile([bc.h(t) for t in grid.ts], (2, 1))
+        right = rng.uniform(-1.0, 1.0, (2, 5))
+        got = march_window(op, q, initial, left=values if pinned else None, right=right)
+        assert np.all(np.isfinite(got))
+        column = values[:, 1:] if pinned else values[:, 1:] / 3.0
+        assert got[:, 1:, 0].tobytes() == np.ascontiguousarray(column).tobytes()
+        factors = per_step_factors(op.sub, op.diag, op.sup, c[1:, 1:4])
+        expected = per_step_march(op.sub, op.diag, op.sup, factors, grid.dt, q, initial, values, right)
+        assert got.tobytes() == expected.tobytes()
 
     def test_scaled_pinned_value_overflow_names_the_step(self):
-        # Row 1's coupling -1.5 gives the pinned row D = 2: a value of 1e308
-        # at strip step 5 scales past the largest double, and the march
+        # Row 1's coupling is -4: a pinned value of 1e308 at strip step 5
+        # enters row 1 as 4e308, past the largest double, and the march
         # names that step.
         grid = grid_of(0.0, 1.0, 0.5, 4, 8)
-        coeffs = EllipticCoefficients(a=lambda t, x: 0.09375 + 0.0 * x, b=lambda t, x: 0.0 * x)
+        coeffs = EllipticCoefficients(a=lambda t, x: 0.25 + 0.0 * x, b=lambda t, x: 0.0 * x)
         op = build_window_operator(grid.levels(3, 7), Subrange(0, 4), coeffs, np.zeros((5, 5)),
                                    None, None, k0=3)
-        assert np.all(op.row0_d == 2.0)
+        assert np.all(op.pinned) and np.all(op.dl[:, 0] == -4.0)
         left = np.zeros((1, 5))
         left[0, 2] = 1e308
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(

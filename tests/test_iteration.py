@@ -357,15 +357,16 @@ class TestOperatorsPerSlab:
         assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
 
     def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
-        # A constant c_bar_bound is never resampled, so no refresh changes
-        # c: after the builds nothing is refactored.  On the desk logistic
-        # problem c falls below 0 where u < 1/2 and keeps falling as the
-        # envelope closes, so every refresh resamples and refactors.  Each
-        # slab starts from its certified predicted bracket, on which it
-        # resamples c before its operators are built, and refreshes after
-        # its sweeps 1 and 2: the first slab sweeps 5 times, the refresh
-        # due after sweep 4 put off as sweep 5 finishes it, and the others
-        # 4 times.
+        # linear_heat has f_u = 0, so every resample of c comes out as the
+        # c it has, C_MARGIN at every node: the run resamples on its start
+        # and after its sweeps 1 and 2, and refactors nothing after the
+        # builds.  On the desk logistic problem c falls below 0 where
+        # u < 1/2 and keeps falling as the envelope closes, so every refresh
+        # resamples and refactors.  Each slab starts from its certified
+        # predicted bracket, on which it resamples c before its operators
+        # are built, and refreshes after its sweeps 1 and 2: the first slab
+        # sweeps 5 times, the refresh due after sweep 4 put off as sweep 5
+        # finishes it, and the others 4 times.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -375,16 +376,15 @@ class TestOperatorsPerSlab:
             return sample(*args)
 
         monkeypatch.setattr(volterra, "_sampled_c_under", counted)
-        spec = desk_logistic()
-        bounded = Reaction(f=spec.reaction.f, f_u=spec.reaction.f_u, c_bar_bound=2.0)
-        grid = build_grid(spec.domain, 16, 8)
-        sol, hist = run_dd(
-            dataclasses.replace(spec, reaction=bounded), grid, Decomposition(i1_hi=10, i2_lo=6),
-            1e-9, 200,
-        )
+        spec = catalog_lookup("linear_heat")
+        grid = build_grid(spec.domain, 32, 16)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=18, i2_lo=14), 1e-9, 200)
         assert sol.converged and sol.sweeps_used > 4
-        assert refactors == [] and resamples == []
+        assert hist.c_max == [1e-6] * sol.sweeps_used
+        assert refactors == [] and resamples == [0.0] * 4
 
+        resamples.clear()
+        spec = desk_logistic()
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
         assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 4, 4]
@@ -542,7 +542,7 @@ def assert_slab_rules(spec, grid, sol, hist, decomp=None):
     assert max(lengths) - min(lengths) <= 1
     sweeps = [s for *_, s in hist.slab_sweeps]
     assert len(hist.gap_lower_upper) == sol.sweeps_used == max(sweeps)
-    assert len(hist.c_max) == len(hist.max_update) == len(hist.wall_ms) == sol.sweeps_used
+    assert len(hist.c_max) == len(hist.max_update) == sol.sweeps_used
     assert hist.level_solves == sum(length * s for length, s in zip(lengths, sweeps))
     if hist.states is not None:
         assert len(hist.states) == sol.sweeps_used + 1
@@ -1035,15 +1035,6 @@ class TestRefreshedStabilizer:
         # The first refresh is the one on the slab's certified start.
         assert hist.slab_starts[0][2] and after[0] == 0
         assert [n for n in after if n < first][1:4] == [1, 2, 5]
-
-    def test_constant_bound_is_not_resampled(self):
-        spec = desk_logistic()
-        bounded = Reaction(f=spec.reaction.f, f_u=spec.reaction.f_u, c_bar_bound=2.0)
-        spec = dataclasses.replace(spec, reaction=bounded)
-        grid = build_grid(spec.domain, 16, 8)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 200)
-        assert sol.converged and sol.sweeps_used > 4
-        assert hist.c_max == [2.0 + 1e-6] * sol.sweeps_used
 
 
 class TestFlooredStabilizer:
