@@ -460,6 +460,33 @@ class TestComputeStabilizers:
         stab = compute_stabilizers(spec, grid, lo, hi)
         np.testing.assert_allclose(stab.c_total, 2.0 + C_MARGIN, atol=1e-5)
 
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_f_u_values_is_the_analytic_f_u_or_a_centered_difference(self, analytic):
+        # The one helper behind the stabilizer's c_under and the predicted
+        # start's sup f_u: an analytic f_u is returned as given, else the
+        # centered difference (f(eta + eps) - f(eta - eps)) / (2 eps).
+        f = lambda t, x, u: (1.0 + x) * u * (1.0 - u) + t
+        f_u = lambda t, x, u: (1.0 + x) * (1.0 - 2.0 * u) + 0.0 * t
+        spec = with_reaction(desk_logistic(), f, f_u if analytic else None)
+        grid = build_grid(spec.domain, 6, 4)
+        t, x, eps = grid.ts[:, None], grid.xs[None, :], 1e-6
+        eta = 0.25 + 0.5 * np.sin(3.0 * t + x)
+        got = volterra.f_u_values(spec.reaction, t, x, eta, eps)
+        if analytic:
+            np.testing.assert_array_equal(got, f_u(t, x, eta))
+        else:
+            np.testing.assert_array_equal(got, (f(t, x, eta + eps) - f(t, x, eta - eps)) / (2 * eps))
+            np.testing.assert_allclose(got, f_u(t, x, eta), atol=1e-8)
+
+        # compute_stabilizers takes its c_under from the same values.
+        lo, hi = np.zeros((5, 7)), np.full((5, 7), 1.5)
+        stab = compute_stabilizers(spec, grid, lo, hi)
+        theta = np.linspace(0.0, 1.0, N_SAMPLES)[:, None, None]
+        samples = volterra.f_u_values(spec.reaction, t, x, lo + theta * (hi - lo), stab.fd_step)
+        c_under = np.max(-np.broadcast_to(samples, (N_SAMPLES,) + lo.shape), axis=0)
+        floor = volterra.C_FLOOR_DT / grid.dt
+        np.testing.assert_array_equal(stab.c_total, np.maximum(c_under + 0.0 + C_MARGIN, floor))
+
 
 def with_reaction(spec, f, f_u=None):
     from monodd import Reaction
