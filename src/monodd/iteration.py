@@ -60,13 +60,18 @@ gives u0 at the first step), pushed outward by a multiple of tau
 e^{L tau} in backward-Euler form and clipped into the bracket (see
 _predicted_start).  The pair is certified
 by verify.bracket_residuals, the residuals of check_bracket, on the
-slab's grid and its past at slack 0.  A certified pair is the slab's
-state, is written into the rows of the bracket's own array that its
-chain links read, and lowers its stabilizer by a refresh on it before
-its operators are built; otherwise, after START_WIDENINGS widenings,
-the slab starts from the bracket.  The a and b samples and boundary
-rows of the slab's steps (discretization.sample_steps) serve both the
-residuals and the operator build.  A slab
+slab's grid and its past at slack 0.  Where that uniform push certifies
+no narrower than the slab's bracket, or not at all, the slab tries a
+push shaped by its own linear response: the solution of its
+backward-Euler linear problem with stabilizer -L whose source is the
+guess's wrong-signed residuals, node by node, certified the same way
+and kept where it is narrower than the bracket.  A certified pair is
+the slab's state, is written into the rows of the bracket's own array
+that its chain links read, and lowers its stabilizer by a refresh on it
+before the slab takes its operators; otherwise, after START_WIDENINGS
+widenings, the slab starts from the bracket.  The a and b samples and
+boundary rows of the slab's steps (discretization.sample_steps) serve
+the residuals, the linear response and the operator build.  A slab
 stops at the first sweep whose gap, over its levels and its carried
 first row, is <= tol: every lower iterate is a subsolution and every
 upper one a supersolution, so that envelope is the certified product,
@@ -83,23 +88,30 @@ target (see _sweep_slab), the run ends there, history.stop_reason says
 which, and the levels after it keep the bracket.
 
 History entry n aggregates the n-th sweep of every slab that ran one (the
-largest gap and update, the smallest chain margin, the largest c, the
-summed wall time); sweeps_used is the largest per-slab count, and
-history.slab_sweeps lists (k0, k1, sweeps) per slab, so a run solves
-sum (k1 - k0) sweeps levels per window (history.level_solves), and
-history.slab_starts lists (k0, k1, certified, width) per slab: whether
-it started from its certified prediction, and the largest gap of its
-start on its levels.
+largest gap and update, the smallest chain margin, the largest c);
+sweeps_used is the largest per-slab count, and history.slab_sweeps lists
+(k0, k1, sweeps) per slab run, so a run solves sum (k1 - k0) sweeps
+levels per window (history.level_solves).  history.slab_starts lists
+(k0, k1, certified, width) per slab run: whether it started from its
+certified prediction, and the largest gap of its start on its levels;
+history.linear_starts the (k0, k1) of the slab runs whose start is the
+linear-response push, and history.start_evaluations the bracket_residuals
+evaluations each slab run's start made.
 
 The two branches are one stacked array.  The run's working set follows
-the slab: a slab's window operators are built on its levels when it
-starts sweeping (k0 set, so an M-matrix failure names the strip's time
-step), refactored by its refreshes that change c, and dropped when it
-stops; a slab the run comes back to is built again from its current
-stabilizer, which gives the same factors.  What the run keeps of a
-stopped slab is what resuming it needs (its state and stabilizer); its
-start is in the bracket's own rows, and the result goes into the
-bracket's own array at the end.  A sweep
+the slab.  Per slab run, in this order: its steps are sampled, it
+starts (a slab the run comes back to keeps its state), and it takes its
+window operators.  The run holds those of the last slab run; where the
+new slab's StepSamples are bitwise those they were built on (as many
+steps, the same a, b and end rows, as for data that do not depend on t
+and slabs of one length), it takes them over, refactors them with its
+own stabilizer and sets their k0, so an M-matrix failure names the
+strip's time step, keeping their arrays and march plans; otherwise it
+builds its own on its levels.  Either way the factors are those of its
+current stabilizer, bitwise, which a refresh that changes c refactors
+in place.  What the run keeps of a stopped slab is what resuming it
+needs (its state and stabilizer); its start is in the bracket's own
+rows, and the result goes into the bracket's own array at the end.  A sweep
 evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
@@ -123,6 +135,7 @@ from .discretization import (
     Grid1D,
     Subrange,
     build_grid,
+    StepSamples,
     build_window_operator,
     march_window,
     refactor_window_operator,
@@ -228,6 +241,10 @@ class ConvergenceHistory:
     # (k0, k1, certified, width) per slab run: whether it started from its
     # certified predicted bracket, and the largest gap of its start
     slab_starts: List[tuple] = field(default_factory=list)
+    # (k0, k1) of the slab runs whose start came from the linear-response push
+    linear_starts: List[tuple] = field(default_factory=list)
+    # bracket_residuals evaluations of each slab run's start, as slab_starts
+    start_evaluations: List[int] = field(default_factory=list)
     # "converged", "max_sweeps on slab k0..k1" or "fixed point on slab k0..k1 at gap G"
     stop_reason: str = ""
 
@@ -384,9 +401,11 @@ class _Slab:
     """The levels k0..k1 of a run, restricted: grid and stabilizer, the
     bracket there (its start, once it has one), the current state (and
     the states so far, when kept), the gap the slab must reach, the gap of
-    its last sweep, and whether its start was certified and how wide it
-    was.  Its window operators are not kept: _sweep_slab builds them from
-    stab each time it runs the slab."""
+    its last sweep, the push its certified start came from (None for no
+    certified start), how wide its start was, and the residual
+    evaluations its start made.  Its
+    window operators are not kept with it: the run holds those of the
+    last slab run only (see _slab_operators)."""
 
     k0: int
     k1: int
@@ -397,8 +416,9 @@ class _Slab:
     states: list
     target: float
     gap: float = math.inf  # of its last sweep
-    certified: bool = False
     width: float = math.inf
+    push: Optional[str] = None  # "uniform" or "linear" for a certified start, else None
+    evaluations: int = 0  # of bracket_residuals by its start
 
 
 # A slab whose first row is exact sits at a fixed point once its update
@@ -406,17 +426,15 @@ class _Slab:
 FIXED_POINT_ULPS = 4.0
 
 
-def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
-                abort_on_chain_violation, keep_states):
+def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_violation,
+                keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
     4, 8, ...; every sweep is folded into history.
 
-    The slab's window operators are built here, from its current
-    stabilizer and the StepSamples of its grid, and dropped on return:
-    they are factored with the same c as a run-long operator would hold,
-    so a resumed slab marches with the same factors.  A step matrix that fails the M-matrix audit therefore
-    raises when its slab first runs.
+    ops are the slab's window operators, factored with its current
+    stabilizer (see _slab_operators); a refresh that changes c refactors
+    them in place.
 
     A due refresh is put off by one sweep when the last two gaps predict
     that the next sweep reaches the target (gap * gap / previous gap <=
@@ -443,7 +461,6 @@ def _sweep_slab(slab, spec, windows, past, samples, history, tol, max_sweeps,
     """
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
-    ops = _window_operators(spec, slab.grid, stab, windows, slab.k0, samples)
     c_max = float(np.maximum.reduce(stab.c_total[1:], None))
     # Every sweep's row 0 is the past's last row, so the gap it carries in
     # is the same for every sweep of this call.
@@ -538,27 +555,149 @@ def _sup_f_u(spec, grid, rows, fd_step):
 
 
 def _wrong(res, bnd):
-    """Per branch, the largest wrong-signed residual at each level: above
+    """Per branch, the wrong-signed residuals node by node, in place: above
     0 for the lower branch, a subsolution, below 0 for the upper one, as a
-    positive number; interior (2, nt) and boundary (2, nt, 2)."""
-    interior = np.stack((np.max(res[0], axis=1), -np.min(res[1], axis=1)))
-    return interior, np.stack((bnd[0], -bnd[1]))
+    positive number; interior (2, nt, nx-1) and boundary (2, nt, 2)."""
+    np.negative(res[1], out=res[1])
+    np.negative(bnd[1], out=bnd[1])
+    return res, bnd
+
+
+def _need(interior, ends, drive, edge):
+    """Per branch, the multiple A of phi that covers the wrong-signed
+    residuals to first order (see _predicted_start): their largest at each
+    level over D_k, and at each boundary row over beta0 phi_k.  A row that
+    phi cannot move (beta0 <= 0) with a wrong-signed residual makes it
+    infinite."""
+    interior = np.max(interior, axis=2)
+    return np.maximum(
+        np.max(np.where(interior > 0.0, interior / drive, 0.0), axis=1),
+        np.max(np.where(ends > 0.0, ends / np.maximum(edge, 0.0), 0.0), axis=(1, 2)),
+    )
+
+
+_OUTWARD = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _candidate(guess, bracket, base, push, phi):
+    """guess with its lower branch pushed down and its upper one up by
+    base + push phi (base None for 0) on levels 1.., clipped into the
+    slab's bracket (levels 1..); row 0 is the guess's."""
+    start = np.empty(guess.shape)
+    start[:, 0] = guess[:, 0]
+    shift = _OUTWARD * push[:, None, None] * phi[1:, None]
+    if base is not None:
+        shift = shift + _OUTWARD * base
+    np.clip(guess[:, 1:] + shift, bracket[0], bracket[1], out=start[:, 1:])
+    return start
+
+
+def _widen(spec, grid, past, samples, guess, bracket, base, push, phi, drive, edge, start=None):
+    """The candidate of push (see _candidate; start, when the caller has
+    made it) certified by bracket_residuals at slack 0, a failing branch's
+    push widened to 2 (push + _need) of the residuals it failed by, up to
+    START_WIDENINGS times.  Returns (start, push, evaluations): start None
+    where none certifies, else with the push that certified it, and the
+    residual evaluations made."""
+    passed = np.zeros(2, dtype=bool)
+    evaluations = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while evaluations <= START_WIDENINGS and np.all(np.isfinite(push)):
+            if start is None:
+                start = _candidate(guess, bracket, base, push, phi)
+            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
+            evaluations += 1
+            # max keeps a NaN, which fails the comparison.
+            passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
+            if passed.all():
+                return start, push, evaluations
+            start = None
+            push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
+    return None, push, evaluations
+
+
+# The linear-response start is tried only where Lambda dt is below this:
+# its step matrices, with the stabilizer -Lambda, are then diagonally
+# dominant by 1/dt - Lambda > 1/(2 dt), as the solver's own (see volterra).
+LINEAR_LAM_DT = 0.5
+
+# The rounding allowance of a linear-response start at a physical end
+# row, in ulps of the sum of the row's terms (see _predicted_start).
+END_ROW_ULPS = 4.0
+
+
+def _linear_response(spec, grid, samples, interior, ends, lam, k0=0):
+    """psi >= 0, stacked (lower, upper): the solution of the backward-Euler
+    linear problem with stabilizer -lam on one whole-strip window of grid,
+    whose first level is strip level k0 and whose StepSamples are samples,
+
+        psi_t - a psi_xx - b psi_x - lam psi = r,  alpha0 dpsi/dnu + beta0 psi = r_end,
+
+    with row 0 zero.  Each branch's r is its interior wrong-signed
+    residuals, interior (2, nt, nx-1), and an end row's r_end the larger of
+    the two branches' at that row, ends (2, nt, 2): the march's columns
+    share a physical end row's value.  Negative entries count as 0."""
+    rows = tuple(
+        (alpha0, beta0, np.maximum(np.max(ends[:, :, j], axis=0), 0.0))
+        for j, (alpha0, beta0, _) in enumerate(samples.ends)
+    )
+    op = build_window_operator(
+        grid, Subrange(0, grid.nx), spec.coeffs, np.broadcast_to(-lam, (grid.nt + 1, grid.nx + 1)),
+        spec.bc_left, spec.bc_right, k0, samples=StepSamples(samples.a, samples.b, rows),
+    )
+    q = np.zeros((2, grid.nt + 1, grid.nx - 1))
+    np.maximum(interior, 0.0, out=q[:, 1:])
+    return march_window(op, q, 0.0)
+
+
+def _end_allowance(grid, samples, bracket, edge):
+    """END_ROW_ULPS ulps of a bound on the sum of a physical end row's
+    terms, |alpha0/dx| (|u| + |u'|) + |beta0 u| + |h| with u the end value
+    and u' its neighbour's, over beta0 phi, the largest at any level and
+    either end: a field clipped into the bracket is at most its largest
+    magnitude U there, so |u|, |u'| <= U."""
+    big = float(np.max(np.abs(bracket)))
+    terms = [(2.0 * np.abs(alpha0 / grid.dx) + np.abs(beta0)) * big + np.abs(h)
+             for alpha0, beta0, h in samples.ends]
+    return END_ROW_ULPS * np.finfo(float).eps * float(np.max(np.stack(terms, axis=-1) / edge))
+
+
+def _width(pair):
+    """The largest gap of a stacked pair (lower, upper) on its levels 1.."""
+    return float(np.max(pair[1, 1:] - pair[0, 1:]))
+
+
+def _linear_start(spec, slab, past, samples, guess, interior, ends, lam, phi, drive, edge):
+    """The guess pushed by its linear response (see _predicted_start),
+    certified and widened as the uniform push is, where it certifies
+    narrower than the slab's bracket, else None; and the residual
+    evaluations made."""
+    grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
+    psi = _linear_response(spec, grid, samples, interior, ends, lam, slab.k0)
+    allowance = np.full(2, _end_allowance(grid, samples, bracket, edge))
+    start, _, evaluations = _widen(
+        spec, grid, past, samples, guess, bracket, psi[:, 1:], allowance, phi, drive, edge
+    )
+    if start is not None and _width(start) >= float(np.max(bracket[1] - bracket[0])):
+        start = None
+    return start, evaluations
 
 
 def _predicted_start(spec, slab, past, rate, samples):
     """A certified sub/supersolution pair on the slab's levels, stacked
-    (lower, upper), with row 0 the past's last row; None where none
-    certifies.
+    (lower, upper), with row 0 the past's last row, or None where none
+    certifies; with the push it came from, "uniform" or "linear" (None
+    with no pair), and the number of bracket_residuals evaluations made.
 
     The guess carries each branch's last row of the past on at rate,
     row + tau rate with tau = t - t_k0, its end values at each level those
     that keep their boundary rows given the neighbouring node's.  The
-    lower branch is pushed down and the upper one up by A phi, with
-    phi_k = tau_k (1 - L dt)^-k, the backward-Euler form of tau e^{L tau},
-    and L = max(0, sup f_u) over the guess's first and last step: a step
-    of phi exceeds L phi by D_k = (phi_k - phi_{k-1}) / dt - L phi_k =
-    (1 - L dt)^-(k-1), and phi adds beta0 phi to a boundary row, so
-    A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over the wrong-signed
+    uniform push moves the lower branch down and the upper one up by
+    A phi, with phi_k = tau_k (1 - L dt)^-k, the backward-Euler form of
+    tau e^{L tau}, and L = max(0, sup f_u) over the guess's first and last
+    step: a step of phi exceeds L phi by D_k = (phi_k - phi_{k-1}) / dt -
+    L phi_k = (1 - L dt)^-(k-1), and phi adds beta0 phi to a boundary row,
+    so A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over the wrong-signed
     residuals R_k of the guess covers them to first order.  Both branches
     are clipped into the slab's bracket.
 
@@ -569,7 +708,26 @@ def _predicted_start(spec, slab, past, rate, samples):
     failed by to its A in the same way and is tried again, up to
     START_WIDENINGS times.  Where L dt >= 1 no push helps, nor at a
     boundary row with beta0 <= 0, so a wrong-signed residual there ends
-    the prediction."""
+    the prediction.
+
+    A few large residuals size A for every node, so where the uniform
+    push certifies no narrower than the slab's bracket, or not at all,
+    the push follows the slab's own linear response instead: psi of
+    _linear_response, whose source is the guess's wrong-signed residuals
+    node by node (Pao, 1992, ch. 2, builds upper and lower solutions from
+    linear problems).  As f_u <= L on the guess, psi covers each node's
+    own residual to first order.  The candidate is the guess pushed by
+    psi + p phi, with p at first the rounding allowance of the physical
+    end rows (_end_allowance), which psi meets only to rounding, and it
+    is certified and widened as the uniform one.  It is taken only where
+    it is narrower than the bracket, and otherwise the uniform push's
+    result stands.  A larger A only widens the clipped pair, so where the
+    first uniform candidate is already as wide as the bracket, the linear
+    response is tried before the uniform push is certified at all, which
+    gives the same start for one residual evaluation less.  It is not
+    tried where L dt >= LINEAR_LAM_DT, where some boundary row has
+    beta0 <= 0, whose row the allowance cannot cover, or where a residual
+    of the guess is not finite."""
     grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
     tau = grid.ts - grid.ts[0]
     guess = past.u[:, -1, None, :] + tau[:, None] * rate
@@ -584,28 +742,36 @@ def _predicted_start(spec, slab, past, rate, samples):
         growth = np.zeros(grid.nt + 1)
     phi, drive = tau * growth, growth[:-1]
     edge = np.stack([beta0 for _, beta0, _ in samples.ends], axis=-1) * phi[1:, None]
-    outward = np.array([-1.0, 1.0])[:, None, None]
-    push, passed, start = np.zeros(2), np.zeros(2, dtype=bool), guess.copy()
     interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
+    evaluations = 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(1 + START_WIDENINGS):
-            # A NaN residual makes need NaN, and a row that phi cannot
-            # move (beta0 <= 0) makes it infinite: the start is given up.
-            need = np.maximum(
-                np.max(np.where(interior > 0.0, interior / drive, 0.0), axis=1),
-                np.max(np.where(ends > 0.0, ends / np.maximum(edge, 0.0), 0.0), axis=(1, 2)),
-            )
-            push = np.where(passed, push, 2.0 * (push + need))
-            if not np.all(np.isfinite(push)):
-                return None
-            np.clip(guess[:, 1:] + outward * push[:, None, None] * phi[1:, None],
-                    bracket[0], bracket[1], out=start[:, 1:])
-            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
-            # max keeps a NaN, which fails the comparison.
-            passed = (np.max(interior, axis=1) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
-            if passed.all():
-                return start
-    return None
+        push = 2.0 * _need(interior, ends, drive, edge)
+    width = float(np.max(bracket[1] - bracket[0]))
+    linear = (lam * grid.dt < LINEAR_LAM_DT and np.all(edge > 0.0)
+              and np.all(np.isfinite(interior)) and np.all(np.isfinite(ends)))
+    operands = spec, slab, past, samples, guess, interior, ends, lam, phi, drive, edge
+    start = _candidate(guess, bracket, None, push, phi) if np.all(np.isfinite(push)) else None
+    if linear and start is not None and _width(start) >= width:
+        start, more = _linear_start(*operands)
+        evaluations += more
+        if start is not None:
+            return start, "linear", evaluations
+        linear = False
+    start, push, more = _widen(
+        spec, grid, past, samples, guess, bracket, None, push, phi, drive, edge, start
+    )
+    evaluations += more
+    if not linear or start is not None and _width(start) < width:
+        return start, None if start is None else "uniform", evaluations
+    uniform = None if start is None else push
+    del start
+    start, more = _linear_start(*operands)
+    evaluations += more
+    if start is not None:
+        return start, "linear", evaluations
+    if uniform is None:
+        return None, None, evaluations
+    return _candidate(guess, bracket, None, uniform, phi), "uniform", evaluations
 
 
 def _start(slab, spec, past, rate, samples, keep_states):
@@ -616,14 +782,39 @@ def _start(slab, spec, past, rate, samples, keep_states):
     bracket."""
     lo, hi = slab.bracket.u11[1:], slab.bracket.u12[1:]
     if np.any(hi > lo):
-        start = _predicted_start(spec, slab, past, rate, samples)
+        start, slab.push, slab.evaluations = _predicted_start(spec, slab, past, rate, samples)
         if start is not None:
             slab.bracket.u1[:, 1:] = start[:, 1:]
             slab.state = IterationState(u1=start, u2=start)
             slab.states = [slab.state] if keep_states else []
             slab.stab = refresh_stabilizers(spec, slab.grid, slab.stab, start[0], start[1])
-            slab.certified = True
     slab.width = float(np.max(hi - lo))
+
+
+def _same_steps(one, other):
+    """Whether two StepSamples are bitwise equal: as many steps, and the
+    same bits of a, b and the end rows at each (a signed zero or a NaN
+    compared as its bits)."""
+    pairs = [(one.a, other.a), (one.b, other.b)]
+    pairs += [pair for ends in zip(one.ends, other.ends) for pair in zip(*ends)]
+    return all(
+        x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in pairs
+    )
+
+
+def _slab_operators(spec, slab, windows, samples, held):
+    """The slab's window operators, factored with its stabilizer: held,
+    operators built on StepSamples bitwise equal to samples (see
+    _same_steps), taken over, refactored in place with k0 set so that
+    their errors name the slab's strip steps; built afresh on samples
+    where held is None."""
+    if held is None:
+        return _window_operators(spec, slab.grid, slab.stab, windows, slab.k0, samples)
+    for op in held:
+        object.__setattr__(op, "k0", slab.k0)
+        refactor_window_operator(op, slab.stab.c_total)
+    return held
 
 
 def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
@@ -645,12 +836,13 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     one's.  Targets only fall and every slab has max_sweeps, so this
     ends.
 
-    The working set follows the slab: a slab's window operators live
-    while it sweeps (see _sweep_slab), and what the run keeps of a slab
-    that has stopped is only what resuming it needs, its state and
-    stabilizer.  The result is written into the bracket's own array once
-    no slab can resume, so the levels after a slab that failed keep the
-    bracket.
+    The working set follows the slab: the run holds the window
+    operators of the last slab run, which the next one takes over where
+    its steps are the same and drops otherwise (see _slab_operators), and
+    what the run keeps of a slab that has stopped is only what resuming
+    it needs, its state and stabilizer.  The result is written into the
+    bracket's own array once no slab can resume, so the levels after a
+    slab that failed keep the bracket.
     """
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12)
@@ -666,9 +858,12 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     history = ConvergenceHistory()
     pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
     j, reason = 0, None
+    ops = steps = None  # the window operators of the last slab run and its StepSamples
     while j < len(slabs):
         slab = slabs[j]
         samples = sample_steps(slab.grid, spec.coeffs, spec.bc_left, spec.bc_right)
+        if ops is not None and not _same_steps(steps, samples):
+            ops = None
         if slab.state.sweep_index == 0:
             if j == 0:
                 rate = _first_rate(spec, slab.grid, samples)
@@ -676,9 +871,10 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
                 last = slabs[j - 1].state.u2
                 rate = (last[0, -1] - last[0, -2] + last[1, -1] - last[1, -2]) / (2.0 * grid.dt)
             _start(slab, spec, pasts[j], rate, samples, keep_states)
+        ops, steps = _slab_operators(spec, slab, windows, samples, ops), samples
         carried, reason = _sweep_slab(
-            slab, spec, windows, pasts[j], samples, history, tol, max_sweeps,
-            abort_on_chain_violation, keep_states,
+            slab, spec, ops, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
+            keep_states,
         )
         if reason is not None:
             break
@@ -701,7 +897,9 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
 
     ran = [slab for slab in slabs if slab.state.sweep_index > 0]
     history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
-    history.slab_starts = [(slab.k0, slab.k1, slab.certified, slab.width) for slab in ran]
+    history.slab_starts = [(slab.k0, slab.k1, slab.push is not None, slab.width) for slab in ran]
+    history.linear_starts = [(slab.k0, slab.k1) for slab in ran if slab.push == "linear"]
+    history.start_evaluations = [slab.evaluations for slab in ran]
     if keep_states:
         history.states = _composite_states(init, slabs[: j + 1])
     final = init.u2
@@ -728,7 +926,9 @@ def run_dd(spec, grid, decomp, tol, max_sweeps, abort_on_chain_violation=False, 
     number of slabs, and in each slab it is lowered on the current
     envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
     module docstring).  A slab's window operators are built when it
-    starts sweeping and refactored in place by a refresh that changes c.
+    starts sweeping, or taken over from the slab run before it where its
+    steps are the same, and refactored in place by a refresh that
+    changes c.
     history.c_max records the largest c each sweep used,
     history.slab_sweeps the sweeps per slab.
     """

@@ -1,9 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monodd import (
@@ -24,9 +25,15 @@ from monodd import (
     sample_field,
 )
 from monodd import iteration, volterra
-from monodd.discretization import MMatrixViolation, Subrange, m_matrix_check
+from monodd.discretization import (
+    MMatrixViolation,
+    Subrange,
+    m_matrix_check,
+    march_window,
+    sample_steps,
+)
 from monodd.iteration import _u0_row
-from monodd.verify import CHAIN_SLACK, sweep_metrics
+from monodd.verify import CHAIN_SLACK, bracket_residuals, sweep_metrics
 from monodd.volterra import Past, compute_stabilizers, eval_F1_field
 
 from conftest import desk_logistic, kpp, make_zero_problem
@@ -216,15 +223,16 @@ class TestRunDD:
 
 
 def record_builds(monkeypatch):
-    """(window, k0, k1) of every window operator the run builds, in order."""
+    """(window, k0, k1) of every window operator the run builds for its
+    sweeps, in order (not a start's linear-response operator)."""
     builds = []
-    build = iteration.build_window_operator
+    build = iteration._window_operators
 
-    def counted(grid, window, coeffs, c_field, left, right, k0=0, samples=None):
-        builds.append((window, k0, k0 + grid.nt))
-        return build(grid, window, coeffs, c_field, left, right, k0, samples=samples)
+    def counted(spec, grid, stab, windows, k0=0, samples=None):
+        builds.extend((window, k0, k0 + grid.nt) for window in windows)
+        return build(spec, grid, stab, windows, k0, samples)
 
-    monkeypatch.setattr(iteration, "build_window_operator", counted)
+    monkeypatch.setattr(iteration, "_window_operators", counted)
     return builds
 
 
@@ -254,19 +262,59 @@ def record_slab_runs(monkeypatch):
     return runs
 
 
+def record_operators(monkeypatch):
+    """(k0, k1, ops, plans) of every slab run as its sweeps begin: its
+    window operators and their march plans (None before a first march)."""
+    entries = []
+    sweep_slab = iteration._sweep_slab
+
+    def recorded(slab, spec, ops, *args):
+        entries.append((slab.k0, slab.k1, list(ops), [op.plan for op in ops]))
+        return sweep_slab(slab, spec, ops, *args)
+
+    monkeypatch.setattr(iteration, "_sweep_slab", recorded)
+    return entries
+
+
+def taken_over(slab_sweeps):
+    """(k0, k1) of the slab runs whose steps repeat the run before them, for
+    data that do not depend on t: those of the same length."""
+    return {
+        (k0, k1) for (a0, a1, _), (k0, k1, _) in zip(slab_sweeps, slab_sweeps[1:])
+        if k1 - k0 == a1 - a0
+    }
+
+
+def slab_operands(spec, grid, k0, k1, scale=1.0):
+    """The slab k0..k1 of grid as _slab_operators reads it, its stabilizer
+    the initial bracket's times scale, and its StepSamples."""
+    init = init_state(spec, grid)
+    stab = compute_stabilizers(spec, grid, init.u11, init.u12).levels(k0, k1)
+    slab = SimpleNamespace(k0=k0, grid=grid.levels(k0, k1),
+                           stab=dataclasses.replace(stab, c_total=scale * stab.c_total))
+    return slab, sample_steps(slab.grid, spec.coeffs, spec.bc_left, spec.bc_right)
+
+
+FACTORS = ("d", "dl", "du", "du2", "ipiv", "left_h", "right_h", "pinned")
+
+
 class TestOperatorsPerSlab:
-    def test_built_per_slab_run_and_refactored_when_c_changes(self, monkeypatch):
-        # Step matrices are audited where they are factored: when a slab
-        # starts sweeping, its window operators are built (one build per
-        # window, of exactly the slab's steps k0+1..k1), and each refresh
-        # that changes the slab's stabilizer refactors them.  A slab whose
-        # predicted start certifies refreshes on it before its operators
-        # are built, which refactors nothing; it then refreshes after its
-        # sweeps 1, 2, 4, ... that another sweep follows, each refresh put
-        # off by one sweep when the slab's last two gaps predict that the
-        # next sweep reaches tol (gap^2 <= tol * previous).  Desk logistic's
-        # f grows where u < 1/2, so its c falls below 0 there and every
-        # refresh lowers it further: each refactors.
+    def test_equal_steps_take_over_the_operators_and_refreshes_refactor_them(self, monkeypatch):
+        # Step matrices are audited where they are factored.  A slab whose
+        # steps repeat those of the slab run before it (the same length,
+        # and desk logistic's data do not depend on t) takes over that
+        # run's window operators: it refactors them with its own c, builds
+        # nothing, and keeps their march plans.  Any other slab builds its
+        # own (one build per window, of exactly the slab's steps k0+1..k1).
+        # Each refresh that changes the slab's stabilizer refactors them.
+        # A slab whose predicted start certifies refreshes on it before it
+        # takes its operators, which refactors nothing; it then refreshes
+        # after its sweeps 1, 2, 4, ... that another sweep follows, each
+        # refresh put off by one sweep when the slab's last two gaps
+        # predict that the next sweep reaches tol (gap^2 <= tol *
+        # previous).  Desk logistic's f grows where u < 1/2, so its c falls
+        # below 0 there and every refresh lowers it further: each
+        # refactors.
         tol = 1e-9
         gaps, changed = [], []
         metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
@@ -297,64 +345,147 @@ class TestOperatorsPerSlab:
             return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
 
         def expected_refactors(hist, windows):
-            # (k0, k1, built) of every refresh in order: the start's, before
-            # the build, and then those after sweeps.
-            scheduled = [
-                (k0, k1, built)
-                for (k0, k1, _), (*_, certified, _), after in zip(
-                    hist.slab_sweeps, hist.slab_starts, per_slab(hist)
-                )
-                for built in [False] * certified + [True] * len(after)
-            ]
-            assert len(scheduled) == len(changed)
-            return [
-                (window, k0, k1)
-                for (k0, k1, built), change in zip(scheduled, changed)
-                if change and built
-                for window in windows
-            ]
+            # Per slab: the start's refresh, before the slab has operators,
+            # then the take-over's refactor, then those of the refreshes
+            # after sweeps that change c.
+            changes, expected = iter(changed), []
+            for (k0, k1, _), (*_, certified, _), after in zip(
+                hist.slab_sweeps, hist.slab_starts, per_slab(hist)
+            ):
+                if certified:
+                    next(changes)
+                if (k0, k1) in taken_over(hist.slab_sweeps):
+                    expected += [(window, k0, k1) for window in windows]
+                for _ in after:
+                    if next(changes):
+                        expected += [(window, k0, k1) for window in windows]
+            assert next(changes, None) is None
+            return expected
 
         builds, refactors = record_builds(monkeypatch), record_refactors(monkeypatch)
-        runs = record_slab_runs(monkeypatch)
+        entries = record_operators(monkeypatch)
         monkeypatch.setattr(iteration, "sweep_metrics", recorded)
         monkeypatch.setattr(iteration, "refresh_stabilizers", compared)
         spec = desk_logistic()
-        grid = build_grid(spec.domain, 16, 8)
+        grid = build_grid(spec.domain, 16, 12)
 
-        windows = (Subrange(0, 10), Subrange(6, 16))
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50)
-        assert len(hist.slab_sweeps) > 1 and all(start[2] for start in hist.slab_starts)
-        assert any(len(after) < sweeps - 2
-                   for after, (*_, sweeps) in zip(per_slab(hist), hist.slab_sweeps))
-        assert runs == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
-        assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
-        assert refactors == expected_refactors(hist, windows)
-        assert changed and all(changed)
-        for recorded_list in (builds, refactors, gaps, changed, runs):
-            recorded_list.clear()
-        sol, hist = run_single_domain(spec, grid, tol, 50)
-        windows = (Subrange(0, 16),)
-        assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for window in windows]
-        assert refactors == expected_refactors(hist, windows)
-        # Some refresh was put off: fewer than one after each sweep 1, 2, 4,
-        # ... that another sweep of the slab follows.
+        for run, windows in (
+            (lambda: run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50),
+             (Subrange(0, 10), Subrange(6, 16))),
+            (lambda: run_single_domain(spec, grid, tol, 50), (Subrange(0, 16),)),
+        ):
+            for recorded_list in (builds, refactors, gaps, changed, entries):
+                recorded_list.clear()
+            sol, hist = run()
+            assert len(hist.slab_sweeps) > 1 and all(start[2] for start in hist.slab_starts)
+            assert taken_over(hist.slab_sweeps)
+            runs = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
+            assert [(k0, k1) for k0, k1, *_ in entries] == runs
+            assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps
+                              if (k0, k1) not in taken_over(hist.slab_sweeps) for window in windows]
+            for (_, _, ops, _), (k0, k1, taken, plans) in zip(entries, entries[1:]):
+                if (k0, k1) in taken_over(hist.slab_sweeps):
+                    assert all(a is b for a, b in zip(taken, ops))
+                    assert all(plan is op.plan and plan is not None for plan, op in zip(plans, ops))
+                else:
+                    assert not any(a is b for a in taken for b in ops)
+            assert refactors == expected_refactors(hist, windows)
+            assert changed and all(changed)
+        # On the single domain some refresh was put off: fewer than one
+        # after each sweep 1, 2, 4, ... that another sweep of the slab
+        # follows.
         due = sum(n < sweeps for *_, sweeps in hist.slab_sweeps for n in (1, 2, 4, 8, 16, 32))
         starts = sum(certified for *_, certified, _ in hist.slab_starts)
         assert len(changed) - starts < due
 
-    def test_a_resumed_slab_is_built_again(self, monkeypatch):
-        # A stalling KPP run sends the run back to earlier slabs: every
-        # time a slab is taken up, its operators are built from its current
-        # stabilizer, and dropped when it stops.
-        builds, runs = record_builds(monkeypatch), record_slab_runs(monkeypatch)
+    def test_steps_that_depend_on_t_or_differ_in_length_are_built_afresh(self, monkeypatch):
+        # With a diffusion that depends on t, no two slabs share their
+        # steps, and every slab run builds its own operators.  Between
+        # slabs of different lengths, equal data are not enough.
+        base = desk_logistic()
+        spec = dataclasses.replace(base, coeffs=dataclasses.replace(
+            base.coeffs, a=lambda t, x: (1.0 + 0.5 * t) + 0.0 * x))
+        grid = build_grid(spec.domain, 16, 8)
+        windows = (Subrange(0, 10), Subrange(6, 16))
+        builds = record_builds(monkeypatch)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 50)
+        assert sol.converged and taken_over(hist.slab_sweeps)
+        assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for window in windows]
+
+        first, second, third = (slab_operands(base, grid, k0, k1)[1]
+                                for k0, k1 in ((0, 2), (2, 5), (5, 8)))
+        assert not iteration._same_steps(first, second)
+        assert iteration._same_steps(second, third)
+        assert not iteration._same_steps(second, slab_operands(spec, grid, 5, 8)[1])
+        late = dataclasses.replace(base, bc_right=BoundaryCondition(
+            alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0 if t < 0.7 else 1e-300))
+        assert not iteration._same_steps(second, slab_operands(late, grid, 5, 8)[1])
+        signed = dataclasses.replace(base, bc_right=dataclasses.replace(
+            base.bc_right, h=lambda t: 0.0 if t < 0.7 else -0.0))
+        assert not iteration._same_steps(second, slab_operands(signed, grid, 5, 8)[1])
+
+    def test_a_march_on_a_taken_over_operator_is_bitwise_a_fresh_one(self):
+        # A slab of the same steps takes over operators that have marched
+        # and were factored with another c: it refactors them with its own,
+        # which gives bitwise the factors a fresh build gives, and marches
+        # bitwise as a fresh operator does.  Their errors name its steps.
+        spec = kpp(8.0, 0.5, 0.5)
+        grid = build_grid(spec.domain, 16, 12)
+        windows = (Subrange(0, 10), Subrange(6, 16))
+        rng = np.random.default_rng(7)
+
+        def march(op):
+            m, (nt, n) = 2, op.d.shape
+            pinned = rng.uniform(0.0, 1.0, (m, nt + 1))
+            return march_window(
+                op, rng.uniform(-1.0, 1.0, (m, nt + 1, n - 2)), rng.uniform(0.0, 1.0, (m, n)),
+                left=pinned if op.left_h is None else None,
+                right=pinned if op.right_h is None else None,
+            ).copy()
+
+        first, samples = slab_operands(spec, grid, 0, 4)
+        ops = iteration._slab_operators(spec, first, windows, samples, None)
+        for op in ops:
+            march(op)
+        plans = [op.plan for op in ops]
+        later, same = slab_operands(spec, grid, 4, 8, scale=0.5)
+        assert iteration._same_steps(samples, same)
+        taken = iteration._slab_operators(spec, later, windows, same, ops)
+        assert taken is ops and all(op.plan is plan for op, plan in zip(taken, plans))
+        assert all(op.k0 == 4 for op in taken)
+        fresh = iteration._window_operators(spec, later.grid, later.stab, windows, 4, same)
+        for old, new in zip(taken, fresh):
+            for name in FACTORS:
+                np.testing.assert_array_equal(getattr(old, name), getattr(new, name))
+            state = rng.bit_generator.state
+            on_old = march(old)
+            rng.bit_generator.state = state
+            np.testing.assert_array_equal(on_old, march(new))
+
+    def test_a_resumed_slab_refactors_to_the_factors_of_its_first_run(self, monkeypatch):
+        # A stalling KPP run sends the run back to earlier slabs.  Whether a
+        # resumed slab takes over the operators of the slab run before it or
+        # builds its own, it marches with the factors its last run ended
+        # with: those of its current stabilizer.
+        ended, resumed = {}, []
+        sweep_slab = iteration._sweep_slab
+
+        def recorded(slab, spec_, ops, *args):
+            factors = [[np.copy(getattr(op, name)) for name in FACTORS] for op in ops]
+            if slab.k0 in ended:
+                for before, now in zip(ended[slab.k0], factors):
+                    for a, b in zip(before, now):
+                        np.testing.assert_array_equal(a, b)
+                resumed.append(slab.k0)
+            out = sweep_slab(slab, spec_, ops, *args)
+            ended[slab.k0] = [[np.copy(getattr(op, name)) for name in FACTORS] for op in ops]
+            return out
+
+        monkeypatch.setattr(iteration, "_sweep_slab", recorded)
         spec = kpp(6.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
-        assert sol.converged
-        assert len(runs) > len(hist.slab_sweeps)
-        assert sorted(set(runs)) == [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
-        windows = (Subrange(0, 3), Subrange(1, 8))
-        assert builds == [(window, k0, k1) for k0, k1 in runs for window in windows]
+        assert sol.converged and resumed
 
     def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
         # linear_heat has f_u = 0, so every resample of c comes out as the
@@ -363,10 +494,10 @@ class TestOperatorsPerSlab:
         # builds.  On the desk logistic problem c falls below 0 where
         # u < 1/2 and keeps falling as the envelope closes, so every refresh
         # resamples and refactors.  Each slab starts from its certified
-        # predicted bracket, on which it resamples c before its operators
-        # are built, and refreshes after its sweeps 1 and 2: the first slab
-        # sweeps 5 times, the refresh due after sweep 4 put off as sweep 5
-        # finishes it, and the others 4 times.
+        # predicted bracket, on which it resamples c before it has
+        # operators, and refreshes after its sweeps 1 and 2 of 4.  The
+        # slabs are 5, 5 and 6 levels long, so the second takes over the
+        # first one's operators and refactors them once before its sweeps.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -387,10 +518,12 @@ class TestOperatorsPerSlab:
         spec = desk_logistic()
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
-        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 4, 4]
+        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [4, 4, 4]
         assert all(certified for *_, certified, _ in hist.slab_starts)
         window = Subrange(0, 64)
-        assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for _ in (1, 2)]
+        assert [k1 - k0 for k0, k1, _ in hist.slab_sweeps] == [5, 5, 6]
+        assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps
+                             for _ in ((0, 1, 2) if k0 == 5 else (1, 2))]
         # The strip's initial c, then each slab's start and two refreshes.
         starts = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps]
         assert resamples == [0.0] + [t for t in starts for _ in (0, 1, 2)]
@@ -399,7 +532,9 @@ class TestOperatorsPerSlab:
         # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
         # negative at steps 7 and 8 only, both in the last of the three
         # slabs (levels 5..8): the first two slabs sweep, and the audit of
-        # the last slab's build names strip step 7, not its own step 2.
+        # the last slab's build, made before its first sweep as its end
+        # rows differ from the slab before it, names strip step 7, not
+        # its own step 2.
         late = BoundaryCondition(
             alpha0=lambda t: 0.0, beta0=lambda t: -1.0 if t > 0.8 else 1.0, h=lambda t: 0.0
         )
@@ -408,7 +543,7 @@ class TestOperatorsPerSlab:
         runs = record_slab_runs(monkeypatch)
         with pytest.raises(MMatrixViolation, match="time step 7: row 0: diagonal -1 not positive"):
             run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-8, 50)
-        assert runs == [(0, 2), (2, 5), (5, 8)]
+        assert runs == [(0, 2), (2, 5)]
 
     def test_negative_robin_row_fails_audit_before_first_sweep(self, monkeypatch):
         # alpha0 = 0, beta0 < 0 makes row 0's diagonal negative.
@@ -737,7 +872,7 @@ class TestSlabs:
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert sol.converged and sol.sweeps_used == 1
         assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
-        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: None)
+        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: (None, None, 0))
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
         assert not any(certified for *_, certified, _ in hist.slab_starts)
@@ -758,30 +893,48 @@ def assert_start_certified(spec, grid, start, past):
         assert report.passed, (kind, report)
 
 
+# KPP with advection and a Robin end whose first slab starts from its
+# linear response, the uniform push certifying only at the bracket's width.
+KPP_LINEAR_START = (kpp(8.0, 0.5, 0.5), build_grid(kpp(8.0, 0.5, 0.5).domain, 64, 64),
+                    default_decomposition(64))
+
+
 class TestPredictedStart:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(small_problems(), manufactured_problems()))
+    @example(KPP_LINEAR_START)
     def test_every_certified_start_is_a_bracket_inside_the_global_one(self, case):
-        # Every start the run takes from its prediction is a discrete
-        # subsolution (lower) and supersolution (upper) at slack 0 on its
-        # slab and against its past, with row 0 the past's last row, and
-        # lies inside the global bracket.
+        # Every start the run takes from its prediction, by the uniform or
+        # the linear-response push, is a discrete subsolution (lower) and
+        # supersolution (upper) at slack 0 on its slab and against its
+        # past, with row 0 the past's last row, and lies inside the global
+        # bracket.  History names the linear-response starts and counts
+        # the residual evaluations of each start.
         spec, grid, decomp = case
-        starts = []
+        starts, pushes, evaluations = [], [], []
         predict = iteration._predicted_start
 
         def recorded(spec_, slab, past, rate, samples):
             bracket = slab.bracket.u1.copy()
-            start = predict(spec_, slab, past, rate, samples)
+            start, push, count = predict(spec_, slab, past, rate, samples)
+            evaluations.append(count)
             if start is not None:
                 starts.append((slab.k0, slab.k1, slab.grid, past, start.copy(), bracket))
-            return start
+                pushes.append((slab.k0, slab.k1, push))
+            return start, push, count
 
         with mock.patch.object(iteration, "_predicted_start", recorded):
             sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
         assert sol.converged
         assert [k0 for k0, *_ in starts] == [k0 for k0, _, certified, _ in hist.slab_starts
                                              if certified]
+        assert hist.linear_starts == [(k0, k1) for k0, k1, push in pushes if push == "linear"]
+        assert all(push in ("uniform", "linear") for *_, push in pushes)
+        assert hist.start_evaluations == evaluations
+        # The guess's, then up to 1 + START_WIDENINGS per push.
+        assert all(1 <= count <= 3 + 2 * iteration.START_WIDENINGS for count in evaluations)
+        if case is KPP_LINEAR_START:
+            assert hist.linear_starts[0][0] == 0
         init = init_state(spec, grid)
         for k0, k1, levels, past, start, bracket in starts:
             np.testing.assert_array_equal(bracket[:, 1:], init.u1[:, k0 + 1 : k1 + 1])
@@ -791,6 +944,36 @@ class TestPredictedStart:
             assert np.all(start[0] <= start[1] + CHAIN_SLACK)
             assert np.all(bracket[0, 1:] <= start[:, 1:]) and np.all(start[:, 1:] <= bracket[1, 1:])
             assert_start_certified(spec, levels, start, past)
+
+    def test_linear_response_is_nonnegative_and_meets_its_source(self):
+        # On a slab of KPP's grid, with a Robin left end and a Dirichlet
+        # right one and advection, psi of the wrong-signed residuals
+        # (negative entries count as 0) is >= 0 with row 0 zero.  Its
+        # linear residual, psi_t - a psi_xx - b psi_x - lam psi inside and
+        # alpha0 dpsi/dnu + beta0 psi at each end row, is at least the
+        # source to rounding: the branch's own inside, and the larger of
+        # the two branches' at an end row.
+        spec = kpp(8.0, 0.5, 0.5)
+        grid = build_grid(spec.domain, 16, 12).levels(4, 8)
+        samples = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
+        rng = np.random.default_rng(3)
+        interior = rng.uniform(-20.0, 20.0, (2, grid.nt, grid.nx - 1))
+        ends = rng.uniform(-1.0, 1.0, (2, grid.nt, 2))
+        lam = 3.0
+        psi = iteration._linear_response(spec, grid, samples, interior, ends, lam, k0=4)
+        assert psi.shape == (2, grid.nt + 1, grid.nx + 1)
+        assert np.all(psi[:, 0] == 0.0) and np.all(psi >= 0.0)
+        homogeneous = BoundaryCondition(alpha0=lambda t: 1.0, beta0=lambda t: 1.0, h=lambda t: 0.0)
+        linear = dataclasses.replace(
+            spec, reaction=Reaction(f=lambda t, x, u: lam * u, f_u=lambda t, x, u: lam + 0.0 * u),
+            bc_left=homogeneous, bc_right=dataclasses.replace(spec.bc_right, h=lambda t: 0.0),
+        )
+        res, bnd, _ = bracket_residuals(linear, grid, psi)
+        size = float(np.max(psi)) * (1.0 / grid.dt + 4.0 * 0.1 / grid.dx**2 + 1.0 / grid.dx + lam)
+        rounding = 64.0 * np.finfo(float).eps * max(size, 20.0)
+        assert np.all(res >= np.maximum(interior, 0.0) - rounding)
+        assert np.all(bnd >= np.maximum(np.max(ends, axis=0), 0.0) - rounding)
+        np.testing.assert_allclose(res, np.maximum(interior, 0.0), rtol=0, atol=rounding)
 
     def test_a_start_that_fails_certification_starts_from_the_bracket(self):
         # KPP whose growth rate falls from 12 to 2 at t = 0.35, at dt = 0.1:
@@ -849,9 +1032,9 @@ class TestPredictedStart:
         first, checked = {}, []
         sweep_slab = iteration._sweep_slab
 
-        def recorded(slab, spec_, windows, past, *args):
+        def recorded(slab, spec_, ops, past, *args):
             if slab.k0 not in first:
-                first[slab.k0] = (slab.certified, slab.state.u1.copy(), past)
+                first[slab.k0] = (slab.push is not None, slab.state.u1.copy(), past)
             else:
                 certified, start, before = first[slab.k0]
                 if certified and past is not before:
@@ -860,7 +1043,7 @@ class TestPredictedStart:
                     assert np.any(past.u[:, -1] != before.u[:, -1])
                     assert_start_certified(spec_, slab.grid, start, past)
                     checked.append(slab.k0)
-            return sweep_slab(slab, spec_, windows, past, *args)
+            return sweep_slab(slab, spec_, ops, past, *args)
 
         monkeypatch.setattr(iteration, "_sweep_slab", recorded)
         spec = kpp(8.0, 0.0, STALL_AMP)

@@ -25,9 +25,9 @@ MAX_SWEEPS = 200
 @pytest.mark.parametrize("spec,nx,nt,decomp,tol,sweeps,level_solves", [
     pytest.param(catalog_lookup("manufactured_1"), 128, 256, default_decomposition(128), TOL,
                  5, 1280, id="memory_dd"),
-    pytest.param(kpp(8.0, 0.5, 0.5), 256, 256, default_decomposition(256), TOL, 6, 1023,
+    pytest.param(kpp(8.0, 0.5, 0.5), 256, 256, default_decomposition(256), TOL, 4, 967,
                  id="kpp_dd"),
-    pytest.param(desk_logistic(), 512, 64, None, TOL, 5, 255, id="cli_single"),
+    pytest.param(desk_logistic(), 512, 64, None, TOL, 4, 234, id="cli_single"),
     pytest.param(kpp(8.0, 0.5, 0.0), 64, 64, default_decomposition(64), TOL, 1, 64,
                  id="kpp_64x64"),
     pytest.param(kpp(8.0, -0.5, 0.0), 32, 32, default_decomposition(32), TOL, 1, 32,
