@@ -3,9 +3,11 @@ no timing: per case the sweeps, the level-solves per window, the
 slab-sweeps (one sweep of one slab; each has a fixed cost besides its
 level-solves, see demos/slab_cost.py), the slab count, the slab runs (a
 slab taken up again after a stall counts once more), the slabs that
-started from their certified predicted bracket, those of them whose
-start is the linear-response push, the bracket_residuals evaluations the
-starts made and whether the run converged, then the totals per group.
+started from their certified predicted bracket, the bracket_residuals
+evaluations the starts made, the linearized marches that refined the
+slabs' guesses (history.predictions) and the largest change of a
+slab's last march, and whether the run converged, then the totals per
+group.
 
 The cases are
 - the survey: Fisher-KPP with lambda in {2, 4, 8}, advection in
@@ -23,6 +25,8 @@ abort on.  Grids are nx x nt.  It takes a few seconds.
 
     python demos/work_survey.py
 """
+import math
+
 from monodd import (
     Decomposition,
     build_grid,
@@ -92,7 +96,7 @@ def main():
     totals = {}
     print(f"{'group':9s} {'case':16s} {'grid':>8s} {'decomp':>8s} {'tol':>6s} "
           f"{'sweeps':>6s} {'levels':>6s} {'slab-sweeps':>11s} {'slabs':>5s} {'runs':>5s} "
-          f"{'certified':>9s} {'linear':>6s} {'evals':>5s}  converged")
+          f"{'certified':>9s} {'evals':>5s} {'marches':>7s} {'last march':>10s}  converged")
     for group, label, spec, nx, nt, decomp, tol in cases():
         runs.clear()
         decomp = decomp or default_decomposition(nx)
@@ -101,21 +105,24 @@ def main():
         slab_sweeps = sum(sweeps for *_, sweeps in hist.slab_sweeps)
         certified = sum(certified for *_, certified, _ in hist.slab_starts)
         row = (sol.sweeps_used, hist.level_solves, slab_sweeps, len(hist.slab_sweeps), len(runs),
-               certified, len(hist.linear_starts), sum(hist.start_evaluations))
+               certified, sum(hist.start_evaluations),
+               sum(marches for *_, marches, _ in hist.predictions))
+        last = max((update for *_, update in hist.predictions if not math.isnan(update)),
+                   default=math.nan)
         total = totals.setdefault(group, [0] * 10)
         for slot, value in enumerate(row + (int(sol.converged), 1)):
             total[slot] += value
         print(f"{group:9s} {label:16s} {f'{nx}x{nt}':>8s} "
               f"{f'{decomp.i1_hi},{decomp.i2_lo}':>8s} {tol:6.0e} "
               f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d} {row[5]:9d} "
-              f"{row[6]:6d} {row[7]:5d}  {sol.converged}")
+              f"{row[6]:5d} {row[7]:7d} {last:10.2e}  {sol.converged}")
     print()
-    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, certified, linear, evaluations,
+    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, certified, evaluations, marches,
                 converged, count) in totals.items():
         print(f"{group:9s} {count:3d} cases: {sweeps} sweeps, {levels} level-solves, "
               f"{slab_sweeps} slab-sweeps, {slabs} slabs, {slab_runs} slab runs, "
-              f"{certified} certified starts ({linear} linear), {evaluations} start "
-              f"evaluations, {converged} converged")
+              f"{certified} certified starts, {evaluations} start evaluations, "
+              f"{marches} predictor marches, {converged} converged")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ first march and valid across refactors, so a step is one divide, one add
 per right-hand-side column and one dgttrs call, with no allocation.
 Grid1D.levels restricts a grid to a range of time levels (a slab); an
 operator built on it, with the slab's first level as k0, holds that
-slab's steps only and names them by their strip step in its errors.
+slab's steps and names them by their strip step in its errors.  A
+stabilizer over fewer levels refactors only the first steps, and a
+march with fewer levels marches only those, so an operator serves every
+slab whose steps are its first ones.
 
 Every step matrix is checked for the M-matrix pattern each time it is
 factored, at build and at every refactor, and a violation raises
@@ -210,6 +213,8 @@ class WindowOperator:
 
     k0 is the strip level the operator's grid starts at (0 for a whole
     strip, the first level of a slab otherwise): errors name step k0+k.
+    A slab of fewer steps whose data are those of its first ones uses
+    them alone (see refactor_window_operator and march_window).
     plan is march_window's buffer and per-step dgttrs arguments for the
     column count of its last march, made by the first march with that
     count and valid across refactors, which write into the same arrays.
@@ -282,7 +287,9 @@ def build_window_operator(grid, window, coeffs, c_field, left_bc, right_bc, k0=0
     level k0 is given so that errors name strip steps.  samples, when
     given, are the StepSamples of grid with the boundary conditions of the
     strip's two ends, which a physical window end then reads in place of
-    calling coeffs and its BoundaryCondition.
+    calling coeffs and its BoundaryCondition.  c_field may cover only the
+    first levels of grid, and only those steps are then factored (see
+    refactor_window_operator).
 
     Interior row i of step k, from one a and one b call over the (nt, n-2)
     interior grid:
@@ -362,7 +369,10 @@ def refactor_window_operator(op, c_field):
     """Add the stabilizer c_field, a field over the operator's time levels
     (row 0 unused), to its matrices, check each for the M-matrix pattern
     and LU-factor every step into its factor arrays in place, all in one
-    dgttrf call on the block-diagonal stack of the steps.
+    dgttrf call on the block-diagonal stack of the steps.  A c_field over
+    its first k + 1 levels only (k <= nt) does this for its first k steps,
+    and leaves the others as they were: a march of as many steps reads
+    those alone (see march_window).
 
     Calls neither the coefficients nor the boundary data: the c-free
     matrices were kept at build.  Raises MMatrixViolation, naming the
@@ -370,49 +380,55 @@ def refactor_window_operator(op, c_field):
     unusable.
     """
     lo, hi = op.window.lo, op.window.hi
-    np.copyto(op.d, op.diag)
-    op.d[:, 1:-1] += np.asarray(c_field, dtype=float)[1:, lo + 1 : hi]
+    c_field = np.asarray(c_field, dtype=float)
+    nt, n = c_field.shape[0] - 1, op.d.shape[1]
+    if not 1 <= nt <= op.d.shape[0]:
+        raise ValueError(f"a stabilizer of {nt} steps for an operator of {op.d.shape[0]}")
+    diag, d, offdiag, sub, sup = op.diag[:nt], op.d[:nt], op.offdiag[:nt], op.sub[:nt], op.sup[:nt]
+    pinned, dl_rows = op.pinned[:nt], op.dl[:nt]
+    np.copyto(d, diag)
+    d[:, 1:-1] += c_field[1:, lo + 1 : hi]
     # m_matrix_check's tests on every step at once, as one subtraction and
     # a few reductions over the whole stack: every excess is finite and
     # >= 0 exactly where the least is >= 0 (min returns a NaN where there
     # is one) and the largest row-wise largest is finite, and every step
     # has a strictly dominant row where the least row-wise largest is > 0.
     # Only on a failure are the steps checked one by one, for the first.
-    excess = np.subtract(op.d, op.offdiag)
+    excess = np.subtract(d, offdiag)
     least, most = np.minimum.reduce, np.maximum.reduce
     largest = most(excess, 1)
     if not (
         least(excess, None) >= 0 and math.isfinite(most(largest)) and least(largest) > 0
-        and least(op.d, None) > 0 and not op.positive_off
+        and least(d, None) > 0 and not op.positive_off
     ):
-        for k, (sub, d, sup) in enumerate(zip(op.sub, op.d, op.sup)):
-            ok, diagnostic = m_matrix_check(sub, d, sup)
+        for k, (sub_k, d_k, sup_k) in enumerate(zip(sub, d, sup)):
+            ok, diagnostic = m_matrix_check(sub_k, d_k, sup_k)
             if not ok:
                 raise MMatrixViolation(
                     f"assembled system fails M-matrix check at time step {op.k0 + k + 1}: "
                     f"{diagnostic}"
                 )
 
-    nt, n = op.d.shape
     # Read flat, sub without its first entry and sup without its last are
     # the stack's off-diagonals: sub[:, 0] and sup[:, -1] are the zero
     # couplings between consecutive steps.  dl[k, 0] is row 1's coupling
     # to row 0, zeroed under a pinned first row, which is factored as the
     # identity row, and written back as L's multiplier (see WindowOperator).
-    dl, du = op.dl.reshape(-1)[:-1], op.du.reshape(-1)[:-1]
-    np.copyto(dl, op.sub.reshape(-1)[1:])
-    np.copyto(du, op.sup.reshape(-1)[:-1])
-    op.d[op.pinned, 0] = 1.0
-    op.dl[op.pinned, 0] = 0.0
+    dl, du = dl_rows.reshape(-1)[:-1], op.du[:nt].reshape(-1)[:-1]
+    np.copyto(dl, sub.reshape(-1)[1:])
+    np.copyto(du, sup.reshape(-1)[:-1])
+    d[pinned, 0] = 1.0
+    dl_rows[pinned, 0] = 0.0
     *_, du2, ipiv, info = dgttrf(
-        dl, op.d.reshape(-1), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        dl, d.reshape(-1), du, overwrite_dl=1, overwrite_d=1, overwrite_du=1
     )
     if info != 0:
         k, i = divmod(info - 1, n)
         raise ZeroPivotError(f"zero pivot at row {i} (time step {op.k0 + k + 1})")
-    op.dl[op.pinned, 0] = op.sub[op.pinned, 1]
-    op.du2.reshape(-1)[:-2] = du2
-    np.subtract(ipiv.reshape(nt, n), np.arange(0, nt * n, n, dtype=ipiv.dtype)[:, None], out=op.ipiv)
+    dl_rows[pinned, 0] = sub[pinned, 1]
+    op.du2[:nt].reshape(-1)[:-2] = du2
+    np.subtract(ipiv.reshape(nt, n), np.arange(0, nt * n, n, dtype=ipiv.dtype)[:, None],
+                out=op.ipiv[:nt])
 
 
 def _march_plan(op, m):
@@ -441,7 +457,8 @@ def march_window(op, q, initial, left=None, right=None):
     """Time-march m right-hand sides at once through a window operator.
 
     q is (m, nt+1, n-2): the lagged source on the window's interior (row
-    0 unused), over the operator's time levels.  initial is (m, n), the
+    0 unused), over the operator's time levels, or over its first nt + 1
+    levels only, which marches its first nt steps.  initial is (m, n), the
     rows at its first level, or one (n,) row for every field.  left/right
     are (m, nt+1) Dirichlet values for a pinned end (row 0 unused) and
     must be None for a physical end.  Each step divides the previous
@@ -463,10 +480,14 @@ def march_window(op, q, initial, left=None, right=None):
     if op.plan is None or op.plan[0].shape[1] != m:
         object.__setattr__(op, "plan", _march_plan(op, m))
     u, carried, steps = op.plan
+    nt = q.shape[1] - 1
+    if nt < len(steps):
+        u, steps = u[: nt + 1], steps[:nt]
     u[0] = initial
     u[1:, :, 1:-1] = q[:, 1:].transpose(1, 0, 2)
-    u[1:, :, 0] = op.left_h[:, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
-    u[1:, :, -1] = op.right_h[:, None] if right is None else np.asarray(right, dtype=float)[:, 1:].T
+    u[1:, :, 0] = op.left_h[:nt, None] if left is None else np.asarray(left, dtype=float)[:, 1:].T
+    u[1:, :, -1] = (op.right_h[:nt, None] if right is None
+                    else np.asarray(right, dtype=float)[:, 1:].T)
     divide, add, solve, dt = np.divide, np.add, dgttrs, op.dt
     for prev, columns, args in steps:
         divide(prev, dt, out=carried)

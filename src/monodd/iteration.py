@@ -54,24 +54,24 @@ finish the slab.
 The sweeps a slab needs grow with the distance between the sub- and
 supersolution it starts from (Pao, 1992, ch. 2-3), so before its first
 sweep a slab predicts a tighter pair on its levels from rows the run
-holds: each branch's last row of the past, carried on at the rate of
-the previous slab's final midpoint (for slab 0, the rate the scheme
-gives u0 at the first step), pushed outward by a multiple of tau
-e^{L tau} in backward-Euler form and clipped into the bracket (see
-_predicted_start).  The pair is certified
-by verify.bracket_residuals, the residuals of check_bracket, on the
-slab's grid and its past at slack 0.  Where that uniform push certifies
-no narrower than the slab's bracket, or not at all, the slab tries a
-push shaped by its own linear response: the solution of its
-backward-Euler linear problem with stabilizer -L whose source is the
-guess's wrong-signed residuals, node by node, certified the same way
-and kept where it is narrower than the bracket.  A certified pair is
-the slab's state, is written into the rows of the bracket's own array
-that its chain links read, and lowers its stabilizer by a refresh on it
+holds.  Its guess carries each branch's last row of the past on at the
+rate of the previous slab's final midpoint (for slab 0, the rate the
+scheme gives u0 at the first step), and is refined by PREDICTOR_MARCHES
+linearized marches of the slab's backward-Euler problem on one
+whole-strip window, each a sweep from the pair (guess, guess) whose
+stabilizer max(-f_u, -1/(2 dt)) at the guess's midpoint makes it a
+Newton step in f (see _refine).  The refined guess is pushed outward by
+a multiple of tau e^{L tau} in backward-Euler form and clipped into the
+bracket (see _predicted_start), and the pair is certified by
+verify.bracket_residuals, the residuals of check_bracket, on the slab's
+grid and its past at slack 0: the marches only choose the guess, and
+the certificate is what makes it a bracket.  A certified pair is the
+slab's state, is written into the rows of the bracket's own array that
+its chain links read, and lowers its stabilizer by a refresh on it
 before the slab takes its operators; otherwise, after START_WIDENINGS
 widenings, the slab starts from the bracket.  The a and b samples and
 boundary rows of the slab's steps (discretization.sample_steps) serve
-the residuals, the linear response and the operator build.  A slab
+the residuals, the marches and the operator builds.  A slab
 stops at the first sweep whose gap, over its levels and its carried
 first row, is <= tol: every lower iterate is a subsolution and every
 upper one a supersolution, so that envelope is the certified product,
@@ -94,24 +94,29 @@ sweeps_used is the largest per-slab count, and history.slab_sweeps lists
 levels per window (history.level_solves).  history.slab_starts lists
 (k0, k1, certified, width) per slab run: whether it started from its
 certified prediction, and the largest gap of its start on its levels;
-history.linear_starts the (k0, k1) of the slab runs whose start is the
-linear-response push, and history.start_evaluations the bracket_residuals
-evaluations each slab run's start made.
+history.start_evaluations the bracket_residuals evaluations each slab
+run's start made, and history.predictions (k0, k1, marches, update) per
+slab run: the marches that refined its guess and the largest change the
+last one made.
 
 The two branches are one stacked array.  The run's working set follows
 the slab.  Per slab run, in this order: its steps are sampled, it
 starts (a slab the run comes back to keeps its state), and it takes its
-window operators.  The run holds those of the last slab run; where the
-new slab's StepSamples are bitwise those they were built on (as many
-steps, the same a, b and end rows, as for data that do not depend on t
-and slabs of one length), it takes them over, refactors them with its
-own stabilizer and sets their k0, so an M-matrix failure names the
-strip's time step, keeping their arrays and march plans; otherwise it
-builds its own on its levels.  Either way the factors are those of its
-current stabilizer, bitwise, which a refresh that changes c refactors
-in place.  What the run keeps of a stopped slab is what resuming it
-needs (its state and stabilizer); its start is in the bracket's own
-rows, and the result goes into the bracket's own array at the end.  A sweep
+window operators.  The run holds one set of operators (_Held): the
+window operators and the predictor's whole-strip operator (with one
+window, the window's own), built for as many steps as the longest slab
+has.  Where a slab has no more steps and its StepSamples are bitwise
+their first (the same a, b and end rows, as for data that do not depend
+on t, at either of the two slab lengths), it takes them over: it
+refactors them on its steps, for each march with its c and then with
+its own stabilizer, and sets their k0, so an M-matrix failure names the
+strip's time step, keeping their arrays and march plans; otherwise the
+run drops them and builds new ones from this slab's first level.
+Either way the factors of the slab's steps are those of its current
+stabilizer, bitwise, which a refresh that changes c refactors in place.
+What the run keeps of a stopped slab is what resuming it needs (its
+state and stabilizer); its start is in the bracket's own rows, and the
+result goes into the bracket's own array at the end.  A sweep
 evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
@@ -126,6 +131,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -133,9 +139,13 @@ import numpy as np
 from .discretization import (
     Field,
     Grid1D,
-    Subrange,
-    build_grid,
+    MMatrixViolation,
     StepSamples,
+    Subrange,
+    WindowOperator,
+    ZeroPivotError,
+    as_shape,
+    build_grid,
     build_window_operator,
     march_window,
     refactor_window_operator,
@@ -144,6 +154,7 @@ from .discretization import (
 )
 from .verify import CHAIN_SLACK, bracket_residuals, sweep_metrics
 from .volterra import (
+    C_FLOOR_DT,
     Past,
     StabilizerField,
     compute_stabilizers,
@@ -241,10 +252,11 @@ class ConvergenceHistory:
     # (k0, k1, certified, width) per slab run: whether it started from its
     # certified predicted bracket, and the largest gap of its start
     slab_starts: List[tuple] = field(default_factory=list)
-    # (k0, k1) of the slab runs whose start came from the linear-response push
-    linear_starts: List[tuple] = field(default_factory=list)
     # bracket_residuals evaluations of each slab run's start, as slab_starts
     start_evaluations: List[int] = field(default_factory=list)
+    # (k0, k1, marches, update) per slab run: the linearized marches that
+    # refined its guess and the largest change of the last (nan for none)
+    predictions: List[tuple] = field(default_factory=list)
     # "converged", "max_sweeps on slab k0..k1" or "fixed point on slab k0..k1 at gap G"
     stop_reason: str = ""
 
@@ -296,17 +308,18 @@ def _u0_row(spec, grid):
     ).copy()
 
 
-def _window_operators(spec, grid, stab, windows, k0=0, samples=None):
+def _window_operators(spec, grid, c_field, windows, k0=0, samples=None):
     """Operators of consecutive windows over [0, nx] on grid, whose first
-    level is strip level k0, from the StepSamples of grid when given: the
-    outer ends carry the physical rows, every inner end is a pinned
+    level is strip level k0, from the StepSamples of grid when given,
+    factored with the stabilizer c_field on the steps it covers: the outer
+    ends carry the physical rows, every inner end is a pinned
     interface."""
     ops = []
     for j, window in enumerate(windows):
         left = spec.bc_left if j == 0 else None
         right = spec.bc_right if j == len(windows) - 1 else None
         ops.append(build_window_operator(
-            grid, window, spec.coeffs, stab.c_total, left, right, k0, samples=samples
+            grid, window, spec.coeffs, c_field, left, right, k0, samples=samples
         ))
     return ops
 
@@ -401,11 +414,10 @@ class _Slab:
     """The levels k0..k1 of a run, restricted: grid and stabilizer, the
     bracket there (its start, once it has one), the current state (and
     the states so far, when kept), the gap the slab must reach, the gap of
-    its last sweep, the push its certified start came from (None for no
-    certified start), how wide its start was, and the residual
-    evaluations its start made.  Its
-    window operators are not kept with it: the run holds those of the
-    last slab run only (see _slab_operators)."""
+    its last sweep, whether its start is its certified prediction, how
+    wide its start was, the residual evaluations its start made and the
+    refinement of its guess.  Its window operators are not kept with it:
+    the run holds one set, which a later slab takes over (see _Held)."""
 
     k0: int
     k1: int
@@ -417,8 +429,9 @@ class _Slab:
     target: float
     gap: float = math.inf  # of its last sweep
     width: float = math.inf
-    push: Optional[str] = None  # "uniform" or "linear" for a certified start, else None
+    certified: bool = False  # whether it started from its certified prediction
     evaluations: int = 0  # of bracket_residuals by its start
+    refined: tuple = (0, math.nan)  # (marches, last update) of its guess's refinement
 
 
 # A slab whose first row is exact sits at a fixed point once its update
@@ -450,7 +463,11 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
     updates of this call is < 1 with 2 upd r / (1 - r) <= gap - target:
     if both branches' updates kept contracting at r, each branch would
     move by at most upd r / (1 - r) more, and the gap could not fall to
-    the target.  A slowly contracting slab (r near 1) does not stall.
+    the target.  A slowly contracting slab (r near 1) does not stall.  r
+    never reads the call's first update: that sweep starts from a state
+    no sweep made (a certified start, or a slab's state on a tighter
+    past) and moves it by about its width, so a narrow start whose gap
+    still falls would otherwise look contracted after two sweeps.
 
     Returns (carried, reason), both None when the slab reaches its
     target.  carried is the gap its first row brings in when the slab
@@ -491,7 +508,7 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
         if gap <= slab.target:
             outcome = None, None
             break
-        r = upd / upds[-2] if len(upds) > 1 and upd < upds[-2] else 1.0
+        r = upd / upds[-2] if len(upds) > 2 and upd < upds[-2] else 1.0
         if carried > 0.0 and upd <= tol and r < 1.0 and (
             2.0 * upd * r / (1.0 - r) <= gap - slab.target
         ):
@@ -579,127 +596,104 @@ def _need(interior, ends, drive, edge):
 _OUTWARD = np.array([-1.0, 1.0])[:, None, None]
 
 
-def _candidate(guess, bracket, base, push, phi):
+def _candidate(guess, bracket, push, phi):
     """guess with its lower branch pushed down and its upper one up by
-    base + push phi (base None for 0) on levels 1.., clipped into the
-    slab's bracket (levels 1..); row 0 is the guess's."""
+    push phi on levels 1.., clipped into the slab's bracket (levels 1..);
+    row 0 is the guess's."""
     start = np.empty(guess.shape)
     start[:, 0] = guess[:, 0]
-    shift = _OUTWARD * push[:, None, None] * phi[1:, None]
-    if base is not None:
-        shift = shift + _OUTWARD * base
-    np.clip(guess[:, 1:] + shift, bracket[0], bracket[1], out=start[:, 1:])
+    np.clip(guess[:, 1:] + _OUTWARD * push[:, None, None] * phi[1:, None],
+            bracket[0], bracket[1], out=start[:, 1:])
     return start
 
 
-def _widen(spec, grid, past, samples, guess, bracket, base, push, phi, drive, edge, start=None):
-    """The candidate of push (see _candidate; start, when the caller has
-    made it) certified by bracket_residuals at slack 0, a failing branch's
-    push widened to 2 (push + _need) of the residuals it failed by, up to
-    START_WIDENINGS times.  Returns (start, push, evaluations): start None
-    where none certifies, else with the push that certified it, and the
-    residual evaluations made."""
-    passed = np.zeros(2, dtype=bool)
+def _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge):
+    """The candidate of push (see _candidate) certified by
+    bracket_residuals at slack 0, a failing branch's push widened to
+    2 (push + _need) of the residuals it failed by, up to START_WIDENINGS
+    times.  Returns (start, evaluations): start None where
+    none certifies, and the residual evaluations made."""
     evaluations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while evaluations <= START_WIDENINGS and np.all(np.isfinite(push)):
-            if start is None:
-                start = _candidate(guess, bracket, base, push, phi)
+            start = _candidate(guess, bracket, push, phi)
             interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
             evaluations += 1
             # max keeps a NaN, which fails the comparison.
             passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
             if passed.all():
-                return start, push, evaluations
-            start = None
+                return start, evaluations
             push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
-    return None, push, evaluations
+    return None, evaluations
 
 
-# The linear-response start is tried only where Lambda dt is below this:
-# its step matrices, with the stabilizer -Lambda, are then diagonally
-# dominant by 1/dt - Lambda > 1/(2 dt), as the solver's own (see volterra).
-LINEAR_LAM_DT = 0.5
-
-# The rounding allowance of a linear-response start at a physical end
-# row, in ulps of the sum of the row's terms (see _predicted_start).
-END_ROW_ULPS = 4.0
+# Linearized marches that refine a slab's carried guess before its start
+# is certified (see _refine).
+PREDICTOR_MARCHES = 2
 
 
-def _linear_response(spec, grid, samples, interior, ends, lam, k0=0):
-    """psi >= 0, stacked (lower, upper): the solution of the backward-Euler
-    linear problem with stabilizer -lam on one whole-strip window of grid,
-    whose first level is strip level k0 and whose StepSamples are samples,
+def _refine(spec, slab, past, guess, strip):
+    """The guess after PREDICTOR_MARCHES linearized marches of the slab's
+    backward-Euler problem, the number made and the largest change of the
+    last one (nan for none).
 
-        psi_t - a psi_xx - b psi_x - lam psi = r,  alpha0 dpsi/dnu + beta0 psi = r_end,
+    Each march is _sweep from the pair (guess, guess) over one whole-strip
+    window, both branches as two columns from the past's last rows, with
+    the stabilizer
 
-    with row 0 zero.  Each branch's r is its interior wrong-signed
-    residuals, interior (2, nt, nx-1), and an end row's r_end the larger of
-    the two branches' at that row, ends (2, nt, 2): the march's columns
-    share a physical end row's value.  Negative entries count as 0."""
-    rows = tuple(
-        (alpha0, beta0, np.maximum(np.max(ends[:, :, j], axis=0), 0.0))
-        for j, (alpha0, beta0, _) in enumerate(samples.ends)
-    )
-    op = build_window_operator(
-        grid, Subrange(0, grid.nx), spec.coeffs, np.broadcast_to(-lam, (grid.nt + 1, grid.nx + 1)),
-        spec.bc_left, spec.bc_right, k0, samples=StepSamples(samples.a, samples.b, rows),
-    )
-    q = np.zeros((2, grid.nt + 1, grid.nx - 1))
-    np.maximum(interior, 0.0, out=q[:, 1:])
-    return march_window(op, q, 0.0)
+        c_N = max(-f_u(t, x, mid), C_FLOOR_DT / dt),
 
-
-def _end_allowance(grid, samples, bracket, edge):
-    """END_ROW_ULPS ulps of a bound on the sum of a physical end row's
-    terms, |alpha0/dx| (|u| + |u'|) + |beta0 u| + |h| with u the end value
-    and u' its neighbour's, over beta0 phi, the largest at any level and
-    either end: a field clipped into the bracket is at most its largest
-    magnitude U there, so |u|, |u'| <= U."""
-    big = float(np.max(np.abs(bracket)))
-    terms = [(2.0 * np.abs(alpha0 / grid.dx) + np.abs(beta0)) * big + np.abs(h)
-             for alpha0, beta0, h in samples.ends]
-    return END_ROW_ULPS * np.finfo(float).eps * float(np.max(np.stack(terms, axis=-1) / edge))
-
-
-def _width(pair):
-    """The largest gap of a stacked pair (lower, upper) on its levels 1.."""
-    return float(np.max(pair[1, 1:] - pair[0, 1:]))
-
-
-def _linear_start(spec, slab, past, samples, guess, interior, ends, lam, phi, drive, edge):
-    """The guess pushed by its linear response (see _predicted_start),
-    certified and widened as the uniform push is, where it certifies
-    narrower than the slab's bracket, else None; and the residual
-    evaluations made."""
-    grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
-    psi = _linear_response(spec, grid, samples, interior, ends, lam, slab.k0)
-    allowance = np.full(2, _end_allowance(grid, samples, bracket, edge))
-    start, _, evaluations = _widen(
-        spec, grid, past, samples, guess, bracket, psi[:, 1:], allowance, phi, drive, edge
-    )
-    if start is not None and _width(start) >= float(np.max(bracket[1] - bracket[0])):
-        start = None
-    return start, evaluations
+    mid the guess's midpoint and f_u by f_u_values: the source F1 at the
+    guess with c_N is then a Newton step in f (where c_N is above its
+    floor) and a Picard step in the lagged memory term.  strip(c) gives
+    the slab's whole-strip operator factored with c.  A march stops the
+    refinement, keeping the guess it started from, where f_u at mid is not
+    finite, or where the operator or the march fails (a non-finite
+    solution, an M-matrix or pivot failure, a diffusion that is not
+    positive): the slab's own operators then report what is wrong with
+    its steps, as they would without a prediction."""
+    grid, update = slab.grid, math.nan
+    for marches in range(PREDICTOR_MARCHES):
+        mid = np.add(guess[0], guess[1])
+        mid *= 0.5
+        with np.errstate(all="ignore"):
+            d = as_shape(f_u_values(spec.reaction, grid.ts[:, None], grid.xs[None, :], mid,
+                                    slab.stab.fd_step), mid.shape)
+            if not np.all(np.isfinite(d)):
+                return guess, marches, update
+            c = np.maximum(np.negative(d), C_FLOOR_DT / grid.dt)
+            try:
+                op = strip(c)
+            except (ValueError, MMatrixViolation, ZeroPivotError):
+                return guess, marches, update
+            try:
+                nxt = _sweep(IterationState(guess, guess), spec, grid, StabilizerField(c, 0.0),
+                             (op,), past).u2
+            except FloatingPointError:
+                return guess, marches, update
+        update = float(np.max(np.abs(nxt - guess)))
+        guess = nxt
+    return guess, PREDICTOR_MARCHES, update
 
 
-def _predicted_start(spec, slab, past, rate, samples):
+def _predicted_start(spec, slab, past, rate, samples, strip):
     """A certified sub/supersolution pair on the slab's levels, stacked
     (lower, upper), with row 0 the past's last row, or None where none
-    certifies; with the push it came from, "uniform" or "linear" (None
-    with no pair), and the number of bracket_residuals evaluations made.
+    certifies; the number of bracket_residuals evaluations made; and the
+    (marches, last update) of the guess's refinement.
 
     The guess carries each branch's last row of the past on at rate,
     row + tau rate with tau = t - t_k0, its end values at each level those
-    that keep their boundary rows given the neighbouring node's.  The
-    uniform push moves the lower branch down and the upper one up by
-    A phi, with phi_k = tau_k (1 - L dt)^-k, the backward-Euler form of
-    tau e^{L tau}, and L = max(0, sup f_u) over the guess's first and last
-    step: a step of phi exceeds L phi by D_k = (phi_k - phi_{k-1}) / dt -
-    L phi_k = (1 - L dt)^-(k-1), and phi adds beta0 phi to a boundary row,
-    so A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over the wrong-signed
-    residuals R_k of the guess covers them to first order.  Both branches
-    are clipped into the slab's bracket.
+    that keep their boundary rows given the neighbouring node's, and is
+    refined by the linearized marches of _refine on the slab's whole-strip
+    operator strip.  The push moves the lower branch down and the upper
+    one up by A phi, with phi_k = tau_k (1 - L dt)^-k, the backward-Euler
+    form of tau e^{L tau}, and L = max(0, sup f_u) over the guess's first
+    and last step: a step of phi exceeds L phi by D_k = (phi_k -
+    phi_{k-1}) / dt - L phi_k = (1 - L dt)^-(k-1), and phi adds beta0 phi
+    to a boundary row, so A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over
+    the wrong-signed residuals R_k of the guess covers them to first
+    order.  Both branches are clipped into the slab's bracket.
 
     The pair is certified by bracket_residuals on the slab and its past
     at slack 0: the lower branch a subsolution and the upper one a
@@ -708,26 +702,7 @@ def _predicted_start(spec, slab, past, rate, samples):
     failed by to its A in the same way and is tried again, up to
     START_WIDENINGS times.  Where L dt >= 1 no push helps, nor at a
     boundary row with beta0 <= 0, so a wrong-signed residual there ends
-    the prediction.
-
-    A few large residuals size A for every node, so where the uniform
-    push certifies no narrower than the slab's bracket, or not at all,
-    the push follows the slab's own linear response instead: psi of
-    _linear_response, whose source is the guess's wrong-signed residuals
-    node by node (Pao, 1992, ch. 2, builds upper and lower solutions from
-    linear problems).  As f_u <= L on the guess, psi covers each node's
-    own residual to first order.  The candidate is the guess pushed by
-    psi + p phi, with p at first the rounding allowance of the physical
-    end rows (_end_allowance), which psi meets only to rounding, and it
-    is certified and widened as the uniform one.  It is taken only where
-    it is narrower than the bracket, and otherwise the uniform push's
-    result stands.  A larger A only widens the clipped pair, so where the
-    first uniform candidate is already as wide as the bracket, the linear
-    response is tried before the uniform push is certified at all, which
-    gives the same start for one residual evaluation less.  It is not
-    tried where L dt >= LINEAR_LAM_DT, where some boundary row has
-    beta0 <= 0, whose row the allowance cannot cover, or where a residual
-    of the guess is not finite."""
+    the prediction."""
     grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
     tau = grid.ts - grid.ts[0]
     guess = past.u[:, -1, None, :] + tau[:, None] * rate
@@ -735,6 +710,7 @@ def _predicted_start(spec, slab, past, rate, samples):
         scale = alpha0 / grid.dx + beta0
         np.divide(h + alpha0 / grid.dx * guess[:, 1:, neighbour], scale,
                   out=guess[:, 1:, end], where=scale > 0.0)
+    guess, *refined = _refine(spec, slab, past, guess, strip)
     lam = _sup_f_u(spec, grid, guess[:, [1, -1]], slab.stab.fd_step)
     if lam * grid.dt < 1.0:
         growth = (1.0 - lam * grid.dt) ** -np.arange(grid.nt + 1.0)
@@ -743,46 +719,24 @@ def _predicted_start(spec, slab, past, rate, samples):
     phi, drive = tau * growth, growth[:-1]
     edge = np.stack([beta0 for _, beta0, _ in samples.ends], axis=-1) * phi[1:, None]
     interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
-    evaluations = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         push = 2.0 * _need(interior, ends, drive, edge)
-    width = float(np.max(bracket[1] - bracket[0]))
-    linear = (lam * grid.dt < LINEAR_LAM_DT and np.all(edge > 0.0)
-              and np.all(np.isfinite(interior)) and np.all(np.isfinite(ends)))
-    operands = spec, slab, past, samples, guess, interior, ends, lam, phi, drive, edge
-    start = _candidate(guess, bracket, None, push, phi) if np.all(np.isfinite(push)) else None
-    if linear and start is not None and _width(start) >= width:
-        start, more = _linear_start(*operands)
-        evaluations += more
-        if start is not None:
-            return start, "linear", evaluations
-        linear = False
-    start, push, more = _widen(
-        spec, grid, past, samples, guess, bracket, None, push, phi, drive, edge, start
-    )
-    evaluations += more
-    if not linear or start is not None and _width(start) < width:
-        return start, None if start is None else "uniform", evaluations
-    uniform = None if start is None else push
-    del start
-    start, more = _linear_start(*operands)
-    evaluations += more
-    if start is not None:
-        return start, "linear", evaluations
-    if uniform is None:
-        return None, None, evaluations
-    return _candidate(guess, bracket, None, uniform, phi), "uniform", evaluations
+    start, evaluations = _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge)
+    return start, evaluations + 1, tuple(refined)
 
 
-def _start(slab, spec, past, rate, samples, keep_states):
+def _start(slab, spec, past, rate, samples, strip, keep_states):
     """Start a slab from its predicted bracket where it certifies (see
-    _predicted_start): that pair becomes its state, is written into the
-    rows of the bracket's own array its chain links read, and the
-    stabilizer is refreshed on it.  Otherwise the slab starts from the
-    bracket."""
+    _predicted_start, whose refinement marches on strip): that pair
+    becomes its state, is written into the rows of the bracket's own array
+    its chain links read, and the stabilizer is refreshed on it.
+    Otherwise the slab starts from the bracket."""
     lo, hi = slab.bracket.u11[1:], slab.bracket.u12[1:]
     if np.any(hi > lo):
-        start, slab.push, slab.evaluations = _predicted_start(spec, slab, past, rate, samples)
+        start, slab.evaluations, slab.refined = _predicted_start(
+            spec, slab, past, rate, samples, strip
+        )
+        slab.certified = start is not None
         if start is not None:
             slab.bracket.u1[:, 1:] = start[:, 1:]
             slab.state = IterationState(u1=start, u2=start)
@@ -803,18 +757,60 @@ def _same_steps(one, other):
     )
 
 
-def _slab_operators(spec, slab, windows, samples, held):
-    """The slab's window operators, factored with its stabilizer: held,
-    operators built on StepSamples bitwise equal to samples (see
-    _same_steps), taken over, refactored in place with k0 set so that
-    their errors name the slab's strip steps; built afresh on samples
-    where held is None."""
-    if held is None:
-        return _window_operators(spec, slab.grid, slab.stab, windows, slab.k0, samples)
-    for op in held:
-        object.__setattr__(op, "k0", slab.k0)
-        refactor_window_operator(op, slab.stab.c_total)
-    return held
+@dataclass
+class _Held:
+    """The operators a run holds across its slab runs, built on the grid
+    wide, the levels of one slab run and as many after it as the longest
+    slab has (up to the strip's end), and its StepSamples steps: the
+    window operators of its last slab run, and the whole-strip operator of
+    the predictor's marches (with one window, the window's own operator).
+    A slab of no more steps whose StepSamples are bitwise the first of
+    steps (see _same_steps) takes them over and uses their first steps;
+    so for data that do not depend on t, slabs of two lengths share them."""
+
+    wide: Grid1D
+    steps: StepSamples
+    ops: Optional[list] = None
+    strip: Optional[WindowOperator] = None
+
+    def serves(self, samples):
+        nt = samples.a.shape[0]
+        return nt <= self.steps.a.shape[0] and _same_steps(self.steps.first(nt), samples)
+
+
+def _take_over(op, k0, c_field):
+    """op, refactored in place on the steps c_field covers, with its k0 set
+    so that its errors name the strip steps of the slab whose first level
+    is k0."""
+    object.__setattr__(op, "k0", k0)
+    refactor_window_operator(op, c_field)
+    return op
+
+
+def _strip_operator(spec, slab, held, single, c_field):
+    """The slab's whole-strip operator factored with c_field: held.strip,
+    or with one window (single) its window operator, taken over where the
+    run holds one, else built on held's grid and samples and held from
+    then on."""
+    op = held.ops[0] if single and held.ops is not None else held.strip
+    if op is not None:
+        return _take_over(op, slab.k0, c_field)
+    whole = (Subrange(0, slab.grid.nx),)
+    op = _window_operators(spec, held.wide, c_field, whole, slab.k0, held.steps)[0]
+    if single:
+        held.ops = [op]
+    else:
+        held.strip = op
+    return op
+
+
+def _slab_operators(spec, slab, windows, held):
+    """The slab's window operators, factored with its stabilizer on its
+    steps: held.ops taken over (see _take_over), or built on held's grid
+    and samples where it has none."""
+    if held.ops is None:
+        return _window_operators(spec, held.wide, slab.stab.c_total, windows, slab.k0, held.steps)
+    return [_take_over(op, slab.k0, slab.stab.c_total) for op in held.ops]
 
 
 def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
@@ -836,11 +832,11 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     one's.  Targets only fall and every slab has max_sweeps, so this
     ends.
 
-    The working set follows the slab: the run holds the window
-    operators of the last slab run, which the next one takes over where
-    its steps are the same and drops otherwise (see _slab_operators), and
-    what the run keeps of a slab that has stopped is only what resuming
-    it needs, its state and stabilizer.  The result is written into the
+    The working set follows the slab: the run holds one set of
+    operators, for the longest slab's steps, which the next slab run
+    takes over where its steps are their first and drops otherwise (see
+    _Held), and what the run keeps of a slab that has stopped is only
+    what resuming it needs, its state and stabilizer.  The result is written into the
     bracket's own array once no slab can resume, so the levels after a
     slab that failed keep the bracket.
     """
@@ -858,22 +854,26 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     history = ConvergenceHistory()
     pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
     j, reason = 0, None
-    ops = steps = None  # the window operators of the last slab run and its StepSamples
+    span = max(slab.grid.nt for slab in slabs)
+    held = None
     while j < len(slabs):
         slab = slabs[j]
-        samples = sample_steps(slab.grid, spec.coeffs, spec.bc_left, spec.bc_right)
-        if ops is not None and not _same_steps(steps, samples):
-            ops = None
+        wide = grid.levels(slab.k0, min(slab.k0 + span, grid.nt))
+        steps = sample_steps(wide, spec.coeffs, spec.bc_left, spec.bc_right)
+        samples = steps.first(slab.grid.nt)
+        if held is None or not held.serves(samples):
+            held = _Held(wide, steps)  # the old operators go before any is built
         if slab.state.sweep_index == 0:
             if j == 0:
                 rate = _first_rate(spec, slab.grid, samples)
             else:
                 last = slabs[j - 1].state.u2
                 rate = (last[0, -1] - last[0, -2] + last[1, -1] - last[1, -2]) / (2.0 * grid.dt)
-            _start(slab, spec, pasts[j], rate, samples, keep_states)
-        ops, steps = _slab_operators(spec, slab, windows, samples, ops), samples
+            strip = partial(_strip_operator, spec, slab, held, len(windows) == 1)
+            _start(slab, spec, pasts[j], rate, samples, strip, keep_states)
+        held.ops = _slab_operators(spec, slab, windows, held)
         carried, reason = _sweep_slab(
-            slab, spec, ops, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
+            slab, spec, held.ops, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
             keep_states,
         )
         if reason is not None:
@@ -897,9 +897,9 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
 
     ran = [slab for slab in slabs if slab.state.sweep_index > 0]
     history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
-    history.slab_starts = [(slab.k0, slab.k1, slab.push is not None, slab.width) for slab in ran]
-    history.linear_starts = [(slab.k0, slab.k1) for slab in ran if slab.push == "linear"]
+    history.slab_starts = [(slab.k0, slab.k1, slab.certified, slab.width) for slab in ran]
     history.start_evaluations = [slab.evaluations for slab in ran]
+    history.predictions = [(slab.k0, slab.k1, *slab.refined) for slab in ran]
     if keep_states:
         history.states = _composite_states(init, slabs[: j + 1])
     final = init.u2
@@ -927,8 +927,8 @@ def run_dd(spec, grid, decomp, tol, max_sweeps, abort_on_chain_violation=False, 
     envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
     module docstring).  A slab's window operators are built when it
     starts sweeping, or taken over from the slab run before it where its
-    steps are the same, and refactored in place by a refresh that
-    changes c.
+    steps are the first of theirs, and refactored in place by a refresh
+    that changes c.
     history.c_max records the largest c each sweep used,
     history.slab_sweeps the sweeps per slab.
     """

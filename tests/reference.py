@@ -202,7 +202,7 @@ def dd_sweep(state, spec, grid, decomp, stab):
     strip with the stabilizer stab as given, the window operators built
     for this one sweep: run_dd's sweep of a one-slab run before any
     refresh."""
-    ops = _window_operators(spec, grid, stab, _dd_windows(grid, decomp))
+    ops = _window_operators(spec, grid, stab.c_total, _dd_windows(grid, decomp))
     return _sweep(state, spec, grid, stab, ops, _initial_past(spec, grid))
 
 

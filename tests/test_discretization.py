@@ -658,6 +658,38 @@ class TestWindowOperator:
             refactor_window_operator(op, c)
 
 
+    def test_a_stabilizer_over_fewer_levels_serves_the_first_steps(self):
+        # An operator of 6 steps refactored with a c over its first 4
+        # levels factors steps 1..3 bitwise as an operator built for those
+        # steps alone, with a physical left end and a pinned right one,
+        # and leaves the other steps' factors as they were; a march of 4
+        # levels marches those 3 steps bitwise as that operator does.  A c
+        # over more levels than the operator has is refused.
+        rng = np.random.default_rng(11)
+        grid = grid_of(0.0, 1.0, 0.5, 10, 6)
+        window = Subrange(0, 7)
+        coeffs = EllipticCoefficients(a=lambda t, x: 1.0 + x, b=lambda t, x: np.cos(5 * x))
+        left = catalog_lookup("linear_heat").bc_left
+        c_old = rng.uniform(0.0, 1.0, (7, 11))
+        c_new = rng.uniform(0.0, 1.0, (4, 11))
+        op = build_window_operator(grid, window, coeffs, c_old, left, None)
+        before = {name: getattr(op, name).copy() for name in ("d", "dl", "du", "du2", "ipiv")}
+        refactor_window_operator(op, c_new)
+        short = build_window_operator(grid.levels(0, 3), window, coeffs, c_new, left, None)
+        for name, old in before.items():
+            new = getattr(op, name)
+            assert new[:3].tobytes() == getattr(short, name).tobytes(), name
+            assert new[3:].tobytes() == old[3:].tobytes(), name
+        q = rng.standard_normal((2, 4, 6))
+        right = rng.standard_normal((2, 4))
+        initial = rng.standard_normal((2, 8))
+        got = march_window(op, q, initial, right=right)
+        assert got.shape == (2, 4, 8)
+        assert got.tobytes() == march_window(short, q, initial, right=right).tobytes()
+        with pytest.raises(ValueError, match="7 steps for an operator of 6"):
+            refactor_window_operator(op, np.zeros((8, 11)))
+
+
 class TestStackedFactors:
     """The block-stacked factors and the planned march against the per-step
     LAPACK loop they replace (tests/reference.py), bitwise."""

@@ -223,26 +223,28 @@ class TestRunDD:
 
 
 def record_builds(monkeypatch):
-    """(window, k0, k1) of every window operator the run builds for its
-    sweeps, in order (not a start's linear-response operator)."""
+    """(window, k0, k1) of every operator the run builds, in order: its
+    window operators and the whole-strip operator of its predictor, each
+    for the levels k0..k1 of its grid."""
     builds = []
     build = iteration._window_operators
 
-    def counted(spec, grid, stab, windows, k0=0, samples=None):
+    def counted(spec, grid, c_field, windows, k0=0, samples=None):
         builds.extend((window, k0, k0 + grid.nt) for window in windows)
-        return build(spec, grid, stab, windows, k0, samples)
+        return build(spec, grid, c_field, windows, k0, samples)
 
     monkeypatch.setattr(iteration, "_window_operators", counted)
     return builds
 
 
 def record_refactors(monkeypatch):
-    """(window, k0, k1) of every refactor the run makes after a build."""
+    """(window, k0, k1) of every refactor the run makes after a build, on
+    the steps k0+1..k1 its stabilizer covers."""
     refactors = []
     refactor = iteration.refactor_window_operator
 
     def counted(op, c_field):
-        refactors.append((op.window, op.k0, op.k0 + op.d.shape[0]))
+        refactors.append((op.window, op.k0, op.k0 + len(c_field) - 1))
         return refactor(op, c_field)
 
     monkeypatch.setattr(iteration, "refactor_window_operator", counted)
@@ -276,13 +278,10 @@ def record_operators(monkeypatch):
     return entries
 
 
-def taken_over(slab_sweeps):
-    """(k0, k1) of the slab runs whose steps repeat the run before them, for
-    data that do not depend on t: those of the same length."""
-    return {
-        (k0, k1) for (a0, a1, _), (k0, k1, _) in zip(slab_sweeps, slab_sweeps[1:])
-        if k1 - k0 == a1 - a0
-    }
+def span(hist):
+    """The levels of the longest slab of a run: those the held operators
+    are built for."""
+    return max(k1 - k0 for k0, k1, _ in hist.slab_sweeps)
 
 
 def slab_operands(spec, grid, k0, k1, scale=1.0):
@@ -298,24 +297,32 @@ def slab_operands(spec, grid, k0, k1, scale=1.0):
 FACTORS = ("d", "dl", "du", "du2", "ipiv", "left_h", "right_h", "pinned")
 
 
+def steps_of(op, name, nt):
+    """op's array name on its first nt steps (None for an end it pins)."""
+    value = getattr(op, name)
+    return None if value is None else value[:nt]
+
+
 class TestOperatorsPerSlab:
     def test_equal_steps_take_over_the_operators_and_refreshes_refactor_them(self, monkeypatch):
-        # Step matrices are audited where they are factored.  A slab whose
-        # steps repeat those of the slab run before it (the same length,
-        # and desk logistic's data do not depend on t) takes over that
-        # run's window operators: it refactors them with its own c, builds
-        # nothing, and keeps their march plans.  Any other slab builds its
-        # own (one build per window, of exactly the slab's steps k0+1..k1).
-        # Each refresh that changes the slab's stabilizer refactors them.
-        # A slab whose predicted start certifies refreshes on it before it
-        # takes its operators, which refactors nothing; it then refreshes
-        # after its sweeps 1, 2, 4, ... that another sweep follows, each
-        # refresh put off by one sweep when the slab's last two gaps
-        # predict that the next sweep reaches tol (gap^2 <= tol *
-        # previous).  Desk logistic's f grows where u < 1/2, so its c falls
-        # below 0 there and every refresh lowers it further: each
-        # refactors.
-        tol = 1e-9
+        # Step matrices are audited where they are factored.  The first slab
+        # builds the operators the run holds, for as many steps as the
+        # longest slab has: the whole-strip operator of the two marches
+        # that refine its guess, factored with the first march's c (with
+        # one window, that is the window's own operator), then its window
+        # operators.  Desk logistic's data do not depend on t, so every
+        # later slab, of either length, takes them over: it refactors the
+        # whole-strip operator on its steps for each of its marches and the
+        # window operators with its own c, builds nothing and keeps their
+        # march plans.  A slab whose predicted start certifies refreshes
+        # on it before it takes its window operators, which refactors
+        # nothing; it then refreshes after its sweeps 1, 2, 4, ... that
+        # another sweep follows, each refresh put off by one sweep when the
+        # slab's last two gaps predict that the next sweep reaches tol
+        # (gap^2 <= tol * previous).  Desk logistic's f grows where
+        # u < 1/2, so its c falls below 0 there and every refresh lowers it
+        # further: each refactors.
+        tol = 1e-12
         gaps, changed = [], []
         metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
 
@@ -344,17 +351,20 @@ class TestOperatorsPerSlab:
             starts = np.cumsum([0] + sweeps)
             return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
 
-        def expected_refactors(hist, windows):
-            # Per slab: the start's refresh, before the slab has operators,
-            # then the take-over's refactor, then those of the refreshes
-            # after sweeps that change c.
+        def expected_refactors(hist, windows, whole):
+            # Per slab: its marches' refactors of the whole-strip operator
+            # (slab 0's first march built it), the start's refresh, the
+            # window operators' take-over (with one window also slab 0's,
+            # whose operator its marches built), then the refactors of the
+            # refreshes after sweeps that change c.
             changes, expected = iter(changed), []
-            for (k0, k1, _), (*_, certified, _), after in zip(
-                hist.slab_sweeps, hist.slab_starts, per_slab(hist)
-            ):
+            for j, ((k0, k1, _), (*_, certified, _), (*_, marches, _), after) in enumerate(zip(
+                hist.slab_sweeps, hist.slab_starts, hist.predictions, per_slab(hist)
+            )):
+                expected += [(whole, k0, k1)] * (marches - (j == 0))
                 if certified:
                     next(changes)
-                if (k0, k1) in taken_over(hist.slab_sweeps):
+                if j > 0 or windows == (whole,):
                     expected += [(window, k0, k1) for window in windows]
                 for _ in after:
                     if next(changes):
@@ -367,29 +377,30 @@ class TestOperatorsPerSlab:
         monkeypatch.setattr(iteration, "sweep_metrics", recorded)
         monkeypatch.setattr(iteration, "refresh_stabilizers", compared)
         spec = desk_logistic()
-        grid = build_grid(spec.domain, 16, 12)
+        grid = build_grid(spec.domain, 16, 11)  # slabs of 3, 4 and 4 levels
+        whole = Subrange(0, 16)
 
         for run, windows in (
             (lambda: run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50),
              (Subrange(0, 10), Subrange(6, 16))),
-            (lambda: run_single_domain(spec, grid, tol, 50), (Subrange(0, 16),)),
+            (lambda: run_single_domain(spec, grid, tol, 50), (whole,)),
         ):
             for recorded_list in (builds, refactors, gaps, changed, entries):
                 recorded_list.clear()
             sol, hist = run()
-            assert len(hist.slab_sweeps) > 1 and all(start[2] for start in hist.slab_starts)
-            assert taken_over(hist.slab_sweeps)
+            assert sol.converged and len(hist.slab_sweeps) > 1
+            assert len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
+            assert all(start[2] for start in hist.slab_starts)
+            marches = [marches for *_, marches, _ in hist.predictions]
+            assert marches == [iteration.PREDICTOR_MARCHES] * len(hist.slab_sweeps)
             runs = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
             assert [(k0, k1) for k0, k1, *_ in entries] == runs
-            assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps
-                              if (k0, k1) not in taken_over(hist.slab_sweeps) for window in windows]
-            for (_, _, ops, _), (k0, k1, taken, plans) in zip(entries, entries[1:]):
-                if (k0, k1) in taken_over(hist.slab_sweeps):
-                    assert all(a is b for a, b in zip(taken, ops))
-                    assert all(plan is op.plan and plan is not None for plan, op in zip(plans, ops))
-                else:
-                    assert not any(a is b for a in taken for b in ops)
-            assert refactors == expected_refactors(hist, windows)
+            built = [whole] + [window for window in windows if window != whole]
+            assert builds == [(window, 0, span(hist)) for window in built]
+            for (_, _, ops, _), (_, _, taken, plans) in zip(entries, entries[1:]):
+                assert all(a is b for a, b in zip(taken, ops))
+                assert all(plan is op.plan and plan is not None for plan, op in zip(plans, ops))
+            assert refactors == expected_refactors(hist, windows, whole)
             assert changed and all(changed)
         # On the single domain some refresh was put off: fewer than one
         # after each sweep 1, 2, 4, ... that another sweep of the slab
@@ -398,10 +409,14 @@ class TestOperatorsPerSlab:
         starts = sum(certified for *_, certified, _ in hist.slab_starts)
         assert len(changed) - starts < due
 
-    def test_steps_that_depend_on_t_or_differ_in_length_are_built_afresh(self, monkeypatch):
+    def test_steps_that_depend_on_t_are_built_afresh(self, monkeypatch):
         # With a diffusion that depends on t, no two slabs share their
-        # steps, and every slab run builds its own operators.  Between
-        # slabs of different lengths, equal data are not enough.
+        # steps, and every slab run builds its own operators: the
+        # whole-strip one for its predictor, then its windows', each for
+        # the longest slab's levels from its first (up to the strip's
+        # end).  Held steps serve a slab of no more steps whose samples
+        # are bitwise their first: equal data at another length are
+        # enough where the held steps are the longer.
         base = desk_logistic()
         spec = dataclasses.replace(base, coeffs=dataclasses.replace(
             base.coeffs, a=lambda t, x: (1.0 + 0.5 * t) + 0.0 * x))
@@ -409,13 +424,18 @@ class TestOperatorsPerSlab:
         windows = (Subrange(0, 10), Subrange(6, 16))
         builds = record_builds(monkeypatch)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 50)
-        assert sol.converged and taken_over(hist.slab_sweeps)
-        assert builds == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps for window in windows]
+        assert sol.converged and len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
+        assert builds == [
+            (window, k0, min(k0 + span(hist), grid.nt))
+            for k0, k1, _ in hist.slab_sweeps for window in (Subrange(0, 16),) + windows
+        ]
 
         first, second, third = (slab_operands(base, grid, k0, k1)[1]
                                 for k0, k1 in ((0, 2), (2, 5), (5, 8)))
         assert not iteration._same_steps(first, second)
         assert iteration._same_steps(second, third)
+        assert iteration._Held(grid.levels(2, 5), second).serves(first)
+        assert not iteration._Held(grid.levels(0, 2), first).serves(second)
         assert not iteration._same_steps(second, slab_operands(spec, grid, 5, 8)[1])
         late = dataclasses.replace(base, bc_right=BoundaryCondition(
             alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0 if t < 0.7 else 1e-300))
@@ -424,18 +444,21 @@ class TestOperatorsPerSlab:
             base.bc_right, h=lambda t: 0.0 if t < 0.7 else -0.0))
         assert not iteration._same_steps(second, slab_operands(signed, grid, 5, 8)[1])
 
-    def test_a_march_on_a_taken_over_operator_is_bitwise_a_fresh_one(self):
-        # A slab of the same steps takes over operators that have marched
-        # and were factored with another c: it refactors them with its own,
-        # which gives bitwise the factors a fresh build gives, and marches
-        # bitwise as a fresh operator does.  Their errors name its steps.
+    @pytest.mark.parametrize("later_levels", [(4, 8), (4, 7)])
+    def test_a_march_on_a_taken_over_operator_is_bitwise_a_fresh_one(self, later_levels):
+        # A slab of the same steps, or of the first of them, takes over
+        # operators that have marched and were factored with another c: it
+        # refactors them on its steps with its own, which gives bitwise
+        # the factors a fresh build of its steps gives, and marches its
+        # steps bitwise as a fresh operator does.  Their errors name its
+        # steps.
         spec = kpp(8.0, 0.5, 0.5)
         grid = build_grid(spec.domain, 16, 12)
         windows = (Subrange(0, 10), Subrange(6, 16))
         rng = np.random.default_rng(7)
 
-        def march(op):
-            m, (nt, n) = 2, op.d.shape
+        def march(op, nt):
+            m, n = 2, op.d.shape[1]
             pinned = rng.uniform(0.0, 1.0, (m, nt + 1))
             return march_window(
                 op, rng.uniform(-1.0, 1.0, (m, nt + 1, n - 2)), rng.uniform(0.0, 1.0, (m, n)),
@@ -444,60 +467,69 @@ class TestOperatorsPerSlab:
             ).copy()
 
         first, samples = slab_operands(spec, grid, 0, 4)
-        ops = iteration._slab_operators(spec, first, windows, samples, None)
+        held = iteration._Held(first.grid, samples)
+        held.ops = ops = iteration._slab_operators(spec, first, windows, held)
         for op in ops:
-            march(op)
+            march(op, 4)
         plans = [op.plan for op in ops]
-        later, same = slab_operands(spec, grid, 4, 8, scale=0.5)
-        assert iteration._same_steps(samples, same)
-        taken = iteration._slab_operators(spec, later, windows, same, ops)
-        assert taken is ops and all(op.plan is plan for op, plan in zip(taken, plans))
+        later, same = slab_operands(spec, grid, *later_levels, scale=0.5)
+        nt = later.grid.nt
+        assert held.serves(same)
+        taken = iteration._slab_operators(spec, later, windows, held)
+        assert all(op is old for op, old in zip(taken, ops))
+        assert all(op.plan is plan for op, plan in zip(taken, plans))
         assert all(op.k0 == 4 for op in taken)
-        fresh = iteration._window_operators(spec, later.grid, later.stab, windows, 4, same)
+        fresh = iteration._window_operators(spec, later.grid, later.stab.c_total, windows, 4, same)
         for old, new in zip(taken, fresh):
             for name in FACTORS:
-                np.testing.assert_array_equal(getattr(old, name), getattr(new, name))
+                np.testing.assert_array_equal(steps_of(old, name, nt), getattr(new, name))
             state = rng.bit_generator.state
-            on_old = march(old)
+            on_old = march(old, nt)
             rng.bit_generator.state = state
-            np.testing.assert_array_equal(on_old, march(new))
+            np.testing.assert_array_equal(on_old, march(new, nt))
 
     def test_a_resumed_slab_refactors_to_the_factors_of_its_first_run(self, monkeypatch):
-        # A stalling KPP run sends the run back to earlier slabs.  Whether a
-        # resumed slab takes over the operators of the slab run before it or
-        # builds its own, it marches with the factors its last run ended
-        # with: those of its current stabilizer.
+        # A stalling KPP run sends the run back to earlier slabs.  A resumed
+        # slab takes over the operators the run holds, which other slabs
+        # and the predictor's marches have refactored since, and marches
+        # with the factors its last run ended with on its steps: those of
+        # its current stabilizer.
         ended, resumed = {}, []
         sweep_slab = iteration._sweep_slab
 
+        def factors(slab, ops):
+            nt = slab.k1 - slab.k0
+            return [[np.copy(steps_of(op, name, nt)) for name in FACTORS] for op in ops]
+
         def recorded(slab, spec_, ops, *args):
-            factors = [[np.copy(getattr(op, name)) for name in FACTORS] for op in ops]
             if slab.k0 in ended:
-                for before, now in zip(ended[slab.k0], factors):
+                for before, now in zip(ended[slab.k0], factors(slab, ops)):
                     for a, b in zip(before, now):
                         np.testing.assert_array_equal(a, b)
                 resumed.append(slab.k0)
             out = sweep_slab(slab, spec_, ops, *args)
-            ended[slab.k0] = [[np.copy(getattr(op, name)) for name in FACTORS] for op in ops]
+            ended[slab.k0] = factors(slab, ops)
             return out
 
         monkeypatch.setattr(iteration, "_sweep_slab", recorded)
-        spec = kpp(6.0, 0.0, STALL_AMP)
+        spec = kpp(8.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
         assert sol.converged and resumed
 
     def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
         # linear_heat has f_u = 0, so every resample of c comes out as the
-        # c it has, C_MARGIN at every node: the run resamples on its start
-        # and after its sweeps 1 and 2, and refactors nothing after the
-        # builds.  On the desk logistic problem c falls below 0 where
-        # u < 1/2 and keeps falling as the envelope closes, so every refresh
-        # resamples and refactors.  Each slab starts from its certified
-        # predicted bracket, on which it resamples c before it has
-        # operators, and refreshes after its sweeps 1 and 2 of 4.  The
-        # slabs are 5, 5 and 6 levels long, so the second takes over the
-        # first one's operators and refactors them once before its sweeps.
+        # c it has, C_MARGIN at every node.  Its refined guess is its
+        # solution, so with the predictor each slab sweeps once; without
+        # it the run resamples on its start and after its sweeps 1 and 2,
+        # and refactors nothing after the build.  On the desk logistic
+        # problem c falls below 0 where u < 1/2 and keeps falling as the
+        # envelope closes, so every refresh resamples and refactors.  Each
+        # slab refines its guess by two marches on the single window's
+        # operator (slab 0's first march builds it), starts from its
+        # certified predicted bracket, on which it resamples c before it
+        # takes the operator over with its own c, and refreshes after its
+        # sweep 1; slab 0's refresh after its sweep 2 of 3 is put off.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -509,24 +541,32 @@ class TestOperatorsPerSlab:
         monkeypatch.setattr(volterra, "_sampled_c_under", counted)
         spec = catalog_lookup("linear_heat")
         grid = build_grid(spec.domain, 32, 16)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=18, i2_lo=14), 1e-9, 200)
+        decomp = Decomposition(i1_hi=18, i2_lo=14)
+        sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
+        assert sol.converged and sol.sweeps_used == 1
+        with monkeypatch.context() as unrefined:
+            unrefined.setattr(iteration, "PREDICTOR_MARCHES", 0)
+            refactors.clear()
+            resamples.clear()
+            sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
         assert sol.converged and sol.sweeps_used > 4
         assert hist.c_max == [1e-6] * sol.sweeps_used
         assert refactors == [] and resamples == [0.0] * 4
 
+        refactors.clear()
         resamples.clear()
         spec = desk_logistic()
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
-        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [4, 4, 4]
+        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [3, 2, 2]
         assert all(certified for *_, certified, _ in hist.slab_starts)
         window = Subrange(0, 64)
         assert [k1 - k0 for k0, k1, _ in hist.slab_sweeps] == [5, 5, 6]
         assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps
-                             for _ in ((0, 1, 2) if k0 == 5 else (1, 2))]
-        # The strip's initial c, then each slab's start and two refreshes.
+                             for _ in range(3 if k0 == 0 else 4)]
+        # The strip's initial c, then each slab's start and one refresh.
         starts = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps]
-        assert resamples == [0.0] + [t for t in starts for _ in (0, 1, 2)]
+        assert resamples == [0.0] + [t for t in starts for _ in (0, 1)]
 
     def test_late_audit_failure_names_the_strip_step(self, monkeypatch):
         # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
@@ -756,7 +796,7 @@ class TestSlabs:
         # taking up slabs again, and still closes the whole envelope below
         # tol with the chain kept.
         runs = record_slab_runs(monkeypatch)
-        spec = kpp(6.0, 0.0, STALL_AMP)
+        spec = kpp(8.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
         decomp = Decomposition(i1_hi=3, i2_lo=1)
@@ -774,7 +814,7 @@ class TestSlabs:
         # below 0: at some sweep, every slab sweeping has c < 0 on all its
         # levels.
         runs = record_slab_runs(monkeypatch)
-        spec = kpp(6.0, 0.0, STALL_AMP)
+        spec = kpp(8.0, 0.0, STALL_AMP)
         grid = build_grid(spec.domain, 8, 12)
         tol = 1e-9
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), tol, 500)
@@ -806,7 +846,7 @@ class TestSlabs:
         resumed, kept = set(), False
         for spec, nx, nt, decomp, tol in (
             (kpp(8.0, 0.0, STALL_AMP), 8, 12, Decomposition(i1_hi=3, i2_lo=1), 1e-9),
-            (kpp(8.0, 0.5, STALL_AMP / 10), 64, 64, Decomposition(i1_hi=33, i2_lo=31), 1e-8),
+            (kpp(8.0, 0.5, STALL_AMP), 64, 64, Decomposition(i1_hi=33, i2_lo=31), 1e-8),
         ):
             slabs.clear()
             events.clear()
@@ -828,6 +868,45 @@ class TestSlabs:
                 resumed.add("the one before" if next_k0 == earlier[-1] else "earlier")
         # Both resume rules and the min are exercised.
         assert resumed == {"slab 0", "later", "the one before", "earlier"} and kept
+
+    @pytest.mark.parametrize("kind", ["narrow start", "stall"])
+    def test_the_stall_test_reads_no_first_sweep(self, monkeypatch, kind):
+        # The first sweep of a slab run starts from a state no sweep made
+        # (a certified start, or a slab's state on a tighter past), and its
+        # update is about the start's width, not what the iteration's
+        # contraction gives: a ratio that reads it can stall a slab whose
+        # gap still falls.  Here the slab's start is narrow, so its second
+        # update is already <= tol and a tenth of its first; the gap then
+        # falls by 0.92 a sweep to its target, and the slab is not stalled
+        # (a ratio of its first two updates stalls it after sweep 2).  A
+        # slab whose gap stays where its carried gap puts it while both
+        # branches settle stalls at its third sweep.
+        tol = target = 1e-8
+        if kind == "narrow start":
+            script = [(4.2e-8, 4.1e-8)] + [(3.9e-8 * 0.92**n, 2.9e-9 * 0.92**n) for n in range(40)]
+        else:
+            script = [(5e-8, 4e-8), (4e-8, 5e-9), (3.9e-8, 2.5e-9), (3.89e-8, 1.25e-9)]
+        sweeps = iter(script)
+        monkeypatch.setattr(iteration, "_sweep", lambda state, *args: IterationState(
+            u1=state.u1, u2=state.u2, sweep_index=state.sweep_index + 1))
+        monkeypatch.setattr(iteration, "sweep_metrics", lambda *args: (*next(sweeps), 0.0))
+        monkeypatch.setattr(iteration, "refresh_stabilizers", lambda spec, grid, stab, *_: stab)
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 8, 4)
+        init = init_state(spec, grid)
+        stab = compute_stabilizers(spec, grid, init.u11, init.u12)
+        slab = iteration._Slab(0, 4, grid, stab, init, init, [], target)
+        past = Past.initial(np.stack((np.zeros(9), np.full(9, 1e-9))), grid)  # carries 1e-9
+        history = iteration.ConvergenceHistory()
+        carried, reason = iteration._sweep_slab(slab, spec, [], past, history, tol, 100, False,
+                                                False)
+        assert reason is None
+        if kind == "narrow start":
+            assert carried is None and slab.gap <= target
+            assert slab.state.sweep_index == 1 + next(
+                n for n, (gap, _) in enumerate(script[1:], 1) if gap <= target)
+        else:
+            assert carried == 1e-9 and slab.state.sweep_index == 3
 
     @pytest.mark.parametrize("name,params,nx,nt", [
         ("manufactured_1", {}, 32, 32),
@@ -872,7 +951,7 @@ class TestSlabs:
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert sol.converged and sol.sweeps_used == 1
         assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
-        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: (None, None, 0))
+        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: (None, 0, (0, np.nan)))
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
         assert not any(certified for *_, certified, _ in hist.slab_starts)
@@ -893,48 +972,47 @@ def assert_start_certified(spec, grid, start, past):
         assert report.passed, (kind, report)
 
 
-# KPP with advection and a Robin end whose first slab starts from its
-# linear response, the uniform push certifying only at the bracket's width.
-KPP_LINEAR_START = (kpp(8.0, 0.5, 0.5), build_grid(kpp(8.0, 0.5, 0.5).domain, 64, 64),
-                    default_decomposition(64))
+# KPP with advection and a Robin end whose first slab, from its carried
+# guess alone, certified only at the bracket's width.
+KPP_WIDE_START = (kpp(8.0, 0.5, 0.5), build_grid(kpp(8.0, 0.5, 0.5).domain, 64, 64),
+                  default_decomposition(64))
 
 
 class TestPredictedStart:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.one_of(small_problems(), manufactured_problems()))
-    @example(KPP_LINEAR_START)
+    @example(KPP_WIDE_START)
     def test_every_certified_start_is_a_bracket_inside_the_global_one(self, case):
-        # Every start the run takes from its prediction, by the uniform or
-        # the linear-response push, is a discrete subsolution (lower) and
-        # supersolution (upper) at slack 0 on its slab and against its
-        # past, with row 0 the past's last row, and lies inside the global
-        # bracket.  History names the linear-response starts and counts
-        # the residual evaluations of each start.
+        # Every start the run takes from its refined prediction is a
+        # discrete subsolution (lower) and supersolution (upper) at slack 0
+        # on its slab and against its past, with row 0 the past's last
+        # row, and lies inside the global bracket.  History counts the
+        # residual evaluations of each start and the marches that refined
+        # its guess.
         spec, grid, decomp = case
-        starts, pushes, evaluations = [], [], []
+        starts, evaluations, refinements = [], [], []
         predict = iteration._predicted_start
 
-        def recorded(spec_, slab, past, rate, samples):
+        def recorded(spec_, slab, past, rate, samples, strip):
             bracket = slab.bracket.u1.copy()
-            start, push, count = predict(spec_, slab, past, rate, samples)
+            start, count, refined = predict(spec_, slab, past, rate, samples, strip)
             evaluations.append(count)
+            refinements.append(refined)
             if start is not None:
                 starts.append((slab.k0, slab.k1, slab.grid, past, start.copy(), bracket))
-                pushes.append((slab.k0, slab.k1, push))
-            return start, push, count
+            return start, count, refined
 
         with mock.patch.object(iteration, "_predicted_start", recorded):
             sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
         assert sol.converged
         assert [k0 for k0, *_ in starts] == [k0 for k0, _, certified, _ in hist.slab_starts
                                              if certified]
-        assert hist.linear_starts == [(k0, k1) for k0, k1, push in pushes if push == "linear"]
-        assert all(push in ("uniform", "linear") for *_, push in pushes)
         assert hist.start_evaluations == evaluations
-        # The guess's, then up to 1 + START_WIDENINGS per push.
-        assert all(1 <= count <= 3 + 2 * iteration.START_WIDENINGS for count in evaluations)
-        if case is KPP_LINEAR_START:
-            assert hist.linear_starts[0][0] == 0
+        assert repr([(marches, update) for *_, marches, update in hist.predictions]) == repr(
+            refinements)
+        # The guess's, then up to 1 + START_WIDENINGS.
+        assert all(1 <= count <= 2 + iteration.START_WIDENINGS for count in evaluations)
+        assert all(0 <= marches <= iteration.PREDICTOR_MARCHES for marches, _ in refinements)
         init = init_state(spec, grid)
         for k0, k1, levels, past, start, bracket in starts:
             np.testing.assert_array_equal(bracket[:, 1:], init.u1[:, k0 + 1 : k1 + 1])
@@ -945,35 +1023,75 @@ class TestPredictedStart:
             assert np.all(bracket[0, 1:] <= start[:, 1:]) and np.all(start[:, 1:] <= bracket[1, 1:])
             assert_start_certified(spec, levels, start, past)
 
-    def test_linear_response_is_nonnegative_and_meets_its_source(self):
-        # On a slab of KPP's grid, with a Robin left end and a Dirichlet
-        # right one and advection, psi of the wrong-signed residuals
-        # (negative entries count as 0) is >= 0 with row 0 zero.  Its
-        # linear residual, psi_t - a psi_xx - b psi_x - lam psi inside and
-        # alpha0 dpsi/dnu + beta0 psi at each end row, is at least the
-        # source to rounding: the branch's own inside, and the larger of
-        # the two branches' at an end row.
+    def test_refined_guess_has_smaller_wrong_signed_residuals(self):
+        # On manufactured_1 at the benchmark's 128x256, the two marches of
+        # every slab cut the largest wrong-signed residual of its guess
+        # (above 0 for the lower branch, below 0 for the upper one, at an
+        # interior node or an end row) by at least four orders of
+        # magnitude: 5.5e6 and more, measured.  Every slab then sweeps
+        # once.
+        measured = []
+        refine = iteration._refine
+
+        def wrong(spec, grid, past, guess):
+            interior, ends, _ = bracket_residuals(spec, grid, guess, past)
+            return max(float(np.max(interior[0])), float(np.max(-interior[1])),
+                       float(np.max(ends[0])), float(np.max(-ends[1])), 0.0)
+
+        def recorded(spec_, slab, past, guess, strip):
+            carried = wrong(spec_, slab.grid, past, guess)
+            refined = refine(spec_, slab, past, guess, strip)
+            measured.append((carried, wrong(spec_, slab.grid, past, refined[0]), refined[1]))
+            return refined
+
+        spec = catalog_lookup("manufactured_1")
+        grid = build_grid(spec.domain, 128, 256)
+        with mock.patch.object(iteration, "_refine", recorded):
+            sol, hist = run_dd(spec, grid, default_decomposition(128), 1e-8, 200,
+                               abort_on_chain_violation=True)
+        assert sol.converged and sol.sweeps_used == 1 and len(measured) == 16
+        for carried, refined, marches in measured:
+            assert marches == iteration.PREDICTOR_MARCHES
+            assert refined * 1e4 <= carried
+
+    @pytest.mark.parametrize("failure", ["f_u", "march"])
+    def test_a_guess_the_marches_cannot_refine_keeps_the_carried_guess(self, monkeypatch,
+                                                                        failure):
+        # Where f_u at the guess's midpoint is not finite, or the march
+        # fails (here: it reports a non-finite solution), the predictor
+        # makes no march and certifies the carried guess: the run is
+        # bitwise the one with no marches, and raises nothing.
         spec = kpp(8.0, 0.5, 0.5)
-        grid = build_grid(spec.domain, 16, 12).levels(4, 8)
-        samples = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
-        rng = np.random.default_rng(3)
-        interior = rng.uniform(-20.0, 20.0, (2, grid.nt, grid.nx - 1))
-        ends = rng.uniform(-1.0, 1.0, (2, grid.nt, 2))
-        lam = 3.0
-        psi = iteration._linear_response(spec, grid, samples, interior, ends, lam, k0=4)
-        assert psi.shape == (2, grid.nt + 1, grid.nx + 1)
-        assert np.all(psi[:, 0] == 0.0) and np.all(psi >= 0.0)
-        homogeneous = BoundaryCondition(alpha0=lambda t: 1.0, beta0=lambda t: 1.0, h=lambda t: 0.0)
-        linear = dataclasses.replace(
-            spec, reaction=Reaction(f=lambda t, x, u: lam * u, f_u=lambda t, x, u: lam + 0.0 * u),
-            bc_left=homogeneous, bc_right=dataclasses.replace(spec.bc_right, h=lambda t: 0.0),
-        )
-        res, bnd, _ = bracket_residuals(linear, grid, psi)
-        size = float(np.max(psi)) * (1.0 / grid.dt + 4.0 * 0.1 / grid.dx**2 + 1.0 / grid.dx + lam)
-        rounding = 64.0 * np.finfo(float).eps * max(size, 20.0)
-        assert np.all(res >= np.maximum(interior, 0.0) - rounding)
-        assert np.all(bnd >= np.maximum(np.max(ends, axis=0), 0.0) - rounding)
-        np.testing.assert_allclose(res, np.maximum(interior, 0.0), rtol=0, atol=rounding)
+        grid = build_grid(spec.domain, 32, 32)
+        decomp = default_decomposition(32)
+        with monkeypatch.context() as unrefined:
+            unrefined.setattr(iteration, "PREDICTOR_MARCHES", 0)
+            want, want_hist = run_dd(spec, grid, decomp, 1e-8, 200, abort_on_chain_violation=True)
+        if failure == "f_u":
+            f_u_values = iteration.f_u_values
+
+            def non_finite(reaction, t, x, eta, eps):
+                values = f_u_values(reaction, t, x, eta, eps)
+                # The marches ask at a midpoint field, the push's sup at rows.
+                return np.where(eta > 0.3, np.nan, values) if eta.ndim == 2 else values
+
+            monkeypatch.setattr(iteration, "f_u_values", non_finite)
+        else:
+            march = iteration.march_window
+
+            def failing(op, *args, **kwargs):
+                if op.window == Subrange(0, grid.nx):
+                    raise FloatingPointError("non-finite solution at time step 1")
+                return march(op, *args, **kwargs)
+
+            monkeypatch.setattr(iteration, "march_window", failing)
+        sol, hist = run_dd(spec, grid, decomp, 1e-8, 200, abort_on_chain_violation=True)
+        assert sol.converged
+        assert all(marches == 0 for *_, marches, _ in hist.predictions)
+        np.testing.assert_array_equal(sol.u_lower, want.u_lower)
+        np.testing.assert_array_equal(sol.u_upper, want.u_upper)
+        assert hist.slab_sweeps == want_hist.slab_sweeps
+        assert repr(hist.slab_starts) == repr(want_hist.slab_starts)
 
     def test_a_start_that_fails_certification_starts_from_the_bracket(self):
         # KPP whose growth rate falls from 12 to 2 at t = 0.35, at dt = 0.1:
@@ -1034,7 +1152,7 @@ class TestPredictedStart:
 
         def recorded(slab, spec_, ops, past, *args):
             if slab.k0 not in first:
-                first[slab.k0] = (slab.push is not None, slab.state.u1.copy(), past)
+                first[slab.k0] = (slab.certified, slab.state.u1.copy(), past)
             else:
                 certified, start, before = first[slab.k0]
                 if certified and past is not before:
@@ -1133,7 +1251,8 @@ class TestRefreshedStabilizer:
         sweep = iteration._sweep
 
         def recorded(state, spec, grid, stab, ops, pasts):
-            used.append((ops[0].k0, float(np.max(stab.c_total[1:]))))
+            if len(ops) > 1:  # not a march of the predictor, on one whole-strip window
+                used.append((ops[0].k0, float(np.max(stab.c_total[1:]))))
             return sweep(state, spec, grid, stab, ops, pasts)
 
         monkeypatch.setattr(iteration, "_sweep", recorded)
@@ -1225,7 +1344,8 @@ class TestFlooredStabilizer:
     @given(small_problems())
     def test_m_matrices_monotone_F1_and_chain(self, case):
         # c goes below 0 where f grows on the envelope, down to -1/(2 dt).
-        # Every step matrix a run builds or refactors is still an M-matrix,
+        # Every step matrix a run builds or refactors, for its sweeps or
+        # for the marches that refine a slab's guess, is still an M-matrix,
         # step by step, with interior rows dominant by at least 1/(2 dt);
         # F1 = c u + f + g is nondecreasing in u between ordered fields
         # sampled in the envelope each c was computed or refreshed on; and
@@ -1264,12 +1384,13 @@ class TestFlooredStabilizer:
         floor = -0.5 / grid.dt
         for op, c in factored:
             assert np.all(c >= floor)
-            diag = op.diag.copy()
+            nt = len(c) - 1  # the steps c covers, and that it factored
+            sub, diag, sup = op.sub[:nt], op.diag[:nt].copy(), op.sup[:nt]
             diag[:, 1:-1] += c[1:, op.window.lo + 1 : op.window.hi]
-            for k in range(diag.shape[0]):
-                ok, diagnostic = m_matrix_check(op.sub[k], diag[k], op.sup[k])
+            for k in range(nt):
+                ok, diagnostic = m_matrix_check(sub[k], diag[k], sup[k])
                 assert ok, diagnostic
-            excess = diag - (np.abs(op.sub) + np.abs(op.sup))
+            excess = diag - (np.abs(sub) + np.abs(sup))
             assert np.all(excess[:, 1:-1] >= -floor - 1e-12 * diag[:, 1:-1])
 
         rng = np.random.default_rng(0)
