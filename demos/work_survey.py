@@ -1,8 +1,10 @@
 """Work counts of the decomposed solver over a fixed set of problems, with
 no timing: per case the sweeps, the level-solves per window, the
 slab-sweeps (one sweep of one slab; each has a fixed cost besides its
-level-solves, see demos/slab_cost.py), the slab count, the slab runs (a
-slab taken up again after a stall counts once more), the slabs that
+level-solves, see demos/slab_cost.py), the slab count, the slab runs that
+sweep (a slab taken up again after a stall counts once more), the slabs
+that stopped at their certified start with no sweep (a stopped slab a
+stall takes up again counts among both), the slabs that
 started from their certified predicted bracket, the bracket_residuals
 evaluations the starts made, the linearized marches that refined the
 slabs' guesses (history.predictions) and the largest change of a
@@ -78,49 +80,60 @@ def cases():
 
 
 def count_slab_runs():
-    """Wrap the run's per-slab sweep so that every time a slab is taken up
-    is counted; returns the list the counts go to."""
-    runs = []
-    sweep_slab = iteration._sweep_slab
+    """Wrap the run's per-slab sweep and its stop test at a slab's start so
+    that every time a slab is swept, and every slab that stops at its
+    start, is counted; returns the two lists the counts go to."""
+    runs, stopped = [], []
+    sweep_slab, stops_at_start = iteration._sweep_slab, iteration._stops_at_start
 
     def counted(slab, *args):
         runs.append((slab.k0, slab.k1))
         return sweep_slab(slab, *args)
 
+    def stops(slab, *args):
+        stop = stops_at_start(slab, *args)
+        if stop:
+            stopped.append((slab.k0, slab.k1))
+        return stop
+
     iteration._sweep_slab = counted
-    return runs
+    iteration._stops_at_start = stops
+    return runs, stopped
 
 
 def main():
-    runs = count_slab_runs()
+    runs, stopped = count_slab_runs()
     totals = {}
     print(f"{'group':9s} {'case':16s} {'grid':>8s} {'decomp':>8s} {'tol':>6s} "
           f"{'sweeps':>6s} {'levels':>6s} {'slab-sweeps':>11s} {'slabs':>5s} {'runs':>5s} "
-          f"{'certified':>9s} {'evals':>5s} {'marches':>7s} {'last march':>10s}  converged")
+          f"{'stopped':>7s} {'certified':>9s} {'evals':>5s} {'marches':>7s} {'last march':>10s}"
+          f"  converged")
     for group, label, spec, nx, nt, decomp, tol in cases():
         runs.clear()
+        stopped.clear()
         decomp = decomp or default_decomposition(nx)
         sol, hist = run_dd(spec, build_grid(spec.domain, nx, nt), decomp, tol, MAX_SWEEPS,
                            abort_on_chain_violation=True)
         slab_sweeps = sum(sweeps for *_, sweeps in hist.slab_sweeps)
         certified = sum(certified for *_, certified, _ in hist.slab_starts)
         row = (sol.sweeps_used, hist.level_solves, slab_sweeps, len(hist.slab_sweeps), len(runs),
-               certified, sum(hist.start_evaluations),
+               len(stopped), certified, sum(hist.start_evaluations),
                sum(marches for *_, marches, _ in hist.predictions))
         last = max((update for *_, update in hist.predictions if not math.isnan(update)),
                    default=math.nan)
-        total = totals.setdefault(group, [0] * 10)
+        total = totals.setdefault(group, [0] * 11)
         for slot, value in enumerate(row + (int(sol.converged), 1)):
             total[slot] += value
         print(f"{group:9s} {label:16s} {f'{nx}x{nt}':>8s} "
               f"{f'{decomp.i1_hi},{decomp.i2_lo}':>8s} {tol:6.0e} "
-              f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d} {row[5]:9d} "
-              f"{row[6]:5d} {row[7]:7d} {last:10.2e}  {sol.converged}")
+              f"{row[0]:6d} {row[1]:6d} {row[2]:11d} {row[3]:5d} {row[4]:5d} {row[5]:7d} "
+              f"{row[6]:9d} {row[7]:5d} {row[8]:7d} {last:10.2e}  {sol.converged}")
     print()
-    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, certified, evaluations, marches,
-                converged, count) in totals.items():
+    for group, (sweeps, levels, slab_sweeps, slabs, slab_runs, stops, certified, evaluations,
+                marches, converged, count) in totals.items():
         print(f"{group:9s} {count:3d} cases: {sweeps} sweeps, {levels} level-solves, "
               f"{slab_sweeps} slab-sweeps, {slabs} slabs, {slab_runs} slab runs, "
+              f"{stops} stopped at their start, "
               f"{certified} certified starts, {evaluations} start evaluations, "
               f"{marches} predictor marches, {converged} converged")
 

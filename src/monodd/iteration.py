@@ -66,17 +66,21 @@ bracket (see _predicted_start), and the pair is certified by
 verify.bracket_residuals, the residuals of check_bracket, on the slab's
 grid and its past at slack 0: the marches only choose the guess, and
 the certificate is what makes it a bracket.  A certified pair is the
-slab's state, is written into the rows of the bracket's own array that
-its chain links read, and lowers its stabilizer by a refresh on it
-before the slab takes its operators; otherwise, after START_WIDENINGS
-widenings, the slab starts from the bracket.  The a and b samples and
-boundary rows of the slab's steps (discretization.sample_steps) serve
-the residuals, the marches and the operator builds.  A slab
-stops at the first sweep whose gap, over its levels and its carried
-first row, is <= tol: every lower iterate is a subsolution and every
-upper one a supersolution, so that envelope is the certified product,
-and as the chain puts sweep n+1 inside the envelope of sweep n, the
-update of a further sweep could not exceed that gap anyway.  max_sweeps
+slab's state and is written into the rows of the bracket's own array
+that its chain links read; otherwise, after START_WIDENINGS widenings,
+the slab starts from the bracket.  The a and b samples and boundary
+rows of the slab's steps (discretization.sample_steps) serve the
+residuals, the marches and the operator builds.  A slab stops at the
+first sweep n >= 0 whose gap, over its levels and its carried first
+row, is <= tol: every lower iterate is a subsolution and every upper one
+a supersolution, so that envelope is the certified product, and as the
+chain puts sweep n+1 inside the envelope of sweep n, the update of a
+further sweep could not exceed that gap anyway.  Iterate 0 is the
+certified start itself, so a slab whose start already meets its target,
+in order to CHAIN_SLACK, stops there with no sweep, once the run has
+recorded a sweep (see _stops_at_start): it neither refreshes its
+stabilizer nor takes operators.  A slab that sweeps refreshes its
+stabilizer on its certified start, then takes its operators.  max_sweeps
 and the chain check apply per slab; a chain link counts as violated
 below -verify.CHAIN_SLACK.  Where the carried gap grows across
 a slab so that its gap stalls above tol, which the slab tells from the
@@ -88,10 +92,12 @@ target (see _sweep_slab), the run ends there, history.stop_reason says
 which, and the levels after it keep the bracket.
 
 History entry n aggregates the n-th sweep of every slab that ran one (the
-largest gap and update, the smallest chain margin, the largest c);
-sweeps_used is the largest per-slab count, and history.slab_sweeps lists
-(k0, k1, sweeps) per slab run, so a run solves sum (k1 - k0) sweeps
-levels per window (history.level_solves).  history.slab_starts lists
+largest gap and update, the smallest chain margin, the largest c), so a
+slab that stops at its start adds to no entry; sweeps_used is the
+largest per-slab count, and history.slab_sweeps lists (k0, k1, sweeps)
+per slab run, every slab that started (sweeps 0 for one that stopped at
+its start), so a run solves sum (k1 - k0) sweeps levels per window
+(history.level_solves).  history.slab_starts lists
 (k0, k1, certified, width) per slab run: whether it started from its
 certified prediction, and the largest gap of its start on its levels;
 history.start_evaluations the bracket_residuals evaluations each slab
@@ -101,8 +107,10 @@ last one made.
 
 The two branches are one stacked array.  The run's working set follows
 the slab.  Per slab run, in this order: its steps are sampled, it
-starts (a slab the run comes back to keeps its state), and it takes its
-window operators.  The run holds one set of operators (_Held): the
+starts (once: a slab the run comes back to keeps its state), and, unless
+it stops at its start, it refreshes its stabilizer on a certified start
+it has not swept from yet and takes its window operators.  The run holds
+one set of operators (_Held): the
 window operators and the predictor's whole-strip operator (with one
 window, the window's own), built for as many steps as the longest slab
 has.  Where a slab has no more steps and its StepSamples are bitwise
@@ -116,7 +124,10 @@ Either way the factors of the slab's steps are those of its current
 stabilizer, bitwise, which a refresh that changes c refactors in place.
 What the run keeps of a stopped slab is what resuming it needs (its
 state and stabilizer); its start is in the bracket's own rows, and the
-result goes into the bracket's own array at the end.  A sweep
+result goes into the bracket's own array at the end.  The past a slab
+that stopped at its start hands on takes its memory integral at the
+slab's last level from the start's certificate, which evaluated it on
+the same start and past.  A sweep
 evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
@@ -159,6 +170,7 @@ from .volterra import (
     StabilizerField,
     compute_stabilizers,
     eval_F1_field,
+    eval_g_field,
     f_u_values,
     refresh_stabilizers,
 )
@@ -237,18 +249,23 @@ class IterationState:
 @dataclass
 class ConvergenceHistory:
     """Entry n aggregates sweep n+1 of every slab that ran one: the largest
-    gap, update and c_max, and the smallest chain margin.
+    gap, update and c_max, and the smallest chain margin.  A slab that
+    stops at its certified start adds to no entry; a converged run has one
+    entry at least, as its first sweeping slab never stops at its start.
     states[n] (when kept) is the whole-strip composite of every slab's
     iterate n, whose u1 equals its u2 right of window 1 from sweep 1 on;
     a slab that stopped before contributes its final subdomain-2
-    composite as both u1 and u2."""
+    composite as both u1 and u2, one that stopped at its start its start.
+    The per-slab lists hold one entry per slab that started, in slab
+    order, those that stopped at their start included."""
 
     gap_lower_upper: List[float] = field(default_factory=list)
     max_update: List[float] = field(default_factory=list)
     chain_violation: List[float] = field(default_factory=list)
     c_max: List[float] = field(default_factory=list)  # max of c_total[1:], the c each sweep's steps used
     states: Optional[list] = None  # per-sweep states when requested
-    slab_sweeps: List[tuple] = field(default_factory=list)  # (k0, k1, sweeps) per slab run
+    # (k0, k1, sweeps) per slab run, sweeps 0 for one that stopped at its start
+    slab_sweeps: List[tuple] = field(default_factory=list)
     # (k0, k1, certified, width) per slab run: whether it started from its
     # certified predicted bracket, and the largest gap of its start
     slab_starts: List[tuple] = field(default_factory=list)
@@ -432,6 +449,10 @@ class _Slab:
     certified: bool = False  # whether it started from its certified prediction
     evaluations: int = 0  # of bracket_residuals by its start
     refined: tuple = (0, math.nan)  # (marches, last update) of its guess's refinement
+    started: bool = False  # whether it has taken its start
+    # the certificate's memory integral at its last level (both branches),
+    # kept while its state is its certified start
+    memory: Optional[np.ndarray] = None
 
 
 # A slab whose first row is exact sits at a fixed point once its update
@@ -439,11 +460,19 @@ class _Slab:
 FIXED_POINT_ULPS = 4.0
 
 
+def _carried(past):
+    """The gap a slab's first row carries in: that of its past's last row,
+    which is row 0 of every sweep and of its start."""
+    return float(np.maximum.reduce(past.u[1, -1] - past.u[0, -1]))
+
+
 def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_violation,
                 keep_states):
     """Sweep one slab on from its state until its gap drops to its target,
     lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
-    4, 8, ...; every sweep is folded into history.
+    4, 8, ...; every sweep is folded into history.  It sweeps at least
+    once: the test at sweep 0, a start that already meets its target, is
+    made before the slab takes its operators (see _stops_at_start).
 
     ops are the slab's window operators, factored with its current
     stabilizer (see _slab_operators); a refresh that changes c refactors
@@ -479,9 +508,7 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
     lo, hi = slab.bracket.u11, slab.bracket.u12
     state, stab = slab.state, slab.stab
     c_max = float(np.maximum.reduce(stab.c_total[1:], None))
-    # Every sweep's row 0 is the past's last row, so the gap it carries in
-    # is the same for every sweep of this call.
-    carried = float(np.maximum.reduce(past.u[1, -1] - past.u[0, -1]))
+    carried = _carried(past)
     gaps, upds = [], []  # this call's, for the refresh prediction and the stall test
     late = False  # a refresh put off by one sweep
     for n in range(state.sweep_index, max_sweeps):
@@ -611,20 +638,24 @@ def _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge):
     """The candidate of push (see _candidate) certified by
     bracket_residuals at slack 0, a failing branch's push widened to
     2 (push + _need) of the residuals it failed by, up to START_WIDENINGS
-    times.  Returns (start, evaluations): start None where
-    none certifies, and the residual evaluations made."""
+    times.  Returns (start, evaluations, memory): start None where none
+    certifies, the residual evaluations made, and the memory integral of
+    the certified start at its last level (None with no start), the row a
+    Past.extend of that start on past would evaluate again."""
     evaluations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while evaluations <= START_WIDENINGS and np.all(np.isfinite(push)):
             start = _candidate(guess, bracket, push, phi)
-            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
+            memory = eval_g_field(spec.kernel, start, grid, past=past)
+            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples,
+                                                       memory)[:2])
             evaluations += 1
             # max keeps a NaN, which fails the comparison.
             passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
             if passed.all():
-                return start, evaluations
+                return start, evaluations, memory[..., -1, :].copy()
             push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
-    return None, evaluations
+    return None, evaluations, None
 
 
 # Linearized marches that refine a slab's carried guess before its start
@@ -679,8 +710,9 @@ def _refine(spec, slab, past, guess, strip):
 def _predicted_start(spec, slab, past, rate, samples, strip):
     """A certified sub/supersolution pair on the slab's levels, stacked
     (lower, upper), with row 0 the past's last row, or None where none
-    certifies; the number of bracket_residuals evaluations made; and the
-    (marches, last update) of the guess's refinement.
+    certifies; the number of bracket_residuals evaluations made; the
+    (marches, last update) of the guess's refinement; and the pair's
+    memory integral at its last level (see _widen).
 
     The guess carries each branch's last row of the past on at rate,
     row + tau rate with tau = t - t_k0, its end values at each level those
@@ -721,19 +753,22 @@ def _predicted_start(spec, slab, past, rate, samples, strip):
     interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         push = 2.0 * _need(interior, ends, drive, edge)
-    start, evaluations = _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge)
-    return start, evaluations + 1, tuple(refined)
+    start, evaluations, memory = _widen(spec, grid, past, samples, guess, bracket, push, phi,
+                                        drive, edge)
+    return start, evaluations + 1, tuple(refined), memory
 
 
 def _start(slab, spec, past, rate, samples, strip, keep_states):
     """Start a slab from its predicted bracket where it certifies (see
     _predicted_start, whose refinement marches on strip): that pair
-    becomes its state, is written into the rows of the bracket's own array
-    its chain links read, and the stabilizer is refreshed on it.
-    Otherwise the slab starts from the bracket."""
+    becomes its state and is written into the rows of the bracket's own
+    array its chain links read; its stabilizer is refreshed on it only if
+    the slab sweeps (see _run).  Otherwise the slab starts from the
+    bracket.  A slab starts once: a run that comes back to it sweeps on
+    from its state."""
     lo, hi = slab.bracket.u11[1:], slab.bracket.u12[1:]
     if np.any(hi > lo):
-        start, slab.evaluations, slab.refined = _predicted_start(
+        start, slab.evaluations, slab.refined, slab.memory = _predicted_start(
             spec, slab, past, rate, samples, strip
         )
         slab.certified = start is not None
@@ -741,8 +776,31 @@ def _start(slab, spec, past, rate, samples, strip, keep_states):
             slab.bracket.u1[:, 1:] = start[:, 1:]
             slab.state = IterationState(u1=start, u2=start)
             slab.states = [slab.state] if keep_states else []
-            slab.stab = refresh_stabilizers(spec, slab.grid, slab.stab, start[0], start[1])
     slab.width = float(np.max(hi - lo))
+    slab.started = True
+
+
+def _stops_at_start(slab, past, history):
+    """Whether the slab, just started, ends at its start with no sweep,
+    setting its gap to the start's where it does.  It does where its start
+    is certified (at slack 0, see _predicted_start), the start's gap over
+    its levels and its carried first row, max(width, carried), is <= its
+    target, its order link min(upper - lower) is >= -CHAIN_SLACK, and the
+    run has recorded a sweep already.  Iterate 0 of the monotone iteration
+    is the certified pair itself, so such a start is the slab's product,
+    and a sweep could only confirm it.  The last condition keeps the
+    history of a converged run at one entry at least and its sweeps_used
+    at 1 at least: the CLI's history.csv is then never header-only, which
+    benchmark/checks.py's from_csv rejects, nor its gaps empty, which
+    envelope_failures rejects."""
+    if not (slab.certified and history.gap_lower_upper):
+        return False
+    start = slab.state.u1
+    gap = max(slab.width, _carried(past))
+    if gap <= slab.target and float(np.minimum.reduce(start[1] - start[0], None)) >= -CHAIN_SLACK:
+        slab.gap = gap
+        return True
+    return False
 
 
 def _same_steps(one, other):
@@ -832,6 +890,13 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     one's.  Targets only fall and every slab has max_sweeps, so this
     ends.
 
+    A slab is predicted once, at its first run.  Where its certified
+    start already meets its target, the slab stops there with no sweep
+    and hands its start on (see _stops_at_start); a stall may take it up
+    again later, and it then sweeps on from that start as a slab that did
+    not stop would: it refreshes its stabilizer on the start, takes its
+    operators and sweeps.
+
     The working set follows the slab: the run holds one set of
     operators, for the longest slab's steps, which the next slab run
     takes over where its steps are their first and drops otherwise (see
@@ -863,7 +928,8 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
         samples = steps.first(slab.grid.nt)
         if held is None or not held.serves(samples):
             held = _Held(wide, steps)  # the old operators go before any is built
-        if slab.state.sweep_index == 0:
+        stops = False
+        if not slab.started:
             if j == 0:
                 rate = _first_rate(spec, slab.grid, samples)
             else:
@@ -871,16 +937,23 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
                 rate = (last[0, -1] - last[0, -2] + last[1, -1] - last[1, -2]) / (2.0 * grid.dt)
             strip = partial(_strip_operator, spec, slab, held, len(windows) == 1)
             _start(slab, spec, pasts[j], rate, samples, strip, keep_states)
-        held.ops = _slab_operators(spec, slab, windows, held)
-        carried, reason = _sweep_slab(
-            slab, spec, held.ops, pasts[j], history, tol, max_sweeps, abort_on_chain_violation,
-            keep_states,
-        )
-        if reason is not None:
-            break
+            stops = _stops_at_start(slab, pasts[j], history)
+        carried = None
+        if not stops:
+            if slab.state.sweep_index == 0 and slab.certified:  # the refresh on its start
+                slab.stab = refresh_stabilizers(spec, slab.grid, slab.stab,
+                                                slab.state.u11, slab.state.u12)
+                slab.memory = None
+            held.ops = _slab_operators(spec, slab, windows, held)
+            carried, reason = _sweep_slab(
+                slab, spec, held.ops, pasts[j], history, tol, max_sweeps,
+                abort_on_chain_violation, keep_states,
+            )
+            if reason is not None:
+                break
         if carried is None:
             if j + 1 < len(slabs):
-                pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid)
+                pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid, slab.memory)
             j += 1
         else:
             growth = slab.gap / carried
@@ -895,7 +968,7 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     converged = reason is None
     history.stop_reason = reason or "converged"
 
-    ran = [slab for slab in slabs if slab.state.sweep_index > 0]
+    ran = [slab for slab in slabs if slab.started]
     history.slab_sweeps = [(slab.k0, slab.k1, slab.state.sweep_index) for slab in ran]
     history.slab_starts = [(slab.k0, slab.k1, slab.certified, slab.width) for slab in ran]
     history.start_evaluations = [slab.evaluations for slab in ran]

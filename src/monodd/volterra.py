@@ -118,10 +118,13 @@ class Past:
         row = np.asarray(row, dtype=float)
         return cls(u=row[..., None, :], ts=grid.ts[:1], g=np.zeros(row.shape))
 
-    def extend(self, kernel, u, grid):
+    def extend(self, kernel, u, grid, g=None):
         """The past at the last level of u, which holds the final levels
-        k0..k1 (row 0 the level-k0 row of this past) on their grid."""
-        g = eval_g_field(kernel, u, grid, past=self)[..., -1, :].copy()
+        k0..k1 (row 0 the level-k0 row of this past) on their grid; g is
+        the memory integral at that level, eval_g_field's last row of u on
+        this past, when the caller has it already."""
+        if g is None:
+            g = eval_g_field(kernel, u, grid, past=self)[..., -1, :].copy()
         if kernel.trivial or kernel.exp_form is not None:
             return Past(u=u[..., -1:, :].copy(), ts=grid.ts[-1:], g=g)
         return Past(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -828,20 +829,25 @@ class TestSlabs:
         # tighter = target carried / (2 gap) and every earlier slab i's
         # min(its target, tighter / G^(j-1-i)), all at once; the next slab
         # run is that of the earliest slab whose last gap exceeds its new
-        # target.
+        # target.  Every slab that starts is followed, those that stop at
+        # their start with no sweep among them.
         slabs, events = {}, []
-        sweep_slab = iteration._sweep_slab
+        start, sweep_slab = iteration._start, iteration._sweep_slab
 
         def targets_and_gaps():
             return {k0: (slab.target, slab.gap) for k0, slab in sorted(slabs.items())}
 
-        def recorded(slab, *args):
+        def started(slab, *args):
             slabs[slab.k0] = slab
+            return start(slab, *args)
+
+        def recorded(slab, *args):
             before = targets_and_gaps()
             out = sweep_slab(slab, *args)
             events.append((slab.k0, out[0], before, targets_and_gaps()))
             return out
 
+        monkeypatch.setattr(iteration, "_start", started)
         monkeypatch.setattr(iteration, "_sweep_slab", recorded)
         resumed, kept = set(), False
         for spec, nx, nt, decomp, tol in (
@@ -951,7 +957,8 @@ class TestSlabs:
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert sol.converged and sol.sweeps_used == 1
         assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
-        monkeypatch.setattr(iteration, "_predicted_start", lambda *args: (None, 0, (0, np.nan)))
+        monkeypatch.setattr(iteration, "_predicted_start",
+                            lambda *args: (None, 0, (0, np.nan), None))
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
         assert not any(certified for *_, certified, _ in hist.slab_starts)
@@ -995,12 +1002,12 @@ class TestPredictedStart:
 
         def recorded(spec_, slab, past, rate, samples, strip):
             bracket = slab.bracket.u1.copy()
-            start, count, refined = predict(spec_, slab, past, rate, samples, strip)
+            start, count, refined, memory = predict(spec_, slab, past, rate, samples, strip)
             evaluations.append(count)
             refinements.append(refined)
             if start is not None:
                 starts.append((slab.k0, slab.k1, slab.grid, past, start.copy(), bracket))
-            return start, count, refined
+            return start, count, refined, memory
 
         with mock.patch.object(iteration, "_predicted_start", recorded):
             sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
@@ -1197,10 +1204,225 @@ class TestStopRule:
         sweeps = [s for *_, s in hist.slab_sweeps]
         assert len(gaps) == sum(sweeps)
         start = 0
-        for count in sweeps:
+        for count, (*_, certified, width) in zip(sweeps, hist.slab_starts):
             slab = gaps[start : start + count]
-            assert all(gap > tol for gap in slab[:-1]) and slab[-1] <= tol
+            if count == 0:  # stopped at its certified start, no wider than tol
+                assert certified and width <= tol
+            else:
+                assert all(gap > tol for gap in slab[:-1]) and slab[-1] <= tol
             start += count
+
+
+def level_of(grid):
+    """The strip level of a slab grid's first time, on the strip grid."""
+    levels = {float(t): k for k, t in enumerate(grid.ts)}
+    return lambda slab_grid: levels[float(slab_grid.ts[0])]
+
+
+def record_stops(monkeypatch):
+    """(grid, past, start, target) of every slab that stops at its start,
+    taken as the stop test passes it."""
+    stops = []
+    stops_at_start = iteration._stops_at_start
+
+    def recorded(slab, past, history):
+        stop = stops_at_start(slab, past, history)
+        if stop:
+            stops.append((slab.grid, past, slab.state.u1.copy(), slab.target))
+        return stop
+
+    monkeypatch.setattr(iteration, "_stops_at_start", recorded)
+    return stops
+
+
+class TestStopAtStart:
+    def test_a_start_that_meets_its_target_takes_no_refresh_operators_or_sweep(self, monkeypatch):
+        # On memory_dd every slab's certified start is narrower than tol.
+        # Slab 0 sweeps once, as the run has recorded no sweep yet; every
+        # later slab stops at its start: no refresh of its stabilizer, no
+        # build or refactor of its window operators and no sweep over them,
+        # while its predictor's marches still refactor the whole-strip
+        # operator.  The past a stopped slab hands on takes its last memory
+        # row from the slab's certificate, bitwise the row Past.extend
+        # evaluates.
+        spec = catalog_lookup("manufactured_1")
+        grid = build_grid(spec.domain, 128, 256)
+        decomp = default_decomposition(128)
+        windows = tuple(iteration._dd_windows(grid, decomp))
+        level = level_of(grid)
+        builds, refactors = record_builds(monkeypatch), record_refactors(monkeypatch)
+        refreshed, swept, handed_on = [], [], []
+        refresh, sweep, extend = iteration.refresh_stabilizers, iteration._sweep, Past.extend
+
+        def refreshed_on(spec_, slab_grid, *args):
+            refreshed.append(level(slab_grid))
+            return refresh(spec_, slab_grid, *args)
+
+        def swept_over(state, spec_, slab_grid, stab, ops, past):
+            swept.append((level(slab_grid), tuple(op.window for op in ops)))
+            return sweep(state, spec_, slab_grid, stab, ops, past)
+
+        def extended(past, kernel, u, slab_grid, g=None):
+            if g is not None:
+                handed_on.append(g.tobytes() == extend(past, kernel, u, slab_grid).g.tobytes())
+            return extend(past, kernel, u, slab_grid, g)
+
+        monkeypatch.setattr(iteration, "refresh_stabilizers", refreshed_on)
+        monkeypatch.setattr(iteration, "_sweep", swept_over)
+        monkeypatch.setattr(Past, "extend", extended)
+        sol, hist = run_dd(spec, grid, decomp, 1e-8, 200, abort_on_chain_violation=True)
+        assert sol.converged and sol.sweeps_used == 1 and hist.level_solves == 16
+        assert [sweeps for *_, sweeps in hist.slab_sweeps] == [1] + [0] * 15
+        assert all(certified and width <= 1e-8 for *_, certified, width in hist.slab_starts)
+        stopped = {k0 for k0, _, sweeps in hist.slab_sweeps if sweeps == 0}
+        assert refreshed == [0]
+        assert [k0 for k0, ops in swept if ops == windows] == [0]
+        assert [(window, k0) for window, k0, _ in builds if window in windows] == [
+            (window, 0) for window in windows]
+        assert not any(window in windows for window, *_ in refactors)
+        strip = Subrange(0, grid.nx)
+        assert {k0 for window, k0, _ in refactors if window == strip} >= stopped
+        assert {k0 for k0, ops in swept if ops == (strip,)} == stopped | {0}
+        assert handed_on == [True] * (len(stopped) - 1)  # the last slab hands on no past
+
+    def test_a_run_whose_every_start_meets_tol_records_one_sweep(self, tmp_path):
+        # From u0 = 0 every slab's predicted start u = 0 certifies at width
+        # 0.  The first slab still sweeps once, so the history has one
+        # entry and the CLI's history.csv one row; every later slab stops at
+        # its start.
+        from monodd import cli
+
+        spec = kpp(6.0, 0.0, 0.0)
+        grid = build_grid(spec.domain, 8, 12)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 50)
+        assert sol.converged and sol.sweeps_used == 1 and hist.stop_reason == "converged"
+        assert all(certified and width == 0.0 for *_, certified, width in hist.slab_starts)
+        k0, k1, sweeps = hist.slab_sweeps[0]
+        assert k0 == 0 and sweeps == 1 and len(hist.slab_sweeps) == 7
+        assert all(sweeps == 0 for *_, sweeps in hist.slab_sweeps[1:])
+        assert hist.level_solves == k1
+        assert len(hist.gap_lower_upper) == len(hist.c_max) == 1
+        path = tmp_path / "history.csv"
+        cli._write_history_csv(str(path), hist)
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_a_stopped_slab_a_stall_takes_up_again_is_not_predicted_again(self, monkeypatch):
+        # Near KPP's unstable state a slab stops at its start, a later slab
+        # stalls, and the retarget takes the stopped slab up again: it
+        # sweeps on from its start, refreshing its stabilizer on it just
+        # before it takes its operators, and is never predicted again.
+        spec = kpp(6.0, 0.0, STALL_AMP)
+        grid = build_grid(spec.domain, 8, 12)
+        level = level_of(grid)
+        predicted, events = [], []
+        predict, stops_at_start = iteration._predicted_start, iteration._stops_at_start
+        refresh, sweep_slab = iteration.refresh_stabilizers, iteration._sweep_slab
+
+        def predicted_for(spec_, slab, *args):
+            predicted.append(slab.k0)
+            return predict(spec_, slab, *args)
+
+        def stop_test(slab, *args):
+            stop = stops_at_start(slab, *args)
+            if stop:
+                events.append(("stop", slab.k0))
+            return stop
+
+        def refreshed_on(spec_, slab_grid, *args):
+            events.append(("refresh", level(slab_grid)))
+            return refresh(spec_, slab_grid, *args)
+
+        def swept(slab, *args):
+            events.append(("sweep", slab.k0))
+            return sweep_slab(slab, *args)
+
+        monkeypatch.setattr(iteration, "_predicted_start", predicted_for)
+        monkeypatch.setattr(iteration, "_stops_at_start", stop_test)
+        monkeypatch.setattr(iteration, "refresh_stabilizers", refreshed_on)
+        monkeypatch.setattr(iteration, "_sweep_slab", swept)
+        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500,
+                           abort_on_chain_violation=True)
+        assert sol.converged and np.max(sol.u_upper - sol.u_lower) <= 1e-9
+        assert predicted == [k0 for k0, *_ in hist.slab_sweeps]
+        resumed = [k0 for kind, k0 in events if kind == "stop" and ("sweep", k0) in events]
+        assert resumed
+        for k0 in resumed:
+            first = events.index(("sweep", k0))
+            assert events.index(("stop", k0)) < first and events[first - 1] == ("refresh", k0)
+            assert dict((k, s) for k, _, s in hist.slab_sweeps)[k0] > 0
+
+    @pytest.mark.parametrize("case,stops", [
+        ("meets its target", True),
+        ("carries a gap above its target", False),
+        ("is out of order", False),
+        ("is not certified", False),
+        ("comes before any sweep", False),
+    ])
+    def test_the_stop_test_at_the_start(self, case, stops):
+        # A slab stops at its start where the start is certified, its gap
+        # over its levels and its carried first row is <= its target, its
+        # branches are in order to CHAIN_SLACK, and the run has recorded a
+        # sweep; each case here breaks one condition.  A slab that stops
+        # takes the start's gap as its own.
+        target = 1e-8
+        spec = desk_logistic()
+        grid = build_grid(spec.domain, 8, 4)
+        init = init_state(spec, grid)
+        stab = compute_stabilizers(spec, grid, init.u11, init.u12)
+        start = np.stack((np.full((5, 9), 0.5), np.full((5, 9), 0.5 + 4e-9)))
+        if case == "is out of order":
+            start[0, 2, 3] = start[1, 2, 3] + 2.0 * CHAIN_SLACK
+        state = IterationState(u1=start, u2=start)
+        slab = iteration._Slab(0, 4, grid, stab, init, state, [], target,
+                               width=float(np.max(start[1, 1:] - start[0, 1:])),
+                               certified=case != "is not certified")
+        carried = 2e-8 if case == "carries a gap above its target" else 6e-9
+        past = Past.initial(np.stack((np.full(9, 0.5), np.full(9, 0.5 + carried))), grid)
+        history = iteration.ConvergenceHistory()
+        if case != "comes before any sweep":
+            history.record(0, 1e-9, 1e-9, 0.0, 1.0)
+        assert iteration._stops_at_start(slab, past, history) is stops
+        carried = float(np.max(past.u[1, -1] - past.u[0, -1]))
+        assert slab.gap == (carried if stops else math.inf)
+
+    @pytest.mark.parametrize("spec,nx,nt,decomp,tol,kept_slabs", [
+        pytest.param(desk_logistic(), 64, 128, default_decomposition(64), 1e-8, 4, id="logistic"),
+        pytest.param(kpp(6.0, 0.0, STALL_AMP), 8, 12, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 0,
+                     id="stall"),
+    ])
+    def test_a_stopped_slab_is_a_certified_bracket_and_keeps_the_chain(
+            self, monkeypatch, spec, nx, nt, decomp, tol, kept_slabs):
+        # Every slab that stops at its start stops on a pair certified at
+        # slack 0 against its past, no wider than its target (carried gap
+        # included) and in order; one that no stall takes up again (on the
+        # logistic run, 4 of its 8 slabs; on the stall run, the one slab
+        # that stops is taken up again) ends on it, and its start stands in
+        # history.states for every sweep.  The chain holds across them
+        # all.
+        stops = record_stops(monkeypatch)
+        grid = build_grid(spec.domain, nx, nt)
+        sol, hist = run_dd(spec, grid, decomp, tol, 500, abort_on_chain_violation=True,
+                           keep_states=True)
+        assert sol.converged and stops
+        assert len(hist.states) == sol.sweeps_used + 1
+        for slab_grid, past, start, target in stops:
+            assert_start_certified(spec, slab_grid, start, past)
+            carried = np.max(past.u[1, -1] - past.u[0, -1])
+            assert max(np.max(start[1] - start[0]), carried) <= target
+            assert np.min(start[1] - start[0]) >= -CHAIN_SLACK
+        level = level_of(grid)
+        kept = {k0: start for k0, _, sweeps in hist.slab_sweeps if sweeps == 0
+                for slab_grid, _, start, _ in stops if level(slab_grid) == k0}
+        assert len(kept) == kept_slabs
+        for k0, start in kept.items():
+            rows = slice(k0 + 1, k0 + start.shape[1])
+            np.testing.assert_array_equal(sol.u_lower[rows], start[0, 1:])
+            np.testing.assert_array_equal(sol.u_upper[rows], start[1, 1:])
+            for state in hist.states:
+                np.testing.assert_array_equal(state.u1[:, rows], start[:, 1:])
+        lo, hi = hist.states[0].u11, hist.states[0].u12
+        for prev, nxt in zip(hist.states, hist.states[1:]):
+            assert check_monotone_chain(prev, nxt, lo, hi) == []
 
 
 class TestRefreshedStabilizer:
