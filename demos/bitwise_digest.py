@@ -1,5 +1,6 @@
-"""Digests of the benchmark's three configurations at seed 0, for showing
-that a change leaves the solver's output bitwise as it was.
+"""Digests of the benchmark's three configurations at seed 0, and of two
+128x128 KPP runs whose data depend on t, for showing that a change leaves
+the solver's output bitwise as it was.
 
 Per configuration it prints the sha256 of u_lower and u_upper, and a
 sha256 over float.hex of every value of the ConvergenceHistory's
@@ -8,13 +9,17 @@ of its slab_sweeps and slab_starts, with the sweeps and level-solves in
 plain numbers.  cli_single is solved twice: by the library, as the CLI
 solves it, and by `monodd --audit-mmatrix run`, whose solution.csv and
 history.csv it hashes.  KPP is memory_footprint.kpp, the benchmark's
-kpp_dd problem.  It takes a few seconds.  Run it against two source
+kpp_dd problem; kpp_a(t) takes its diffusion as 0.05 + 0.05 x + 0.01 t
+and kpp_h(t) its left end's h as 0.01 t, so that no two steps share their
+data and the solver builds every slab's operators on its own steps.  It
+takes a few seconds.  Run it against two source
 trees and compare the output:
 
     PYTHONPATH=src python demos/bitwise_digest.py
     PYTHONPATH=<other checkout>/src python demos/bitwise_digest.py
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -97,6 +102,11 @@ def main():
     decomposed("memory_dd", catalog_lookup("manufactured_1"), 128, 256)
     decomposed("kpp_dd", kpp(8.0, 0.5, 0.5), 256, 256)
     cli_single()
+    spec = kpp(8.0, 0.5, 0.5)
+    decomposed("kpp_a(t)", dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, a=lambda t, x: 0.05 + 0.05 * x + 0.01 * t)), 128, 128)
+    decomposed("kpp_h(t)", dataclasses.replace(spec, bc_left=dataclasses.replace(
+        spec.bc_left, h=lambda t: 0.01 * t)), 128, 128)
 
 
 if __name__ == "__main__":

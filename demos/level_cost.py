@@ -31,6 +31,7 @@ from monodd import (
     march_window,
     refactor_window_operator,
 )
+from monodd.discretization import sample_steps
 
 from memory_footprint import kpp
 
@@ -64,7 +65,8 @@ def main():
         else:
             decomp = default_decomposition(nx)
             windows = (Subrange(0, decomp.i1_hi), Subrange(decomp.i2_lo, nx))
-        (_, k1), *_ = iteration._slab_bounds(grid, c, spec.coeffs, windows)
+        steps = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
+        (_, k1), *_ = iteration._slab_bounds(grid, c, steps, windows)
         slab = grid.levels(0, k1)
         for j, window in enumerate(windows):
             left = spec.bc_left if j == 0 else None

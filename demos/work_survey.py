@@ -1,7 +1,7 @@
 """Work counts of the decomposed solver over a fixed set of problems, with
 no timing: per case the sweeps, the level-solves per window, the
 slab-sweeps (one sweep of one slab; each has a fixed cost besides its
-level-solves, see demos/slab_cost.py), the slab count, the slab runs that
+level-solves), the slab count, the slab runs that
 sweep (a slab taken up again after a stall counts once more), the slabs
 that stopped at their certified start with no sweep (a stopped slab a
 stall takes up again counts among both), the slabs that

@@ -257,7 +257,9 @@ class StepSamples:
     and advection b at every step and interior node, (nt, nx-1), and the
     (alpha0, beta0, h) rows of the left and the right boundary condition
     at every step, each (nt,).  Sampled once, they serve both
-    build_window_operator and the residuals of verify."""
+    build_window_operator and the residuals of verify.  Each array may be
+    a read-only broadcast view: a run whose steps all share the first
+    step's data holds that step's rows alone, broadcast over its steps."""
 
     a: np.ndarray
     b: np.ndarray

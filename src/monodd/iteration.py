@@ -69,7 +69,7 @@ the certificate is what makes it a bracket.  A certified pair is the
 slab's state and is written into the rows of the bracket's own array
 that its chain links read; otherwise, after START_WIDENINGS widenings,
 the slab starts from the bracket.  The a and b samples and boundary
-rows of the slab's steps (discretization.sample_steps) serve the
+rows of the slab's steps (discretization.StepSamples) serve the
 residuals, the marches and the operator builds.  A slab stops at the
 first sweep n >= 0 whose gap, over its levels and its carried first
 row, is <= tol: every lower iterate is a subsolution and every upper one
@@ -106,28 +106,29 @@ slab run: the marches that refined its guess and the largest change the
 last one made.
 
 The two branches are one stacked array.  The run's working set follows
-the slab.  Per slab run, in this order: its steps are sampled, it
-starts (once: a slab the run comes back to keeps its state), and, unless
-it stops at its start, it refreshes its stabilizer on a certified start
-it has not swept from yet and takes its window operators.  The run holds
-one set of operators (_Held): the
-window operators and the predictor's whole-strip operator (with one
-window, the window's own), built for as many steps as the longest slab
-has.  Where a slab has no more steps and its StepSamples are bitwise
-their first (the same a, b and end rows, as for data that do not depend
-on t, at either of the two slab lengths), it takes them over: it
-refactors them on its steps, for each march with its c and then with
-its own stabilizer, and sets their k0, so an M-matrix failure names the
-strip's time step, keeping their arrays and march plans; otherwise the
-run drops them and builds new ones from this slab's first level.
-Either way the factors of the slab's steps are those of its current
-stabilizer, bitwise, which a refresh that changes c refactors in place.
-What the run keeps of a stopped slab is what resuming it needs (its
-state and stabilizer); its start is in the bracket's own rows, and the
-result goes into the bracket's own array at the end.  The past a slab
-that stopped at its start hands on takes its memory integral at the
-slab's last level from the start's certificate, which evaluated it on
-the same start and past.  A sweep
+the slab.  The run samples the StepSamples of the strip once, at its
+start, and decides there whether its data are steady: every step's a,
+b and end rows bitwise the first step's, as for data that do not depend
+on t (see _steady).  It holds its operators in one dict keyed by window
+set (see _operators): the whole strip's one window for the predictor's
+marches and the run's windows for the sweeps, so that a single-domain
+run's two uses share one entry.  On steady data it keeps the first
+step's rows alone, broadcast to each slab's length, and builds each
+window set once, for as many steps as the longest slab has; every
+later slab run takes them over: it refactors them on its steps, for
+each march with its c and then with its own stabilizer, and sets their
+k0, so an M-matrix failure names the strip's time step, keeping their
+arrays and march plans.  Otherwise each slab run empties the dict,
+samples its own steps and builds on its own levels.  Either way the
+factors of the slab's steps are those of its current stabilizer,
+bitwise, which a refresh that changes c refactors in place.  Per slab
+run, in this order: it starts (once: a slab the run comes back to
+keeps its state), and, unless it stops at its start, it refreshes its
+stabilizer on a certified start it has not swept from yet and takes its
+window operators.  What the run keeps of a stopped slab is what
+resuming it needs (its state and stabilizer); its start is in the
+bracket's own rows, and the result goes into the bracket's own array at
+the end.  A sweep
 evaluates F1 for both branches and both windows in one call and marches
 the branches as two right-hand-side columns.  The undecomposed single-domain monotone
 iteration, the correctness oracle for the decomposed limit, is the same
@@ -153,7 +154,6 @@ from .discretization import (
     MMatrixViolation,
     StepSamples,
     Subrange,
-    WindowOperator,
     ZeroPivotError,
     as_shape,
     build_grid,
@@ -170,7 +170,6 @@ from .volterra import (
     StabilizerField,
     compute_stabilizers,
     eval_F1_field,
-    eval_g_field,
     f_u_values,
     refresh_stabilizers,
 )
@@ -394,9 +393,9 @@ def _initial_past(spec, grid):
 
 
 # The least slab length, in levels, the overlap term of the slab rule
-# asks for: about a/b, the fixed cost of a slab-sweep in level-solves,
-# which demos/slab_cost.py puts at 11 to 18 on memory_dd.  Shorter slabs
-# would spend more on slab-sweeps than they save in level-solves.
+# asks for.  Forced slab counts on memory_dd (ROADMAP.md, "Slab count
+# against time") were fastest at 16 levels a slab, against 32 and 8:
+# shorter slabs save fewer level-solves than their setup costs.
 MIN_SLAB_LEVELS = 16
 
 
@@ -405,7 +404,7 @@ def _slab_count(span, nt):
     return nt if not span < nt else max(1, math.ceil(span))
 
 
-def _slab_bounds(grid, c_total, coeffs, windows):
+def _slab_bounds(grid, c_total, steps, windows):
     """(k0, k1) of m consecutive slabs of equal length (+-1 level), with
 
         m = max(ceil(T max c), min(ceil(T max a / delta^2), nt // MIN_SLAB_LEVELS))
@@ -413,15 +412,15 @@ def _slab_bounds(grid, c_total, coeffs, windows):
     at most nt and at least 1 (see the module docstring).  max c is over
     c_total[1:], the rows the steps use; the second term counts only for
     two windows, whose overlap is delta = (i1_hi - i2_lo) dx wide, with
-    max a the largest diffusion coefficient at the strip's steps and
-    interior nodes, sampled here once."""
+    max a the largest diffusion coefficient of steps, the strip's
+    StepSamples."""
     nt = grid.nt
     T = float(grid.ts[-1] - grid.ts[0])
     m = _slab_count(T * float(np.max(c_total[1:])), nt)
     if len(windows) > 1:
-        a = coeffs.a(grid.ts[1:, None], grid.xs[None, 1:-1])
         delta = (windows[0].hi - windows[-1].lo) * grid.dx
-        m = max(m, min(_slab_count(T * float(np.max(a)) / delta**2, nt), nt // MIN_SLAB_LEVELS))
+        m = max(m, min(_slab_count(T * float(np.max(steps.a)) / delta**2, nt),
+                       nt // MIN_SLAB_LEVELS))
     ks = [(j * nt) // m for j in range(m + 1)]
     return list(zip(ks, ks[1:]))
 
@@ -433,8 +432,9 @@ class _Slab:
     the states so far, when kept), the gap the slab must reach, the gap of
     its last sweep, whether its start is its certified prediction, how
     wide its start was, the residual evaluations its start made and the
-    refinement of its guess.  Its window operators are not kept with it:
-    the run holds one set, which a later slab takes over (see _Held)."""
+    refinement of its guess.  Its operators are not kept with it: the run
+    holds them by window set, and a later slab may take them over (see
+    _operators)."""
 
     k0: int
     k1: int
@@ -450,9 +450,6 @@ class _Slab:
     evaluations: int = 0  # of bracket_residuals by its start
     refined: tuple = (0, math.nan)  # (marches, last update) of its guess's refinement
     started: bool = False  # whether it has taken its start
-    # the certificate's memory integral at its last level (both branches),
-    # kept while its state is its certified start
-    memory: Optional[np.ndarray] = None
 
 
 # A slab whose first row is exact sits at a fixed point once its update
@@ -475,8 +472,8 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
     made before the slab takes its operators (see _stops_at_start).
 
     ops are the slab's window operators, factored with its current
-    stabilizer (see _slab_operators); a refresh that changes c refactors
-    them in place.
+    stabilizer (see _operators); a refresh that changes c refactors them
+    in place.
 
     A due refresh is put off by one sweep when the last two gaps predict
     that the next sweep reaches the target (gap * gap / previous gap <=
@@ -638,24 +635,20 @@ def _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge):
     """The candidate of push (see _candidate) certified by
     bracket_residuals at slack 0, a failing branch's push widened to
     2 (push + _need) of the residuals it failed by, up to START_WIDENINGS
-    times.  Returns (start, evaluations, memory): start None where none
-    certifies, the residual evaluations made, and the memory integral of
-    the certified start at its last level (None with no start), the row a
-    Past.extend of that start on past would evaluate again."""
+    times.  Returns (start, evaluations): start None where none
+    certifies, and the residual evaluations made."""
     evaluations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while evaluations <= START_WIDENINGS and np.all(np.isfinite(push)):
             start = _candidate(guess, bracket, push, phi)
-            memory = eval_g_field(spec.kernel, start, grid, past=past)
-            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples,
-                                                       memory)[:2])
+            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
             evaluations += 1
             # max keeps a NaN, which fails the comparison.
             passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
             if passed.all():
-                return start, evaluations, memory[..., -1, :].copy()
+                return start, evaluations
             push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
-    return None, evaluations, None
+    return None, evaluations
 
 
 # Linearized marches that refine a slab's carried guess before its start
@@ -677,12 +670,12 @@ def _refine(spec, slab, past, guess, strip):
     mid the guess's midpoint and f_u by f_u_values: the source F1 at the
     guess with c_N is then a Newton step in f (where c_N is above its
     floor) and a Picard step in the lagged memory term.  strip(c) gives
-    the slab's whole-strip operator factored with c.  A march stops the
-    refinement, keeping the guess it started from, where f_u at mid is not
-    finite, or where the operator or the march fails (a non-finite
-    solution, an M-matrix or pivot failure, a diffusion that is not
-    positive): the slab's own operators then report what is wrong with
-    its steps, as they would without a prediction."""
+    the slab's whole-strip operator factored with c, as a list of one.  A
+    march stops the refinement, keeping the guess it started from, where
+    f_u at mid is not finite, or where the operator or the march fails
+    (a non-finite solution, an M-matrix or pivot failure, a diffusion
+    that is not positive): the slab's own operators then report what is
+    wrong with its steps, as they would without a prediction."""
     grid, update = slab.grid, math.nan
     for marches in range(PREDICTOR_MARCHES):
         mid = np.add(guess[0], guess[1])
@@ -694,12 +687,12 @@ def _refine(spec, slab, past, guess, strip):
                 return guess, marches, update
             c = np.maximum(np.negative(d), C_FLOOR_DT / grid.dt)
             try:
-                op = strip(c)
+                ops = strip(c)
             except (ValueError, MMatrixViolation, ZeroPivotError):
                 return guess, marches, update
             try:
                 nxt = _sweep(IterationState(guess, guess), spec, grid, StabilizerField(c, 0.0),
-                             (op,), past).u2
+                             ops, past).u2
             except FloatingPointError:
                 return guess, marches, update
         update = float(np.max(np.abs(nxt - guess)))
@@ -710,9 +703,8 @@ def _refine(spec, slab, past, guess, strip):
 def _predicted_start(spec, slab, past, rate, samples, strip):
     """A certified sub/supersolution pair on the slab's levels, stacked
     (lower, upper), with row 0 the past's last row, or None where none
-    certifies; the number of bracket_residuals evaluations made; the
-    (marches, last update) of the guess's refinement; and the pair's
-    memory integral at its last level (see _widen).
+    certifies; the number of bracket_residuals evaluations made; and the
+    (marches, last update) of the guess's refinement.
 
     The guess carries each branch's last row of the past on at rate,
     row + tau rate with tau = t - t_k0, its end values at each level those
@@ -753,9 +745,9 @@ def _predicted_start(spec, slab, past, rate, samples, strip):
     interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         push = 2.0 * _need(interior, ends, drive, edge)
-    start, evaluations, memory = _widen(spec, grid, past, samples, guess, bracket, push, phi,
-                                        drive, edge)
-    return start, evaluations + 1, tuple(refined), memory
+    start, evaluations = _widen(spec, grid, past, samples, guess, bracket, push, phi, drive,
+                                edge)
+    return start, evaluations + 1, tuple(refined)
 
 
 def _start(slab, spec, past, rate, samples, strip, keep_states):
@@ -768,7 +760,7 @@ def _start(slab, spec, past, rate, samples, strip, keep_states):
     from its state."""
     lo, hi = slab.bracket.u11[1:], slab.bracket.u12[1:]
     if np.any(hi > lo):
-        start, slab.evaluations, slab.refined, slab.memory = _predicted_start(
+        start, slab.evaluations, slab.refined = _predicted_start(
             spec, slab, past, rate, samples, strip
         )
         slab.certified = start is not None
@@ -803,37 +795,16 @@ def _stops_at_start(slab, past, history):
     return False
 
 
-def _same_steps(one, other):
-    """Whether two StepSamples are bitwise equal: as many steps, and the
-    same bits of a, b and the end rows at each (a signed zero or a NaN
-    compared as its bits)."""
-    pairs = [(one.a, other.a), (one.b, other.b)]
-    pairs += [pair for ends in zip(one.ends, other.ends) for pair in zip(*ends)]
-    return all(
-        x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
-        for x, y in pairs
-    )
-
-
-@dataclass
-class _Held:
-    """The operators a run holds across its slab runs, built on the grid
-    wide, the levels of one slab run and as many after it as the longest
-    slab has (up to the strip's end), and its StepSamples steps: the
-    window operators of its last slab run, and the whole-strip operator of
-    the predictor's marches (with one window, the window's own operator).
-    A slab of no more steps whose StepSamples are bitwise the first of
-    steps (see _same_steps) takes them over and uses their first steps;
-    so for data that do not depend on t, slabs of two lengths share them."""
-
-    wide: Grid1D
-    steps: StepSamples
-    ops: Optional[list] = None
-    strip: Optional[WindowOperator] = None
-
-    def serves(self, samples):
-        nt = samples.a.shape[0]
-        return nt <= self.steps.a.shape[0] and _same_steps(self.steps.first(nt), samples)
+def _steady(steps):
+    """steps held as their first step's a, b and end rows, each copied
+    once and broadcast over every step, where every step's are bitwise the
+    first's (a signed zero or a NaN compared as its bits), as for data
+    that do not depend on t; None otherwise."""
+    rows = [steps.a, steps.b, *(row for end in steps.ends for row in end)]
+    if not all(np.all(x.view(np.int64) == x[:1].view(np.int64)) for x in rows):
+        return None
+    a, b, *ends = (np.broadcast_to(x[:1].copy(), x.shape) for x in rows)
+    return StepSamples(a=a, b=b, ends=(tuple(ends[:3]), tuple(ends[3:])))
 
 
 def _take_over(op, k0, c_field):
@@ -845,30 +816,15 @@ def _take_over(op, k0, c_field):
     return op
 
 
-def _strip_operator(spec, slab, held, single, c_field):
-    """The slab's whole-strip operator factored with c_field: held.strip,
-    or with one window (single) its window operator, taken over where the
-    run holds one, else built on held's grid and samples and held from
-    then on."""
-    op = held.ops[0] if single and held.ops is not None else held.strip
-    if op is not None:
-        return _take_over(op, slab.k0, c_field)
-    whole = (Subrange(0, slab.grid.nx),)
-    op = _window_operators(spec, held.wide, c_field, whole, slab.k0, held.steps)[0]
-    if single:
-        held.ops = [op]
-    else:
-        held.strip = op
-    return op
-
-
-def _slab_operators(spec, slab, windows, held):
-    """The slab's window operators, factored with its stabilizer on its
-    steps: held.ops taken over (see _take_over), or built on held's grid
-    and samples where it has none."""
-    if held.ops is None:
-        return _window_operators(spec, held.wide, slab.stab.c_total, windows, slab.k0, held.steps)
-    return [_take_over(op, slab.k0, slab.stab.c_total) for op in held.ops]
+def _operators(spec, cache, k0, grid, samples, windows, c_field):
+    """The operators of windows, a tuple of Subrange, for the slab whose
+    first level is k0, factored with c_field on the steps it covers: those
+    cache holds for windows, taken over (see _take_over), else built on
+    grid and its StepSamples samples and held in cache from then on."""
+    if windows in cache:
+        return [_take_over(op, k0, c_field) for op in cache[windows]]
+    ops = cache[windows] = _window_operators(spec, grid, c_field, windows, k0, samples)
+    return ops
 
 
 def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
@@ -897,18 +853,22 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     not stop would: it refreshes its stabilizer on the start, takes its
     operators and sweeps.
 
-    The working set follows the slab: the run holds one set of
-    operators, for the longest slab's steps, which the next slab run
-    takes over where its steps are their first and drops otherwise (see
-    _Held), and what the run keeps of a slab that has stopped is only
-    what resuming it needs, its state and stabilizer.  The result is written into the
-    bracket's own array once no slab can resume, so the levels after a
-    slab that failed keep the bracket.
+    The working set follows the slab: the run samples the strip's steps
+    once, and holds its operators by window set, built once for the
+    longest slab's steps and taken over by every later slab run where
+    the steps are steady, and emptied at each slab run otherwise (see
+    _steady and _operators); what the run keeps of a slab that has
+    stopped is only what resuming it needs, its state and stabilizer.
+    The result is written into the bracket's own array once no slab can
+    resume, so the levels after a slab that failed keep the bracket.
     """
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12)
+    steps = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
+    bounds = _slab_bounds(grid, stab.c_total, steps, windows)
+    steps = _steady(steps)  # None where they depend on t: each slab run samples its own
     slabs = []
-    for k0, k1 in _slab_bounds(grid, stab.c_total, spec.coeffs, windows):
+    for k0, k1 in bounds:
         bracket = IterationState(u1=init.u1[:, k0 : k1 + 1], u2=init.u2[:, k0 : k1 + 1])
         slabs.append(_Slab(
             k0, k1, grid.levels(k0, k1), stab.levels(k0, k1), bracket, bracket,
@@ -920,14 +880,17 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     pasts = [_initial_past(spec, grid)] + [None] * (len(slabs) - 1)
     j, reason = 0, None
     span = max(slab.grid.nt for slab in slabs)
-    held = None
+    cache = {}  # the run's operators, by window set
     while j < len(slabs):
         slab = slabs[j]
-        wide = grid.levels(slab.k0, min(slab.k0 + span, grid.nt))
-        steps = sample_steps(wide, spec.coeffs, spec.bc_left, spec.bc_right)
-        samples = steps.first(slab.grid.nt)
-        if held is None or not held.serves(samples):
-            held = _Held(wide, steps)  # the old operators go before any is built
+        if steps is None:
+            cache.clear()  # the old operators go before any is built
+            samples = sample_steps(slab.grid, spec.coeffs, spec.bc_left, spec.bc_right)
+            operators = partial(_operators, spec, cache, slab.k0, slab.grid, samples)
+        else:
+            samples = steps.first(slab.grid.nt)
+            operators = partial(_operators, spec, cache, slab.k0, grid.levels(0, span),
+                                steps.first(span))
         stops = False
         if not slab.started:
             if j == 0:
@@ -935,7 +898,7 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
             else:
                 last = slabs[j - 1].state.u2
                 rate = (last[0, -1] - last[0, -2] + last[1, -1] - last[1, -2]) / (2.0 * grid.dt)
-            strip = partial(_strip_operator, spec, slab, held, len(windows) == 1)
+            strip = partial(operators, (Subrange(0, grid.nx),))
             _start(slab, spec, pasts[j], rate, samples, strip, keep_states)
             stops = _stops_at_start(slab, pasts[j], history)
         carried = None
@@ -943,17 +906,15 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
             if slab.state.sweep_index == 0 and slab.certified:  # the refresh on its start
                 slab.stab = refresh_stabilizers(spec, slab.grid, slab.stab,
                                                 slab.state.u11, slab.state.u12)
-                slab.memory = None
-            held.ops = _slab_operators(spec, slab, windows, held)
             carried, reason = _sweep_slab(
-                slab, spec, held.ops, pasts[j], history, tol, max_sweeps,
-                abort_on_chain_violation, keep_states,
+                slab, spec, operators(windows, slab.stab.c_total), pasts[j], history, tol,
+                max_sweeps, abort_on_chain_violation, keep_states,
             )
             if reason is not None:
                 break
         if carried is None:
             if j + 1 < len(slabs):
-                pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid, slab.memory)
+                pasts[j + 1] = pasts[j].extend(spec.kernel, slab.state.u2, slab.grid)
             j += 1
         else:
             growth = slab.gap / carried
@@ -999,8 +960,8 @@ def run_dd(spec, grid, decomp, tol, max_sweeps, abort_on_chain_violation=False, 
     number of slabs, and in each slab it is lowered on the current
     envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
     module docstring).  A slab's window operators are built when it
-    starts sweeping, or taken over from the slab run before it where its
-    steps are the first of theirs, and refactored in place by a refresh
+    starts sweeping, or taken over from an earlier slab run where the
+    run's data do not depend on t, and refactored in place by a refresh
     that changes c.
     history.c_max records the largest c each sweep used,
     history.slab_sweeps the sweeps per slab.

@@ -35,7 +35,7 @@ def _as_field(values, shape):
     return np.broadcast_to(np.asarray(values, dtype=float), shape)
 
 
-def bracket_residuals(spec, grid, U, past=None, samples=None, memory=None):
+def bracket_residuals(spec, grid, U, past=None, samples=None):
     """The discrete supersolution residuals of U, each >= 0 where U is a
     supersolution and <= 0 where it is a subsolution: (interior, boundary,
     initial), of shapes (..., nt, nx-1), (..., nt, 2) and (..., nx+1).
@@ -52,8 +52,7 @@ def bracket_residuals(spec, grid, U, past=None, samples=None, memory=None):
     its last row, see volterra.eval_g_field), and the initial residual is
     U's row 0 less the past's last row: a slab's start is a subsolution
     where it lies below its past and a supersolution where above.
-    samples are the StepSamples of grid, and memory the memory term
-    eval_g_field gives U on grid and past, when the caller has them
+    samples are the StepSamples of grid, when the caller has them
     already.
     """
     if samples is None:
@@ -75,9 +74,7 @@ def bracket_residuals(spec, grid, U, past=None, samples=None, memory=None):
         term *= b
         res -= term
     res -= spec.reaction.f(t, x, Uk)
-    if memory is None:
-        memory = eval_g_field(spec.kernel, U, grid, past=past)
-    res -= memory[..., 1:, 1:-1]
+    res -= eval_g_field(spec.kernel, U, grid, past=past)[..., 1:, 1:-1]
 
     bnd = np.empty(U.shape[:-2] + (grid.nt, 2))
     for j, (i, ngh) in enumerate(((0, 1), (grid.nx, grid.nx - 1))):

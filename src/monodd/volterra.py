@@ -42,7 +42,7 @@ occupy after some sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -106,10 +106,6 @@ class Past:
     u: np.ndarray  # (..., k0+1, nx+1), or (..., 1, nx+1)
     ts: np.ndarray  # (k0+1,), or (1,)
     g: np.ndarray  # (..., nx+1)
-    # e^{-lam dt j} at the levels j = 0..nt after k0, as a column, by
-    # (lam, dt, nt): the factor an exponential kernel's g carries on by,
-    # made once for the levels every sweep of a slab evaluates
-    decay: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, row, grid):
@@ -118,13 +114,10 @@ class Past:
         row = np.asarray(row, dtype=float)
         return cls(u=row[..., None, :], ts=grid.ts[:1], g=np.zeros(row.shape))
 
-    def extend(self, kernel, u, grid, g=None):
+    def extend(self, kernel, u, grid):
         """The past at the last level of u, which holds the final levels
-        k0..k1 (row 0 the level-k0 row of this past) on their grid; g is
-        the memory integral at that level, eval_g_field's last row of u on
-        this past, when the caller has it already."""
-        if g is None:
-            g = eval_g_field(kernel, u, grid, past=self)[..., -1, :].copy()
+        k0..k1 (row 0 the level-k0 row of this past) on their grid."""
+        g = eval_g_field(kernel, u, grid, past=self)[..., -1, :].copy()
         if kernel.trivial or kernel.exp_form is not None:
             return Past(u=u[..., -1:, :].copy(), ts=grid.ts[-1:], g=g)
         return Past(
@@ -196,10 +189,7 @@ def _exponential_memory(form, u, grid, cols, past):
     past.g at those columns when there is a past."""
     out = _exponential_trapezoid(form, u, grid.dt)
     if past is not None:
-        key = (form.lam, grid.dt, grid.nt)
-        decay = past.decay.get(key)
-        if decay is None:
-            decay = past.decay[key] = np.exp(-form.lam * grid.dt * np.arange(grid.nt + 1))[:, None]
+        decay = np.exp(-form.lam * grid.dt * np.arange(grid.nt + 1))[:, None]
         out += decay * past.g[..., None, cols]
     return out
 

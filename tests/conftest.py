@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from monodd import (
@@ -48,3 +50,18 @@ def kpp(lam, b, amp):
         u0=lambda x: amp * np.sin(np.pi * x),
         bracket=Bracket(u_hat=lambda t, x: 0.0 * x, u_tilde=lambda t, x: 1.0 + 0.0 * x),
     )
+
+
+def kpp_a_of_t():
+    """kpp(8, 0.5, 0.5) with the diffusion 0.05 + 0.05 x + 0.01 t: no two
+    steps share their data."""
+    spec = kpp(8.0, 0.5, 0.5)
+    return dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, a=lambda t, x: 0.05 + 0.05 * x + 0.01 * t))
+
+
+def kpp_h_of_t():
+    """kpp(8, 0.5, 0.5) with the left end's h = 0.01 t: no two steps share
+    their data."""
+    spec = kpp(8.0, 0.5, 0.5)
+    return dataclasses.replace(spec, bc_left=dataclasses.replace(spec.bc_left, h=lambda t: 0.01 * t))

@@ -286,7 +286,7 @@ def span(hist):
 
 
 def slab_operands(spec, grid, k0, k1, scale=1.0):
-    """The slab k0..k1 of grid as _slab_operators reads it, its stabilizer
+    """The slab k0..k1 of grid as _operators reads it, its stabilizer
     the initial bracket's times scale, and its StepSamples."""
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12).levels(k0, k1)
@@ -410,14 +410,35 @@ class TestOperatorsPerSlab:
         starts = sum(certified for *_, certified, _ in hist.slab_starts)
         assert len(changed) - starts < due
 
+    @pytest.mark.parametrize("single", [False, True])
+    def test_steady_steps_build_each_window_set_once(self, monkeypatch, single):
+        # Near KPP's unstable state slabs stall and the run takes earlier
+        # ones up again, on slabs of two lengths.  KPP's data do not depend
+        # on t, so the run builds the operators of each window set once,
+        # at the first slab, for the longest slab's steps, and every later
+        # slab run takes them over: the predictor's whole strip and the
+        # two windows with two windows (3 builds), one whole-strip window
+        # shared by both uses on a single domain (1 build).
+        spec = kpp(6.0, 0.0, STALL_AMP)
+        grid = build_grid(spec.domain, 8, 12)
+        builds, runs = record_builds(monkeypatch), record_slab_runs(monkeypatch)
+        if single:
+            sol, hist = run_single_domain(spec, grid, 1e-9, 500)
+            windows = (Subrange(0, 8),)
+        else:
+            sol, hist = run_dd(spec, grid, Decomposition(i1_hi=3, i2_lo=1), 1e-9, 500)
+            windows = (Subrange(0, 8), Subrange(0, 3), Subrange(1, 8))
+            assert len(runs) > len(set(runs))  # a slab was taken up again
+        assert sol.converged and len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
+        assert builds == [(window, 0, span(hist)) for window in windows]
+
     def test_steps_that_depend_on_t_are_built_afresh(self, monkeypatch):
-        # With a diffusion that depends on t, no two slabs share their
-        # steps, and every slab run builds its own operators: the
-        # whole-strip one for its predictor, then its windows', each for
-        # the longest slab's levels from its first (up to the strip's
-        # end).  Held steps serve a slab of no more steps whose samples
-        # are bitwise their first: equal data at another length are
-        # enough where the held steps are the longer.
+        # With a diffusion that depends on t, no two steps share their
+        # data, and every slab run builds its own operators on its own
+        # levels: the whole-strip one for its predictor, then its
+        # windows'.  Steps are steady where every step's a, b and end rows
+        # are bitwise the first's: an end row that changes only late, or
+        # only in the sign of a zero, is not.
         base = desk_logistic()
         spec = dataclasses.replace(base, coeffs=dataclasses.replace(
             base.coeffs, a=lambda t, x: (1.0 + 0.5 * t) + 0.0 * x))
@@ -427,23 +448,27 @@ class TestOperatorsPerSlab:
         sol, hist = run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-9, 50)
         assert sol.converged and len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
         assert builds == [
-            (window, k0, min(k0 + span(hist), grid.nt))
+            (window, k0, k1)
             for k0, k1, _ in hist.slab_sweeps for window in (Subrange(0, 16),) + windows
         ]
 
-        first, second, third = (slab_operands(base, grid, k0, k1)[1]
-                                for k0, k1 in ((0, 2), (2, 5), (5, 8)))
-        assert not iteration._same_steps(first, second)
-        assert iteration._same_steps(second, third)
-        assert iteration._Held(grid.levels(2, 5), second).serves(first)
-        assert not iteration._Held(grid.levels(0, 2), first).serves(second)
-        assert not iteration._same_steps(second, slab_operands(spec, grid, 5, 8)[1])
+        def steady(spec_):
+            return iteration._steady(sample_steps(grid, spec_.coeffs, spec_.bc_left,
+                                                  spec_.bc_right))
+
+        held = steady(base)
+        first = sample_steps(grid, base.coeffs, base.bc_left, base.bc_right).first(1)
+        for one, kept in zip((first.a, first.b, *first.ends[0], *first.ends[1]),
+                             (held.a, held.b, *held.ends[0], *held.ends[1])):
+            assert kept.shape[0] == grid.nt and kept.strides[0] == 0
+            np.testing.assert_array_equal(kept, np.broadcast_to(one, kept.shape))
+        assert steady(spec) is None
         late = dataclasses.replace(base, bc_right=BoundaryCondition(
             alpha0=lambda t: 0.0, beta0=lambda t: 1.0, h=lambda t: 0.0 if t < 0.7 else 1e-300))
-        assert not iteration._same_steps(second, slab_operands(late, grid, 5, 8)[1])
+        assert steady(late) is None
         signed = dataclasses.replace(base, bc_right=dataclasses.replace(
             base.bc_right, h=lambda t: 0.0 if t < 0.7 else -0.0))
-        assert not iteration._same_steps(second, slab_operands(signed, grid, 5, 8)[1])
+        assert steady(signed) is None
 
     @pytest.mark.parametrize("later_levels", [(4, 8), (4, 7)])
     def test_a_march_on_a_taken_over_operator_is_bitwise_a_fresh_one(self, later_levels):
@@ -468,15 +493,18 @@ class TestOperatorsPerSlab:
             ).copy()
 
         first, samples = slab_operands(spec, grid, 0, 4)
-        held = iteration._Held(first.grid, samples)
-        held.ops = ops = iteration._slab_operators(spec, first, windows, held)
+        assert iteration._steady(samples) is not None
+        cache = {}
+        ops = iteration._operators(spec, cache, 0, first.grid, samples, windows,
+                                   first.stab.c_total)
+        assert cache == {windows: ops}
         for op in ops:
             march(op, 4)
         plans = [op.plan for op in ops]
         later, same = slab_operands(spec, grid, *later_levels, scale=0.5)
         nt = later.grid.nt
-        assert held.serves(same)
-        taken = iteration._slab_operators(spec, later, windows, held)
+        taken = iteration._operators(spec, cache, 4, later.grid, same, windows,
+                                     later.stab.c_total)
         assert all(op is old for op, old in zip(taken, ops))
         assert all(op.plan is plan for op, plan in zip(taken, plans))
         assert all(op.k0 == 4 for op in taken)
@@ -759,7 +787,8 @@ class TestSlabRule:
         init = init_state(spec, grid)
         c = compute_stabilizers(spec, grid, init.u11, init.u12).c_total
         windows = (Subrange(0, nx),) if decomp is None else iteration._dd_windows(grid, decomp)
-        bounds = iteration._slab_bounds(grid, c, spec.coeffs, windows)
+        steps = sample_steps(grid, spec.coeffs, spec.bc_left, spec.bc_right)
+        bounds = iteration._slab_bounds(grid, c, steps, windows)
         assert len(bounds) == slabs == slab_count(spec, grid, decomp)
         assert bounds[0][0] == 0 and bounds[-1][1] == nt
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
@@ -958,7 +987,7 @@ class TestSlabs:
         assert sol.converged and sol.sweeps_used == 1
         assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
         monkeypatch.setattr(iteration, "_predicted_start",
-                            lambda *args: (None, 0, (0, np.nan), None))
+                            lambda *args: (None, 0, (0, np.nan)))
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
         assert not any(certified for *_, certified, _ in hist.slab_starts)
@@ -1002,12 +1031,12 @@ class TestPredictedStart:
 
         def recorded(spec_, slab, past, rate, samples, strip):
             bracket = slab.bracket.u1.copy()
-            start, count, refined, memory = predict(spec_, slab, past, rate, samples, strip)
+            start, count, refined = predict(spec_, slab, past, rate, samples, strip)
             evaluations.append(count)
             refinements.append(refined)
             if start is not None:
                 starts.append((slab.k0, slab.k1, slab.grid, past, start.copy(), bracket))
-            return start, count, refined, memory
+            return start, count, refined
 
         with mock.patch.object(iteration, "_predicted_start", recorded):
             sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
@@ -1242,16 +1271,16 @@ class TestStopAtStart:
         # later slab stops at its start: no refresh of its stabilizer, no
         # build or refactor of its window operators and no sweep over them,
         # while its predictor's marches still refactor the whole-strip
-        # operator.  The past a stopped slab hands on takes its last memory
-        # row from the slab's certificate, bitwise the row Past.extend
-        # evaluates.
+        # operator.  The past a stopped slab hands on is its start carried
+        # on by Past.extend.
         spec = catalog_lookup("manufactured_1")
         grid = build_grid(spec.domain, 128, 256)
         decomp = default_decomposition(128)
         windows = tuple(iteration._dd_windows(grid, decomp))
         level = level_of(grid)
         builds, refactors = record_builds(monkeypatch), record_refactors(monkeypatch)
-        refreshed, swept, handed_on = [], [], []
+        stops = record_stops(monkeypatch)
+        refreshed, swept, handed_on = [], [], {}
         refresh, sweep, extend = iteration.refresh_stabilizers, iteration._sweep, Past.extend
 
         def refreshed_on(spec_, slab_grid, *args):
@@ -1262,10 +1291,9 @@ class TestStopAtStart:
             swept.append((level(slab_grid), tuple(op.window for op in ops)))
             return sweep(state, spec_, slab_grid, stab, ops, past)
 
-        def extended(past, kernel, u, slab_grid, g=None):
-            if g is not None:
-                handed_on.append(g.tobytes() == extend(past, kernel, u, slab_grid).g.tobytes())
-            return extend(past, kernel, u, slab_grid, g)
+        def extended(past, kernel, u, slab_grid):
+            handed_on[level(slab_grid)] = u.copy()
+            return extend(past, kernel, u, slab_grid)
 
         monkeypatch.setattr(iteration, "refresh_stabilizers", refreshed_on)
         monkeypatch.setattr(iteration, "_sweep", swept_over)
@@ -1283,7 +1311,9 @@ class TestStopAtStart:
         strip = Subrange(0, grid.nx)
         assert {k0 for window, k0, _ in refactors if window == strip} >= stopped
         assert {k0 for k0, ops in swept if ops == (strip,)} == stopped | {0}
-        assert handed_on == [True] * (len(stopped) - 1)  # the last slab hands on no past
+        assert [level(slab_grid) for slab_grid, *_ in stops] == sorted(stopped)
+        for slab_grid, _, start, _ in stops[:-1]:  # the last slab hands on no past
+            np.testing.assert_array_equal(handed_on[level(slab_grid)], start)
 
     def test_a_run_whose_every_start_meets_tol_records_one_sweep(self, tmp_path):
         # From u0 = 0 every slab's predicted start u = 0 certifies at width

@@ -2,8 +2,8 @@
 u0 = 0 (whose predicted start u = 0 certifies at once: the first slab
 sweeps once, and every later one stops at its start with no sweep), of
 three near KPP's unstable state whose gap grows across each slab (two
-of them stall), of two on a 2-cell overlap and of one whose slabs the
-overlap sets, with no timing: a change that makes the solver sweep more,
+of them stall), of two on a 2-cell overlap, of one whose slabs the
+overlap sets and of two whose data depend on t, with no timing: a change that makes the solver sweep more,
 or solve more time levels, at the same tol fails here before any
 benchmark runs."""
 import numpy as np
@@ -18,7 +18,7 @@ from monodd import (
     run_single_domain,
 )
 
-from conftest import desk_logistic, kpp
+from conftest import desk_logistic, kpp, kpp_a_of_t, kpp_h_of_t
 
 TOL = 1e-8
 MAX_SWEEPS = 200
@@ -56,6 +56,10 @@ MAX_SWEEPS = 200
                  id="logistic_64x128"),
     pytest.param(desk_logistic(), 128, 64, Decomposition(i1_hi=65, i2_lo=63), TOL, 94, 3168,
                  id="logistic_128x64_narrow_overlap"),
+    pytest.param(kpp_a_of_t(), 128, 128, default_decomposition(128), TOL, 2, 142,
+                 id="kpp_a(t)_128x128"),
+    pytest.param(kpp_h_of_t(), 128, 128, default_decomposition(128), TOL, 2, 142,
+                 id="kpp_h(t)_128x128"),
 ])
 def test_sweeps_and_level_solves(spec, nx, nt, decomp, tol, sweeps, level_solves):
     grid = build_grid(spec.domain, nx, nt)
