@@ -40,9 +40,9 @@ overlap, delta = (i1_hi - i2_lo) dx wide, and overlapping Schwarz
 waveform relaxation contracts at a rate set by delta^2 / (a tau) (same
 references): no slab is longer than delta^2 / max a, the time diffusion
 takes to cross the overlap, but none is shorter than MIN_SLAB_LEVELS
-levels on that account, as a slab-sweep's fixed cost would then exceed
-its level-solves'.  The single-domain iteration has no overlap and takes
-the c term alone.  With both terms <= 1 there is one slab, the whole
+levels on that account, as a slab's fixed cost would then exceed the
+level-solves it saves.  The single-domain iteration has no overlap and
+takes the c term alone.  With both terms <= 1 there is one slab, the whole
 strip.  A slab [k0, k1] iterates its levels only: each branch starts at
 row k0 from its own final field of the slab before (lower from u21,
 upper from u22), the memory term reads that field's frozen past
