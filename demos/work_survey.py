@@ -21,6 +21,9 @@ The cases are
   where the gap a slab carries in grows across it: from u0 = 0, KPP's
   unstable state, whose start u = 0 now certifies at once;
 - runs from u0 = amp sin(pi x) near 0 that still stall;
+- coarse-dt KPP runs whose every slab starts from the bracket, as no
+  prediction certifies there, and which lean on the stabilizer's
+  refresh after slab sweeps 1, 2, 4, ...;
 - the benchmark's two decomposed configurations.
 Every run is at tol 1e-8 unless the case says otherwise, with the chain
 abort on.  Grids are nx x nt.  It takes a few seconds.
@@ -75,6 +78,9 @@ def cases():
         yield "stall-amp", f"kpp({lam:g},0,1e-3)", kpp(lam, 0.0, 1e-3), 8, 12, Decomposition(3, 1), 1e-9
     yield ("stall-amp", "kpp(8,0.5,1e-4)", kpp(8.0, 0.5, 1e-4), 64, 64, Decomposition(33, 31),
            TOL)
+    for lam, amp, nx, nt in ((2.0, 0.5, 16, 2), (4.0, 0.5, 16, 4), (8.0, 0.5, 32, 4),
+                             (8.0, 0.2, 16, 8)):
+        yield "bracket", f"kpp({lam:g},0,{amp:g})", kpp(lam, 0.0, amp), nx, nt, None, TOL
     yield "benchmark", "memory_dd", catalog_lookup("manufactured_1"), 128, 256, None, TOL
     yield "benchmark", "kpp_dd", kpp(8.0, 0.5, 0.5), 256, 256, None, TOL
 

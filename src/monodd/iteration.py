@@ -12,9 +12,12 @@ but the envelope [u11, u12] a refresh samples is then current on the
 whole strip.
 
 The stabilizer c makes F1 = c u + f + g nondecreasing on the order
-interval the iterates occupy.  That interval shrinks every sweep, so c is
-refreshed on the current envelope [u11, u12] after sweeps 1, 2, 4, 8, ...
-(the accelerated monotone iteration of Pao), as
+interval the iterates occupy.  A slab that starts from its certified
+prediction lowers c once, on that start, and sweeps with it: the fixed-c
+scheme.  One that starts from the bracket occupies an interval that
+shrinks every sweep, so its c is refreshed on the current envelope
+[u11, u12] after sweeps 1, 2, 4, 8, ... (the accelerated monotone
+iteration of Pao).  Either refresh is
 c_n = min(c_{n-1}, max(c_under([u11, u12]) + b_under + C_MARGIN, -1/(2 dt))),
 negative where f grows on the whole envelope (see volterra).  The
 min keeps the chain: on an overlap node the link u21(n) <= u11(n+1) comes
@@ -47,9 +50,8 @@ strip.  A slab [k0, k1] iterates its levels only: each branch starts at
 row k0 from its own final field of the slab before (lower from u21,
 upper from u22), the memory term reads that field's frozen past
 (volterra.Past), and the stabilizer starts from the initial-bracket c
-on the slab's levels and is refreshed after slab sweeps 1, 2, 4, 8, ...,
-a refresh put off by one sweep when the next sweep is predicted to
-finish the slab.
+on the slab's levels, lowered once on a certified start, or after slab
+sweeps 1, 2, 4, 8, ... on a slab that starts from the bracket.
 
 The sweeps a slab needs grow with the distance between the sub- and
 supersolution it starts from (Pao, 1992, ch. 2-3), so before its first
@@ -80,7 +82,8 @@ certified start itself, so a slab whose start already meets its target,
 in order to CHAIN_SLACK, stops there with no sweep, once the run has
 recorded a sweep (see _stops_at_start): it neither refreshes its
 stabilizer nor takes operators.  A slab that sweeps refreshes its
-stabilizer on its certified start, then takes its operators.  max_sweeps
+stabilizer on its certified start, then takes its operators and sweeps
+with that stabilizer.  max_sweeps
 and the chain check apply per slab; a chain link counts as violated
 below -verify.CHAIN_SLACK.  Where the carried gap grows across
 a slab so that its gap stalls above tol, which the slab tells from the
@@ -121,7 +124,8 @@ k0, so an M-matrix failure names the strip's time step, keeping their
 arrays and march plans.  Otherwise each slab run empties the dict,
 samples its own steps and builds on its own levels.  Either way the
 factors of the slab's steps are those of its current stabilizer,
-bitwise, which a refresh that changes c refactors in place.  Per slab
+bitwise, which, on a slab that starts from the bracket, a refresh that
+changes c refactors in place.  Per slab
 run, in this order: it starts (once: a slab the run comes back to
 keeps its state), and, unless it stops at its start, it refreshes its
 stabilizer on a certified start it has not swept from yet and takes its
@@ -222,7 +226,10 @@ class IterationState:
     composites (u21, u22); each is (2, nt+1, nx+1), or (2, k1-k0+1, nx+1)
     over the levels of a slab.  After a sweep, u1 is window 1's solve on
     its columns and equals u2 right of them.  Sweeps make new arrays and
-    never modify a state's fields in place."""
+    never modify a state's fields in place; the run writes into one state
+    only, the initial bracket's, whose arrays its slabs' brackets view:
+    _start writes a certified start into the rows of its slab's bracket,
+    and _run the result at the end."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -465,24 +472,19 @@ def _carried(past):
 
 def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_violation,
                 keep_states):
-    """Sweep one slab on from its state until its gap drops to its target,
-    lowering the stabilizer on the slab's envelope after slab sweeps 1, 2,
-    4, 8, ...; every sweep is folded into history.  It sweeps at least
-    once: the test at sweep 0, a start that already meets its target, is
-    made before the slab takes its operators (see _stops_at_start).
+    """Sweep one slab on from its state until its gap drops to its target;
+    every sweep is folded into history.  It sweeps at least once: the test
+    at sweep 0, a start that already meets its target, is made before the
+    slab takes its operators (see _stops_at_start).
 
     ops are the slab's window operators, factored with its current
-    stabilizer (see _operators); a refresh that changes c refactors them
-    in place.
-
-    A due refresh is put off by one sweep when the last two gaps predict
-    that the next sweep reaches the target (gap * gap / previous gap <=
-    target): keeping the larger c is always sound, and a refresh then
-    would resample c and refactor every step for at most one more sweep.
-    A refresh that leaves c as it was (c already at its floor -1/(2 dt)
+    stabilizer (see _operators).  A slab that started from its certified
+    prediction sweeps with the stabilizer refreshed on that start (see
+    _run) and never changes it: the fixed-c scheme.  One that started from
+    the bracket lowers its stabilizer on its envelope after slab sweeps 1,
+    2, 4, 8, ..., and a refresh that changes c refactors ops in place;
+    one that leaves c as it was (c already at its floor -1/(2 dt)
     everywhere, a resample that comes out no lower) refactors nothing.
-    Where f grows on the slab's envelope, c goes below 0 and keeps falling
-    as the envelope closes, so it refactors there.
 
     The slab has stalled on the gap its first row carries in when that
     gap is > 0, the update is <= tol, and the ratio r of the last two
@@ -506,24 +508,20 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
     state, stab = slab.state, slab.stab
     c_max = float(np.maximum.reduce(stab.c_total[1:], None))
     carried = _carried(past)
-    gaps, upds = [], []  # this call's, for the refresh prediction and the stall test
-    late = False  # a refresh put off by one sweep
+    upds = []  # this call's, for the stall test
     for n in range(state.sweep_index, max_sweeps):
-        if late or (n > 0 and n & (n - 1) == 0):
-            late = not late and len(gaps) > 1 and gaps[-1] ** 2 <= slab.target * gaps[-2]
-            if not late:
-                fresh = refresh_stabilizers(spec, slab.grid, stab, state.u11, state.u12)
-                if fresh is not stab and not np.array_equal(fresh.c_total, stab.c_total):
-                    for op in ops:
-                        refactor_window_operator(op, fresh.c_total)
-                    c_max = float(np.maximum.reduce(fresh.c_total[1:], None))
-                stab = fresh
+        if not slab.certified and n > 0 and n & (n - 1) == 0:
+            fresh = refresh_stabilizers(spec, slab.grid, stab, state.u11, state.u12)
+            if fresh is not stab and not np.array_equal(fresh.c_total, stab.c_total):
+                for op in ops:
+                    refactor_window_operator(op, fresh.c_total)
+                c_max = float(np.maximum.reduce(fresh.c_total[1:], None))
+            stab = fresh
         nxt = _sweep(state, spec, slab.grid, stab, ops, past)
         gap, upd, viol = sweep_metrics(state, nxt, lo, hi)
         history.record(n, gap, upd, viol, c_max)
         state = nxt
         slab.gap = gap
-        gaps.append(gap)
         upds.append(upd)
         if keep_states:
             slab.states.append(state)
@@ -956,13 +954,15 @@ def run_dd(spec, grid, decomp, tol, max_sweeps, abort_on_chain_violation=False, 
     """Sweep the two-subdomain scheme, slab by slab, until the bracket gap
     drops below tol on every slab, or a slab hits max_sweeps.
 
-    The stabilizer c is computed over the initial bracket; it sets the
-    number of slabs, and in each slab it is lowered on the current
-    envelope after slab sweeps 1, 2, 4, 8, ... and never raised (see the
-    module docstring).  A slab's window operators are built when it
-    starts sweeping, or taken over from an earlier slab run where the
-    run's data do not depend on t, and refactored in place by a refresh
-    that changes c.
+    The stabilizer c is computed over the initial bracket, and sets the
+    number of slabs.  A slab that starts from its certified prediction
+    lowers it once, on that start, and sweeps with it; one that starts
+    from the bracket lowers it on the current envelope after slab sweeps
+    1, 2, 4, 8, ...; it is never raised (see the module docstring).  A
+    slab's window operators are built when it starts sweeping, or taken
+    over from an earlier slab run where the run's data do not depend on
+    t, and refactored in place by a refresh after a sweep that changes
+    c.
     history.c_max records the largest c each sweep used,
     history.slab_sweeps the sweeps per slab.
     """

@@ -166,25 +166,18 @@ def sweep_metrics(prev, nxt, u_hat_field, u_tilde_field):
     Every difference is written into a scratch array instead of a
     temporary of its own and reduced by the ufunc straight away, the
     links in _chain_links' order, so a NaN meets Python's min and max in
-    the same place; the u11(n+1) <= u12(n+1) link's difference, kept in a
-    scratch row of its own, also gives the subdomain-1 gap.  The two
-    updates' absolute values, which hold no signed zero, are taken in one
-    call and reduced in another.
+    the same place.  The two updates' absolute values, which hold no
+    signed zero, are taken in one call and reduced in another.
     """
     scratch = np.empty((2,) + np.shape(nxt.u1))
-    one, gap_1 = scratch[0]
+    one = scratch[0, 0]
     sub, least, most = np.subtract, np.minimum.reduce, np.maximum.reduce
-    sub(nxt.u12, nxt.u11, out=gap_1)
     margin = min(
-        least(sub(prev.u11, u_hat_field, out=one), None),
-        least(sub(prev.u21, prev.u11, out=one), None),
-        least(sub(nxt.u11, prev.u21, out=one), None),
-        least(gap_1, None),
-        least(sub(prev.u22, nxt.u12, out=one), None),
-        least(sub(prev.u12, prev.u22, out=one), None),
-        least(sub(u_tilde_field, prev.u12, out=one), None),
+        least(sub(right, left, out=one), None)
+        for _, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field)
     )
-    gap = max(most(sub(nxt.u22, nxt.u21, out=one), None), most(gap_1, None))
+    gap = max(most(sub(nxt.u22, nxt.u21, out=one), None),
+              most(sub(nxt.u12, nxt.u11, out=one), None))
     sub(nxt.u1, prev.u1, out=scratch[0])
     sub(nxt.u2, prev.u2, out=scratch[1])
     update = max(most(np.abs(scratch, out=scratch), (1, 2, 3)).tolist())

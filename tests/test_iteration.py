@@ -279,6 +279,12 @@ def record_operators(monkeypatch):
     return entries
 
 
+def start_from_the_bracket(monkeypatch):
+    """Make every slab start from the bracket, as one does whose predicted
+    start does not certify."""
+    monkeypatch.setattr(iteration, "_predicted_start", lambda *args: (None, 0, (0, np.nan)))
+
+
 def span(hist):
     """The levels of the longest slab of a run: those the held operators
     are built for."""
@@ -317,98 +323,81 @@ class TestOperatorsPerSlab:
         # window operators with its own c, builds nothing and keeps their
         # march plans.  A slab whose predicted start certifies refreshes
         # on it before it takes its window operators, which refactors
-        # nothing; it then refreshes after its sweeps 1, 2, 4, ... that
-        # another sweep follows, each refresh put off by one sweep when the
-        # slab's last two gaps predict that the next sweep reaches tol
-        # (gap^2 <= tol * previous).  Desk logistic's f grows where
-        # u < 1/2, so its c falls below 0 there and every refresh lowers it
-        # further: each refactors.
-        tol = 1e-12
-        gaps, changed = [], []
-        metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
-
-        def recorded(prev, nxt, lo, hi):
-            out = metrics(prev, nxt, lo, hi)
-            gaps.append(out[0])
-            return out
+        # nothing, and sweeps with that c.  With the prediction patched out
+        # every slab starts from the bracket: it makes no march, and
+        # refreshes after its sweeps 1, 2, 4, ... that another sweep
+        # follows.  Desk logistic's f grows where u < 1/2, so its c falls
+        # below 0 there and every refresh lowers it further: each one after
+        # a sweep refactors the window operators in place.
+        changed = []
+        refresh = iteration.refresh_stabilizers
 
         def compared(spec, grid, stab, *args, **kwargs):
             fresh = refresh(spec, grid, stab, *args, **kwargs)
             changed.append(not np.array_equal(fresh.c_total, stab.c_total))
             return fresh
 
-        def refreshed_after(slab_gaps):
-            after, late = [], False
-            for n in range(1, len(slab_gaps)):
-                if late or n & (n - 1) == 0:
-                    late = not late and n > 1 and slab_gaps[n - 1] ** 2 <= tol * slab_gaps[n - 2]
-                    if not late:
-                        after.append(n)
-            return after
-
-        def per_slab(hist):
-            sweeps = [s for *_, s in hist.slab_sweeps]
-            assert sum(sweeps) == len(gaps)  # no slab stalls and resumes here
-            starts = np.cumsum([0] + sweeps)
-            return [refreshed_after(gaps[a:b]) for a, b in zip(starts, starts[1:])]
+        def refreshed_after(sweeps):
+            return [n for n in (1, 2, 4, 8, 16, 32) if n < sweeps]
 
         def expected_refactors(hist, windows, whole):
             # Per slab: its marches' refactors of the whole-strip operator
-            # (slab 0's first march built it), the start's refresh, the
-            # window operators' take-over (with one window also slab 0's,
-            # whose operator its marches built), then the refactors of the
-            # refreshes after sweeps that change c.
-            changes, expected = iter(changed), []
-            for j, ((k0, k1, _), (*_, certified, _), (*_, marches, _), after) in enumerate(zip(
-                hist.slab_sweeps, hist.slab_starts, hist.predictions, per_slab(hist)
+            # (slab 0's first march built it), the window operators'
+            # take-over (with one window also slab 0's, where its marches
+            # built it), then, from the bracket, one refactor of them per
+            # refresh after a sweep.
+            expected = []
+            for j, ((k0, k1, sweeps), (*_, certified, _), (*_, marches, _)) in enumerate(zip(
+                hist.slab_sweeps, hist.slab_starts, hist.predictions
             )):
                 expected += [(whole, k0, k1)] * (marches - (j == 0))
-                if certified:
-                    next(changes)
-                if j > 0 or windows == (whole,):
+                if j > 0 or (windows == (whole,) and marches):
                     expected += [(window, k0, k1) for window in windows]
-                for _ in after:
-                    if next(changes):
-                        expected += [(window, k0, k1) for window in windows]
-            assert next(changes, None) is None
+                if not certified:
+                    expected += [(window, k0, k1) for _ in refreshed_after(sweeps)
+                                 for window in windows]
             return expected
 
         builds, refactors = record_builds(monkeypatch), record_refactors(monkeypatch)
         entries = record_operators(monkeypatch)
-        monkeypatch.setattr(iteration, "sweep_metrics", recorded)
         monkeypatch.setattr(iteration, "refresh_stabilizers", compared)
         spec = desk_logistic()
         grid = build_grid(spec.domain, 16, 11)  # slabs of 3, 4 and 4 levels
         whole = Subrange(0, 16)
 
-        for run, windows in (
-            (lambda: run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), tol, 50),
-             (Subrange(0, 10), Subrange(6, 16))),
-            (lambda: run_single_domain(spec, grid, tol, 50), (whole,)),
-        ):
-            for recorded_list in (builds, refactors, gaps, changed, entries):
-                recorded_list.clear()
-            sol, hist = run()
-            assert sol.converged and len(hist.slab_sweeps) > 1
-            assert len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
-            assert all(start[2] for start in hist.slab_starts)
-            marches = [marches for *_, marches, _ in hist.predictions]
-            assert marches == [iteration.PREDICTOR_MARCHES] * len(hist.slab_sweeps)
-            runs = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
-            assert [(k0, k1) for k0, k1, *_ in entries] == runs
-            built = [whole] + [window for window in windows if window != whole]
-            assert builds == [(window, 0, span(hist)) for window in built]
-            for (_, _, ops, _), (_, _, taken, plans) in zip(entries, entries[1:]):
-                assert all(a is b for a, b in zip(taken, ops))
-                assert all(plan is op.plan and plan is not None for plan, op in zip(plans, ops))
-            assert refactors == expected_refactors(hist, windows, whole)
-            assert changed and all(changed)
-        # On the single domain some refresh was put off: fewer than one
-        # after each sweep 1, 2, 4, ... that another sweep of the slab
-        # follows.
-        due = sum(n < sweeps for *_, sweeps in hist.slab_sweeps for n in (1, 2, 4, 8, 16, 32))
-        starts = sum(certified for *_, certified, _ in hist.slab_starts)
-        assert len(changed) - starts < due
+        for predicted in (True, False):
+            if not predicted:
+                start_from_the_bracket(monkeypatch)
+            for run, windows in (
+                (lambda: run_dd(spec, grid, Decomposition(i1_hi=10, i2_lo=6), 1e-12, 50),
+                 (Subrange(0, 10), Subrange(6, 16))),
+                (lambda: run_single_domain(spec, grid, 1e-12, 50), (whole,)),
+            ):
+                for recorded_list in (builds, refactors, changed, entries):
+                    recorded_list.clear()
+                sol, hist = run()
+                assert sol.converged and len(hist.slab_sweeps) > 1
+                assert len({k1 - k0 for k0, k1, _ in hist.slab_sweeps}) == 2
+                assert all(start[2] == predicted for start in hist.slab_starts)
+                marches = [marches for *_, marches, _ in hist.predictions]
+                made = iteration.PREDICTOR_MARCHES if predicted else 0
+                assert marches == [made] * len(hist.slab_sweeps)
+                runs = [(k0, k1) for k0, k1, _ in hist.slab_sweeps]
+                assert [(k0, k1) for k0, k1, *_ in entries] == runs
+                first = [whole] if predicted else []
+                built = first + [window for window in windows if window not in first]
+                assert builds == [(window, 0, span(hist)) for window in built]
+                for (_, _, ops, _), (_, _, taken, plans) in zip(entries, entries[1:]):
+                    assert all(a is b for a, b in zip(taken, ops))
+                    assert all(plan is op.plan and plan is not None
+                               for plan, op in zip(plans, ops))
+                assert refactors == expected_refactors(hist, windows, whole)
+                # One refresh per certified start, or one per sweep 1, 2,
+                # 4, ... that another sweep of a bracket-start slab follows.
+                assert changed == [True] * sum(
+                    1 if predicted else len(refreshed_after(sweeps))
+                    for *_, sweeps in hist.slab_sweeps
+                )
 
     @pytest.mark.parametrize("single", [False, True])
     def test_steady_steps_build_each_window_set_once(self, monkeypatch, single):
@@ -549,16 +538,14 @@ class TestOperatorsPerSlab:
     def test_a_refresh_that_keeps_c_refactors_nothing(self, monkeypatch):
         # linear_heat has f_u = 0, so every resample of c comes out as the
         # c it has, C_MARGIN at every node.  Its refined guess is its
-        # solution, so with the predictor each slab sweeps once; without
-        # it the run resamples on its start and after its sweeps 1 and 2,
-        # and refactors nothing after the build.  On the desk logistic
-        # problem c falls below 0 where u < 1/2 and keeps falling as the
-        # envelope closes, so every refresh resamples and refactors.  Each
-        # slab refines its guess by two marches on the single window's
-        # operator (slab 0's first march builds it), starts from its
-        # certified predicted bracket, on which it resamples c before it
-        # takes the operator over with its own c, and refreshes after its
-        # sweep 1; slab 0's refresh after its sweep 2 of 3 is put off.
+        # solution, so with the predictor each slab sweeps once.  From the
+        # bracket (the prediction patched out) its one slab resamples after
+        # its sweeps 1, 2 and 4 and refactors nothing after the build.  On
+        # the desk logistic problem c falls below 0 where u < 1/2 and keeps
+        # falling as the envelope closes, so every refresh resamples and
+        # refactors.  From the bracket, slab 0 builds the single window's
+        # operator and every later slab takes it over with its own c; each
+        # slab refreshes after its sweeps 1, 2 and 4 of 5.
         refactors = record_refactors(monkeypatch)
         resamples = []
         sample = volterra._sampled_c_under
@@ -573,12 +560,11 @@ class TestOperatorsPerSlab:
         decomp = Decomposition(i1_hi=18, i2_lo=14)
         sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
         assert sol.converged and sol.sweeps_used == 1
-        with monkeypatch.context() as unrefined:
-            unrefined.setattr(iteration, "PREDICTOR_MARCHES", 0)
-            refactors.clear()
-            resamples.clear()
-            sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
-        assert sol.converged and sol.sweeps_used > 4
+        start_from_the_bracket(monkeypatch)
+        refactors.clear()
+        resamples.clear()
+        sol, hist = run_dd(spec, grid, decomp, 1e-9, 200)
+        assert sol.converged and sol.sweeps_used > 4 and len(hist.slab_sweeps) == 1
         assert hist.c_max == [1e-6] * sol.sweeps_used
         assert refactors == [] and resamples == [0.0] * 4
 
@@ -587,15 +573,15 @@ class TestOperatorsPerSlab:
         spec = desk_logistic()
         grid = build_grid(spec.domain, 64, 16)
         sol, hist = run_single_domain(spec, grid, 1e-8, 200)
-        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [3, 2, 2]
-        assert all(certified for *_, certified, _ in hist.slab_starts)
+        assert sol.converged and [sweeps for *_, sweeps in hist.slab_sweeps] == [5, 5, 5]
+        assert not any(certified for *_, certified, _ in hist.slab_starts)
         window = Subrange(0, 64)
         assert [k1 - k0 for k0, k1, _ in hist.slab_sweeps] == [5, 5, 6]
         assert refactors == [(window, k0, k1) for k0, k1, _ in hist.slab_sweeps
                              for _ in range(3 if k0 == 0 else 4)]
-        # The strip's initial c, then each slab's start and one refresh.
+        # The strip's initial c, then each slab's three refreshes.
         starts = [grid.ts[k0] for k0, _, _ in hist.slab_sweeps]
-        assert resamples == [0.0] + [t for t in starts for _ in (0, 1)]
+        assert resamples == [0.0] + [t for t in starts for _ in range(3)]
 
     def test_late_audit_failure_names_the_strip_step(self, monkeypatch):
         # alpha0 = 0 and beta0 < 0 for t > 0.8 make row 0's diagonal
@@ -986,8 +972,7 @@ class TestSlabs:
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert sol.converged and sol.sweeps_used == 1
         assert np.all(sol.u_lower == 0.0) and np.all(sol.u_upper == 0.0)
-        monkeypatch.setattr(iteration, "_predicted_start",
-                            lambda *args: (None, 0, (0, np.nan)))
+        start_from_the_bracket(monkeypatch)
         sol, hist = run_dd(spec, grid, decomp, 1e-8, 500)
         assert not sol.converged and sol.sweeps_used < 120
         assert not any(certified for *_, certified, _ in hist.slab_starts)
@@ -1493,12 +1478,14 @@ class TestRefreshedStabilizer:
         assert np.max(np.abs(sol.u - frozen)) <= tol + 2e-10
 
     def test_c_max_records_the_stabilizer_of_each_sweep(self, monkeypatch):
-        # Each slab starts from the initial-bracket c on its levels, lowered
-        # on its start where that certifies, and is refreshed after its
-        # sweeps 1, 2, 4, ...: its c_max, the largest c of its steps
-        # (levels k0+1..k1), can only fall, and only at the sweeps that
-        # follow a refresh.  History entry n holds the largest c_max of the
-        # slabs that ran a sweep n + 1.
+        # Each slab starts from the initial-bracket c on its levels.  One
+        # whose start certifies lowers it on that start and sweeps with it:
+        # its c_max, the largest c of its steps (levels k0+1..k1), is the
+        # same on each of its sweeps.  With the prediction patched out,
+        # every slab starts from the bracket and is refreshed after its
+        # sweeps 1, 2, 4, ...: its c_max can only fall, and only at the
+        # sweeps that follow a refresh.  History entry n holds the largest
+        # c_max of the slabs that ran a sweep n + 1.
         used = []
         sweep = iteration._sweep
 
@@ -1510,33 +1497,43 @@ class TestRefreshedStabilizer:
         monkeypatch.setattr(iteration, "_sweep", recorded)
         spec = desk_logistic()
         grid = build_grid(spec.domain, 32, 32)
-        sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200,
-                           keep_states=True)
         init = init_state(spec, grid)
         stab = compute_stabilizers(spec, grid, init.u11, init.u12)
-        start = hist.states[0]
-        per_slab = {k0: [c for k, c in used if k == k0] for k0, _, _ in hist.slab_sweeps}
-        assert len(per_slab) > 1
-        assert [len(c) for c in per_slab.values()] == [s for *_, s in hist.slab_sweeps]
-        for (k0, k1, _), (*_, certified, _), c_max in zip(
-            hist.slab_sweeps, hist.slab_starts, per_slab.values()
-        ):
-            first = stab.levels(k0, k1)
-            if certified:  # c is pointwise, so rows k0+1..k1 read the start's alone
-                first = volterra.refresh_stabilizers(
-                    spec, grid.levels(k0, k1), first, start.u11[k0 : k1 + 1], start.u12[k0 : k1 + 1]
-                )
-            assert c_max[0] == np.max(first.c_total[1:])
-            assert c_max[-1] < c_max[0] <= np.max(stab.c_total[k0 + 1 : k1 + 1])
-            for n in range(1, len(c_max)):
-                if n & (n - 1):  # no refresh between sweeps n and n + 1
-                    assert c_max[n] == c_max[n - 1]
-                else:
-                    assert c_max[n] <= c_max[n - 1]
-        assert len(hist.c_max) == sol.sweeps_used
-        assert hist.c_max == [
-            max(c[n] for c in per_slab.values() if n < len(c)) for n in range(sol.sweeps_used)
-        ]
+        for predicted in (True, False):
+            if not predicted:
+                start_from_the_bracket(monkeypatch)
+            used.clear()
+            sol, hist = run_dd(spec, grid, Decomposition(i1_hi=20, i2_lo=12), 1e-10, 200,
+                               keep_states=True)
+            assert sol.converged
+            start = hist.states[0]
+            per_slab = {k0: [c for k, c in used if k == k0] for k0, _, _ in hist.slab_sweeps}
+            assert len(per_slab) > 1
+            assert [len(c) for c in per_slab.values()] == [s for *_, s in hist.slab_sweeps]
+            for (k0, k1, _), (*_, certified, _), c_max in zip(
+                hist.slab_sweeps, hist.slab_starts, per_slab.values()
+            ):
+                assert certified == predicted
+                first = stab.levels(k0, k1)
+                if certified:  # c is pointwise, so rows k0+1..k1 read the start's alone
+                    first = volterra.refresh_stabilizers(
+                        spec, grid.levels(k0, k1), first, start.u11[k0 : k1 + 1],
+                        start.u12[k0 : k1 + 1]
+                    )
+                    assert c_max == [np.max(first.c_total[1:])] * len(c_max)
+                    continue
+                assert c_max[0] == np.max(first.c_total[1:])
+                assert len(c_max) > 4 and c_max[-1] < c_max[0]
+                for n in range(1, len(c_max)):
+                    if n & (n - 1):  # no refresh between sweeps n and n + 1
+                        assert c_max[n] == c_max[n - 1]
+                    else:
+                        assert c_max[n] <= c_max[n - 1]
+            assert len(hist.c_max) == sol.sweeps_used
+            assert hist.c_max == [
+                max(c[n] for c in per_slab.values() if n < len(c))
+                for n in range(sol.sweeps_used)
+            ]
 
     def test_row_0_of_c_is_read_by_no_step(self, monkeypatch):
         # Row 0 of the strip's c is level 0, which no step matrix adds: a c
@@ -1560,35 +1557,42 @@ class TestRefreshedStabilizer:
         np.testing.assert_array_equal(raised.u_lower, sol.u_lower)
         np.testing.assert_array_equal(raised.u_upper, sol.u_upper)
 
-    def test_a_refresh_put_off_comes_one_sweep_later(self, monkeypatch):
-        # The first slab's gaps are faked so that after its sweep 4 they
-        # predict sweep 5 reaches tol (1e-6 ** 2 <= tol * 1e-3), which sweep
-        # 5 then misses: the refresh due after sweep 4 comes after sweep 5.
-        tol = 1e-9
-        fake = [1.0, 1e-1, 1e-3, 1e-6, 1e-7]
+    def test_a_certified_slab_refreshes_once_before_it_takes_its_operators(self, monkeypatch):
+        # Near KPP's unstable state slabs stop at their start, stall, and
+        # are taken up again.  Over the whole run, every slab whose start
+        # certifies and that sweeps refreshes its stabilizer exactly once,
+        # on that start, just before it first takes its window operators;
+        # a slab taken up again sweeps on with the c it had.  No slab that
+        # never sweeps refreshes.
+        spec = kpp(6.0, 0.0, STALL_AMP)
+        grid = build_grid(spec.domain, 8, 12)
+        decomp = Decomposition(i1_hi=3, i2_lo=1)
+        windows = tuple(iteration._dd_windows(grid, decomp))
+        level = level_of(grid)
         events = []
-        metrics, refresh = iteration.sweep_metrics, iteration.refresh_stabilizers
+        refresh, operators = iteration.refresh_stabilizers, iteration._operators
 
-        def faked(prev, nxt, lo, hi):
-            gap, upd, margin = metrics(prev, nxt, lo, hi)
-            events.append("sweep")
-            n = events.count("sweep")
-            return (fake[n - 1] if n <= len(fake) else gap), upd, margin
+        def refreshed_on(spec_, slab_grid, *args):
+            events.append(("refresh", level(slab_grid)))
+            return refresh(spec_, slab_grid, *args)
 
-        def counted(*args, **kwargs):
-            events.append("refresh")
-            return refresh(*args, **kwargs)
+        def taken(spec_, cache, k0, slab_grid, samples, window_set, c_field):
+            if window_set == windows:  # not the predictor's whole strip
+                events.append(("operators", k0))
+            return operators(spec_, cache, k0, slab_grid, samples, window_set, c_field)
 
-        monkeypatch.setattr(iteration, "sweep_metrics", faked)
-        monkeypatch.setattr(iteration, "refresh_stabilizers", counted)
-        spec = catalog_lookup("manufactured_1")
-        sol, hist = run_dd(spec, build_grid(spec.domain, 16, 32), Decomposition(10, 6), tol, 200)
+        monkeypatch.setattr(iteration, "refresh_stabilizers", refreshed_on)
+        monkeypatch.setattr(iteration, "_operators", taken)
+        sol, hist = run_dd(spec, grid, decomp, 1e-9, 500, abort_on_chain_violation=True)
         assert sol.converged
-        first = hist.slab_sweeps[0][2]
-        after = [events[:i].count("sweep") for i, e in enumerate(events) if e == "refresh"]
-        # The first refresh is the one on the slab's certified start.
-        assert hist.slab_starts[0][2] and after[0] == 0
-        assert [n for n in after if n < first][1:4] == [1, 2, 5]
+        swept = [k0 for k0, _, sweeps in hist.slab_sweeps if sweeps > 0]
+        taken_up = [k0 for kind, k0 in events if kind == "operators"]
+        assert len(taken_up) > len(set(taken_up))  # a slab was taken up again
+        assert all(certified for *_, certified, _ in hist.slab_starts)
+        assert sorted(k0 for kind, k0 in events if kind == "refresh") == swept
+        for k0 in swept:
+            first = events.index(("operators", k0))
+            assert events[first - 1] == ("refresh", k0)
 
 
 class TestFlooredStabilizer:

@@ -3,7 +3,10 @@ u0 = 0 (whose predicted start u = 0 certifies at once: the first slab
 sweeps once, and every later one stops at its start with no sweep), of
 three near KPP's unstable state whose gap grows across each slab (two
 of them stall), of two on a 2-cell overlap, of one whose slabs the
-overlap sets and of two whose data depend on t, with no timing: a change that makes the solver sweep more,
+overlap sets, of two whose data depend on t and of two coarse-dt KPP
+runs whose every slab starts from the bracket (they take 27/82 and
+47/178 sweeps/level-solves where such a slab never refreshes its
+stabilizer), with no timing: a change that makes the solver sweep more,
 or solve more time levels, at the same tol fails here before any
 benchmark runs."""
 import numpy as np
@@ -60,6 +63,10 @@ MAX_SWEEPS = 200
                  id="kpp_a(t)_128x128"),
     pytest.param(kpp_h_of_t(), 128, 128, default_decomposition(128), TOL, 2, 142,
                  id="kpp_h(t)_128x128"),
+    pytest.param(kpp(4.0, 0.0, 0.5), 16, 4, default_decomposition(16), TOL, 9, 33,
+                 id="kpp(4,0,0.5)_16x4_bracket"),
+    pytest.param(kpp(8.0, 0.0, 0.2), 16, 8, default_decomposition(16), TOL, 10, 60,
+                 id="kpp(8,0,0.2)_16x8_bracket"),
 ])
 def test_sweeps_and_level_solves(spec, nx, nt, decomp, tol, sweeps, level_solves):
     grid = build_grid(spec.domain, nx, nt)
