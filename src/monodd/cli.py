@@ -6,7 +6,6 @@ Exit codes: 0 success/converged, 2 not converged, 3 invalid config,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -285,8 +284,8 @@ def _received(pipe, k):
 
 def _write_solution_csv(path, grid, solution):
     """Rows t,x,u,u_lower,u_upper for every (k, i), k-major, each value at
-    17 significant digits and each line ended by \\r\\n, as csv.writer
-    wrote them.  Each x is formatted once per run and each t once per
+    17 significant digits and each line ended by \\r\\n, as in
+    history.csv.  Each x is formatted once per run and each t once per
     level, into that level's %-format of its three value columns: a
     whole-table format would hold every value as a Python float at once.
 
@@ -328,19 +327,11 @@ def _write_solution_csv(path, grid, solution):
 
 
 def _write_history_csv(path, history):
+    rows = zip(history.gap_lower_upper, history.max_update, history.chain_violation, history.c_max)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "gap_lower_upper", "max_update", "chain_violation", "c_max"])
-        for n in range(len(history.gap_lower_upper)):
-            writer.writerow(
-                [
-                    n + 1,
-                    _fmt(history.gap_lower_upper[n]),
-                    _fmt(history.max_update[n]),
-                    _fmt(history.chain_violation[n]),
-                    _fmt(history.c_max[n]),
-                ]
-            )
+        fh.write("sweep,gap_lower_upper,max_update,chain_violation,c_max\r\n")
+        for n, values in enumerate(rows, 1):
+            fh.write("%d,%s,%s,%s,%s\r\n" % (n, *map(_fmt, values)))
 
 
 def _load(config_path):

@@ -92,7 +92,9 @@ given a tighter target at once and the run resumes at the earliest one
 that misses it (see _run).  If a slab does not converge, as it
 hits max_sweeps or sits at a rounding-level fixed point above its
 target (see _sweep_slab), the run ends there, history.stop_reason says
-which, and the levels after it keep the bracket.
+which, and the levels after it hold the bracket, or the certified start
+of a later slab that had started before a stall sent the run back, still
+a bound (see _run).
 
 History entry n aggregates the n-th sweep of every slab that ran one (the
 largest gap and update, the smallest chain margin, the largest c), so a
@@ -550,8 +552,9 @@ def _sweep_slab(slab, spec, ops, past, history, tol, max_sweeps, abort_on_chain_
 def _composite_states(init, slabs):
     """history.states: state n holds every slab's iterate n on the levels
     it owns (k0+1..k1, and level 0 for the first slab), or its final
-    subdomain-2 composite as both u1 and u2 once it has stopped; levels of
-    slabs that never ran keep the bracket."""
+    subdomain-2 composite as both u1 and u2 once it has stopped; levels
+    after the last slab the run reached hold the bracket, or the certified
+    start of a slab that had started before a stall sent the run back."""
     composites = []
     for n in range(max(len(slab.states) for slab in slabs)):
         u1, u2 = init.u1.copy(), init.u2.copy()
@@ -586,22 +589,6 @@ def _first_rate(spec, grid, samples):
     return rate
 
 
-def _sup_f_u(spec, grid, rows, fd_step):
-    """max(0, sup f_u) over the stacked rows (..., 2, nx+1) of the first
-    and last step of grid, f_u by f_u_values with the step fd_step."""
-    d = f_u_values(spec.reaction, grid.ts[[1, -1], None], grid.xs[None, :], rows, fd_step)
-    return max(0.0, float(np.max(d)))
-
-
-def _wrong(res, bnd):
-    """Per branch, the wrong-signed residuals node by node, in place: above
-    0 for the lower branch, a subsolution, below 0 for the upper one, as a
-    positive number; interior (2, nt, nx-1) and boundary (2, nt, 2)."""
-    np.negative(res[1], out=res[1])
-    np.negative(bnd[1], out=bnd[1])
-    return res, bnd
-
-
 def _need(interior, ends, drive, edge):
     """Per branch, the multiple A of phi that covers the wrong-signed
     residuals to first order (see _predicted_start): their largest at each
@@ -616,37 +603,6 @@ def _need(interior, ends, drive, edge):
 
 
 _OUTWARD = np.array([-1.0, 1.0])[:, None, None]
-
-
-def _candidate(guess, bracket, push, phi):
-    """guess with its lower branch pushed down and its upper one up by
-    push phi on levels 1.., clipped into the slab's bracket (levels 1..);
-    row 0 is the guess's."""
-    start = np.empty(guess.shape)
-    start[:, 0] = guess[:, 0]
-    np.clip(guess[:, 1:] + _OUTWARD * push[:, None, None] * phi[1:, None],
-            bracket[0], bracket[1], out=start[:, 1:])
-    return start
-
-
-def _widen(spec, grid, past, samples, guess, bracket, push, phi, drive, edge):
-    """The candidate of push (see _candidate) certified by
-    bracket_residuals at slack 0, a failing branch's push widened to
-    2 (push + _need) of the residuals it failed by, up to START_WIDENINGS
-    times.  Returns (start, evaluations): start None where none
-    certifies, and the residual evaluations made."""
-    evaluations = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while evaluations <= START_WIDENINGS and np.all(np.isfinite(push)):
-            start = _candidate(guess, bracket, push, phi)
-            interior, ends = _wrong(*bracket_residuals(spec, grid, start, past, samples)[:2])
-            evaluations += 1
-            # max keeps a NaN, which fails the comparison.
-            passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
-            if passed.all():
-                return start, evaluations
-            push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
-    return None, evaluations
 
 
 # Linearized marches that refine a slab's carried guess before its start
@@ -715,16 +671,18 @@ def _predicted_start(spec, slab, past, rate, samples, strip):
     phi_{k-1}) / dt - L phi_k = (1 - L dt)^-(k-1), and phi adds beta0 phi
     to a boundary row, so A = 2 max(R_k / D_k, R_k / (beta0 phi_k)) over
     the wrong-signed residuals R_k of the guess covers them to first
-    order.  Both branches are clipped into the slab's bracket.
+    order (see _need).  Both branches are clipped into the slab's bracket.
 
-    The pair is certified by bracket_residuals on the slab and its past
-    at slack 0: the lower branch a subsolution and the upper one a
+    One loop makes every bracket_residuals evaluation, on the slab and its
+    past at slack 0.  Its first pass takes the guess's own residuals and
+    sizes A from them.  Each later pass certifies the clipped candidate of
+    the current A: the lower branch a subsolution and the upper one a
     supersolution at every interior node, boundary row and level (row 0
-    is the past's, exactly).  A branch that fails adds the residuals it
-    failed by to its A in the same way and is tried again, up to
-    START_WIDENINGS times.  Where L dt >= 1 no push helps, nor at a
-    boundary row with beta0 <= 0, so a wrong-signed residual there ends
-    the prediction."""
+    is the past's, exactly).  A branch that fails has its A widened to
+    2 (A + _need) of the residuals it failed by, so a start makes at most
+    2 + START_WIDENINGS evaluations.  Where L dt >= 1 no push helps, nor
+    at a boundary row with beta0 <= 0: A is then infinite, and a
+    wrong-signed residual there ends the prediction."""
     grid, bracket = slab.grid, slab.bracket.u1[:, 1:]
     tau = grid.ts - grid.ts[0]
     guess = past.u[:, -1, None, :] + tau[:, None] * rate
@@ -732,20 +690,36 @@ def _predicted_start(spec, slab, past, rate, samples, strip):
         scale = alpha0 / grid.dx + beta0
         np.divide(h + alpha0 / grid.dx * guess[:, 1:, neighbour], scale,
                   out=guess[:, 1:, end], where=scale > 0.0)
-    guess, *refined = _refine(spec, slab, past, guess, strip)
-    lam = _sup_f_u(spec, grid, guess[:, [1, -1]], slab.stab.fd_step)
+    guess, marches, update = _refine(spec, slab, past, guess, strip)
+    d = f_u_values(spec.reaction, grid.ts[[1, -1], None], grid.xs[None, :],
+                   guess[:, [1, -1]], slab.stab.fd_step)
+    lam = max(0.0, float(np.max(d)))
     if lam * grid.dt < 1.0:
         growth = (1.0 - lam * grid.dt) ** -np.arange(grid.nt + 1.0)
     else:  # no push helps: only a guess with no wrong-signed residual certifies
         growth = np.zeros(grid.nt + 1)
     phi, drive = tau * growth, growth[:-1]
     edge = np.stack([beta0 for _, beta0, _ in samples.ends], axis=-1) * phi[1:, None]
-    interior, ends = _wrong(*bracket_residuals(spec, grid, guess, past, samples)[:2])
+    evaluations, push, start = 0, np.zeros(2), guess
     with np.errstate(divide="ignore", invalid="ignore"):
-        push = 2.0 * _need(interior, ends, drive, edge)
-    start, evaluations = _widen(spec, grid, past, samples, guess, bracket, push, phi, drive,
-                                edge)
-    return start, evaluations + 1, tuple(refined)
+        while evaluations <= 1 + START_WIDENINGS and np.all(np.isfinite(push)):
+            if evaluations:  # the candidate of push, clipped into the bracket
+                start = np.empty(guess.shape)
+                start[:, 0] = guess[:, 0]
+                np.clip(guess[:, 1:] + _OUTWARD * push[:, None, None] * phi[1:, None],
+                        bracket[0], bracket[1], out=start[:, 1:])
+            interior, ends = bracket_residuals(spec, grid, start, past, samples)[:2]
+            evaluations += 1
+            # Each branch's wrong-signed residuals as positive numbers: the
+            # lower branch's above 0, the upper branch's below 0.
+            np.negative(interior[1], out=interior[1])
+            np.negative(ends[1], out=ends[1])
+            # max keeps a NaN, which fails the comparison.
+            passed = (np.max(interior, axis=(1, 2)) <= 0.0) & (np.max(ends, axis=(1, 2)) <= 0.0)
+            if evaluations > 1 and passed.all():
+                return start, evaluations, (marches, update)
+            push = np.where(passed, push, 2.0 * (push + _need(interior, ends, drive, edge)))
+    return None, evaluations, (marches, update)
 
 
 def _start(slab, spec, past, rate, samples, strip, keep_states):
@@ -805,24 +779,20 @@ def _steady(steps):
     return StepSamples(a=a, b=b, ends=(tuple(ends[:3]), tuple(ends[3:])))
 
 
-def _take_over(op, k0, c_field):
-    """op, refactored in place on the steps c_field covers, with its k0 set
-    so that its errors name the strip steps of the slab whose first level
-    is k0."""
-    object.__setattr__(op, "k0", k0)
-    refactor_window_operator(op, c_field)
-    return op
-
-
 def _operators(spec, cache, k0, grid, samples, windows, c_field):
     """The operators of windows, a tuple of Subrange, for the slab whose
     first level is k0, factored with c_field on the steps it covers: those
-    cache holds for windows, taken over (see _take_over), else built on
-    grid and its StepSamples samples and held in cache from then on."""
+    cache holds for windows, taken over, else built on grid and its
+    StepSamples samples and held in cache from then on.  A held operator
+    is refactored in place and its k0 set, so that its errors name the
+    strip steps of the slab."""
     if windows in cache:
-        return [_take_over(op, k0, c_field) for op in cache[windows]]
-    ops = cache[windows] = _window_operators(spec, grid, c_field, windows, k0, samples)
-    return ops
+        for op in cache[windows]:
+            object.__setattr__(op, "k0", k0)
+            refactor_window_operator(op, c_field)
+    else:
+        cache[windows] = _window_operators(spec, grid, c_field, windows, k0, samples)
+    return cache[windows]
 
 
 def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_states):
@@ -858,7 +828,11 @@ def _run(spec, grid, windows, tol, max_sweeps, abort_on_chain_violation, keep_st
     _steady and _operators); what the run keeps of a slab that has
     stopped is only what resuming it needs, its state and stabilizer.
     The result is written into the bracket's own array once no slab can
-    resume, so the levels after a slab that failed keep the bracket.
+    resume, so the levels after a slab that failed hold the bracket, or
+    the certified start of a later slab that had started before a stall
+    sent the run back.  Such a start is still a bound, by the argument
+    above: the earlier slabs' states have only tightened since it was
+    certified.
     """
     init = init_state(spec, grid)
     stab = compute_stabilizers(spec, grid, init.u11, init.u12)

@@ -144,16 +144,13 @@ def check_monotone_chain(prev, nxt, u_hat_field, u_tilde_field):
     Empty list means the chain holds.
     """
     shape = np.shape(prev.u11)
+    violations = []
     for name, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field):
         if np.shape(left) != shape or np.shape(right) != shape:
             raise ValueError(f"grid mismatch in chain link {name!r}")
-    violations = []
-    for name, left, right in _chain_links(prev, nxt, u_hat_field, u_tilde_field):
         margin = right - left
-        bad = margin < -CHAIN_SLACK
-        if np.any(bad):
-            for k, i in zip(*np.nonzero(bad)):
-                violations.append((name, int(k), int(i), float(margin[k, i])))
+        for k, i in zip(*np.nonzero(margin < -CHAIN_SLACK)):
+            violations.append((name, int(k), int(i), float(margin[k, i])))
     return violations
 
 

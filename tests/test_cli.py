@@ -282,6 +282,23 @@ def test_solution_csv_bytes_match_row_writer(tmp_path, monkeypatch, levels, cpus
     assert len(forks) == (cpus > 1 and levels > 1)
 
 
+def test_history_csv_bytes_match_row_writer(tmp_path):
+    # %-formatted rows are csv.writer's, byte for byte: it quotes none of
+    # these fields, non-finite and signed-zero values included.
+    values = [1e-300, -0.0, np.nan, np.inf, -np.inf, 0.1, 5e-324, 2.5]
+    history = SimpleNamespace(gap_lower_upper=values, max_update=values[::-1],
+                              chain_violation=values[2:] + values[:2],
+                              c_max=values[5:] + values[:5])
+    cli._write_history_csv(tmp_path / "history.csv", history)
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep", "gap_lower_upper", "max_update", "chain_violation", "c_max"])
+        for n, row in enumerate(zip(history.gap_lower_upper, history.max_update,
+                                    history.chain_violation, history.c_max), 1):
+            writer.writerow([n, *(format(float(v), ".17g") for v in row)])
+    assert (tmp_path / "history.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_failed_helper_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     # Only the forked helper fails: the run exits 3 with one line, and the
     # helper has been reaped.

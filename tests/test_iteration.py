@@ -957,6 +957,30 @@ class TestSlabs:
         np.testing.assert_array_equal(sol.u_upper[4:], 4.0)
         assert np.all(sol.u_lower <= sol.u_upper)
 
+    def test_a_run_that_fails_after_a_stall_still_returns_bounds(self):
+        # Near KPP's unstable state the slabs stall, so a run may start a
+        # later slab before a stall sends it back and it then fails on an
+        # earlier one: the levels after the failing slab hold that later
+        # slab's certified start, not the bracket [0, 1].  Either way the
+        # envelope is ordered and brackets the converged run's.
+        spec = kpp(8.0, 0.0, STALL_AMP)
+        grid = build_grid(spec.domain, 8, 12)
+        decomp = Decomposition(i1_hi=3, i2_lo=1)
+        ref, _ = run_dd(spec, grid, decomp, 1e-9, 500)
+        assert ref.converged
+        later = 0
+        for max_sweeps in range(1, 23):
+            sol, hist = run_dd(spec, grid, decomp, 1e-9, max_sweeps)
+            assert not sol.converged
+            assert np.all(sol.u_lower <= sol.u_upper)
+            assert np.all(sol.u_lower <= ref.u_upper) and np.all(sol.u_upper >= ref.u_lower)
+            assert hist.stop_reason.startswith("max_sweeps on slab ")
+            k1 = int(hist.stop_reason.rsplit("..", 1)[1])
+            if any(k0 >= k1 for k0, *_ in hist.slab_starts):
+                later += 1
+                assert np.any(sol.u_lower[k1 + 1 :] != 0.0) or np.any(sol.u_upper[k1 + 1 :] != 1.0)
+        assert later > 0  # 7 of the 22 runs
+
     def test_rounding_level_fixed_point_ends_the_run(self, monkeypatch):
         # With dt sup f_u >= 1 backward Euler has two discrete solutions
         # here, u = 0 and another.  u = 0 is the predicted start and
@@ -1031,7 +1055,7 @@ class TestPredictedStart:
         assert hist.start_evaluations == evaluations
         assert repr([(marches, update) for *_, marches, update in hist.predictions]) == repr(
             refinements)
-        # The guess's, then up to 1 + START_WIDENINGS.
+        # One on the guess, then up to 1 + START_WIDENINGS on candidates.
         assert all(1 <= count <= 2 + iteration.START_WIDENINGS for count in evaluations)
         assert all(0 <= marches <= iteration.PREDICTOR_MARCHES for marches, _ in refinements)
         init = init_state(spec, grid)
